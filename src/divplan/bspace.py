@@ -434,9 +434,11 @@ def load_space(
 
 
 def value_to_json(value):
+    """A feature value as report data: a sorted label list for a fluent set,
+    otherwise its string form."""
     if isinstance(value, frozenset):
         return sorted(str(f) for f in value)
-    return value
+    return str(value)
 
 
 def behaviour_to_json(space: BehaviourSpace, behaviour: Behaviour) -> dict:

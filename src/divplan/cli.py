@@ -37,12 +37,18 @@ from .fbi import fbi
 from .pddl import PddlError, ground, load_domain, load_problem_file
 from .satplan import (
     DEFAULT_HORIZONS,
+    SatError,
     behaviour_generator_sat,
     plan_generator_sat,
 )
-from .searchplan import SearchConfig, behaviour_generator_ltl, plan_generator_ltl
+from .searchplan import (
+    STRATEGIES,
+    SearchConfig,
+    behaviour_generator_ltl,
+    plan_generator_ltl,
+)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EMPTY = 2
@@ -127,8 +133,6 @@ def _counted(fn, counts, key):
 def cmd_plan(args) -> int:
     kind, subject, space, source = _resolve_source(args)
     _check_backend(args.backend, kind)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
 
@@ -145,7 +149,6 @@ def cmd_plan(args) -> int:
         "space": args.space or "bundled",
         "k": args.k,
         "seed": args.seed,
-        "jobs": args.jobs,
     }
     counts = {"behaviour": 0, "plan": 0}
 
@@ -433,15 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--max-conflicts", type=int, default=None)
     plan.add_argument("--node-budget", type=int, default=100_000)
     plan.add_argument(
-        "--strategy", choices=("breadth-first", "depth-first"),
+        "--strategy", choices=STRATEGIES,
         default="breadth-first",
     )
     plan.add_argument("--no-prune", action="store_true")
     plan.add_argument("--seed", type=int, default=0)
-    plan.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallelism bound (bundled backends run sequentially)",
-    )
     plan.add_argument("--out", help="report path (stdout when omitted)")
     plan.set_defaults(func=cmd_plan)
 
@@ -469,13 +468,10 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PddlError, PlanningError, BspaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (
+        ConfigError, PddlError, PlanningError, BspaceError, SatError,
+        FileNotFoundError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

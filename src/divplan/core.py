@@ -289,35 +289,6 @@ def _parse_signed(text: str) -> Literal:
     return Fluent.parse(text), True
 
 
-def _signed(fluent: Fluent, positive: bool) -> str:
-    return str(fluent) if positive else f"!{fluent}"
-
-
-def problem_to_json(problem: GroundProblem) -> dict:
-    return {
-        "fluents": sorted(str(f) for f in problem.fluents),
-        "actions": [
-            {
-                "name": a.name,
-                "pre": sorted(
-                    [_signed(f, True) for f in a.pre_pos]
-                    + [_signed(f, False) for f in a.pre_neg]
-                ),
-                "add": sorted(str(f) for f in a.add),
-                "del": sorted(str(f) for f in a.delete),
-                "cost": a.cost,
-            }
-            for a in problem.actions
-        ],
-        "init": sorted(str(f) for f in problem.init),
-        "goal": [
-            [_signed(f, pos) for f, pos in disjunct]
-            for disjunct in problem.goal.disjuncts
-        ],
-        **({"budget": problem.budget} if problem.budget is not None else {}),
-    }
-
-
 def problem_from_json(doc: dict) -> GroundProblem:
     actions = []
     for entry in doc["actions"]:
@@ -356,8 +327,3 @@ def load_problem(path: str) -> GroundProblem:
     with open(path) as fh:
         return problem_from_json(json.load(fh))
 
-
-def save_problem(problem: GroundProblem, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(problem_to_json(problem), fh, indent=2, sort_keys=True)
-        fh.write("\n")

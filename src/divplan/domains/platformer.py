@@ -102,11 +102,6 @@ def parse_level(text: str) -> Level:
     )
 
 
-def load_level(path: str) -> Level:
-    with open(path) as fh:
-        return parse_level(fh.read())
-
-
 def platformer_step(level: Level, state: PlatformerState, action: str) -> PlatformerState:
     """One physics tick: optional jump impulse, vertical motion with
     collisions, then horizontal motion, then enemy contact and gravity."""

@@ -147,7 +147,8 @@ def diversity_score(grid: UrbanGrid) -> float:
         p = grid.count(code) / used
         if p > 0:
             entropy -= p * math.log(p)
-    return 100.0 * entropy / math.log(len(LAND_USES))
+    # an exact even split can round to 100.00000000000001, past the top bin
+    return min(100.0, 100.0 * entropy / math.log(len(LAND_USES)))
 
 
 # -- dynamics ------------------------------------------------------------------
@@ -276,14 +277,6 @@ def urban_pack() -> tuple:
 # -- JSON and rendering ----------------------------------------------------------
 
 
-def grid_to_json(grid: UrbanGrid) -> dict:
-    rows = [
-        "".join(grid.cells[r * grid.width : (r + 1) * grid.width])
-        for r in range(grid.height)
-    ]
-    return {"width": grid.width, "height": grid.height, "rows": rows, "counter": grid.counter}
-
-
 def grid_from_json(doc: dict) -> UrbanGrid:
     rows = doc["rows"]
     width, height = doc["width"], doc["height"]
@@ -295,17 +288,6 @@ def grid_from_json(doc: dict) -> UrbanGrid:
         cells=tuple("".join(rows)),
         counter=doc.get("counter", 0),
     )
-
-
-def load_grid(path: str) -> UrbanGrid:
-    with open(path) as fh:
-        return grid_from_json(json.load(fh))
-
-
-def save_grid(grid: UrbanGrid, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(grid_to_json(grid), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 _ANSI = {

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .bspace import Behaviour, BehaviourSpace, bdc, pbehaviour
+from .bspace import Behaviour, BehaviourSpace, bdc, pbehaviour, value_to_json
 from .core import GeneratorTimeout, Plan, PlanTrace
 
 REACHED_K = "reached-k"
@@ -60,20 +60,12 @@ class FbiResult:
     def to_json(self) -> dict:
         return {
             "plans": [list(trace.plan.labels()) for trace in self.plans],
-            "behaviours": [_behaviour_to_json(b) for b in self.behaviours],
+            "behaviours": [
+                [value_to_json(v) for v in b] for b in self.behaviours
+            ],
             "bdc": self.bdc,
             "termination": self.termination,
         }
-
-
-def _behaviour_to_json(behaviour: Behaviour) -> list:
-    values = []
-    for value in behaviour:
-        if isinstance(value, frozenset):
-            values.append(sorted(str(v) for v in value))
-        else:
-            values.append(str(value))
-    return values
 
 
 def fbi(

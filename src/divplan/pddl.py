@@ -1,4 +1,4 @@
-"""Typed STRIPS PDDL subset: parser, pretty-printer, grounder.
+"""Typed STRIPS PDDL subset: parser and grounder.
 
 Supported: ``:strips :typing :negative-preconditions :equality`` and
 ``exists`` in problem goals. Anything outside the subset raises
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .core import Fluent, GoalFormula, GroundAction, GroundProblem
 
@@ -577,72 +577,6 @@ def _validate_goal(domain, problem, goal: GoalAst, scope: set) -> None:
                     f"exists variable {p.name!r} has undeclared type {p.type!r}"
                 )
         _validate_goal(domain, problem, goal.body, scope | {p.name for p in goal.params})
-
-
-# -- pretty-printing -----------------------------------------------------------
-
-
-def _fmt_typed(names: Iterable[TypedName]) -> str:
-    return " ".join(f"{n.name} - {n.type}" for n in names)
-
-
-def _fmt_literal(lit: LiteralAst) -> str:
-    inner = f"({lit.pred}{''.join(' ' + a for a in lit.args)})"
-    return inner if lit.positive else f"(not {inner})"
-
-
-def _fmt_condition(literals: tuple[LiteralAst, ...]) -> str:
-    if len(literals) == 1:
-        return _fmt_literal(literals[0])
-    return "(and " + " ".join(_fmt_literal(l) for l in literals) + ")" if literals else "(and)"
-
-
-def format_domain(domain: DomainAst) -> str:
-    lines = [f"(define (domain {domain.name})"]
-    if domain.requirements:
-        lines.append(f"  (:requirements {' '.join(domain.requirements)})")
-    if domain.types:
-        lines.append(f"  (:types {_fmt_typed(domain.types)})")
-    if domain.predicates:
-        preds = " ".join(
-            f"({p.name}{' ' if p.params else ''}{_fmt_typed(p.params)})"
-            for p in domain.predicates
-        )
-        lines.append(f"  (:predicates {preds})")
-    for a in domain.actions:
-        lines.append(f"  (:action {a.name}")
-        lines.append(f"    :parameters ({_fmt_typed(a.params)})")
-        lines.append(f"    :precondition {_fmt_condition(a.pre)}")
-        effect = tuple(a.add) + tuple(
-            LiteralAst(l.pred, l.args, positive=False) for l in a.delete
-        )
-        lines.append(f"    :effect {_fmt_condition(effect)})")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
-def _fmt_goal(goal: GoalAst) -> str:
-    if isinstance(goal, GoalAtom):
-        return _fmt_literal(goal.literal)
-    if isinstance(goal, GoalAnd):
-        return "(and " + " ".join(_fmt_goal(c) for c in goal.children) + ")"
-    if isinstance(goal, GoalOr):
-        return "(or " + " ".join(_fmt_goal(c) for c in goal.children) + ")"
-    if isinstance(goal, GoalExists):
-        return f"(exists ({_fmt_typed(goal.params)}) {_fmt_goal(goal.body)})"
-    raise TypeError(goal)
-
-
-def format_problem(problem: ProblemAst) -> str:
-    lines = [
-        f"(define (problem {problem.name})",
-        f"  (:domain {problem.domain_name})",
-        f"  (:objects {_fmt_typed(problem.objects)})",
-        "  (:init " + " ".join(_fmt_literal(l) for l in problem.init) + ")",
-        f"  (:goal {_fmt_goal(problem.goal)})",
-        ")",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 # -- grounding -----------------------------------------------------------------

@@ -7,14 +7,10 @@ from .encoding import (
     HorizonMismatch,
     MalformedModel,
     decode,
-    decode_with_varmap,
     encode,
     forbid_behaviour,
     forbid_plan,
     solve_task,
-    task_to_dimacs,
-    varmap_to_json,
-    write_task,
 )
 from .generators import (
     DEFAULT_HORIZONS,
@@ -48,7 +44,6 @@ __all__ = [
     "SolverBridgeError",
     "behaviour_generator_sat",
     "decode",
-    "decode_with_varmap",
     "encode",
     "external_solver_command",
     "forbid_behaviour",
@@ -59,8 +54,5 @@ __all__ = [
     "solve",
     "solve_external",
     "solve_task",
-    "task_to_dimacs",
     "to_dimacs",
-    "varmap_to_json",
-    "write_task",
 ]

@@ -10,7 +10,6 @@ the horizon are the business of lower horizons — there is no no-op padding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -21,7 +20,7 @@ from ..core import (
     Plan,
     PlanTrace,
 )
-from .solver import external_solver_command, solve, solve_external, to_dimacs
+from .solver import external_solver_command, solve, solve_external
 
 
 class EncodingError(Exception):
@@ -228,60 +227,3 @@ def solve_task(
         phases=task.decision_phases(),
     )
 
-
-# -- DIMACS + varmap sidecar -----------------------------------------------------
-
-
-def task_to_dimacs(task: CnfTask) -> str:
-    return to_dimacs(task.num_vars, task.clauses)
-
-
-def varmap_to_json(task: CnfTask) -> dict:
-    return {
-        "horizon": task.horizon,
-        "num_vars": task.num_vars,
-        "actions": {
-            f"{task.problem.actions[i]}@{t}": var
-            for (i, t), var in sorted(task.action_vars.items(), key=lambda kv: kv[1])
-        },
-        "fluents": {
-            f"{f}@{t}": var
-            for (f, t), var in sorted(task.fluent_vars.items(), key=lambda kv: kv[1])
-        },
-    }
-
-
-def write_task(task: CnfTask, cnf_path: str) -> str:
-    """Write DIMACS plus a .varmap.json sidecar; returns the sidecar path."""
-    with open(cnf_path, "w") as fh:
-        fh.write(task_to_dimacs(task))
-    sidecar = cnf_path + ".varmap.json"
-    with open(sidecar, "w") as fh:
-        json.dump(varmap_to_json(task), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return sidecar
-
-
-def decode_with_varmap(model: Sequence, varmap: dict, problem: GroundProblem) -> PlanTrace:
-    """Decode an external model using a varmap sidecar document."""
-    horizon = varmap["horizon"]
-    actions = []
-    by_label = {str(a): a for a in problem.actions}
-    for t in range(horizon):
-        chosen = [
-            by_label[key.rsplit("@", 1)[0]]
-            for key, var in varmap["actions"].items()
-            if key.rsplit("@", 1)[1] == str(t) and model[var]
-        ]
-        if len(chosen) != 1:
-            raise MalformedModel(f"step {t}: {len(chosen)} actions are true")
-        actions.append(chosen[0])
-    states = []
-    for t in range(horizon + 1):
-        state = set()
-        for key, var in varmap["fluents"].items():
-            name, step = key.rsplit("@", 1)
-            if step == str(t) and model[var]:
-                state.add(Fluent.parse(name))
-        states.append(frozenset(state))
-    return PlanTrace(plan=Plan(tuple(actions)), states=tuple(states))

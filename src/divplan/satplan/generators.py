@@ -1,15 +1,16 @@
 """SAT-backed behaviour and plan generators.
 
-Both generators sweep an ascending horizon range, re-encoding from scratch at
-each horizon: a plan of length h is found at horizon h, never as a padded
-longer model. Every generator call restarts at the bottom of the range,
-because forbidding a behaviour or plan may make shorter horizons feasible
-again irrelevant — the cheapest remaining witness can sit at any length.
+Both generators run one loop over an ascending horizon range. Each horizon is
+encoded afresh and carries the caller's forbidding clauses, so a plan of
+length h is found at horizon h, never as a padded longer model. Every call
+starts again at the bottom of the range and re-encodes each horizon, even one
+an earlier call proved UNSAT: forbidding clauses only remove models, so such a
+horizon stays UNSAT, and keeping it closed across calls is ROADMAP item 3.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from ..bspace import (
     Behaviour,
@@ -55,31 +56,40 @@ def _check_goal_assignment_space(space: BehaviourSpace) -> None:
             )
 
 
-def _solve_task(
-    task: CnfTask, seed: int, max_conflicts: Optional[int]
-) -> Optional[list]:
-    try:
-        return solve_task(task, seed=seed, max_conflicts=max_conflicts)
-    except ResourceLimit as exc:
-        raise GeneratorTimeout(str(exc)) from exc
+def _first_trace(
+    problem: GroundProblem,
+    horizon_range: Iterable[int],
+    forbid: Callable[[CnfTask], None],
+    check: Callable[[PlanTrace], None],
+    seed: int,
+    max_conflicts: Optional[int],
+) -> Optional[PlanTrace]:
+    """The first checked trace over the horizons within the problem's budget.
 
-
-def _horizons(problem: GroundProblem, horizon_range: Iterable[int]):
+    At each horizon: encode, let forbid add the caller's clauses, solve,
+    decode, replay the plan, and let check reject a trace the forbidding
+    clauses should have excluded. None when every horizon is UNSAT.
+    """
     for h in horizon_range:
         if problem.budget is not None and h > problem.budget:
             continue
-        yield h
-
-
-def _checked_trace(problem: GroundProblem, task: CnfTask, model: Sequence) -> PlanTrace:
-    trace = decode(model, task)
-    validated = validate_plan(problem, trace.plan)
-    if validated.states != trace.states:
-        raise AssertionError(
-            "decoded state sequence disagrees with plan execution; "
-            "the encoding's frame axioms are broken"
-        )
-    return trace
+        task = encode(problem, h)
+        forbid(task)
+        try:
+            model = solve_task(task, seed=seed, max_conflicts=max_conflicts)
+        except ResourceLimit as exc:
+            raise GeneratorTimeout(str(exc)) from exc
+        if model is None:
+            continue
+        trace = decode(model, task)
+        if validate_plan(problem, trace.plan).states != trace.states:
+            raise AssertionError(
+                "decoded state sequence disagrees with plan execution; "
+                "the encoding's frame axioms are broken"
+            )
+        check(trace)
+        return trace
+    return None
 
 
 def behaviour_generator_sat(
@@ -97,8 +107,9 @@ def behaviour_generator_sat(
     carries one forbidding clause per already-found behaviour.
     """
     _check_goal_assignment_space(space)
+    found = tuple(found_behaviours)
     assignments = []
-    for behaviour in found_behaviours:
+    for behaviour in found:
         merged = _merged_assignment(space, behaviour)
         if merged is None:
             continue
@@ -106,24 +117,21 @@ def behaviour_generator_sat(
             # a cell with no constraining fluents covers every trace
             return None
         assignments.append(sorted((str(f), f, v) for f, v in merged.items()))
-    assignments.sort()
+    forbidden = [{f: v for _, f, v in a} for a in sorted(assignments)]
 
-    for h in _horizons(problem, horizon_range):
-        task = encode(problem, h)
-        for assignment in assignments:
-            forbid_behaviour(task, {f: v for _, f, v in assignment})
-        model = _solve_task(task, seed, max_conflicts)
-        if model is None:
-            continue
-        trace = _checked_trace(problem, task, model)
+    def forbid(task: CnfTask) -> None:
+        for assignment in forbidden:
+            forbid_behaviour(task, assignment)
+
+    def check(trace: PlanTrace) -> None:
         behaviour = pbehaviour(space, trace)
-        if behaviour in set(found_behaviours):
+        if behaviour in found:
             raise AssertionError(
                 f"solver returned already-found behaviour {behaviour}; "
                 "behaviour-forbidding clauses are broken"
             )
-        return trace
-    return None
+
+    return _first_trace(problem, horizon_range, forbid, check, seed, max_conflicts)
 
 
 def plan_generator_sat(
@@ -139,25 +147,22 @@ def plan_generator_sat(
     Only plans whose length equals the current horizon are forbidden at that
     horizon — others cannot be models there anyway.
     """
-    existing = list(existing_plans)
+    existing = sorted(existing_plans, key=lambda p: p.labels())
     seen_labels = {plan.labels() for plan in existing}
+    if () in seen_labels:
+        # the empty plan is the only horizon-0 model and no clause excludes it
+        horizon_range = (h for h in horizon_range if h != 0)
 
-    for h in _horizons(problem, horizon_range):
-        if h == 0 and () in seen_labels:
-            continue  # the empty plan is the only horizon-0 model
-        task = encode(problem, h)
-        for plan in sorted(
-            (p for p in existing if len(p) == h), key=lambda p: p.labels()
-        ):
-            forbid_plan(task, plan)
-        model = _solve_task(task, seed, max_conflicts)
-        if model is None:
-            continue
-        trace = _checked_trace(problem, task, model)
+    def forbid(task: CnfTask) -> None:
+        for plan in existing:
+            if len(plan) == task.horizon:
+                forbid_plan(task, plan)
+
+    def check(trace: PlanTrace) -> None:
         if trace.plan.labels() in seen_labels:
             raise AssertionError(
                 f"solver returned already-known plan {trace.plan.labels()}; "
                 "plan-forbidding clauses are broken"
             )
-        return trace
-    return None
+
+    return _first_trace(problem, horizon_range, forbid, check, seed, max_conflicts)

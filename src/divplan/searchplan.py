@@ -9,7 +9,6 @@ not already satisfy the target — can never contribute a plan and is cut.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Protocol, Sequence
@@ -35,7 +34,8 @@ from .ltl import (
     progress,
 )
 
-STRATEGIES = ("breadth-first", "depth-first", "best-first")
+# frontier orders: a FIFO queue (shortest plans first) or a LIFO stack
+STRATEGIES = ("breadth-first", "depth-first")
 
 
 class Simulator(Protocol):
@@ -64,8 +64,14 @@ class Simulator(Protocol):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """How one search walks the tree.
+
+    strategy is one of STRATEGIES; node_budget caps expansions per search;
+    prune=False keeps monitor-violated branches (same answers, more nodes).
+    seed is unused: both strategies are deterministic.
+    """
+
     strategy: str = "breadth-first"
-    heuristic: Optional[Callable] = None
     node_budget: int = 100_000
     seed: int = 0
     prune: bool = True
@@ -77,8 +83,6 @@ class SearchConfig:
             )
         if self.node_budget < 1:
             raise ValueError("node_budget must be >= 1")
-        if self.strategy == "best-first" and self.heuristic is None:
-            raise ValueError("best-first search needs a heuristic")
 
 
 @dataclass
@@ -126,23 +130,12 @@ def _digest_fn(sim) -> Callable:
 
 
 def _make_frontier(cfg: SearchConfig):
-    """push/pop pair for the configured strategy; deterministic tie-breaks."""
+    """push/pop pair for the configured strategy: a FIFO queue or a stack."""
     if cfg.strategy == "breadth-first":
         queue: deque = deque()
         return queue.append, queue.popleft, queue
-    if cfg.strategy == "depth-first":
-        stack: list = []
-        return stack.append, stack.pop, stack
-    heap: list = []
-    counter = iter(range(10**18))
-
-    def push(node: _Node) -> None:
-        heapq.heappush(heap, (cfg.heuristic(node.state), next(counter), node))
-
-    def pop() -> _Node:
-        return heapq.heappop(heap)[2]
-
-    return push, pop, heap
+    stack: list = []
+    return stack.append, stack.pop, stack
 
 
 def _search(

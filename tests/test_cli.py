@@ -1,12 +1,14 @@
 """CLI tests: flows, exit codes, report shape, renders, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from divplan.cli import EXIT_EMPTY, EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, main
+from divplan.satplan import EXTERNAL_SOLVER_ENV
 
 UNSOLVABLE = {
     "fluents": ["p", "q"],
@@ -153,8 +155,9 @@ def test_plan_horizon_flags_bound_the_search(capsys):
         (("plan", "--domain", "story", "--backend", "search"), "simulator"),
         (("plan", "--domain", "story", "--backend", "sat", "--k", "0"), "--k"),
         (
-            ("plan", "--domain", "story", "--backend", "sat", "--jobs", "0"),
-            "--jobs",
+            ("plan", "--domain", "urban", "--backend", "search",
+             "--node-budget", "0"),
+            "node_budget",
         ),
         (
             ("plan", "--domain", "story", "--backend", "sat",
@@ -170,6 +173,16 @@ def test_plan_horizon_flags_bound_the_search(capsys):
 def test_plan_config_errors(capsys, argv, fragment):
     assert run(*argv) == EXIT_USAGE
     assert fragment in capsys.readouterr().err
+
+
+def test_plan_broken_external_solver_is_a_usage_error(monkeypatch, capsys):
+    # the "solver" prints no status line, so the bridge cannot read an answer
+    monkeypatch.setenv(EXTERNAL_SOLVER_ENV, f"{sys.executable} -c pass")
+    code = run("plan", "--domain", "story-tiny", "--backend", "sat")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_plan_missing_file_is_a_usage_error(capsys):
@@ -290,6 +303,8 @@ def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "divplan.cli", "--help"],
         capture_output=True, text=True,
+        # the package may be importable only through this process's sys.path
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     for sub in ("plan", "validate", "render"):

@@ -30,10 +30,7 @@ from divplan.domains.urban import (
     bundled_grid,
     diversity_score,
     grid_from_json,
-    grid_to_json,
-    load_grid,
     render_grid,
-    save_grid,
     sustainability_score,
     urban_space,
     urban_step,
@@ -71,6 +68,14 @@ def test_sustainability_ignores_empty_cells():
 
 def test_diversity_equal_fifths_is_100():
     assert diversity_score(grid(["ROGCF"])) == pytest.approx(100.0, abs=1e-9)
+
+
+def test_diversity_even_split_is_exactly_100_and_in_the_top_bin():
+    # unclamped, the entropy ratio rounds to 100.00000000000001 here
+    g = UrbanGrid(5, 1, tuple("ROGCF"))
+    assert diversity_score(g) == 100.0
+    assert bin_label(DEFAULT_BINS, diversity_score(g)) == "ID"
+    assert UrbanSimulator(g, budget=1).propositions(g)["ID_D"]
 
 
 def test_diversity_single_use_is_0():
@@ -154,15 +159,13 @@ def test_grid_validation():
         UrbanGrid(width=2, height=2, cells=("G", "G"))
 
 
-def test_grid_json_roundtrip(tmp_path):
-    g = bundled_grid()
-    assert grid_from_json(grid_to_json(g)) == g
-    path = tmp_path / "grid.json"
-    save_grid(g, path)
-    assert load_grid(path) == g
-    # the on-disk form is plain JSON with one string per row
-    doc = json.loads(path.read_text())
-    assert len(doc["rows"]) == g.height
+def test_grid_json_roundtrip():
+    # the JSON form is plain data with one string per row
+    doc = json.loads('{"width": 3, "height": 2, "rows": ["GRO", "CFE"], "counter": 4}')
+    g = grid_from_json(doc)
+    assert g == UrbanGrid(width=3, height=2, cells=tuple("GROCFE"), counter=4)
+    assert render_grid(g).splitlines() == doc["rows"]
+    assert grid_from_json({"width": 1, "height": 1, "rows": ["G"]}).counter == 0
 
 
 def test_grid_json_rejects_mismatched_rows():

@@ -14,8 +14,6 @@ from divplan.pddl import (
     TypedName,
     UndeclaredObjectType,
     UnsupportedFeature,
-    format_domain,
-    format_problem,
     ground,
     load_domain,
     load_problem_file,
@@ -179,29 +177,6 @@ def test_nested_exists_goal_ast():
             ),
         ),
     )
-
-
-# -- pretty-printing -----------------------------------------------------------
-
-def test_format_parse_roundtrip_inline():
-    d = parse_domain(TINY_DOMAIN)
-    p = parse_problem(TINY_PROBLEM)
-    assert parse_domain(format_domain(d)) == d
-    assert parse_problem(format_problem(p)) == p
-
-
-@pytest.mark.parametrize(
-    "domain_file,problem_file",
-    [
-        ("aladdin-domain.pddl", "aladdin-problem.pddl"),
-        ("story-tiny-domain.pddl", "story-tiny-problem.pddl"),
-    ],
-)
-def test_format_parse_roundtrip_bundled(domain_file, problem_file):
-    d = load_domain(data_file(domain_file))
-    p = load_problem_file(data_file(problem_file), d)
-    assert parse_domain(format_domain(d)) == d
-    assert parse_problem(format_problem(p)) == p
 
 
 # -- grounding -----------------------------------------------------------------

@@ -35,10 +35,10 @@ from divplan.satplan import (
     Solver,
     behaviour_generator_sat,
     decode,
-    decode_with_varmap,
     encode,
     forbid_behaviour,
     forbid_plan,
+    generators,
     parse_dimacs,
     parse_solver_output,
     plan_generator_sat,
@@ -46,7 +46,6 @@ from divplan.satplan import (
     solve_external,
     solve_task,
     to_dimacs,
-    write_task,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "divplan", "domains", "data")
@@ -293,6 +292,18 @@ def test_behaviour_generator_exhausts_realisable_cells(tiny_story):
     assert len(found) == 3
 
 
+def test_behaviour_novelty_check_survives_one_shot_iterator(tiny_story, monkeypatch):
+    # with forbidding switched off the solver hands back the found behaviour;
+    # the novelty check must still see it when given a one-shot iterator
+    space = BehaviourSpace((goal_endings_feature(tiny_story),))
+    first = behaviour_generator_sat(tiny_story, space, (), range(0, 6))
+    monkeypatch.setattr(generators, "forbid_behaviour", lambda task, assignment: None)
+    with pytest.raises(AssertionError, match="already-found behaviour"):
+        behaviour_generator_sat(
+            tiny_story, space, iter([pbehaviour(space, first)]), range(0, 6)
+        )
+
+
 def test_behaviour_generator_rejects_temporal_space(tiny_story):
     feature = Feature(
         name="shape",
@@ -481,21 +492,6 @@ def test_parse_solver_output():
     assert model[1:] == [True, False]  # slot 0 is unused, as internally
     with pytest.raises(Exception):
         parse_solver_output("garbage\n", 2)
-
-
-def test_write_task_sidecar_decodes_external_model(tmp_path, tiny_story):
-    import json
-
-    task = encode(tiny_story, 3)
-    cnf_path = str(tmp_path / "task.cnf")
-    sidecar = write_task(task, cnf_path)
-    num_vars, clauses = parse_dimacs(open(cnf_path).read())
-    model = solve(clauses, num_vars)
-    assert model is not None
-    varmap = json.load(open(sidecar))
-    trace = decode_with_varmap(model, varmap, tiny_story)
-    assert trace.plan.labels() == decode(model, task).plan.labels()
-    validate_plan(tiny_story, trace.plan)
 
 
 STUB_SOLVER = textwrap.dedent(

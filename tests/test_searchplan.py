@@ -79,8 +79,6 @@ def test_unknown_strategy_and_bad_budget_rejected():
         SearchConfig(strategy="random-walk")
     with pytest.raises(ValueError):
         SearchConfig(node_budget=0)
-    with pytest.raises(ValueError):
-        SearchConfig(strategy="best-first")  # no heuristic
 
 
 def test_depth_first_also_finds_a_valid_plan():
@@ -88,15 +86,6 @@ def test_depth_first_also_finds_a_valid_plan():
     assert result.trace is not None
     assert eval_finite(KEY, result.trace.valuations)
     assert result.trace.states[-1][0] == 3
-
-
-def test_best_first_with_distance_heuristic():
-    result = constrained_search(
-        CorridorSimulator(),
-        END,
-        cfg(strategy="best-first", heuristic=lambda s: 3 - s[0]),
-    )
-    assert result.trace.plan.labels() == ("right", "right", "right")
 
 
 def test_pruning_never_changes_satisfiability():
