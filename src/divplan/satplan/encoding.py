@@ -2,10 +2,19 @@
 
 One action per step. Variables: action a at step t (t < horizon) and fluent
 f at step t (t <= horizon); goal selectors for a multi-disjunct goal come
-after those. Clauses: init units, goal at the final step, exactly-one action
-per step (pairwise at-most-one), action implications for preconditions and
-effects, and positive/negative explanatory frame axioms. Plans shorter than
-the horizon are the business of lower horizons — there is no no-op padding.
+after those, then ceil(log2 |A|) code bits per step. Clauses: init units,
+goal at the final step, exactly-one action per step, action implications for
+preconditions and effects, and positive/negative explanatory frame axioms.
+Plans shorter than the horizon are the business of lower horizons — there is
+no no-op padding.
+
+At most one action per step uses the binary encoding (Frisch & Giannaros,
+ModRef 2010): action i forces the step's code bits to spell i, so two true
+actions disagree on some bit, and one true action still falsifies every other
+by unit propagation. That is |A|*ceil(log2 |A|) clauses per step instead of
+the pairwise |A|(|A|-1)/2, which made up 21,945 of the bundled story's 22,716
+clauses per step. A sequential counter (Sinz, CP 2005) is also linear but adds
+|A|-1 variables per step, which slowed search on the small story cuts.
 """
 
 from __future__ import annotations
@@ -121,12 +130,15 @@ def encode(problem: GroundProblem, horizon: int) -> CnfTask:
         for f in sorted(a.delete):
             deleters[f].append(i)
 
+    n_bits = max(n_a - 1, 0).bit_length()  # ceil(log2 |A|), 0 when |A| <= 1
     for t in range(horizon):
-        # exactly one action
+        # exactly one action: at least one, and at most one via the code bits
         task.add_clause([av(i, t) for i in range(n_a)])
+        bits = range(task.num_vars + 1, task.num_vars + 1 + n_bits)
+        task.num_vars += n_bits
         for i in range(n_a):
-            for j in range(i + 1, n_a):
-                task.add_clause([-av(i, t), -av(j, t)])
+            for k, b in enumerate(bits):
+                task.add_clause([-av(i, t), b if i >> k & 1 else -b])
         # preconditions and effects
         for i, a in enumerate(actions):
             lit = -av(i, t)

@@ -315,7 +315,7 @@ def parse_solver_output(text: str, num_vars: int) -> Optional[list]:
     if status == "UNSATISFIABLE":
         return None
     if status != "SATISFIABLE":
-        raise SolverBridgeError(f"no recognisable status line in solver output")
+        raise SolverBridgeError("no recognisable status line in solver output")
     model: list = [False] * (num_vars + 1)
     model[0] = None
     for lit in lits:
@@ -342,9 +342,11 @@ def solve_external(
 ) -> Optional[list]:
     """Run `command <file.cnf>` and parse its s/v output lines.
 
-    SAT-competition exit codes (10/20) are tolerated; anything else without a
-    status line is a bridge error.
+    SAT-competition exit codes (10/20) are tolerated; a command that cannot
+    be started, or output without a status line, is a bridge error naming the
+    command (and, for the latter, its exit status and last stderr line).
     """
+    name = shlex.join(command)
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", prefix="divplan-", delete=False
     ) as fh:
@@ -357,6 +359,18 @@ def solve_external(
             stderr=subprocess.PIPE,
             text=True,
         )
-        return parse_solver_output(proc.stdout, num_vars)
+    except OSError as exc:
+        raise SolverBridgeError(
+            f"external solver {name!r} could not be run: {exc.strerror or exc}"
+        ) from exc
     finally:
         os.unlink(path)
+    try:
+        return parse_solver_output(proc.stdout, num_vars)
+    except SolverBridgeError as exc:
+        stderr = proc.stderr.strip().splitlines()
+        last = f"; last stderr line: {stderr[-1]!r}" if stderr else ""
+        raise SolverBridgeError(
+            f"external solver {name!r} exited with status "
+            f"{proc.returncode}: {exc}{last}"
+        ) from exc

@@ -185,6 +185,25 @@ def test_plan_broken_external_solver_is_a_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("solver", ["false", "non-executable"])
+def test_plan_failing_external_solver_names_its_cause(
+    solver, tmp_path, monkeypatch, capsys
+):
+    if solver == "non-executable":
+        solver = tmp_path / "solver.sh"
+        solver.write_text("#!/bin/sh\necho 's SATISFIABLE'\n")
+        solver.chmod(0o644)
+    monkeypatch.setenv(EXTERNAL_SOLVER_ENV, str(solver))
+    code = run("plan", "--domain", "story-tiny", "--backend", "sat")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert str(solver) in err
+    if solver == "false":
+        assert "status 1" in err
+
+
 def test_plan_missing_file_is_a_usage_error(capsys):
     code = run(
         "plan", "--problem-json", "/no/such/file.json", "--backend", "sat"

@@ -33,6 +33,7 @@ from divplan.satplan import (
     MalformedModel,
     ResourceLimit,
     Solver,
+    SolverBridgeError,
     behaviour_generator_sat,
     decode,
     encode,
@@ -76,6 +77,28 @@ def two_switch_problem():
         ),
         init=frozenset(),
         goal=GoalFormula.conjunction([(a, True), (b, True)]),
+    )
+
+
+def one_action_problem():
+    """A single repeatable action; goal: its effect. One plan per horizon >= 1."""
+    done = Fluent("done")
+    return GroundProblem(
+        fluents=frozenset([done]),
+        actions=(GroundAction("tick", add=frozenset([done])),),
+        init=frozenset(),
+        goal=GoalFormula.conjunction([(done, True)]),
+    )
+
+
+def parallel_actions_problem(n):
+    """n actions, all applicable at step 0, each setting its own fluent."""
+    fluents = [Fluent(f"f{i}") for i in range(n)]
+    return GroundProblem(
+        fluents=frozenset(fluents),
+        actions=tuple(GroundAction(f"a{i}", add=frozenset([f])) for i, f in enumerate(fluents)),
+        init=frozenset(),
+        goal=GoalFormula.trivial(),
     )
 
 
@@ -124,12 +147,28 @@ def test_negative_horizon_rejected():
         encode(toggle_problem(), -1)
 
 
+def test_encoding_grows_near_linearly_per_step():
+    d = load_domain(os.path.join(DATA, "aladdin-domain.pddl"))
+    problem = ground(d, load_problem_file(os.path.join(DATA, "aladdin-problem.pddl"), d))
+    n_a, n_f = len(problem.actions), len(problem.fluents)
+    literals = sum(
+        len(a.pre_pos) + len(a.pre_neg) + len(a.add) + len(a.delete)
+        for a in problem.actions
+    )
+    step = len(encode(problem, 2).clauses) - len(encode(problem, 1).clauses)
+    # at-least-one, |A| code bits each, action implications, two frame axioms
+    # per fluent; a pairwise at-most-one alone would add |A|(|A|-1)/2
+    assert step <= n_a * ((n_a - 1).bit_length() + 1) + literals + 2 * n_f + 1
+
+
 @pytest.mark.parametrize("horizon", range(0, 6))
 def test_toggle_models_match_oracle(horizon):
-    problem = toggle_problem()
-    oracle = {p.labels() for p in enumerate_plans(problem, horizon) if len(p) == horizon}
-    got = {p.labels() for p in exhaust_models(problem, horizon)}
-    assert got == oracle
+    # the one-action and two-switch problems sit at the edges of the
+    # at-most-one encoding: no code bits, and a single code bit
+    for problem in (toggle_problem(), one_action_problem(), two_switch_problem()):
+        oracle = {p.labels() for p in enumerate_plans(problem, horizon) if len(p) == horizon}
+        got = {p.labels() for p in exhaust_models(problem, horizon)}
+        assert got == oracle
 
 
 @pytest.mark.parametrize("horizon", range(0, 5))
@@ -137,6 +176,28 @@ def test_tiny_story_models_match_oracle(tiny_story, horizon):
     oracle = {p.labels() for p in enumerate_plans(tiny_story, horizon) if len(p) == horizon}
     got = {p.labels() for p in exhaust_models(tiny_story, horizon)}
     assert got == oracle
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9])
+def test_at_most_one_action_per_step(n):
+    problem = parallel_actions_problem(n)
+    base = encode(problem, 1)
+    assert base.num_vars == n + 2 * n + max(n - 1, 0).bit_length()
+
+    def forced(*indices):
+        task = encode(problem, 1)
+        for i in indices:
+            task.add_clause([task.action_var(i, 0)])
+        return solve_task(task)
+
+    if n == 0:
+        assert solve_task(base) is None
+    for i in range(n):
+        model = forced(i)
+        assert model is not None
+        assert decode(model, base).plan.labels() == (f"a{i}",)
+        for j in range(i + 1, n):
+            assert forced(i, j) is None
 
 
 def test_decode_hand_built_model():
@@ -525,6 +586,16 @@ def test_solve_external_sat_and_unsat(stub_solver_cmd):
     model = solve_external(cmd, 2, [[1, 2], [-1]])
     assert model is not None and model[2] and not model[1]
     assert solve_external(cmd, 1, [[1], [-1]]) is None
+
+
+def test_solve_external_failure_names_command_status_and_stderr():
+    cmd = [sys.executable, "-c", "import sys; sys.exit('out of cheese')"]
+    with pytest.raises(SolverBridgeError) as info:
+        solve_external(cmd, 1, [[1]])
+    message = str(info.value)
+    assert sys.executable in message
+    assert "status 1" in message
+    assert "out of cheese" in message
 
 
 def test_generator_uses_external_solver(tiny_story, monkeypatch, stub_solver_cmd):
