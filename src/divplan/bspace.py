@@ -16,7 +16,17 @@ from math import prod
 from typing import Callable, Iterator, Optional, Sequence
 
 from .core import Fluent, GroundProblem, PlanTrace
-from .ltl import Always, And, Atom, Eventually, LtlFormula, Not, eval_finite, parse_formula
+from .ltl import (
+    Always,
+    And,
+    Atom,
+    Eventually,
+    LtlFormula,
+    LtlSyntaxError,
+    Not,
+    eval_finite,
+    parse_formula,
+)
 
 DEFAULT_CELL_CAP = 1_000_000
 HORIZON_VALUE = "l-reached"  # score undefined when the step budget ran out
@@ -426,8 +436,15 @@ def load_space(
     problem: Optional[GroundProblem] = None,
     scores: Optional[dict] = None,
 ) -> BehaviourSpace:
-    with open(path) as fh:
-        return space_from_json(json.load(fh), problem=problem, scores=scores)
+    """space_from_json over a file; a malformed file is a SpaceConfigError
+    that names it."""
+    try:
+        with open(path) as fh:
+            return space_from_json(json.load(fh), problem=problem, scores=scores)
+    except KeyError as exc:
+        raise SpaceConfigError(f"{path}: missing key {exc}") from exc
+    except (json.JSONDecodeError, LtlSyntaxError) as exc:
+        raise SpaceConfigError(f"{path}: {exc}") from exc
 
 
 # -- serialisation helpers (reports need plain data) ---------------------------------

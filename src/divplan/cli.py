@@ -34,6 +34,7 @@ from .domains.urban import (
     sustainability_score,
 )
 from .fbi import fbi
+from .ltl import LtlError
 from .pddl import PddlError, ground, load_domain, load_problem_file
 from .satplan import (
     DEFAULT_HORIZONS,
@@ -470,7 +471,7 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except (
         ConfigError, PddlError, PlanningError, BspaceError, SatError,
-        FileNotFoundError,
+        LtlError, FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,16 +1,23 @@
 """Simulator-backed planning: forward tree search with temporal-formula pruning.
 
-The search walks a black-box simulator looking for goal states whose
-proposition trace satisfies a target formula. The formula is progressed along
-each branch, so a node carries the obligation that remains for its subtree;
-a branch whose obligation has collapsed to false — and whose own prefix does
-not already satisfy the target — can never contribute a plan and is cut.
+A search is one sweep of a black-box simulator's tree. It carries a tuple
+of target formulas in priority order and looks for goal states whose
+proposition trace satisfies one of them. Every target is progressed along
+each branch, so a node carries, per target, the obligation that remains for
+its subtree. A branch is cut once every live obligation has collapsed to
+false and no live target is satisfied by the prefix itself.
+
+Formulas are interned to small ids, and progression is memoised on
+(residual id, valuation), so the sweep builds the finite-trace automaton of
+each target lazily (De Giacomo & Vardi, IJCAI 2013) and prunes with it as in
+formula-progression planning (Bacchus & Kabanza, AIJ 2000).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
 from .bspace import (
@@ -66,7 +73,8 @@ class Simulator(Protocol):
 class SearchConfig:
     """How one search walks the tree.
 
-    strategy is one of STRATEGIES; node_budget caps expansions per search;
+    strategy is one of STRATEGIES; node_budget caps the expansions of one
+    search, which is one sweep over all its targets, so one generator call;
     prune=False keeps monitor-violated branches (same answers, more nodes).
     seed is unused: both strategies are deterministic.
     """
@@ -103,25 +111,87 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one search: a trace, or None with a decisive/indecisive flag.
+    """Outcome of one sweep: the witness of the first target that has one.
 
-    definitive=True means the bounded plan space was fully examined (a None
-    is a proof of absence); definitive=False means the node budget ran out.
+    trace satisfies targets[index]; every target before index has no plan
+    within the bounds, unless the node budget ran out. definitive=True
+    means the sweep finished (a None trace proves every target empty);
+    definitive=False means the node budget ran out first.
     """
 
     trace: Optional[PlanTrace]
     definitive: bool
     stats: SearchStats
+    index: Optional[int]
 
 
-@dataclass(frozen=True)
-class _Node:
-    state: object
-    actions: tuple
-    states: tuple
-    valuations: tuple
-    residual: LtlFormula  # obligation for any continuation of this prefix
-    prefix_sat: bool  # target truth if the trace stops here
+class _Progression:
+    """Interned residual formulas and their memoised one-step progression.
+
+    A residual is an id into `_formulas`; FALSE is always id 0, so a tuple
+    of residual ids is all-false exactly when it has no truthy entry. A
+    valuation is keyed by the truth of the targets' atoms, which are the only
+    atoms progression reads. Whole residual tuples are memoised as well, so
+    a child costs one lookup however many targets are live.
+    """
+
+    def __init__(self, targets: Sequence[LtlFormula]):
+        names = sorted(set().union(*map(atoms, targets)))
+        self._project = itemgetter(*names) if names else (lambda valuation: ())
+        self._formulas: list = [FALSE]
+        self._ids: dict = {FALSE: 0}
+        self._steps: dict = {}  # (residual id, valuation key) -> (id, prefix_sat)
+        self._tuples: dict = {}  # (residual ids, valuation key) -> (ids, bits)
+
+    def intern(self, formula: LtlFormula) -> int:
+        rid = self._ids.get(formula)
+        if rid is None:
+            rid = self._ids[formula] = len(self._formulas)
+            self._formulas.append(formula)
+        return rid
+
+    def _step(self, rid: int, key, valuation) -> tuple:
+        hit = self._steps.get((rid, key))
+        if hit is None:
+            formula = self._formulas[rid]
+            hit = (
+                self.intern(progress(formula, valuation)),
+                final_eval(formula, valuation),
+            )
+            self._steps[(rid, key)] = hit
+        return hit
+
+    def advance(self, residuals: tuple, valuation) -> tuple:
+        """(residual ids after valuation, truth of each if the trace ends there)."""
+        try:
+            key = (residuals, self._project(valuation))
+        except KeyError as exc:
+            raise UnknownAtom(f"atom {exc.args[0]!r} not assigned by valuation") from None
+        hit = self._tuples.get(key)
+        if hit is None:
+            steps = [self._step(rid, key[1], valuation) for rid in residuals]
+            hit = (tuple(r for r, _ in steps), tuple(s for _, s in steps))
+            self._tuples[key] = hit
+        return hit
+
+
+# A search node is a tuple (state, parent node, action, valuation, depth,
+# residual ids, prefix_sat bits): the prefix is read back through the parent
+# pointers only when a trace is wanted.
+def _trace(node: tuple) -> PlanTrace:
+    actions, states, valuations = [], [], []
+    while node is not None:
+        state, parent, action, valuation = node[:4]
+        states.append(state)
+        valuations.append(valuation)
+        if parent is not None:
+            actions.append(action)
+        node = parent
+    return PlanTrace(
+        plan=Plan(tuple(reversed(actions))),
+        states=tuple(reversed(states)),
+        valuations=tuple(reversed(valuations)),
+    )
 
 
 def _digest_fn(sim) -> Callable:
@@ -140,95 +210,94 @@ def _make_frontier(cfg: SearchConfig):
 
 def _search(
     sim,
-    target: LtlFormula,
+    targets: Sequence[LtlFormula],
     cfg: SearchConfig,
     *,
     deduplicate: bool = True,
-    accept: Optional[Callable[[_Node], bool]] = None,
+    accept: Optional[Callable[[PlanTrace], bool]] = None,
 ) -> SearchResult:
     stats = SearchStats()
     depth_cap = getattr(sim, "budget", None)
     digest = _digest_fn(sim)
     push, pop, frontier = _make_frontier(cfg)
+    table = _Progression(targets)
+    # targets[:live] still lack a witness that beats the one already found
+    live = len(targets)
+    witness: Optional[PlanTrace] = None
 
     init = sim.initial()
     v0 = dict(sim.propositions(init))
-    push(
-        _Node(
-            state=init,
-            actions=(),
-            states=(init,),
-            valuations=(v0,),
-            residual=progress(target, v0),
-            prefix_sat=final_eval(target, v0),
-        )
-    )
+    roots = tuple(table.intern(target) for target in targets)
+    push((init, None, None, v0, 0, *table.advance(roots, v0)))
     visited: dict = {}  # dedup key -> shallowest depth seen
 
     while frontier:
         if stats.expanded >= cfg.node_budget:
             stats.budget_exhausted = True
-            return SearchResult(None, definitive=False, stats=stats)
+            break
         node = pop()
+        state, _, _, _, depth, residuals, sats = node
         stats.expanded += 1
 
-        if node.prefix_sat and sim.is_goal(node.state):
-            if accept is None or accept(node):
-                trace = PlanTrace(
-                    plan=Plan(node.actions),
-                    states=node.states,
-                    valuations=node.valuations,
-                )
-                return SearchResult(trace, definitive=True, stats=stats)
+        if True in sats[:live] and sim.is_goal(state):
+            trace = _trace(node)
+            if accept is None or accept(trace):
+                witness, live = trace, sats.index(True)
+                if live == 0:
+                    break
+        residuals, sats = residuals[:live], sats[:live]
 
-        if cfg.prune and node.residual is FALSE and not node.prefix_sat:
+        if cfg.prune and not any(residuals) and not any(sats):
             stats.pruned += 1
             continue
         if deduplicate:
-            key = (digest(node.state), node.residual, node.prefix_sat)
-            depth = len(node.actions)
-            seen = visited.get(key)
+            seen_key = (digest(state), residuals, sats)
+            seen = visited.get(seen_key)
             if seen is not None and seen <= depth:
                 stats.deduplicated += 1
                 continue
-            visited[key] = depth
-        if depth_cap is not None and len(node.actions) >= depth_cap:
+            visited[seen_key] = depth
+        if depth_cap is not None and depth >= depth_cap:
             continue
 
         children = []
-        for action in sim.legal_actions(node.state):
-            succ = sim.step(node.state, action)
+        for action in sim.legal_actions(state):
+            succ = sim.step(state, action)
             valuation = dict(sim.propositions(succ))
             children.append(
-                _Node(
-                    state=succ,
-                    actions=node.actions + (action,),
-                    states=node.states + (succ,),
-                    valuations=node.valuations + (valuation,),
-                    residual=progress(node.residual, valuation),
-                    prefix_sat=final_eval(node.residual, valuation),
-                )
+                (succ, node, action, valuation, depth + 1,
+                 *table.advance(residuals, valuation))
             )
         if cfg.strategy == "depth-first":
             children.reverse()  # so the first legal action is explored first
         for child in children:
             push(child)
-    return SearchResult(None, definitive=True, stats=stats)
+    return SearchResult(
+        witness,
+        definitive=not stats.budget_exhausted,
+        stats=stats,
+        index=None if witness is None else live,
+    )
 
 
-def constrained_search(sim, target: LtlFormula, cfg: SearchConfig) -> SearchResult:
-    """A goal-reaching trace whose propositions satisfy the target formula.
+def constrained_search(
+    sim, targets: Sequence[LtlFormula], cfg: SearchConfig
+) -> SearchResult:
+    """One sweep for a goal-reaching trace that satisfies the first target
+    it can: the sweep ends once targets[0] has a witness or the tree is
+    exhausted, and returns the witness of the lowest-index target found.
 
-    Nodes whose progressed obligation is already unsatisfiable — for the
-    prefix as well as for every extension — are cut (cfg.prune=False keeps
-    them, which never changes the answer, only the node count).
+    Nodes whose progressed obligations are all unsatisfiable — for the prefix
+    as well as for every extension — are cut (cfg.prune=False keeps them,
+    which never changes the answer, only the node count).
     """
-    missing = atoms(target) - set(sim.alphabet)
+    targets = tuple(targets)
+    missing = set().union(*map(atoms, targets)) - set(sim.alphabet)
     if missing:
         raise UnknownAtom(
             f"target uses atoms outside the simulator alphabet: {sorted(missing)}"
         )
-    return _search(sim, target, cfg)
+    return _search(sim, targets, cfg)
 
 
 def behaviour_generator_ltl(
@@ -239,10 +308,12 @@ def behaviour_generator_ltl(
 ) -> Optional[PlanTrace]:
     """A trace realising some not-yet-found behaviour cell, or None.
 
-    Cells are tried in feature-declaration order; each cell's target is the
-    conjunction of its per-feature formulas. None means every remaining cell
-    is proven empty; if any cell search ran out of node budget instead, the
-    call fails loudly rather than feigning exhaustion.
+    One sweep per call searches every open cell at once; its target is the
+    conjunction of the cell's per-feature formulas, and cells take priority
+    in feature-declaration order, so the call returns the first realisable
+    open cell. None means every open cell is proven empty. If the node
+    budget runs out first, a cell already realised is still returned;
+    otherwise the call fails loudly rather than feigning exhaustion.
     """
     for feature in space.features:
         if not isinstance(feature.expression, TemporalFormula):
@@ -251,33 +322,33 @@ def behaviour_generator_ltl(
                 "use the SAT backend for goal-assignment features"
             )
     found = set(found_behaviours)
-    inconclusive = []
-    for cell in enumerate_cells(space):
-        if cell in found:
-            continue
+    cells = [cell for cell in enumerate_cells(space) if cell not in found]
+    if not cells:
+        return None
+    targets = []
+    for cell in cells:
         target = TRUE
         for feature, value in zip(space.features, cell):
             target = mk_and(target, feature.expression.formula_for(value))
-        result = constrained_search(sim, target, cfg)
-        if result.trace is not None:
-            trace = result.trace
-            if not eval_finite(target, trace.valuations):
-                raise AssertionError(
-                    f"search returned a trace violating its own target for {cell}"
-                )
-            if pbehaviour(space, trace) != cell:
-                raise AssertionError(
-                    f"trace found for cell {cell} extracts to "
-                    f"{pbehaviour(space, trace)}; feature formulas and "
-                    "extractors disagree"
-                )
-            return trace
-        if not result.definitive:
-            inconclusive.append(cell)
-    if inconclusive:
+        targets.append(target)
+    result = constrained_search(sim, targets, cfg)
+    if result.trace is not None:
+        trace, cell = result.trace, cells[result.index]
+        if not eval_finite(targets[result.index], trace.valuations):
+            raise AssertionError(
+                f"search returned a trace violating its own target for {cell}"
+            )
+        if pbehaviour(space, trace) != cell:
+            raise AssertionError(
+                f"trace found for cell {cell} extracts to "
+                f"{pbehaviour(space, trace)}; feature formulas and "
+                "extractors disagree"
+            )
+        return trace
+    if not result.definitive:
         raise GeneratorTimeout(
-            f"node budget exhausted on {len(inconclusive)} cell(s) "
-            "before the space could be proven exhausted"
+            f"node budget exhausted before any of {len(cells)} open cell(s) "
+            "was realised or the space proven exhausted"
         )
     return None
 
@@ -294,10 +365,10 @@ def plan_generator_ltl(
     """
     seen = {plan.labels() for plan in existing_plans}
 
-    def accept(node: _Node) -> bool:
-        return tuple(str(a) for a in node.actions) not in seen
+    def accept(trace: PlanTrace) -> bool:
+        return trace.plan.labels() not in seen
 
-    result = _search(sim, TRUE, cfg, deduplicate=False, accept=accept)
+    result = _search(sim, (TRUE,), cfg, deduplicate=False, accept=accept)
     if result.trace is not None:
         return result.trace
     if not result.definitive:

@@ -204,6 +204,39 @@ def test_plan_failing_external_solver_names_its_cause(
         assert "status 1" in err
 
 
+def _ltl_space(formula: str) -> str:
+    values = [{"value": "killed", "formula": formula}]
+    return json.dumps({"features": [{"kind": "ltl", "name": "e", "values": values}]})
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("{not json", "space.json"),
+        (
+            json.dumps({"features": [
+                {"kind": "ltl", "name": "e", "values": [{"value": "killed"}]}
+            ]}),
+            "space.json: missing key 'formula'",
+        ),
+        (_ltl_space("F (killed"), "space.json"),
+        (_ltl_space("F warp"), "warp"),
+    ],
+    ids=["not-json", "no-formula", "formula-syntax", "unknown-atom"],
+)
+def test_plan_bad_space_file_is_one_error_line(tmp_path, capsys, text, fragment):
+    space = tmp_path / "space.json"
+    space.write_text(text)
+    code = run(
+        "plan", "--domain", "platformer", "--backend", "search",
+        "--space", str(space),
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
 def test_plan_missing_file_is_a_usage_error(capsys):
     code = run(
         "plan", "--problem-json", "/no/such/file.json", "--backend", "sat"
