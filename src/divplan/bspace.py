@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterator, Optional, Sequence
 
-from .core import Fluent, GroundProblem, PlanTrace
+from .core import GroundProblem, PlanTrace
 from .ltl import (
     Always,
     And,
@@ -176,12 +176,6 @@ class BehaviourSpace:
     @property
     def size(self) -> int:
         return prod(len(f.domain) for f in self.features)
-
-    def feature(self, name: str) -> Feature:
-        for f in self.features:
-            if f.name == name:
-                return f
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -456,10 +450,3 @@ def value_to_json(value):
     if isinstance(value, frozenset):
         return sorted(str(f) for f in value)
     return str(value)
-
-
-def behaviour_to_json(space: BehaviourSpace, behaviour: Behaviour) -> dict:
-    return {
-        feature.name: value_to_json(value)
-        for feature, value in zip(space.features, behaviour.values)
-    }

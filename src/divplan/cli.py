@@ -26,6 +26,7 @@ from .core import (
 from .domains import DECLARATIVE, SIMULATOR, BUNDLED, get_domain
 from .domains.platformer import PlatformerSimulator, bundled_level
 from .domains.urban import (
+    FINAL_GRID_SCORES,
     UrbanSimulator,
     LAND_USE_NAMES,
     bundled_grid,
@@ -139,8 +140,9 @@ def cmd_plan(args) -> int:
 
     if args.space:
         problem = subject if kind == DECLARATIVE else None
+        scores = FINAL_GRID_SCORES if isinstance(subject, UrbanSimulator) else None
         try:
-            space = load_space(args.space, problem=problem)
+            space = load_space(args.space, problem=problem, scores=scores)
         except BspaceError as exc:
             raise ConfigError(f"bad --space file: {exc}") from exc
 

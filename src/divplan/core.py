@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterable, Iterator, Optional, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional
 
 
 class PlanningError(Exception):
-    """Base class for plan-validation failures."""
+    """Base class for planning-model and plan-validation failures."""
+
+
+class ProblemFormatError(PlanningError):
+    """A ground-problem JSON file that does not describe a problem."""
 
 
 class InapplicableAction(PlanningError):
@@ -161,9 +164,6 @@ class GroundProblem:
         raise KeyError(name)
 
 
-PlanAction = Union[GroundAction, str]  # search-backend plans hold bare labels
-
-
 @dataclass(frozen=True)
 class Plan:
     """An ordered action sequence. Equality is exact sequence equality."""
@@ -215,11 +215,6 @@ def apply(state: State, action: GroundAction) -> State:
     if not applicable(state, action):
         raise InapplicableAction(f"action {action.name} not applicable")
     return (state - action.delete) | action.add
-
-
-def plan_cost(plan: Plan) -> float:
-    """Sum of action costs; bare action labels count as unit cost."""
-    return sum(getattr(a, "cost", 1.0) for a in plan)
 
 
 def validate_plan(problem: GroundProblem, plan: Plan) -> PlanTrace:
@@ -324,6 +319,13 @@ def problem_from_json(doc: dict) -> GroundProblem:
 
 
 def load_problem(path: str) -> GroundProblem:
-    with open(path) as fh:
-        return problem_from_json(json.load(fh))
+    """problem_from_json over a file; a malformed file is a
+    ProblemFormatError that names it."""
+    try:
+        with open(path) as fh:
+            return problem_from_json(json.load(fh))
+    except KeyError as exc:
+        raise ProblemFormatError(f"{path}: missing key {exc}") from exc
+    except ValueError as exc:  # JSON syntax, or a model check of core
+        raise ProblemFormatError(f"{path}: {exc}") from exc
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .platformer import platformer_pack
-from .story import story_pack, story_space, tiny_story_pack
+from .story import story_pack, tiny_story_pack
 from .urban import urban_pack
 
 DECLARATIVE = "declarative"  # a GroundProblem; planned with the SAT backend
@@ -20,21 +20,11 @@ class BundledDomain:
     load: Callable[[], tuple]  # () -> (problem-or-simulator, BehaviourSpace)
 
 
-def _load_story() -> tuple:
-    problem, feature = story_pack()
-    return problem, story_space(feature)
-
-
-def _load_tiny_story() -> tuple:
-    problem, feature = tiny_story_pack()
-    return problem, story_space(feature)
-
-
 BUNDLED = {
     d.name: d
     for d in (
-        BundledDomain("story", DECLARATIVE, _load_story),
-        BundledDomain("story-tiny", DECLARATIVE, _load_tiny_story),
+        BundledDomain("story", DECLARATIVE, story_pack),
+        BundledDomain("story-tiny", DECLARATIVE, tiny_story_pack),
         BundledDomain("urban", SIMULATOR, urban_pack),
         BundledDomain("platformer", SIMULATOR, platformer_pack),
     )

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from importlib.resources import files
 
-from ..bspace import BehaviourSpace, Feature, goal_endings_feature
-from ..core import GroundProblem
+from ..bspace import BehaviourSpace, goal_endings_feature
 from ..pddl import ground, parse_domain, parse_problem
 
 
@@ -20,20 +19,15 @@ def _data(name: str) -> str:
 
 def _pack(domain_file: str, problem_file: str) -> tuple:
     domain = parse_domain(_data(domain_file))
-    problem = parse_problem(_data(problem_file), domain)
-    grounded = ground(domain, problem)
-    return grounded, goal_endings_feature(grounded)
+    problem = ground(domain, parse_problem(_data(problem_file), domain))
+    return problem, BehaviourSpace((goal_endings_feature(problem),))
 
 
 def story_pack() -> tuple:
-    """(ground problem, possible-endings feature) for the full cast."""
+    """(ground problem, possible-endings space) for the full cast."""
     return _pack("aladdin-domain.pddl", "aladdin-problem.pddl")
 
 
 def tiny_story_pack() -> tuple:
     """The two-character cut: 4 ground actions, oracle-enumerable."""
     return _pack("story-tiny-domain.pddl", "story-tiny-problem.pddl")
-
-
-def story_space(feature: Feature) -> BehaviourSpace:
-    return BehaviourSpace((feature,))

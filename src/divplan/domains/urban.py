@@ -200,7 +200,8 @@ class UrbanSimulator:
             f"{b.label}_S" for b in DEFAULT_BINS
         ) + tuple(f"{b.label}_D" for b in DEFAULT_BINS) + ("l-reached",)
         self._step = lru_cache(maxsize=None)(self._step_uncached)
-        self._bins = lru_cache(maxsize=None)(self._bins_uncached)
+        self._propositions = lru_cache(maxsize=None)(self._propositions_uncached)
+        self._valuation = lru_cache(maxsize=None)(self._valuation_uncached)
 
     def initial(self) -> UrbanGrid:
         return self.grid0
@@ -216,19 +217,26 @@ class UrbanSimulator:
     def step(self, grid: UrbanGrid, action: str) -> UrbanGrid:
         return self._step(grid, action)
 
-    def _bins_uncached(self, grid: UrbanGrid):
-        return (
+    def _propositions_uncached(self, grid: UrbanGrid) -> dict:
+        # grids in the same two bins on the same side of the budget share
+        # one valuation dict, which keeps the memo small
+        return self._valuation(
             bin_label(DEFAULT_BINS, sustainability_score(grid)),
             bin_label(DEFAULT_BINS, diversity_score(grid)),
+            grid.counter >= self.budget,
         )
 
-    def propositions(self, grid: UrbanGrid) -> dict:
-        s_bin, d_bin = self._bins(grid)
+    def _valuation_uncached(self, s_bin: str, d_bin: str, reached: bool) -> dict:
         valuation = {atom: False for atom in self.alphabet}
         valuation[f"{s_bin}_S"] = True
         valuation[f"{d_bin}_D"] = True
-        valuation["l-reached"] = grid.counter >= self.budget
+        valuation["l-reached"] = reached
         return valuation
+
+    def propositions(self, grid: UrbanGrid) -> dict:
+        """The grid's valuation, a dict shared with every caller and with
+        grids in the same bins: read it, never mutate it."""
+        return self._propositions(grid)
 
     def is_goal(self, grid: UrbanGrid) -> bool:
         return grid.counter == self.budget
@@ -242,22 +250,30 @@ def urban_simulator(
     return UrbanSimulator(grid0, rules, budget)
 
 
+def _final_grid(score):
+    def on_trace(trace: PlanTrace) -> Optional[float]:
+        return score(trace.final_state)
+
+    return on_trace
+
+
+# Trace scores by name, judged on the final grid: the registry a
+# categorical-score feature of a --space file names its "score" from.
+FINAL_GRID_SCORES = {
+    "sustainability": _final_grid(sustainability_score),
+    "diversity": _final_grid(diversity_score),
+}
+
+
 def urban_space() -> BehaviourSpace:
     """Sustainability-bin x diversity-bin, judged on the final grid."""
-
-    def final_grid_score(score):
-        def on_trace(trace: PlanTrace) -> Optional[float]:
-            return score(trace.final_state)
-
-        return on_trace
-
     return BehaviourSpace(
         (
             categorical_score_feature(
-                "sustainability", final_grid_score(sustainability_score), atom_suffix="S"
+                "sustainability", FINAL_GRID_SCORES["sustainability"], atom_suffix="S"
             ),
             categorical_score_feature(
-                "diversity", final_grid_score(diversity_score), atom_suffix="D"
+                "diversity", FINAL_GRID_SCORES["diversity"], atom_suffix="D"
             ),
         )
     )

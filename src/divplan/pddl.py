@@ -5,6 +5,22 @@ Supported: ``:strips :typing :negative-preconditions :equality`` and
 UnsupportedFeature rather than misparsing silently. Parse errors carry
 line/column positions.
 
+Each rule is checked in one place:
+
+* the parser (`_read_define`, `_parse_*`) checks the document's shape:
+  balanced parentheses, the ``(define (KIND NAME) ...)`` header, known
+  sections and keywords, literal syntax, and the unsupported features;
+* `_validate_domain` checks types, unique action and parameter names, and
+  that no action adds and deletes one atom;
+* `_check_atom` checks one atom of an action schema, the init or the goal:
+  a known predicate (or ``=``), its arity, and that every argument is in
+  scope (the schema's parameters; the problem's objects, plus the variables
+  of the enclosing ``exists`` in a goal);
+* `_validate_problem` checks object types, unique object names, the
+  ``:domain`` name, and every init and goal atom. `parse_problem` runs it
+  when given the domain, and `ground` always does, so grounding never meets
+  an unchecked atom.
+
 Grounding instantiates action schemas over type-respecting object tuples,
 expands existential goals into a disjunction over groundings (DNF), decides
 equality literals statically, and drops actions whose static preconditions
@@ -15,21 +31,20 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import Fluent, GoalFormula, GroundAction, GroundProblem
 
 ROOT_TYPE = "object"
 SUPPORTED_REQUIREMENTS = (":strips", ":typing", ":negative-preconditions", ":equality")
-DEFAULT_GROUND_ACTION_CAP = 200_000
+GROUND_ACTION_CAP = 200_000
 
 
 class PddlError(Exception):
-    pass
+    """A PDDL input the parser or grounder rejects; positioned when the
+    offending node is known."""
 
-
-class PddlSyntaxError(PddlError):
     def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
         if line is not None:
             message = f"line {line}, col {col}: {message}"
@@ -38,13 +53,12 @@ class PddlSyntaxError(PddlError):
         self.col = col
 
 
+class PddlSyntaxError(PddlError):
+    pass
+
+
 class UnsupportedFeature(PddlError):
     """Input uses PDDL outside the supported subset."""
-
-    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
-        if line is not None:
-            message = f"line {line}, col {col}: {message}"
-        super().__init__(message)
 
 
 class UndeclaredObjectType(PddlError):
@@ -128,13 +142,12 @@ def _read_sexps(text: str) -> list:
     return top
 
 
-def _pos(node: _Sexp) -> tuple[Optional[int], Optional[int]]:
-    return (node.line, node.col) if hasattr(node, "line") else (None, None)
-
-
 def _err(node: _Sexp, message: str) -> PddlSyntaxError:
-    line, col = _pos(node)
-    return PddlSyntaxError(message, line, col)
+    return PddlSyntaxError(message, node.line, node.col)
+
+
+def _unsupported(node: _Sexp, what: str) -> UnsupportedFeature:
+    return UnsupportedFeature(what, node.line, node.col)
 
 
 def _expect_atom(node: _Sexp, what: str) -> _SAtom:
@@ -241,6 +254,27 @@ class ProblemAst:
 # -- parsing -------------------------------------------------------------------
 
 
+def _read_define(text: str, kind: str) -> tuple[str, list]:
+    """NAME and the (head, section) pairs of ``(define (KIND NAME) ...)``."""
+    forms = _read_sexps(text)
+    if not forms:
+        raise PddlSyntaxError("no PDDL content found")
+    root = _expect_list(forms[0], "(define ...)")
+    if len(root) < 2 or _expect_atom(root[0], "define").text != "define":
+        raise _err(root, f"expected (define ({kind} ...) ...)")
+    header = _expect_list(root[1], f"({kind} NAME)")
+    if len(header) != 2 or _expect_atom(header[0], kind).text != kind:
+        raise _err(header, f"expected ({kind} NAME)")
+    name = _expect_atom(header[1], f"{kind} name").text
+    sections = []
+    for section in root[2:]:
+        lst = _expect_list(section, f"a {kind} section")
+        if not lst or not isinstance(lst[0], _SAtom):
+            raise _err(lst, f"malformed {kind} section")
+        sections.append((lst[0].text, lst))
+    return name, sections
+
+
 def _parse_typed_names(nodes: list, what: str) -> tuple[TypedName, ...]:
     """``a b - t c d - u e`` style typed lists; untyped names get the root type."""
     out: list[TypedName] = []
@@ -304,10 +338,6 @@ _UNSUPPORTED_EFFECT_HEADS = {
 
 
 def _parse_effect(node: _Sexp) -> tuple[tuple[LiteralAst, ...], tuple[LiteralAst, ...]]:
-    lst = _expect_list(node, "an effect")
-    if lst and isinstance(lst[0], _SAtom) and lst[0].text in _UNSUPPORTED_EFFECT_HEADS:
-        line, col = _pos(lst)
-        raise UnsupportedFeature(_UNSUPPORTED_EFFECT_HEADS[lst[0].text], line, col)
     literals = _parse_literal_conjunction(node, allow_equality=False)
     add = tuple(l for l in literals if l.positive)
     delete = tuple(LiteralAst(l.pred, l.args) for l in literals if not l.positive)
@@ -318,40 +348,24 @@ def _check_effect_tree(node: _Sexp) -> None:
     if isinstance(node, _SList) and node and isinstance(node[0], _SAtom):
         head = node[0].text
         if head in _UNSUPPORTED_EFFECT_HEADS:
-            line, col = _pos(node)
-            raise UnsupportedFeature(_UNSUPPORTED_EFFECT_HEADS[head], line, col)
+            raise _unsupported(node, _UNSUPPORTED_EFFECT_HEADS[head])
         for child in node[1:]:
             _check_effect_tree(child)
 
 
 def parse_domain(text: str) -> DomainAst:
-    forms = _read_sexps(text)
-    if not forms:
-        raise PddlSyntaxError("no PDDL content found")
-    root = _expect_list(forms[0], "(define ...)")
-    if len(root) < 2 or _expect_atom(root[0], "define").text != "define":
-        raise _err(root, "expected (define (domain ...) ...)")
-    header = _expect_list(root[1], "(domain NAME)")
-    if len(header) != 2 or _expect_atom(header[0], "domain").text != "domain":
-        raise _err(header, "expected (domain NAME)")
-    name = _expect_atom(header[1], "domain name").text
-
+    name, sections = _read_define(text, "domain")
     requirements: tuple[str, ...] = ()
     types: tuple[TypedName, ...] = ()
     predicates: tuple[PredicateDecl, ...] = ()
     actions: list[ActionSchema] = []
 
-    for section in root[2:]:
-        lst = _expect_list(section, "a domain section")
-        if not lst or not isinstance(lst[0], _SAtom):
-            raise _err(lst, "malformed domain section")
-        head = lst[0].text
+    for head, lst in sections:
         if head == ":requirements":
             requirements = tuple(_expect_atom(r, "requirement").text for r in lst[1:])
             for req in requirements:
                 if req not in SUPPORTED_REQUIREMENTS:
-                    line, col = _pos(lst)
-                    raise UnsupportedFeature(f"requirement {req}", line, col)
+                    raise _unsupported(lst, f"requirement {req}")
         elif head == ":types":
             types = _parse_typed_names(lst[1:], "type name")
         elif head == ":predicates":
@@ -369,8 +383,7 @@ def parse_domain(text: str) -> DomainAst:
         elif head == ":action":
             actions.append(_parse_action(lst))
         elif head in (":constants", ":functions", ":derived", ":durative-action"):
-            line, col = _pos(lst)
-            raise UnsupportedFeature(f"section {head}", line, col)
+            raise _unsupported(lst, f"section {head}")
         else:
             raise _err(lst, f"unknown domain section {head!r}")
 
@@ -431,55 +444,42 @@ def _validate_domain(domain: DomainAst) -> None:
                     f"action {schema.name!r} uses undeclared type {p.type!r}"
                 )
         for lit in schema.pre + schema.add + schema.delete:
-            _check_literal(domain, schema, scope, lit)
+            _check_atom(domain, lit, scope, f"action {schema.name!r}")
         adds = {(l.pred, l.args) for l in schema.add}
         dels = {(l.pred, l.args) for l in schema.delete}
         if adds & dels:
             raise PddlSyntaxError(f"action {schema.name!r} adds and deletes one atom")
 
 
-def _check_literal(domain, schema, scope, lit: LiteralAst) -> None:
-    where = f"action {schema.name!r}"
+def _check_atom(domain: DomainAst, lit: LiteralAst, scope, where: str) -> None:
+    """A declared predicate (or ``=``) at its arity, over names in scope."""
     if lit.pred == "=":
-        if len(lit.args) != 2:
-            raise PddlSyntaxError(f"{where}: '=' takes two terms")
+        arity = 2
     else:
         decl = domain.predicate(lit.pred)
         if decl is None:
             raise PddlSyntaxError(f"{where}: unknown predicate {lit.pred!r}")
-        if len(decl.params) != len(lit.args):
-            raise PddlSyntaxError(
-                f"{where}: {lit.pred!r} expects {len(decl.params)} arguments,"
-                f" got {len(lit.args)}"
-            )
+        arity = len(decl.params)
+    if len(lit.args) != arity:
+        raise PddlSyntaxError(
+            f"{where}: {lit.pred!r} expects {arity} arguments, got {len(lit.args)}"
+        )
     for arg in lit.args:
-        if arg.startswith("?") and arg not in scope:
-            raise PddlSyntaxError(f"{where}: unbound variable {arg!r}")
+        if arg not in scope:
+            raise PddlSyntaxError(f"{where}: unbound name {arg!r}")
 
 
 def parse_problem(text: str, domain: Optional[DomainAst] = None) -> ProblemAst:
-    forms = _read_sexps(text)
-    if not forms:
-        raise PddlSyntaxError("no PDDL content found")
-    root = _expect_list(forms[0], "(define ...)")
-    if len(root) < 2 or _expect_atom(root[0], "define").text != "define":
-        raise _err(root, "expected (define (problem ...) ...)")
-    header = _expect_list(root[1], "(problem NAME)")
-    if len(header) != 2 or _expect_atom(header[0], "problem").text != "problem":
-        raise _err(header, "expected (problem NAME)")
-    name = _expect_atom(header[1], "problem name").text
-
+    name, sections = _read_define(text, "problem")
     domain_name = ""
     objects: tuple[TypedName, ...] = ()
     init: tuple[LiteralAst, ...] = ()
     goal: Optional[GoalAst] = None
 
-    for section in root[2:]:
-        lst = _expect_list(section, "a problem section")
-        if not lst or not isinstance(lst[0], _SAtom):
-            raise _err(lst, "malformed problem section")
-        head = lst[0].text
+    for head, lst in sections:
         if head == ":domain":
+            if len(lst) != 2:
+                raise _err(lst, "expected (:domain NAME)")
             domain_name = _expect_atom(lst[1], "domain name").text
         elif head == ":objects":
             objects = _parse_typed_names(lst[1:], "object")
@@ -493,8 +493,7 @@ def parse_problem(text: str, domain: Optional[DomainAst] = None) -> ProblemAst:
                 raise _err(lst, ":goal takes one formula")
             goal = _parse_goal(lst[1])
         elif head in (":metric", ":constraints"):
-            line, col = _pos(lst)
-            raise UnsupportedFeature(f"section {head}", line, col)
+            raise _unsupported(lst, f"section {head}")
         else:
             raise _err(lst, f"unknown problem section {head!r}")
 
@@ -524,51 +523,35 @@ def _parse_goal(node: _Sexp) -> GoalAst:
                 raise _err(lst, f"exists binds variables, got {p.name!r}")
         return GoalExists(params, _parse_goal(lst[2]))
     if head == "forall":
-        line, col = _pos(lst)
-        raise UnsupportedFeature("universal quantification in goals", line, col)
-    if head == "not":
-        inner = _parse_literal(node, allow_equality=True)
-        return GoalAtom(inner)
+        raise _unsupported(lst, "universal quantification in goals")
     return GoalAtom(_parse_literal(node, allow_equality=True))
 
 
 def _validate_problem(domain: DomainAst, problem: ProblemAst) -> None:
+    if problem.domain_name and problem.domain_name != domain.name:
+        raise PddlSyntaxError(
+            f"problem is for domain {problem.domain_name!r}, not {domain.name!r}"
+        )
     parents = domain.type_parents()
     for obj in problem.objects:
         if obj.type not in parents:
             raise UndeclaredObjectType(
                 f"object {obj.name!r} has undeclared type {obj.type!r}"
             )
-    names = [o.name for o in problem.objects]
-    if len(set(names)) != len(names):
+    objects = {o.name for o in problem.objects}
+    if len(objects) != len(problem.objects):
         raise PddlSyntaxError("duplicate object names")
     for lit in problem.init:
-        decl = domain.predicate(lit.pred)
-        if decl is None:
-            raise PddlSyntaxError(f"init: unknown predicate {lit.pred!r}")
-        if len(decl.params) != len(lit.args):
-            raise PddlSyntaxError(f"init: arity mismatch for {lit.pred!r}")
-        for arg in lit.args:
-            if arg not in names:
-                raise PddlSyntaxError(f"init: unknown object {arg!r}")
-    _validate_goal(domain, problem, problem.goal, {o.name for o in problem.objects})
+        _check_atom(domain, lit, objects, "init")
+    _validate_goal(domain, problem.goal, objects)
 
 
-def _validate_goal(domain, problem, goal: GoalAst, scope: set) -> None:
+def _validate_goal(domain: DomainAst, goal: GoalAst, scope: set) -> None:
     if isinstance(goal, GoalAtom):
-        lit = goal.literal
-        if lit.pred != "=":
-            decl = domain.predicate(lit.pred)
-            if decl is None:
-                raise PddlSyntaxError(f"goal: unknown predicate {lit.pred!r}")
-            if len(decl.params) != len(lit.args):
-                raise PddlSyntaxError(f"goal: arity mismatch for {lit.pred!r}")
-        for arg in lit.args:
-            if arg not in scope:
-                raise PddlSyntaxError(f"goal: unbound name {arg!r}")
+        _check_atom(domain, goal.literal, scope, "goal")
     elif isinstance(goal, (GoalAnd, GoalOr)):
         for child in goal.children:
-            _validate_goal(domain, problem, child, scope)
+            _validate_goal(domain, child, scope)
     elif isinstance(goal, GoalExists):
         parents = domain.type_parents()
         for p in goal.params:
@@ -576,7 +559,7 @@ def _validate_goal(domain, problem, goal: GoalAst, scope: set) -> None:
                 raise UndeclaredObjectType(
                     f"exists variable {p.name!r} has undeclared type {p.type!r}"
                 )
-        _validate_goal(domain, problem, goal.body, scope | {p.name for p in goal.params})
+        _validate_goal(domain, goal.body, scope | {p.name for p in goal.params})
 
 
 # -- grounding -----------------------------------------------------------------
@@ -604,22 +587,17 @@ def _ground_fluent(lit: LiteralAst) -> Fluent:
     return Fluent(lit.pred, lit.args)
 
 
-def ground(
-    domain: DomainAst,
-    problem: ProblemAst,
-    budget: Optional[int] = None,
-    max_ground_actions: int = DEFAULT_GROUND_ACTION_CAP,
-) -> GroundProblem:
+def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
     """Instantiate the problem into the grounded closed-world model.
 
     Equality preconditions are decided here and removed. Static fluents
     (never added or deleted by any schema) prune instantiations whose
     preconditions cannot hold in any reachable state. Raises
-    GroundingExplosion when the instantiation count would exceed the cap.
+    GroundingExplosion when the instantiation count would exceed
+    GROUND_ACTION_CAP.
     """
     _validate_problem(domain, problem)
     by_type = _objects_by_type(domain, problem)
-    object_names = {o.name for o in problem.objects}
 
     dynamic = {
         l.pred for schema in domain.actions for l in (schema.add + schema.delete)
@@ -632,10 +610,9 @@ def ground(
         for p in schema.params:
             count *= len(by_type.get(p.type, []))
         total += count
-        if total > max_ground_actions:
+        if total > GROUND_ACTION_CAP:
             raise GroundingExplosion(
-                f"more than {max_ground_actions} ground actions; raise the cap"
-                " to proceed"
+                f"the problem grounds to more than {GROUND_ACTION_CAP} actions"
             )
 
     actions: list[GroundAction] = []
@@ -643,11 +620,11 @@ def ground(
         pools = [by_type.get(p.type, []) for p in schema.params]
         for combo in itertools.product(*pools):
             binding = {p.name: obj for p, obj in zip(schema.params, combo)}
-            ground_action = _instantiate(schema, binding, dynamic, init, object_names)
+            ground_action = _instantiate(schema, binding, dynamic, init)
             if ground_action is not None:
                 actions.append(ground_action)
 
-    goal = _ground_goal(problem.goal, {}, by_type, object_names, dynamic, init)
+    goal = _ground_goal(problem.goal, {}, by_type, dynamic, init)
 
     universe = init | goal.fluents()
     for a in actions:
@@ -657,20 +634,14 @@ def ground(
         actions=tuple(actions),
         init=init,
         goal=goal,
-        budget=budget,
     )
 
 
-def _instantiate(schema, binding, dynamic, init, object_names) -> Optional[GroundAction]:
+def _instantiate(schema, binding, dynamic, init) -> Optional[GroundAction]:
     pre_pos: set = set()
     pre_neg: set = set()
     for lit in schema.pre:
         glit = _substitute(lit, binding)
-        for arg in glit.args:
-            if arg.startswith("?"):
-                raise PddlSyntaxError(f"action {schema.name!r}: unbound {arg!r}")
-            if arg not in object_names:
-                raise PddlSyntaxError(f"action {schema.name!r}: unknown object {arg!r}")
         if glit.pred == "=":
             if (glit.args[0] == glit.args[1]) != glit.positive:
                 return None
@@ -702,11 +673,10 @@ def _instantiate(schema, binding, dynamic, init, object_names) -> Optional[Groun
 
 
 _TRUE = "true"
-_FALSE = "false"
 
 
-def _ground_goal(goal, binding, by_type, object_names, dynamic, init) -> GoalFormula:
-    disjuncts = _goal_dnf(goal, binding, by_type, object_names, dynamic, init)
+def _ground_goal(goal, binding, by_type, dynamic, init) -> GoalFormula:
+    disjuncts = _goal_dnf(goal, binding, by_type, dynamic, init)
     if disjuncts is _TRUE:
         return GoalFormula.trivial()
     if not disjuncts:
@@ -718,13 +688,10 @@ def _ground_goal(goal, binding, by_type, object_names, dynamic, init) -> GoalFor
     return GoalFormula(tuple(canonical))
 
 
-def _goal_dnf(goal, binding, by_type, object_names, dynamic, init):
+def _goal_dnf(goal, binding, by_type, dynamic, init):
     """DNF as a list of frozensets of (Fluent, polarity), or the _TRUE marker."""
     if isinstance(goal, GoalAtom):
         lit = _substitute(goal.literal, binding)
-        for arg in lit.args:
-            if arg.startswith("?"):
-                raise PddlSyntaxError(f"goal: unbound variable {arg!r}")
         if lit.pred == "=":
             holds = (lit.args[0] == lit.args[1]) == lit.positive
             return _TRUE if holds else []
@@ -736,13 +703,12 @@ def _goal_dnf(goal, binding, by_type, object_names, dynamic, init):
     if isinstance(goal, GoalAnd):
         result = _TRUE
         for child in goal.children:
-            child_dnf = _goal_dnf(child, binding, by_type, object_names, dynamic, init)
-            result = _dnf_and(result, child_dnf)
+            result = _dnf_and(result, _goal_dnf(child, binding, by_type, dynamic, init))
         return result
     if isinstance(goal, GoalOr):
         out: list = []
         for child in goal.children:
-            child_dnf = _goal_dnf(child, binding, by_type, object_names, dynamic, init)
+            child_dnf = _goal_dnf(child, binding, by_type, dynamic, init)
             if child_dnf is _TRUE:
                 return _TRUE
             out.extend(child_dnf)
@@ -753,7 +719,7 @@ def _goal_dnf(goal, binding, by_type, object_names, dynamic, init):
         for combo in itertools.product(*pools):
             extended = dict(binding)
             extended.update({p.name: obj for p, obj in zip(goal.params, combo)})
-            child_dnf = _goal_dnf(goal.body, extended, by_type, object_names, dynamic, init)
+            child_dnf = _goal_dnf(goal.body, extended, by_type, dynamic, init)
             if child_dnf is _TRUE:
                 return _TRUE
             out.extend(child_dnf)

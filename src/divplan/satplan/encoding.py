@@ -1,8 +1,17 @@
 """Sequential planning-as-satisfiability encoding and plan decoding.
 
-One action per step. Variables: action a at step t (t < horizon) and fluent
-f at step t (t <= horizon); goal selectors for a multi-disjunct goal come
-after those, then ceil(log2 |A|) code bits per step. Clauses: init units,
+One action per step. Variables are numbered by formula, with no lookup
+table:
+
+* action i (its index in problem.actions) at step t < horizon is
+  1 + t*|A| + i;
+* fluent f at step t <= horizon is 1 + horizon*|A| + t*|F| + index(f),
+  where index(f) is f's position in sorted order;
+* goal selectors for a multi-disjunct goal come after those, then
+  ceil(log2 |A|) code bits per step.
+
+So the action variables are 1..horizon*|A|, one row of |A| per step, and the
+fluent variables one row of |F| per step after them. Clauses: init units,
 goal at the final step, exactly-one action per step, action implications for
 preconditions and effects, and positive/negative explanatory frame axioms.
 Plans shorter than the horizon are the business of lower horizons — there is
@@ -46,22 +55,25 @@ class HorizonMismatch(EncodingError):
 
 @dataclass
 class CnfTask:
-    """A CNF planning task plus the variable maps needed to decode models."""
+    """A CNF planning task plus the variable layout needed to decode models
+    (the numbering formulas are in the module docstring; fluent_order gives
+    index(f))."""
 
     problem: GroundProblem
     horizon: int
+    fluent_order: tuple
     clauses: list = field(default_factory=list)
     num_vars: int = 0
-    fluent_order: tuple = ()
-    # var = action_base + t*|A| + action_index, etc.; kept as plain dicts
-    action_vars: dict = field(default_factory=dict)  # (action_index, t) -> var
-    fluent_vars: dict = field(default_factory=dict)  # (Fluent, t) -> var
+
+    def __post_init__(self):
+        self.fluent_index = {f: i for i, f in enumerate(self.fluent_order)}
+        self.fluent_base = 1 + self.horizon * len(self.problem.actions)
 
     def action_var(self, action_index: int, t: int) -> int:
-        return self.action_vars[(action_index, t)]
+        return 1 + t * len(self.problem.actions) + action_index
 
     def fluent_var(self, fluent: Fluent, t: int) -> int:
-        return self.fluent_vars[(fluent, t)]
+        return self.fluent_base + t * len(self.fluent_order) + self.fluent_index[fluent]
 
     def add_clause(self, clause: Sequence[int]) -> list:
         clause = list(clause)
@@ -74,8 +86,7 @@ class CnfTask:
         """Initial solver phases: try actions True so search walks plans
         depth-first; everything else defaults to False."""
         phases = [False] * (self.num_vars + 1)
-        for var in self.action_vars.values():
-            phases[var] = True
+        phases[1 : self.fluent_base] = [True] * (self.fluent_base - 1)
         return phases
 
 
@@ -87,30 +98,22 @@ def encode(problem: GroundProblem, horizon: int) -> CnfTask:
     n_a, n_f = len(actions), len(fluents)
 
     task = CnfTask(problem=problem, horizon=horizon, fluent_order=fluents)
-    var = 0
-    for t in range(horizon):
-        for i in range(n_a):
-            var += 1
-            task.action_vars[(i, t)] = var
-    for t in range(horizon + 1):
-        for f in fluents:
-            var += 1
-            task.fluent_vars[(f, t)] = var
-    task.num_vars = var
-
+    task.num_vars = n_a * horizon + n_f * (horizon + 1)
     fv = task.fluent_var
     av = task.action_var
+    # every literal below is a variable number, so none is zero
+    add = task.clauses.append
 
     # init: closed world at step 0
     for f in fluents:
-        task.add_clause([fv(f, 0) if f in problem.init else -fv(f, 0)])
+        add([fv(f, 0) if f in problem.init else -fv(f, 0)])
 
     # goal at the final step
     if not problem.goal.is_trivial():
         disjuncts = problem.goal.disjuncts
         if len(disjuncts) == 1:
             for f, positive in disjuncts[0]:
-                task.add_clause([fv(f, horizon) if positive else -fv(f, horizon)])
+                add([fv(f, horizon) if positive else -fv(f, horizon)])
         else:
             selectors = []
             for disjunct in disjuncts:
@@ -119,8 +122,8 @@ def encode(problem: GroundProblem, horizon: int) -> CnfTask:
                 selectors.append(s)
                 for f, positive in disjunct:
                     lit = fv(f, horizon) if positive else -fv(f, horizon)
-                    task.add_clause([-s, lit])
-            task.add_clause(selectors)
+                    add([-s, lit])
+            add(selectors)
 
     adders: dict = {f: [] for f in fluents}
     deleters: dict = {f: [] for f in fluents}
@@ -133,52 +136,47 @@ def encode(problem: GroundProblem, horizon: int) -> CnfTask:
     n_bits = max(n_a - 1, 0).bit_length()  # ceil(log2 |A|), 0 when |A| <= 1
     for t in range(horizon):
         # exactly one action: at least one, and at most one via the code bits
-        task.add_clause([av(i, t) for i in range(n_a)])
+        add([av(i, t) for i in range(n_a)])
         bits = range(task.num_vars + 1, task.num_vars + 1 + n_bits)
         task.num_vars += n_bits
         for i in range(n_a):
             for k, b in enumerate(bits):
-                task.add_clause([-av(i, t), b if i >> k & 1 else -b])
+                add([-av(i, t), b if i >> k & 1 else -b])
         # preconditions and effects
         for i, a in enumerate(actions):
             lit = -av(i, t)
             for f in sorted(a.pre_pos):
-                task.add_clause([lit, fv(f, t)])
+                add([lit, fv(f, t)])
             for f in sorted(a.pre_neg):
-                task.add_clause([lit, -fv(f, t)])
+                add([lit, -fv(f, t)])
             for f in sorted(a.add):
-                task.add_clause([lit, fv(f, t + 1)])
+                add([lit, fv(f, t + 1)])
             for f in sorted(a.delete):
-                task.add_clause([lit, -fv(f, t + 1)])
+                add([lit, -fv(f, t + 1)])
         # explanatory frame axioms: a change implies a cause
         for f in fluents:
-            task.add_clause(
-                [-fv(f, t + 1), fv(f, t)] + [av(i, t) for i in adders[f]]
-            )
-            task.add_clause(
-                [fv(f, t + 1), -fv(f, t)] + [av(i, t) for i in deleters[f]]
-            )
+            add([-fv(f, t + 1), fv(f, t)] + [av(i, t) for i in adders[f]])
+            add([fv(f, t + 1), -fv(f, t)] + [av(i, t) for i in deleters[f]])
     return task
 
 
 def decode(model: Sequence, task: CnfTask) -> PlanTrace:
     """Read the plan and state sequence off a satisfying model."""
-    actions = []
+    actions = task.problem.actions
+    n_a, n_f = len(actions), len(task.fluent_order)
+    plan = []
     for t in range(task.horizon):
-        chosen = [
-            task.problem.actions[i]
-            for i in range(len(task.problem.actions))
-            if model[task.action_var(i, t)]
-        ]
+        row = model[1 + t * n_a : 1 + (t + 1) * n_a]
+        chosen = [a for a, value in zip(actions, row) if value]
         if len(chosen) != 1:
             raise MalformedModel(f"step {t}: {len(chosen)} actions are true")
-        actions.append(chosen[0])
+        plan.append(chosen[0])
     states = []
     for t in range(task.horizon + 1):
-        states.append(
-            frozenset(f for f in task.fluent_order if model[task.fluent_var(f, t)])
-        )
-    return PlanTrace(plan=Plan(tuple(actions)), states=tuple(states))
+        start = task.fluent_base + t * n_f
+        row = model[start : start + n_f]
+        states.append(frozenset(f for f, value in zip(task.fluent_order, row) if value))
+    return PlanTrace(plan=Plan(tuple(plan)), states=tuple(states))
 
 
 def forbid_behaviour(task: CnfTask, feature_assignments: Mapping[Fluent, bool]) -> list:

@@ -52,7 +52,8 @@ class Simulator(Protocol):
     `alphabet`, and states must either be hashable or be condensed by an
     optional `digest(state)` method into something hashable that identifies
     the state's observable future (propositions, goal status, transitions).
-    `budget`, when set, caps plan length.
+    `budget`, when set, caps plan length. Callers never mutate a valuation
+    `propositions` returns, so a simulator may hand out one dict per state.
     """
 
     alphabet: tuple
@@ -99,14 +100,6 @@ class SearchStats:
     pruned: int = 0
     deduplicated: int = 0
     budget_exhausted: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "expanded": self.expanded,
-            "pruned": self.pruned,
-            "deduplicated": self.deduplicated,
-            "budget_exhausted": self.budget_exhausted,
-        }
 
 
 @dataclass(frozen=True)
@@ -226,7 +219,7 @@ def _search(
     witness: Optional[PlanTrace] = None
 
     init = sim.initial()
-    v0 = dict(sim.propositions(init))
+    v0 = sim.propositions(init)
     roots = tuple(table.intern(target) for target in targets)
     push((init, None, None, v0, 0, *table.advance(roots, v0)))
     visited: dict = {}  # dedup key -> shallowest depth seen
@@ -263,7 +256,7 @@ def _search(
         children = []
         for action in sim.legal_actions(state):
             succ = sim.step(state, action)
-            valuation = dict(sim.propositions(succ))
+            valuation = sim.propositions(succ)
             children.append(
                 (succ, node, action, valuation, depth + 1,
                  *table.advance(residuals, valuation))

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from divplan.bspace import BehaviourSpace, bdc, pbehaviour
+from divplan.bspace import bdc, pbehaviour
 from divplan.cli import EXIT_OK, main
 from divplan.core import Plan, PlanTrace, enumerate_plans, validate_plan
 from divplan.domains.story import story_pack, tiny_story_pack
@@ -175,8 +175,7 @@ def test_criterion_4_oracle_maximality():
     # tiny story: hundreds of oracle plans, so the subset maximum is
     # min(k, distinct behaviours over all plans) — attained by one witness
     # per behaviour, never exceeded by any subset
-    problem, feature = tiny_story_pack()
-    space = BehaviourSpace((feature,))
+    problem, space = tiny_story_pack()
     traces = [validate_plan(problem, p) for p in enumerate_plans(problem, 6)]
     distinct = bdc(space, traces)
     for k in (1, 2, 3, space.size + 1):

@@ -18,7 +18,6 @@ from divplan.bspace import (
     SubsetDomain,
     TemporalFormula,
     bdc,
-    behaviour_to_json,
     bin_label,
     categorical_score_feature,
     enumerate_cells,
@@ -357,11 +356,3 @@ def test_custom_bins_from_json():
     feat = space.features[0]
     assert list(feat.domain) == ["LO", "HI", "l-reached"]
     assert feat.extractor(trace_with_valuations([{"x": True}])) == "HI"
-
-
-def test_behaviour_to_json(tiny_story):
-    feature = goal_endings_feature(tiny_story)
-    space = BehaviourSpace((feature,))
-    trace = validate_plan(tiny_story, enumerate_plans(tiny_story, 3)[0])
-    doc = behaviour_to_json(space, pbehaviour(space, trace))
-    assert doc == {"possible-endings": ["married-to(ala,jas)"]}

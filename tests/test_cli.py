@@ -237,6 +237,94 @@ def test_plan_bad_space_file_is_one_error_line(tmp_path, capsys, text, fragment)
     assert fragment in err
 
 
+def _story_tiny(name: str) -> str:
+    from importlib.resources import files
+
+    return (files("divplan.domains") / "data" / name).read_text()
+
+
+def _without(key: str) -> str:
+    return json.dumps({k: v for k, v in SOLVABLE.items() if k != key})
+
+
+OVERLAPPING = dict(
+    SOLVABLE, actions=[{"name": "flip", "pre": [], "add": ["p"], "del": ["p"]}]
+)
+
+
+@pytest.mark.parametrize(
+    "problem_json, domain_section, fragment",
+    [
+        ("{not json", None, "problem.json"),
+        (_without("actions"), None, "problem.json: missing key 'actions'"),
+        (_without("init"), None, "problem.json: missing key 'init'"),
+        (_without("goal"), None, "problem.json: missing key 'goal'"),
+        (json.dumps(OVERLAPPING), None, "overlap"),
+        (None, "(:domain)", "(:domain NAME)"),
+        (None, "(:domain aladdin)", "'aladdin'"),
+    ],
+    ids=[
+        "not-json", "no-actions", "no-init", "no-goal", "add-del-overlap",
+        "empty-domain", "other-domain",
+    ],
+)
+def test_plan_bad_problem_is_one_error_line(
+    tmp_path, capsys, problem_json, domain_section, fragment
+):
+    if problem_json is not None:
+        src = tmp_path / "problem.json"
+        src.write_text(problem_json)
+        source = ["--problem-json", str(src)]
+    else:
+        domain = tmp_path / "domain.pddl"
+        domain.write_text(_story_tiny("story-tiny-domain.pddl"))
+        problem = tmp_path / "problem.pddl"
+        problem.write_text(
+            _story_tiny("story-tiny-problem.pddl").replace(
+                "(:domain story-tiny)", domain_section
+            )
+        )
+        source = ["--pddl-domain", str(domain), "--pddl-problem", str(problem)]
+    code = run("plan", *source, "--backend", "sat", "--k", "1")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+URBAN_SCORES_SPACE = json.dumps({"features": [
+    {"kind": "categorical-score", "name": "sustainability",
+     "score": "sustainability", "suffix": "S"},
+    {"kind": "categorical-score", "name": "diversity",
+     "score": "diversity", "suffix": "D"},
+]})
+
+
+def test_space_file_scores_reproduce_the_bundled_urban_space(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text(URBAN_SCORES_SPACE)
+    argv = ("plan", "--domain", "urban", "--backend", "search", "--k", "2")
+    assert run(*argv) == EXIT_OK
+    bundled = json.loads(capsys.readouterr().out)
+    assert run(*argv, "--space", str(space)) == EXIT_OK
+    from_file = json.loads(capsys.readouterr().out)
+    assert json.dumps(from_file["result"]) == json.dumps(bundled["result"])
+    assert from_file["stats"] == bundled["stats"]
+
+
+def test_urban_scores_are_unknown_on_platformer(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text(URBAN_SCORES_SPACE)
+    code = run(
+        "plan", "--domain", "platformer", "--backend", "search",
+        "--space", str(space),
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unknown score function 'sustainability'" in err
+
+
 def test_plan_missing_file_is_a_usage_error(capsys):
     code = run(
         "plan", "--problem-json", "/no/such/file.json", "--backend", "sat"

@@ -16,7 +16,6 @@ from divplan.core import (
     apply,
     enumerate_plans,
     load_problem,
-    plan_cost,
     problem_from_json,
     validate_plan,
 )
@@ -159,13 +158,6 @@ def test_validate_plan_trace_and_errors():
     except InapplicableAction as e:
         err = e
     assert err is not None and err.index == 1
-
-
-def test_plan_cost_mixes_actions_and_labels():
-    assert plan_cost(Plan((ON, "mystery", OFF))) == 3.0
-    assert plan_cost(Plan()) == 0.0
-    cheap = GroundAction("cheap", cost=0.25)
-    assert plan_cost(Plan((cheap, cheap))) == 0.5
 
 
 # -- plan enumeration oracle ---------------------------------------------------

@@ -226,6 +226,16 @@ def test_urban_propositions_one_bin_per_family():
         state = sim.step(state, "convert-residential")
 
 
+def test_urban_propositions_are_shared_not_rebuilt():
+    # the search keeps the returned valuation without copying it
+    sim = UrbanSimulator(bundled_grid(), budget=1)
+    grid = sim.initial()
+    assert sim.propositions(grid) is sim.propositions(grid)
+    done = sim.step(grid, "convert-green")
+    assert sim.propositions(done) is not sim.propositions(grid)
+    assert sim.propositions(done)["l-reached"]
+
+
 def test_convert_green_moves_the_score_pair():
     sim = UrbanSimulator(bundled_grid())
     s0 = sim.initial()
@@ -398,15 +408,15 @@ def test_platformer_space_orders_killed_first():
 
 
 def test_story_pack_is_fully_ground():
-    problem, feature = story_pack()
+    problem, space = story_pack()
     assert len(problem.actions) == 210
-    assert len(feature.domain) == 2**20  # 20 two-valued goal fluents
+    assert space.size == 2**20  # 20 two-valued goal fluents
 
 
 def test_tiny_story_pack_is_small():
-    problem, feature = tiny_story_pack()
+    problem, space = tiny_story_pack()
     assert len(problem.actions) == 4
-    assert len(feature.domain) == 2**2
+    assert space.size == 2**2
 
 
 def test_choice_problem_realises_three_endings():

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from divplan.bspace import BehaviourSpace, bdc
+from divplan.bspace import bdc
 from divplan.core import (
     GeneratorTimeout,
     Plan,
@@ -97,8 +97,7 @@ def test_choice_matches_oracle(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_tiny_story_matches_oracle(k):
-    problem, feature = tiny_story_pack()
-    space = BehaviourSpace((feature,))
+    problem, space = tiny_story_pack()
     traces = declarative_oracle(problem, space)
     # hundreds of oracle plans: the subset maximum is min(k, distinct), since
     # any subset shows at most min(|subset|, distinct) behaviours and picking
@@ -176,8 +175,7 @@ def test_exhausted_when_plans_run_out():
 
 
 def test_inconclusive_when_sat_budget_is_tiny():
-    problem, feature = tiny_story_pack()
-    space = BehaviourSpace((feature,))
+    problem, space = tiny_story_pack()
     result = fbi(2, space, *sat_gens(problem, space, max_conflicts=0))
     assert result.termination == INCONCLUSIVE
     assert result.plans == ()

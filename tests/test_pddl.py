@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from divplan import pddl
 from divplan.core import Fluent, enumerate_plans
 from divplan.pddl import (
     GoalAnd,
@@ -145,6 +146,31 @@ def test_problem_validation_against_domain():
         parse_problem(TINY_PROBLEM.replace("(clear a)", "(clear zzz)"), d)
 
 
+@pytest.mark.parametrize(
+    "old, new, fragment",
+    [
+        ("(clear a) (clear b)", "(clear a b) (clear b)", "init: 'clear' expects 1"),
+        ("(clear a) (clear b)", "(clear a) (glossy b)", "init: unknown predicate"),
+        ("(and (shiny a) (shiny b))", "(shiny ?x)", "goal: unbound name '?x'"),
+        ("(and (shiny a) (shiny b))", "(= a b a)", "goal: '=' expects 2"),
+        ("(:domain tiny)", "(:domain other)", "domain 'other', not 'tiny'"),
+        ("(:domain tiny)", "(:domain)", "expected (:domain NAME)"),
+    ],
+)
+def test_problem_atoms_checked_against_domain(old, new, fragment):
+    d = parse_domain(TINY_DOMAIN)
+    with pytest.raises(PddlSyntaxError) as info:
+        parse_problem(TINY_PROBLEM.replace(old, new), d)
+    assert fragment in str(info.value)
+
+
+def test_schema_arguments_must_be_parameters():
+    # without :constants a bare name in a schema is bound by nothing
+    text = TINY_DOMAIN.replace(":effect (shiny ?b)", ":effect (shiny a)")
+    with pytest.raises(PddlSyntaxError, match="action 'polish': unbound name 'a'"):
+        parse_domain(text)
+
+
 def test_negative_init_rejected():
     d = parse_domain(TINY_DOMAIN)
     with pytest.raises(PddlSyntaxError, match="negative init"):
@@ -274,11 +300,12 @@ def test_exists_without_inequality_includes_identical_pairs():
     assert len(g.goal.disjuncts) == 4  # ordered pairs incl. (ala,ala), (jas,jas)
 
 
-def test_grounding_explosion_cap():
+def test_grounding_explosion_cap(monkeypatch):
     d = load_domain(data_file("aladdin-domain.pddl"))
     p = load_problem_file(data_file("aladdin-problem.pddl"), d)
+    monkeypatch.setattr(pddl, "GROUND_ACTION_CAP", 100)
     with pytest.raises(GroundingExplosion):
-        ground(d, p, max_ground_actions=100)
+        ground(d, p)
 
 
 def test_statically_false_goal_rejected():
@@ -286,13 +313,6 @@ def test_statically_false_goal_rejected():
     text = TINY_PROBLEM.replace("(and (shiny a) (shiny b))", "(= a b)")
     with pytest.raises(PddlError, match="unsatisfiable"):
         ground(d, parse_problem(text, d))
-
-
-def test_ground_budget_passthrough():
-    d = parse_domain(TINY_DOMAIN)
-    p = parse_problem(TINY_PROBLEM, d)
-    assert ground(d, p).budget is None
-    assert ground(d, p, budget=7).budget == 7
 
 
 def test_ground_fluent_universe_closed():

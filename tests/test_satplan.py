@@ -1,3 +1,4 @@
+import hashlib
 import os
 import sys
 import textwrap
@@ -25,6 +26,8 @@ from divplan.core import (
     enumerate_plans,
     validate_plan,
 )
+from divplan.domains import get_domain
+from divplan.domains.tiny import choice_problem
 from divplan.ltl import TRUE
 from divplan.pddl import ground, load_domain, load_problem_file
 from divplan.satplan import (
@@ -159,6 +162,53 @@ def test_encoding_grows_near_linearly_per_step():
     # at-least-one, |A| code bits each, action implications, two frame axioms
     # per fluent; a pairwise at-most-one alone would add |A|(|A|-1)/2
     assert step <= n_a * ((n_a - 1).bit_length() + 1) + literals + 2 * n_f + 1
+
+
+# (num_vars, clause digest) of encode at horizons 0-4, recorded while the
+# variable numbers still came from per-encode lookup tables: computing them
+# by formula must leave every variable and clause where it was
+ENCODE_PINS = {
+    "story": [
+        (80, "541cdadb27f59083"),
+        (358, "6369e189a8d35f16"),
+        (636, "bb2ba4a54fb4a5e6"),
+        (914, "2eee6d3148cc1a38"),
+        (1192, "560478208c2651e5"),
+    ],
+    "story-tiny": [
+        (9, "19eaefbd91605071"),
+        (22, "89de9dfbdc651254"),
+        (35, "82ec6a20b84671c1"),
+        (48, "1cde56471a161e9d"),
+        (61, "ebfc8e940e743399"),
+    ],
+    "choice": [
+        (4, "8a0dbcb309bd13c3"),
+        (9, "a8e32f6c52c940d6"),
+        (14, "fc87b1e190fc4dd7"),
+        (19, "f807fef643994b5a"),
+        (24, "0fe1f2989481d5c9"),
+    ],
+}
+
+
+def _pinned_problem(name):
+    if name == "choice":
+        return choice_problem()
+    return get_domain(name).load()[0]
+
+
+@pytest.mark.parametrize("name", sorted(ENCODE_PINS))
+def test_encoding_is_pinned(name):
+    problem = _pinned_problem(name)
+    for horizon, (num_vars, digest) in enumerate(ENCODE_PINS[name]):
+        task = encode(problem, horizon)
+        got = hashlib.sha256(repr(task.clauses).encode()).hexdigest()[:16]
+        assert (task.num_vars, got) == (num_vars, digest), horizon
+        # actions first in the decision phases, one row of |A| per step
+        phases = task.decision_phases()
+        assert phases.index(False, 1) == 1 + horizon * len(problem.actions)
+        assert phases.count(True) == horizon * len(problem.actions)
 
 
 @pytest.mark.parametrize("horizon", range(0, 6))
