@@ -284,28 +284,69 @@ def _parse_signed(text: str) -> Literal:
     return Fluent.parse(text), True
 
 
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(map(check, v))
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the JSON type each key must hold, keyed by its wording in error messages
+_SHAPES = {
+    "a string": _is_str,
+    "a list of strings": _list_of(_is_str),
+    "a list of lists of strings": _list_of(_list_of(_is_str)),
+    "a list of objects": _list_of(lambda v: isinstance(v, dict)),
+    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    "an integer or null": lambda v: v is None or _is_int(v),
+}
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, shape: str, default=_REQUIRED, where: str = ""):
+    """doc[key], or default when the key is absent, checked against its JSON
+    type; a missing required key is a KeyError, a wrong type a ValueError."""
+    value = doc[key] if default is _REQUIRED else doc.get(key, default)
+    if not _SHAPES[shape](value):
+        raise ValueError(f"key {where + key!r} must be {shape}")
+    return value
+
+
 def problem_from_json(doc: dict) -> GroundProblem:
+    if not isinstance(doc, dict):
+        raise ValueError("a problem must be a JSON object")
+    strings = "a list of strings"
     actions = []
-    for entry in doc["actions"]:
-        pre = [_parse_signed(s) for s in entry.get("pre", [])]
+    for i, entry in enumerate(_field(doc, "actions", "a list of objects")):
+        where = f"actions[{i}]."
+        pre = [_parse_signed(s) for s in _field(entry, "pre", strings, [], where)]
         actions.append(
             GroundAction(
-                name=entry["name"],
+                name=_field(entry, "name", "a string", where=where),
                 pre_pos=frozenset(f for f, pos in pre if pos),
                 pre_neg=frozenset(f for f, pos in pre if not pos),
-                add=frozenset(Fluent.parse(s) for s in entry.get("add", [])),
-                delete=frozenset(Fluent.parse(s) for s in entry.get("del", [])),
-                cost=entry.get("cost", 1.0),
+                add=frozenset(
+                    Fluent.parse(s) for s in _field(entry, "add", strings, [], where)
+                ),
+                delete=frozenset(
+                    Fluent.parse(s) for s in _field(entry, "del", strings, [], where)
+                ),
+                cost=_field(entry, "cost", "a number", 1.0, where),
             )
         )
-    init = frozenset(Fluent.parse(s) for s in doc["init"])
+    init = frozenset(Fluent.parse(s) for s in _field(doc, "init", strings))
     goal = GoalFormula(
         tuple(
             tuple(_parse_signed(s) for s in disjunct)
-            for disjunct in doc["goal"]
+            for disjunct in _field(doc, "goal", "a list of lists of strings")
         )
     )
-    declared = frozenset(Fluent.parse(s) for s in doc.get("fluents", []))
+    declared = frozenset(Fluent.parse(s) for s in _field(doc, "fluents", strings, []))
     universe = declared | init | goal.fluents()
     for a in actions:
         universe |= a.fluents()
@@ -314,7 +355,7 @@ def problem_from_json(doc: dict) -> GroundProblem:
         actions=tuple(actions),
         init=init,
         goal=goal,
-        budget=doc.get("budget"),
+        budget=_field(doc, "budget", "an integer or null", None),
     )
 
 

@@ -38,7 +38,13 @@ from ..core import (
     Plan,
     PlanTrace,
 )
-from .solver import external_solver_command, solve, solve_external
+from .solver import (
+    EXTERNAL_SOLVER_ENV,
+    SatError,
+    external_solver_command,
+    solve,
+    solve_external,
+)
 
 
 class EncodingError(Exception):
@@ -224,10 +230,17 @@ def solve_task(
 
     Uses the external solver named by DIVPLAN_EXTERNAL_SAT when that variable
     is set, otherwise the built-in one, seeded with action-first phases so the
-    internal search walks candidate plans depth-first.
+    internal search walks candidate plans depth-first. Only the built-in
+    solver counts conflicts, so a conflict budget with an external solver is
+    a SatError rather than a budget silently dropped.
     """
     command = external_solver_command()
     if command is not None:
+        if max_conflicts is not None:
+            raise SatError(
+                f"--max-conflicts {max_conflicts} applies only to the built-in "
+                f"solver; unset {EXTERNAL_SOLVER_ENV} or drop the budget"
+            )
         return solve_external(command, task.num_vars, task.clauses)
     return solve(
         task.clauses,

@@ -5,7 +5,7 @@ encoded afresh and carries the caller's forbidding clauses, so a plan of
 length h is found at horizon h, never as a padded longer model. Every call
 starts again at the bottom of the range and re-encodes each horizon, even one
 an earlier call proved UNSAT: forbidding clauses only remove models, so such a
-horizon stays UNSAT, and keeping it closed across calls is ROADMAP item 3.
+horizon stays UNSAT, and keeping it closed across calls is ROADMAP item 2.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ fixed geometric schedule, and no randomness is consulted anywhere — the seed
 argument is recorded for reproducibility bookkeeping only. A conflict budget
 turns long runs into ResourceLimit instead of open-ended search.
 
-Literals are non-zero ints (DIMACS convention: v / -v).
+Literals are non-zero ints (DIMACS convention: v / -v). The search state is
+indexed by literal: a list of length 2n+1 reaches slot `-v` at 2n+1-v through
+Python's negative indexing, so the hot loops never take `abs`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,21 @@ class SolverBridgeError(SatError):
 
 
 class Solver:
-    """One-shot CDCL solver: construct with the full clause set, call solve()."""
+    """One-shot CDCL solver: construct with the full clause set, call solve().
+
+    - `val[lit]` is True, False or None; an assignment writes both `val[v]`
+      and `val[-v]`, so a model is `val[:num_vars+1]`;
+    - `level[lit]` and `reason[lit]` belong to the assignment that made `lit`
+      true and are read only while `lit` is on the trail;
+    - `watches[lit]` lists, in watch order, the clauses whose first two
+      literals include `lit`; a clause that implied a literal keeps it first.
+    Activities and saved phases stay indexed by variable.
+
+    The search order is that of the per-variable kernel this replaced
+    (kept in `tests/test_solver_kernel.py`): the same decisions, phases,
+    activity bumps, restarts and learned-clause watches, hence the same
+    conflict counts and models.
+    """
 
     def __init__(
         self,
@@ -42,14 +58,15 @@ class Solver:
     ):
         self.num_vars = num_vars
         self.seed = seed
-        self.assign: list = [None] * (num_vars + 1)
-        self.level = [0] * (num_vars + 1)
-        self.reason: list = [None] * (num_vars + 1)
+        size = 2 * num_vars + 1
+        self.val: list = [None] * size
+        self.level = [0] * size
+        self.reason: list = [None] * size
+        self.watches: list = [[] for _ in range(size)]
         self.activity = [0.0] * (num_vars + 1)
         self.phase = list(phases) if phases is not None else [False] * (num_vars + 1)
         if phases is not None and len(self.phase) != num_vars + 1:
             raise ValueError("phases must have num_vars+1 entries (index 0 unused)")
-        self.watches: dict = {}
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -64,18 +81,20 @@ class Solver:
     def add_clause(self, lits: Sequence[int]) -> None:
         if not self.ok:
             return
+        n = self.num_vars
+        val = self.val
         seen = set()
         out = []
         for lit in lits:
-            if lit == 0 or abs(lit) > self.num_vars:
+            if lit == 0 or not -n <= lit <= n:
                 raise ValueError(f"bad literal {lit}")
             if -lit in seen:
                 return  # tautology
             if lit in seen:
                 continue
             seen.add(lit)
-            v = self._value(lit)
-            if v is True:
+            v = val[lit]
+            if v:
                 return  # already satisfied at level 0
             if v is False:
                 continue  # falsified at level 0: drop the literal
@@ -89,121 +108,136 @@ class Solver:
         self._watch(out)
 
     def _watch(self, clause: list) -> None:
-        self.watches.setdefault(clause[0], []).append(clause)
-        self.watches.setdefault(clause[1], []).append(clause)
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
 
     # -- assignment primitives --
 
-    def _value(self, lit: int) -> Optional[bool]:
-        v = self.assign[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def _enqueue(self, lit: int, reason) -> bool:
-        var = abs(lit)
-        current = self.assign[var]
-        if current is not None:
-            return current == (lit > 0)
-        self.assign[var] = lit > 0
-        self.level[var] = len(self.trail_lim)
-        self.reason[var] = reason
+    def _enqueue(self, lit: int, reason) -> None:
+        """Make the unassigned `lit` true at the current decision level."""
+        self.val[lit] = True
+        self.val[-lit] = False
+        self.level[lit] = len(self.trail_lim)
+        self.reason[lit] = reason
         self.trail.append(lit)
-        return True
 
     def _propagate(self):
         """Unit propagation; returns a conflicting clause or None."""
-        while self.qhead < len(self.trail):
-            falsified = -self.trail[self.qhead]
-            self.qhead += 1
-            watchers = self.watches.get(falsified)
+        val = self.val
+        level = self.level
+        reason = self.reason
+        watches = self.watches
+        trail = self.trail
+        push = trail.append
+        current = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            watchers = watches[falsified]
             if not watchers:
                 continue
-            self.watches[falsified] = keep = []
-            i = 0
-            n = len(watchers)
-            while i < n:
-                clause = watchers[i]
-                i += 1
+            # compact in place: watchers[:j] are the clauses that stay
+            j = 0
+            rest = iter(watchers)
+            for clause in rest:
                 if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0] = clause[1]
+                    clause[1] = falsified
                 first = clause[0]
-                if self._value(first) is True:
-                    keep.append(clause)
+                if val[first]:
+                    watchers[j] = clause
+                    j += 1
                     continue
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(clause[1], []).append(clause)
+                    lit = clause[k]
+                    if val[lit] is not False:
+                        clause[1] = lit
+                        clause[k] = falsified
+                        watches[lit].append(clause)
                         break
                 else:
-                    keep.append(clause)
-                    if self._value(first) is False:
-                        keep.extend(watchers[i:])
+                    watchers[j] = clause
+                    j += 1
+                    if val[first] is False:
+                        watchers[j:] = list(rest)
+                        self.qhead = qhead
                         return clause
-                    self._enqueue(first, clause)
+                    val[first] = True
+                    val[-first] = False
+                    level[first] = current
+                    reason[first] = clause
+                    push(first)
+            del watchers[j:]
+        self.qhead = qhead
         return None
 
     # -- conflict analysis (first unique implication point) --
 
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in range(1, self.num_vars + 1):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-
     def _analyze(self, conflict) -> tuple[list, int]:
+        level = self.level
+        trail = self.trail
+        activity = self.activity
         learnt = [0]  # slot 0 becomes the asserting literal
-        seen = [False] * (self.num_vars + 1)
+        seen = [False] * len(self.val)  # indexed by the true literal
         counter = 0
         backjump = 0
         current = len(self.trail_lim)
-        index = len(self.trail) - 1
-        lit = None
+        index = len(trail) - 1
         clause = conflict
+        start = 0
         while True:
-            start = 0 if lit is None else 1  # reasons keep the implied lit first
-            for q in clause[start:]:
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
-                    seen[v] = True
-                    self._bump(v)
-                    if self.level[v] == current:
+            for q in clause[start:]:  # every literal but a reason's first is false
+                true = -q
+                if not seen[true] and level[true] > 0:
+                    seen[true] = True
+                    var = q if q > 0 else true
+                    activity[var] += self.var_inc
+                    if activity[var] > 1e100:
+                        for v in range(1, self.num_vars + 1):
+                            activity[v] *= 1e-100
+                        self.var_inc *= 1e-100
+                    if level[true] == current:
                         counter += 1
                     else:
                         learnt.append(q)
-                        backjump = max(backjump, self.level[v])
-            while not seen[abs(self.trail[index])]:
+                        backjump = max(backjump, level[true])
+            while not seen[trail[index]]:
                 index -= 1
-            lit = self.trail[index]
+            lit = trail[index]
             index -= 1
-            seen[abs(lit)] = False
+            seen[lit] = False
             counter -= 1
             if counter == 0:
                 break
-            clause = self.reason[abs(lit)]
+            clause = self.reason[lit]
+            start = 1  # reasons keep the implied lit first
         learnt[0] = -lit
         return learnt, backjump
 
     def _backtrack(self, target_level: int) -> None:
-        while self.trail_lim and len(self.trail_lim) > target_level:
-            boundary = self.trail_lim.pop()
-            while len(self.trail) > boundary:
-                lit = self.trail.pop()
-                var = abs(lit)
-                self.phase[var] = self.assign[var]
-                self.assign[var] = None
-                self.reason[var] = None
+        trail_lim = self.trail_lim
+        if len(trail_lim) > target_level:
+            boundary = trail_lim[target_level]
+            val = self.val
+            phase = self.phase
+            for lit in self.trail[boundary:]:
+                if lit > 0:
+                    phase[lit] = True
+                else:
+                    phase[-lit] = False
+                val[lit] = val[-lit] = None
+            del self.trail[boundary:]
+            del trail_lim[target_level:]
         self.qhead = len(self.trail)
 
     def _decide(self) -> Optional[int]:
         best = 0
         best_act = -1.0
-        assign = self.assign
+        val = self.val
         activity = self.activity
         for v in range(1, self.num_vars + 1):
-            if assign[v] is None and activity[v] > best_act:
+            if val[v] is None and activity[v] > best_act:
                 best = v
                 best_act = activity[v]
         if best == 0:
@@ -211,12 +245,14 @@ class Solver:
         return best if self.phase[best] else -best
 
     def solve(self, max_conflicts: Optional[int] = None) -> Optional[list]:
-        """A model as a list indexed by variable (index 0 unused), or None.
+        """A model as a list of num_vars+1 bools indexed by variable (index 0
+        is None), or None when the clauses are UNSAT.
 
         Raises ResourceLimit when the conflict budget runs out first.
         """
         if not self.ok:
             return None
+        level = self.level
         restart_limit = 100.0
         since_restart = 0
         while True:
@@ -233,9 +269,10 @@ class Solver:
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], None)
                 else:
-                    # watch the asserting literal and one from the backjump level
+                    # watch the asserting literal and one from the backjump
+                    # level; a false literal's level sits at its negation
                     for k in range(2, len(learnt)):
-                        if self.level[abs(learnt[k])] > self.level[abs(learnt[1])]:
+                        if level[-learnt[k]] > level[-learnt[1]]:
                             learnt[1], learnt[k] = learnt[k], learnt[1]
                     self._watch(learnt)
                     self._enqueue(learnt[0], learnt)
@@ -248,7 +285,7 @@ class Solver:
                 continue
             lit = self._decide()
             if lit is None:
-                return list(self.assign)
+                return self.val[: self.num_vars + 1]
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, None)
 

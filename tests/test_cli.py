@@ -260,11 +260,27 @@ OVERLAPPING = dict(
         (_without("init"), None, "problem.json: missing key 'init'"),
         (_without("goal"), None, "problem.json: missing key 'goal'"),
         (json.dumps(OVERLAPPING), None, "overlap"),
+        (
+            json.dumps(dict(SOLVABLE, actions=5)),
+            None,
+            "problem.json: key 'actions' must be a list of objects",
+        ),
+        (
+            json.dumps(dict(SOLVABLE, actions=["spin"])),
+            None,
+            "problem.json: key 'actions' must be a list of objects",
+        ),
+        (
+            json.dumps(dict(SOLVABLE, actions=[{"name": "win", "add": "p"}])),
+            None,
+            "problem.json: key 'actions[0].add' must be a list of strings",
+        ),
         (None, "(:domain)", "(:domain NAME)"),
         (None, "(:domain aladdin)", "'aladdin'"),
     ],
     ids=[
         "not-json", "no-actions", "no-init", "no-goal", "add-del-overlap",
+        "actions-not-a-list", "action-not-an-object", "add-not-a-list",
         "empty-domain", "other-domain",
     ],
 )

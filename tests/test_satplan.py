@@ -26,6 +26,7 @@ from divplan.core import (
     enumerate_plans,
     validate_plan,
 )
+from divplan.cli import EXIT_USAGE, main
 from divplan.domains import get_domain
 from divplan.domains.tiny import choice_problem
 from divplan.ltl import TRUE
@@ -35,6 +36,7 @@ from divplan.satplan import (
     HorizonMismatch,
     MalformedModel,
     ResourceLimit,
+    SatError,
     Solver,
     SolverBridgeError,
     behaviour_generator_sat,
@@ -542,6 +544,19 @@ def test_solver_is_deterministic():
     assert solve(clauses, num_vars) == solve(clauses, num_vars)
 
 
+def test_model_has_the_bridge_shape():
+    # decode indexes models by variable: slot 0 unused, one bool per variable,
+    # exactly as parse_solver_output builds them
+    num_vars, clauses = pigeonhole(3, 3)
+    model = Solver(num_vars, clauses).solve()
+    assert len(model) == num_vars + 1
+    assert model[0] is None
+    assert all(isinstance(value, bool) for value in model[1:])
+    lits = " ".join(str(v if model[v] else -v) for v in range(1, num_vars + 1))
+    assert parse_solver_output(f"s SATISFIABLE\nv {lits} 0\n", num_vars) == model
+    assert Solver(0).solve() == [None]
+
+
 def test_learned_clauses_survive_restarts():
     # big enough to force restarts (conflict interval starts at 100)
     num_vars, clauses = pigeonhole(6, 5)
@@ -659,3 +674,23 @@ def test_generator_uses_external_solver(tiny_story, monkeypatch, stub_solver_cmd
         validate_plan(tiny_story, trace.plan)
         found.add(pbehaviour(space, trace))
     assert len(found) == 3
+
+
+def test_external_solver_refuses_a_conflict_budget(
+    tiny_story, monkeypatch, stub_solver_cmd, capsys
+):
+    monkeypatch.setenv(EXTERNAL_SOLVER_ENV, stub_solver_cmd)
+    task = encode(tiny_story, 3)
+    assert solve_task(task) is not None
+    with pytest.raises(SatError) as info:
+        solve_task(task, max_conflicts=50)
+    assert not isinstance(info.value, ResourceLimit)  # not a budget run-out
+    assert "--max-conflicts" in str(info.value)
+    assert EXTERNAL_SOLVER_ENV in str(info.value)
+
+    code = main(["plan", "--domain", "story-tiny", "--backend", "sat",
+                 "--max-conflicts", "50"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--max-conflicts" in err and EXTERNAL_SOLVER_ENV in err
