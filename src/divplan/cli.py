@@ -159,6 +159,10 @@ def cmd_plan(args) -> int:
         lo, hi = args.horizon_min, args.horizon_max
         if lo < 0 or hi < lo:
             raise ConfigError(f"bad horizon range [{lo}, {hi}]")
+        if args.max_conflicts is not None and args.max_conflicts < 0:
+            raise ConfigError(
+                f"--max-conflicts must be at least 0, got {args.max_conflicts}"
+            )
         horizons = range(lo, hi + 1)
         bgen = partial(
             behaviour_generator_sat,
@@ -224,9 +228,21 @@ def cmd_plan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _plans_from_file(path: str) -> list:
+def _read_json(path: str):
+    """The document in a JSON file; bad JSON is a ConfigError naming it."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSON syntax, or bytes that are not text
+            raise ConfigError(f"{path}: not a JSON file: {exc}") from exc
+
+
+def _malformed(path: str, exc: Exception) -> ConfigError:
+    return ConfigError(f"{path}: malformed ({type(exc).__name__}: {exc})")
+
+
+def _plans_from_file(path: str) -> list:
+    doc = _read_json(path)
     if isinstance(doc, dict) and "result" in doc:  # a plan report
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(
@@ -248,7 +264,10 @@ def cmd_validate(args) -> int:
         raise ConfigError("validate needs a declarative problem source")
     problem: GroundProblem = subject
 
-    label_plans = _plans_from_file(args.plans)
+    try:
+        label_plans = _plans_from_file(args.plans)
+    except (KeyError, TypeError) as exc:
+        raise _malformed(args.plans, exc) from exc
     failures = 0
     for i, labels in enumerate(label_plans):
         try:
@@ -273,12 +292,10 @@ def cmd_validate(args) -> int:
 
 
 def _load_report(path: str) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unknown report schema version {doc.get('schema_version')!r}"
-        )
+    doc = _read_json(path)
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"unknown report schema version {version!r}")
     return doc
 
 
@@ -396,12 +413,15 @@ def _render_story(report: dict) -> list:
 
 def cmd_render(args) -> int:
     report = _load_report(args.report)
-    if args.what == "urban-grid":
-        lines = _render_urban(report, args.color)
-    elif args.what == "platformer":
-        lines = _render_platformer(report)
-    else:
-        lines = _render_story(report)
+    try:
+        if args.what == "urban-grid":
+            lines = _render_urban(report, args.color)
+        elif args.what == "platformer":
+            lines = _render_platformer(report)
+        else:
+            lines = _render_story(report)
+    except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
+        raise _malformed(args.report, exc) from exc
     print("\n".join(lines))
     return EXIT_OK
 

@@ -2,14 +2,23 @@
 
 Both generators run one loop over an ascending horizon range. Each horizon is
 encoded afresh and carries the caller's forbidding clauses, so a plan of
-length h is found at horizon h, never as a padded longer model. Every call
-starts again at the bottom of the range and re-encodes each horizon, even one
-an earlier call proved UNSAT: forbidding clauses only remove models, so such a
-horizon stays UNSAT, and keeping it closed across calls is ROADMAP item 2.
+length h is found at horizon h, never as a padded longer model.
+
+Forbidding clauses only remove models, so a horizon proved UNSAT under a set
+of them stays UNSAT under any superset. Each ground problem object keeps a
+record of its closed horizons: for each horizon, the forbidding clause sets it
+was proved UNSAT under. A call skips a horizon whose record holds a subset of
+its own clauses, without encoding or solving it. Behaviour clauses (goal
+fluents at the last step) and plan clauses (action variables) never coincide,
+so a set recorded by one generator closes a horizon for the other only when
+it is empty, i.e. when the base encoding itself is UNSAT. The record is keyed
+by object identity and dies with its problem; a budget run-out records
+nothing, so the answers are those of fresh calls, in any call order.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Optional
 
 from ..bspace import (
@@ -31,6 +40,18 @@ from .encoding import (
 from .solver import ResourceLimit
 
 DEFAULT_HORIZONS = range(0, 21)
+
+# id(problem) -> {horizon: [forbidding clause sets it was proved UNSAT under]}
+_closed: dict = {}
+
+
+def _closed_horizons(problem: GroundProblem) -> dict:
+    """The closed-horizon record of this problem object (not of equal ones)."""
+    key = id(problem)
+    if key not in _closed:
+        _closed[key] = {}
+        weakref.finalize(problem, _closed.pop, key, None)
+    return _closed[key]
 
 
 def _merged_assignment(space: BehaviourSpace, behaviour: Behaviour) -> Optional[dict]:
@@ -66,20 +87,31 @@ def _first_trace(
 ) -> Optional[PlanTrace]:
     """The first checked trace over the horizons within the problem's budget.
 
-    At each horizon: encode, let forbid add the caller's clauses, solve,
-    decode, replay the plan, and let check reject a trace the forbidding
-    clauses should have excluded. None when every horizon is UNSAT.
+    At each horizon: let forbid build the caller's clauses, skip the horizon
+    if the problem's record closes it under a subset of them, else encode,
+    append them, solve, decode, replay the plan, and let check reject a trace
+    the forbidding clauses should have excluded. None when every horizon is
+    UNSAT.
     """
+    closed = _closed_horizons(problem)
+    fluent_order = tuple(sorted(problem.fluents))
     for h in horizon_range:
         if problem.budget is not None and h > problem.budget:
             continue
+        # forbidding clauses need only the variable numbering, not the CNF
+        forbidding = CnfTask(problem, h, fluent_order)
+        forbid(forbidding)
+        clause_set = frozenset(map(tuple, forbidding.clauses))
+        if any(unsat <= clause_set for unsat in closed.get(h, ())):
+            continue
         task = encode(problem, h)
-        forbid(task)
+        task.clauses.extend(forbidding.clauses)
         try:
             model = solve_task(task, seed=seed, max_conflicts=max_conflicts)
         except ResourceLimit as exc:
             raise GeneratorTimeout(str(exc)) from exc
         if model is None:
+            closed.setdefault(h, []).append(clause_set)
             continue
         trace = decode(model, task)
         if validate_plan(problem, trace.plan).states != trace.states:

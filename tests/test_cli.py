@@ -168,6 +168,11 @@ def test_plan_horizon_flags_bound_the_search(capsys):
             ("plan", "--pddl-domain", "only-half.pddl", "--backend", "sat"),
             "go together",
         ),
+        (
+            ("plan", "--domain", "story-tiny", "--backend", "sat",
+             "--max-conflicts", "-3"),
+            "--max-conflicts",
+        ),
     ],
 )
 def test_plan_config_errors(capsys, argv, fragment):
@@ -401,6 +406,21 @@ def test_validate_rejects_simulator_domains(capsys, tmp_path):
     assert "declarative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", '{"plans": 5}'],
+    ids=["not-json", "plans-not-a-list"],
+)
+def test_validate_bad_plan_file_is_one_error_line(tmp_path, capsys, text):
+    plans = tmp_path / "plans.json"
+    plans.write_text(text)
+    code = run("validate", "--domain", "story-tiny", "--plans", str(plans))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(plans) in err
+
+
 # ---------------------------------------------------------------------------
 # render
 # ---------------------------------------------------------------------------
@@ -440,6 +460,32 @@ def test_render_rejects_unknown_schema(tmp_path, capsys):
     code = run("render", str(bad), "--what", "story-summary")
     assert code == EXIT_USAGE
     assert "schema" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("{not json", "story-summary"),
+        (json.dumps({"schema_version": SCHEMA_VERSION}), "story-summary"),
+        (
+            json.dumps({
+                "schema_version": SCHEMA_VERSION,
+                "config": {"source": {"domain": "urban"}},
+                "result": {"plans": [["bogus"]], "behaviours": [["x"]]},
+            }),
+            "urban-grid",
+        ),
+    ],
+    ids=["not-json", "no-config", "unknown-action"],
+)
+def test_render_bad_report_is_one_error_line(tmp_path, capsys, text, what):
+    bad = tmp_path / "report.json"
+    bad.write_text(text)
+    code = run("render", str(bad), "--what", what)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+import gc
 import hashlib
 import os
 import sys
@@ -29,8 +31,9 @@ from divplan.core import (
 from divplan.cli import EXIT_USAGE, main
 from divplan.domains import get_domain
 from divplan.domains.tiny import choice_problem
+from divplan.fbi import fbi
 from divplan.ltl import TRUE
-from divplan.pddl import ground, load_domain, load_problem_file
+from divplan.pddl import ground, load_domain, load_problem_file, parse_problem
 from divplan.satplan import (
     EXTERNAL_SOLVER_ENV,
     HorizonMismatch,
@@ -107,11 +110,16 @@ def parallel_actions_problem(n):
     )
 
 
+def _fresh_tiny_story():
+    """story-tiny grounded anew: a problem object with no closed horizons."""
+    d = load_domain(os.path.join(DATA, "story-tiny-domain.pddl"))
+    return ground(d, load_problem_file(os.path.join(DATA, "story-tiny-problem.pddl"), d))
+
+
 @pytest.fixture(scope="module")
 def tiny_story():
-    d = load_domain(os.path.join(DATA, "story-tiny-domain.pddl"))
-    p = load_problem_file(os.path.join(DATA, "story-tiny-problem.pddl"), d)
-    return ground(d, p)
+    # one object for the module, so closed horizons carry over between tests
+    return _fresh_tiny_story()
 
 
 def exhaust_models(problem, horizon):
@@ -489,12 +497,139 @@ def test_generators_are_deterministic(tiny_story):
     assert c.plan.labels() == d.plan.labels()
 
 
-def test_generator_timeout_from_conflict_budget(tiny_story):
-    space = BehaviourSpace((goal_endings_feature(tiny_story),))
+def test_generator_timeout_from_conflict_budget():
+    problem = _fresh_tiny_story()
+    space = BehaviourSpace((goal_endings_feature(problem),))
     with pytest.raises(GeneratorTimeout):
         behaviour_generator_sat(
-            tiny_story, space, set(), range(3, 4), max_conflicts=0
+            problem, space, set(), range(3, 4), max_conflicts=0
         )
+    # the run-out closed nothing: an unbudgeted call still solves horizon 3
+    got = behaviour_generator_sat(problem, space, set(), range(3, 4))
+    want = behaviour_generator_sat(copy.copy(problem), space, set(), range(3, 4))
+    assert _labels(got) == _labels(want) is not None
+
+
+# -- closed horizons -------------------------------------------------------------
+# The reference is the fresh path: every call gets its own copy of the problem,
+# so its closed-horizon record is empty and every horizon is solved.
+
+
+def _tiny_cut(cast, lamp):
+    """A story-tiny cut: three characters at one place, one holding the lamp."""
+    d = load_domain(os.path.join(DATA, "story-tiny-domain.pddl"))
+    init = " ".join(f"(at {c} home)" for c in cast)
+    text = textwrap.dedent(f"""\
+        (define (problem story-tiny-cut)
+          (:domain story-tiny)
+          (:objects {' '.join(cast)} - char home - loc)
+          (:init {init} (has-lamp {lamp}))
+          (:goal (exists (?c1 - char ?c2 - char)
+                   (and (married-to ?c2 ?c1) (not (= ?c1 ?c2))))))
+        """)
+    return ground(d, parse_problem(text, d))
+
+
+def _generator_pair(problem, horizons, fresh):
+    space = BehaviourSpace((goal_endings_feature(problem),))
+    subject = (lambda: copy.copy(problem)) if fresh else (lambda: problem)
+
+    def bgen(found):
+        return behaviour_generator_sat(subject(), space, found, horizons)
+
+    def pgen(existing):
+        return plan_generator_sat(subject(), existing, horizons)
+
+    return space, bgen, pgen
+
+
+def _labels(trace):
+    return None if trace is None else trace.plan.labels()
+
+
+@pytest.mark.parametrize(
+    "make, horizons, k",
+    [
+        (lambda: _tiny_cut(("ala", "jas", "gen"), "jas"), range(0, 7), 60),
+        (lambda: _tiny_cut(("mor", "dra", "jaf"), "mor"), range(0, 8), 60),
+        (two_switch_problem, range(0, 4), 10),
+        (toggle_problem, range(0, 6), 10),
+    ],
+    ids=["cut-cap-6", "cut-cap-7", "two-switch", "toggle"],
+)
+def test_closed_horizons_keep_fbi_results(make, horizons, k):
+    problem = make()
+    recorded = fbi(k, *_generator_pair(problem, horizons, fresh=False))
+    fresh = fbi(k, *_generator_pair(problem, horizons, fresh=True))
+    assert recorded.to_json() == fresh.to_json()
+    assert recorded.bdc >= 1
+
+
+def test_closed_horizons_answer_non_extending_calls_freshly():
+    problem = _fresh_tiny_story()
+    space = BehaviourSpace((goal_endings_feature(problem),))
+    found = []
+    while (trace := behaviour_generator_sat(problem, space, found, range(0, 6))):
+        found.append(pbehaviour(space, trace))
+    assert len(found) == 3
+    # a smaller set after the full one, then a disjoint one
+    for later in (found[:1], found[1:2], found[2:], [], found[:2]):
+        got = behaviour_generator_sat(problem, space, later, range(0, 6))
+        want = behaviour_generator_sat(copy.copy(problem), space, later, range(0, 6))
+        assert _labels(got) == _labels(want) is not None
+
+    plans = []
+    while (trace := plan_generator_sat(problem, plans, range(0, 4))):
+        plans.append(trace.plan)
+    assert len(plans) == 4
+    for later in (plans[:1], plans[2:], [], plans[1:3]):
+        got = plan_generator_sat(problem, later, range(0, 4))
+        want = plan_generator_sat(copy.copy(problem), later, range(0, 4))
+        assert _labels(got) == _labels(want) is not None
+
+
+def test_each_generator_proves_each_horizon_unsat_at_most_once(monkeypatch):
+    problem = _fresh_tiny_story()
+    space, bgen, pgen = _generator_pair(problem, range(0, 6), fresh=False)
+    current = []
+    unsat = {"behaviour": [], "plan": []}
+
+    def logged(kind, generator):
+        def call(arg):
+            current[:] = [kind]
+            return generator(arg)
+        return call
+
+    def solve_task(task, **options):
+        model = real_solve_task(task, **options)
+        if model is None:
+            unsat[current[0]].append(task.horizon)
+        return model
+
+    real_solve_task = generators.solve_task
+    monkeypatch.setattr(generators, "solve_task", solve_task)
+    result = fbi(500, space, logged("behaviour", bgen), logged("plan", pgen))
+    assert result.termination == "behaviours-exhausted-then-plans-exhausted"
+    assert len(result.plans) > 100
+    for kind, horizons in unsat.items():
+        assert horizons, kind
+        assert len(horizons) == len(set(horizons)), kind
+    # the base encoding's UNSAT horizons, proved by the behaviour generator
+    # with nothing forbidden, are skipped by the plan generator
+    assert not set(unsat["plan"]) & {0, 1, 2}
+
+
+def test_closed_horizon_record_dies_with_its_problem():
+    problem = _fresh_tiny_story()
+    space = BehaviourSpace((goal_endings_feature(problem),))
+    assert behaviour_generator_sat(problem, space, (), range(0, 4)) is not None
+    key = id(problem)
+    assert generators._closed[key]  # horizons 0-2 are closed
+    twin = copy.copy(problem)
+    assert twin == problem and id(twin) not in generators._closed
+    del problem
+    gc.collect()
+    assert key not in generators._closed
 
 
 # -- solver --------------------------------------------------------------------
