@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 from typing import Callable, Iterator, Optional, Sequence
 
-from .core import GroundProblem, PlanTrace
+from .core import GroundProblem, PlanTrace, _field
 from .ltl import (
     Always,
     And,
@@ -28,7 +29,7 @@ from .ltl import (
     parse_formula,
 )
 
-DEFAULT_CELL_CAP = 1_000_000
+CELL_CAP = 1_000_000  # enumerate_cells refuses larger spaces
 HORIZON_VALUE = "l-reached"  # score undefined when the step budget ran out
 
 
@@ -209,22 +210,11 @@ def bdc(space: BehaviourSpace, traces) -> int:
     return len({pbehaviour(space, t) for t in traces})
 
 
-def enumerate_cells(
-    space: BehaviourSpace, cap: int = DEFAULT_CELL_CAP
-) -> Iterator[Behaviour]:
+def enumerate_cells(space: BehaviourSpace) -> Iterator[Behaviour]:
     """Every cell exactly once, in feature-major deterministic order."""
-    if space.size > cap:
-        raise SpaceTooLarge(f"{space.size} cells exceed the cap of {cap}")
-    domains = [list(f.domain) for f in space.features]
-
-    def rec(i: int, prefix: tuple):
-        if i == len(domains):
-            yield Behaviour(prefix)
-            return
-        for v in domains[i]:
-            yield from rec(i + 1, prefix + (v,))
-
-    return rec(0, ())
+    if space.size > CELL_CAP:
+        raise SpaceTooLarge(f"{space.size} cells exceed the cap of {CELL_CAP}")
+    return map(Behaviour, product(*(f.domain for f in space.features)))
 
 
 # -- the two case-study feature constructors ---------------------------------------
@@ -385,41 +375,48 @@ def space_from_json(
 
     Feature kinds: "goal-endings" (needs the ground problem), "categorical-score"
     (needs a score registry entry named by its "score" key), and "ltl"
-    (self-contained value/formula pairs).
+    (self-contained value/formula pairs). A key of the wrong JSON type is a
+    ValueError naming it.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("a space must be a JSON object")
     features = []
-    for entry in doc.get("features", []):
+    for i, entry in enumerate(_field(doc, "features", "a list of objects", [])):
+        where = f"features[{i}]."
         kind = entry.get("kind")
         if kind == "goal-endings":
             if problem is None:
                 raise SpaceConfigError("goal-endings feature needs a ground problem")
-            features.append(
-                goal_endings_feature(problem, entry.get("name", "possible-endings"))
-            )
+            name = _field(entry, "name", "a string", "possible-endings", where)
+            features.append(goal_endings_feature(problem, name))
         elif kind == "categorical-score":
-            if not scores or entry.get("score") not in scores:
-                raise SpaceConfigError(
-                    f"unknown score function {entry.get('score')!r}"
-                )
-            bins = (
-                bins_from_json(entry["bins"]) if "bins" in entry else DEFAULT_BINS
-            )
+            score = _field(entry, "score", "a string", where=where)
+            if not scores or score not in scores:
+                raise SpaceConfigError(f"unknown score function {score!r}")
+            bins = DEFAULT_BINS
+            if "bins" in entry:
+                shape = "a list of [label, lower, upper] lists"
+                bins = bins_from_json(_field(entry, "bins", shape, where=where))
             features.append(
                 categorical_score_feature(
-                    entry["name"],
-                    scores[entry["score"]],
+                    _field(entry, "name", "a string", where=where),
+                    scores[score],
                     bins=bins,
                     atom_suffix=entry.get("suffix"),
                 )
             )
         elif kind == "ltl":
-            values = [
-                (item["value"], parse_formula(item["formula"]))
-                for item in entry.get("values", [])
-            ]
+            values = []
+            items = _field(entry, "values", "a list of objects", [], where)
+            for j, item in enumerate(items):
+                at = f"{where}values[{j}]."
+                value = _field(item, "value", "a string", where=at)
+                formula = _field(item, "formula", "a string", where=at)
+                values.append((value, parse_formula(formula)))
             if not values:
                 raise SpaceConfigError("ltl feature needs at least one value")
-            features.append(ltl_feature(entry["name"], values))
+            name = _field(entry, "name", "a string", where=where)
+            features.append(ltl_feature(name, values))
         else:
             raise SpaceConfigError(f"unknown feature kind {kind!r}")
     return BehaviourSpace(tuple(features))
@@ -437,7 +434,7 @@ def load_space(
             return space_from_json(json.load(fh), problem=problem, scores=scores)
     except KeyError as exc:
         raise SpaceConfigError(f"{path}: missing key {exc}") from exc
-    except (json.JSONDecodeError, LtlSyntaxError) as exc:
+    except (ValueError, LtlSyntaxError) as exc:  # JSON syntax, text, key types
         raise SpaceConfigError(f"{path}: {exc}") from exc
 
 

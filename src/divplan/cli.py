@@ -23,7 +23,7 @@ from .core import (
     load_problem,
     validate_plan,
 )
-from .domains import DECLARATIVE, SIMULATOR, BUNDLED, get_domain
+from .domains import BUNDLED, get_domain
 from .domains.platformer import PlatformerSimulator, bundled_level
 from .domains.urban import (
     FINAL_GRID_SCORES,
@@ -66,11 +66,12 @@ class ConfigError(Exception):
 
 
 def _resolve_source(args) -> tuple:
-    """Return (kind, subject, space, source_doc).
+    """Return (subject, space, source_doc).
 
-    kind is DECLARATIVE with a GroundProblem subject or SIMULATOR with a
-    simulator subject; space is the bundled/default behaviour space (before
-    any --space override); source_doc echoes where the subject came from.
+    subject is a GroundProblem (planned with the SAT backend) or a simulator
+    (planned with the search backend); space is the bundled/default
+    behaviour space (before any --space override); source_doc echoes where
+    the subject came from.
     """
     picked = [
         bool(args.domain),
@@ -85,34 +86,33 @@ def _resolve_source(args) -> tuple:
 
     if args.domain:
         try:
-            bundle = get_domain(args.domain)
+            pack = get_domain(args.domain)
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from exc
-        subject, space = bundle.load()
-        return bundle.kind, subject, space, {"domain": args.domain}
+        subject, space = pack()
+        return subject, space, {"domain": args.domain}
 
     if args.problem_json:
         problem = load_problem(args.problem_json)
-        space = BehaviourSpace((goal_endings_feature(problem),))
-        return DECLARATIVE, problem, space, {"problem_json": args.problem_json}
-
-    if not (args.pddl_domain and args.pddl_problem):
+        source = {"problem_json": args.problem_json}
+    elif not (args.pddl_domain and args.pddl_problem):
         raise ConfigError("--pddl-domain and --pddl-problem go together")
-    domain_ast = load_domain(args.pddl_domain)
-    problem_ast = load_problem_file(args.pddl_problem, domain_ast)
-    problem = ground(domain_ast, problem_ast)
-    space = BehaviourSpace((goal_endings_feature(problem),))
-    source = {"pddl_domain": args.pddl_domain, "pddl_problem": args.pddl_problem}
-    return DECLARATIVE, problem, space, source
+    else:
+        domain_ast = load_domain(args.pddl_domain)
+        problem_ast = load_problem_file(args.pddl_problem, domain_ast)
+        problem = ground(domain_ast, problem_ast)
+        source = {"pddl_domain": args.pddl_domain, "pddl_problem": args.pddl_problem}
+    return problem, BehaviourSpace((goal_endings_feature(problem),)), source
 
 
-def _check_backend(backend: str, kind: str) -> None:
-    if backend == "sat" and kind != DECLARATIVE:
+def _check_backend(backend: str, subject) -> None:
+    declarative = isinstance(subject, GroundProblem)
+    if backend == "sat" and not declarative:
         raise ConfigError(
             "the sat backend needs a declarative problem (PDDL, problem JSON, "
             "or a declarative bundled domain such as 'story')"
         )
-    if backend == "search" and kind != SIMULATOR:
+    if backend == "search" and declarative:
         raise ConfigError(
             "the search backend needs a simulator domain "
             "('urban' or 'platformer')"
@@ -133,13 +133,13 @@ def _counted(fn, counts, key):
 
 
 def cmd_plan(args) -> int:
-    kind, subject, space, source = _resolve_source(args)
-    _check_backend(args.backend, kind)
+    subject, space, source = _resolve_source(args)
+    _check_backend(args.backend, subject)
     if args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
 
     if args.space:
-        problem = subject if kind == DECLARATIVE else None
+        problem = subject if isinstance(subject, GroundProblem) else None
         scores = FINAL_GRID_SCORES if isinstance(subject, UrbanSimulator) else None
         try:
             space = load_space(args.space, problem=problem, scores=scores)
@@ -241,14 +241,18 @@ def _malformed(path: str, exc: Exception) -> ConfigError:
     return ConfigError(f"{path}: malformed ({type(exc).__name__}: {exc})")
 
 
+def _checked_report(doc) -> dict:
+    """doc, if it is a report of this schema version."""
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"unknown report schema version {version!r}")
+    return doc
+
+
 def _plans_from_file(path: str) -> list:
     doc = _read_json(path)
     if isinstance(doc, dict) and "result" in doc:  # a plan report
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ConfigError(
-                f"unknown report schema version {doc.get('schema_version')!r}"
-            )
-        return [list(p) for p in doc["result"]["plans"]]
+        return [list(p) for p in _checked_report(doc)["result"]["plans"]]
     if isinstance(doc, dict) and "plans" in doc:
         return [list(p) for p in doc["plans"]]
     if isinstance(doc, list) and all(isinstance(x, str) for x in doc):
@@ -259,10 +263,9 @@ def _plans_from_file(path: str) -> list:
 
 
 def cmd_validate(args) -> int:
-    kind, subject, _space, _source = _resolve_source(args)
-    if kind != DECLARATIVE:
+    problem, _space, _source = _resolve_source(args)
+    if not isinstance(problem, GroundProblem):
         raise ConfigError("validate needs a declarative problem source")
-    problem: GroundProblem = subject
 
     try:
         label_plans = _plans_from_file(args.plans)
@@ -291,14 +294,6 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_report(path: str) -> dict:
-    doc = _read_json(path)
-    version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unknown report schema version {version!r}")
-    return doc
-
-
 def _fmt_behaviour(values) -> str:
     parts = []
     for value in values:
@@ -320,18 +315,7 @@ def _occupancy_lines(report: dict) -> list:
     return lines
 
 
-def _require_domain(report: dict, expected: tuple, what: str) -> str:
-    domain = report["config"].get("source", {}).get("domain")
-    if domain not in expected:
-        raise ConfigError(
-            f"--what {what} needs a report from {' or '.join(expected)}, "
-            f"got {domain!r}"
-        )
-    return domain
-
-
 def _render_urban(report: dict, color: bool) -> list:
-    _require_domain(report, ("urban",), "urban-grid")
     sim = UrbanSimulator(bundled_grid())
     legend = ", ".join(f"{code}={name}" for code, name in LAND_USE_NAMES.items())
     lines = [f"legend: {legend}", ""]
@@ -353,12 +337,10 @@ def _render_urban(report: dict, color: bool) -> list:
             f"{diversity_score(sim.initial()):.1f} -> {diversity_score(state):.1f}"
         )
         lines.append("")
-    lines.extend(_occupancy_lines(report))
     return lines
 
 
 def _render_platformer(report: dict) -> list:
-    _require_domain(report, ("platformer",), "platformer")
     level = bundled_level()
     sim = PlatformerSimulator(level)
     lines = []
@@ -386,12 +368,10 @@ def _render_platformer(report: dict) -> list:
             lines.append("  " + "".join(chars))
         lines.append("")
     lines.append("legend: A avatar (final), o path, E enemy, x stomped enemy")
-    lines.extend(_occupancy_lines(report))
     return lines
 
 
 def _render_story(report: dict) -> list:
-    _require_domain(report, ("story", "story-tiny"), "story-summary")
     lines = []
     for i, values in enumerate(report["result"]["behaviours"]):
         endings = []
@@ -407,22 +387,28 @@ def _render_story(report: dict) -> list:
         steps = len(report["result"]["plans"][i])
         lines.append(f"plan {i} ({steps} steps): {summary}")
     lines.append("")
-    lines.extend(_occupancy_lines(report))
     return lines
 
 
 def cmd_render(args) -> int:
-    report = _load_report(args.report)
+    report = _checked_report(_read_json(args.report))
     try:
-        if args.what == "urban-grid":
+        source = report["config"]["source"]
+        domain = source.get("domain")
+        if domain == "urban":
             lines = _render_urban(report, args.color)
-        elif args.what == "platformer":
+        elif domain == "platformer":
             lines = _render_platformer(report)
-        else:
+        elif domain in ("story", "story-tiny"):
             lines = _render_story(report)
+        else:
+            raise ConfigError(
+                f"{args.report}: render needs a report from a bundled domain "
+                f"({', '.join(sorted(BUNDLED))}), not {source!r}"
+            )
     except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
         raise _malformed(args.report, exc) from exc
-    print("\n".join(lines))
+    print("\n".join(lines + _occupancy_lines(report)))
     return EXIT_OK
 
 
@@ -457,11 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon-max", type=int, default=DEFAULT_HORIZONS.stop - 1
     )
     plan.add_argument("--max-conflicts", type=int, default=None)
-    plan.add_argument("--node-budget", type=int, default=100_000)
-    plan.add_argument(
-        "--strategy", choices=STRATEGIES,
-        default="breadth-first",
-    )
+    plan.add_argument("--node-budget", type=int, default=SearchConfig.node_budget)
+    plan.add_argument("--strategy", choices=STRATEGIES, default=SearchConfig.strategy)
     plan.add_argument("--no-prune", action="store_true")
     plan.add_argument("--seed", type=int, default=0)
     plan.add_argument("--out", help="report path (stdout when omitted)")
@@ -477,10 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     render = subs.add_parser("render", help="pretty-print a plan report")
     render.add_argument("report", help="report JSON from `divplan plan`")
-    render.add_argument(
-        "--what", choices=("urban-grid", "platformer", "story-summary"),
-        required=True,
-    )
     render.add_argument("--color", action="store_true", help="ANSI colours")
     render.set_defaults(func=cmd_render)
     return parser
@@ -493,7 +472,7 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except (
         ConfigError, PddlError, PlanningError, BspaceError, SatError,
-        LtlError, FileNotFoundError,
+        LtlError, OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -296,14 +296,22 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 # the JSON type each key must hold, keyed by its wording in error messages
 _SHAPES = {
     "a string": _is_str,
     "a list of strings": _list_of(_is_str),
     "a list of lists of strings": _list_of(_list_of(_is_str)),
     "a list of objects": _list_of(lambda v: isinstance(v, dict)),
-    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    "a number": _is_number,
     "an integer or null": lambda v: v is None or _is_int(v),
+    "a list of [label, lower, upper] lists": _list_of(
+        lambda v: isinstance(v, list) and len(v) == 3 and _is_str(v[0])
+        and _is_number(v[1]) and _is_number(v[2])
+    ),
 }
 _REQUIRED = object()
 

@@ -2,36 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .platformer import platformer_pack
 from .story import story_pack, tiny_story_pack
 from .urban import urban_pack
 
-DECLARATIVE = "declarative"  # a GroundProblem; planned with the SAT backend
-SIMULATOR = "simulator"  # a Simulator; planned with the search backend
-
-
-@dataclass(frozen=True)
-class BundledDomain:
-    name: str
-    kind: str  # DECLARATIVE or SIMULATOR
-    load: Callable[[], tuple]  # () -> (problem-or-simulator, BehaviourSpace)
-
-
+# name -> () -> (GroundProblem or simulator, BehaviourSpace)
 BUNDLED = {
-    d.name: d
-    for d in (
-        BundledDomain("story", DECLARATIVE, story_pack),
-        BundledDomain("story-tiny", DECLARATIVE, tiny_story_pack),
-        BundledDomain("urban", SIMULATOR, urban_pack),
-        BundledDomain("platformer", SIMULATOR, platformer_pack),
-    )
+    "story": story_pack,
+    "story-tiny": tiny_story_pack,
+    "urban": urban_pack,
+    "platformer": platformer_pack,
 }
 
 
-def get_domain(name: str) -> BundledDomain:
+def get_domain(name: str) -> Callable[[], tuple]:
     try:
         return BUNDLED[name]
     except KeyError:
@@ -40,10 +26,4 @@ def get_domain(name: str) -> BundledDomain:
         ) from None
 
 
-__all__ = [
-    "BUNDLED",
-    "BundledDomain",
-    "DECLARATIVE",
-    "SIMULATOR",
-    "get_domain",
-]
+__all__ = ["BUNDLED", "get_domain"]

@@ -19,7 +19,7 @@ from ..ltl import Always, Atom, Eventually
 ACTIONS = ("left", "right", "jump", "noop")
 JUMP_IMPULSE = 2
 TERMINAL_VELOCITY = -2
-DEFAULT_BUDGET = 40
+BUDGET = 40  # moves per plan
 
 
 class PlatformerError(Exception):
@@ -61,7 +61,6 @@ class PlatformerState:
     row: int
     vy: int
     enemy_alive: bool
-    tick: int = 0
 
 
 def parse_level(text: str) -> Level:
@@ -144,19 +143,15 @@ def platformer_step(level: Level, state: PlatformerState, action: str) -> Platfo
     else:
         vy = max(vy - 1, TERMINAL_VELOCITY)
 
-    return PlatformerState(
-        col=col, row=row, vy=vy, enemy_alive=enemy_alive, tick=state.tick + 1
-    )
+    return PlatformerState(col=col, row=row, vy=vy, enemy_alive=enemy_alive)
 
 
 class PlatformerSimulator:
     """Search interface; fatal moves are simply not offered as legal."""
 
-    def __init__(self, level: Level, budget: int = DEFAULT_BUDGET):
-        if budget < 1:
-            raise ValueError("budget must be positive")
+    def __init__(self, level: Level):
         self.level = level
-        self.budget = budget
+        self.budget = BUDGET
         self.alphabet = ("killed", "avoided")
 
     def initial(self) -> PlatformerState:
@@ -181,10 +176,6 @@ class PlatformerSimulator:
 
     def is_goal(self, state: PlatformerState) -> bool:
         return state.col == self.level.width - 1
-
-    def digest(self, state: PlatformerState):
-        # ticks only count the budget; they don't affect the future
-        return (state.col, state.row, state.vy, state.enemy_alive)
 
 
 def platformer_space() -> BehaviourSpace:

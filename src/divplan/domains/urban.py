@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib.resources import files
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..bspace import (
     DEFAULT_BINS,
@@ -110,13 +110,14 @@ class ConversionRule:
 
 # The green-space rule is the canonical one; the other four follow its 5%,
 # two-target pattern (see the project notes on reconstructed rules).
-DEFAULT_RULES = (
+RULES = (
     ConversionRule(GREEN, (COMMERCIAL, FACILITY)),
     ConversionRule(RESIDENTIAL, (COMMERCIAL, OFFICE)),
     ConversionRule(OFFICE, (GREEN, RESIDENTIAL)),
     ConversionRule(COMMERCIAL, (RESIDENTIAL, OFFICE)),
     ConversionRule(FACILITY, (OFFICE, GREEN)),
 )
+_RULE_FOR_ACTION = {rule.action: rule for rule in RULES}
 
 DEFAULT_BUDGET = 10
 
@@ -154,13 +155,14 @@ def diversity_score(grid: UrbanGrid) -> float:
 # -- dynamics ------------------------------------------------------------------
 
 
-def urban_step(grid: UrbanGrid, action: str, rules: Sequence[ConversionRule] = DEFAULT_RULES) -> UrbanGrid:
+def urban_step(grid: UrbanGrid, action: str) -> UrbanGrid:
     """Apply one conversion action; a step is consumed even when no source
     cells exist (the action is legal but vacuous)."""
-    by_action = {rule.action: rule for rule in rules}
-    if action not in by_action:
-        raise ValueError(f"unknown action {action!r}; expected one of {sorted(by_action)}")
-    rule = by_action[action]
+    rule = _RULE_FOR_ACTION.get(action)
+    if rule is None:
+        raise ValueError(
+            f"unknown action {action!r}; expected one of {sorted(_RULE_FOR_ACTION)}"
+        )
     indices = [i for i, c in enumerate(grid.cells) if c == rule.source]
     if not indices:
         return replace(grid, counter=grid.counter + 1)
@@ -185,21 +187,16 @@ class UrbanSimulator:
     diversity-bin atom, and the budget marker.
     """
 
-    def __init__(
-        self,
-        grid0: UrbanGrid,
-        rules: Sequence[ConversionRule] = DEFAULT_RULES,
-        budget: int = DEFAULT_BUDGET,
-    ):
+    def __init__(self, grid0: UrbanGrid, budget: int = DEFAULT_BUDGET):
         if budget < 1:
             raise ValueError("budget must be positive")
         self.grid0 = grid0
-        self.rules = tuple(rules)
+        self.rules = RULES
         self.budget = budget
         self.alphabet = tuple(
             f"{b.label}_S" for b in DEFAULT_BINS
         ) + tuple(f"{b.label}_D" for b in DEFAULT_BINS) + ("l-reached",)
-        self._step = lru_cache(maxsize=None)(self._step_uncached)
+        self._step = lru_cache(maxsize=None)(urban_step)
         self._propositions = lru_cache(maxsize=None)(self._propositions_uncached)
         self._valuation = lru_cache(maxsize=None)(self._valuation_uncached)
 
@@ -210,9 +207,6 @@ class UrbanSimulator:
         if grid.counter >= self.budget:
             return []
         return [rule.action for rule in self.rules]
-
-    def _step_uncached(self, grid: UrbanGrid, action: str) -> UrbanGrid:
-        return urban_step(grid, action, self.rules)
 
     def step(self, grid: UrbanGrid, action: str) -> UrbanGrid:
         return self._step(grid, action)
@@ -242,12 +236,8 @@ class UrbanSimulator:
         return grid.counter == self.budget
 
 
-def urban_simulator(
-    grid0: UrbanGrid,
-    rules: Sequence[ConversionRule] = DEFAULT_RULES,
-    budget: int = DEFAULT_BUDGET,
-) -> UrbanSimulator:
-    return UrbanSimulator(grid0, rules, budget)
+def urban_simulator(grid0: UrbanGrid, budget: int = DEFAULT_BUDGET) -> UrbanSimulator:
+    return UrbanSimulator(grid0, budget)
 
 
 def _final_grid(score):

@@ -34,16 +34,10 @@ PlanGenerator = Callable[[Iterable[Plan]], Optional[PlanTrace]]
 
 @dataclass(frozen=True)
 class FbiResult:
-    """A diverse plan set with one behaviour annotation per plan.
-
-    bdc counts the distinct behaviours contributed by the first loop; the
-    constructor re-derives it from the annotations and refuses to build an
-    inconsistent result.
-    """
+    """A diverse plan set with one behaviour annotation per plan."""
 
     plans: tuple
     behaviours: tuple
-    bdc: int
     termination: str
 
     def __post_init__(self):
@@ -51,11 +45,12 @@ class FbiResult:
             raise ValueError(f"unknown termination reason {self.termination!r}")
         if len(self.plans) != len(self.behaviours):
             raise ValueError("one behaviour annotation per plan required")
-        if self.bdc != len(set(self.behaviours)):
-            raise ValueError(
-                f"bdc {self.bdc} disagrees with {len(set(self.behaviours))} "
-                "distinct annotations"
-            )
+
+    @property
+    def bdc(self) -> int:
+        """Behaviour diversity count: the distinct annotations. `fbi` checks
+        that they are the cells its first loop found."""
+        return len(set(self.behaviours))
 
     def to_json(self) -> dict:
         return {
@@ -142,6 +137,5 @@ def fbi(
     return FbiResult(
         plans=tuple(plans),
         behaviours=tuple(behaviours),
-        bdc=loop_one_count,
         termination=termination,
     )

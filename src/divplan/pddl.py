@@ -742,11 +742,18 @@ def _dnf_and(left, right):
     return out
 
 
+def _read_text(path: str) -> str:
+    """A PDDL file's text; bytes that do not decode are a PddlError naming it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise PddlError(f"{path}: not a text file: {exc}") from exc
+
+
 def load_domain(path: str) -> DomainAst:
-    with open(path) as fh:
-        return parse_domain(fh.read())
+    return parse_domain(_read_text(path))
 
 
 def load_problem_file(path: str, domain: Optional[DomainAst] = None) -> ProblemAst:
-    with open(path) as fh:
-        return parse_problem(fh.read(), domain)
+    return parse_problem(_read_text(path), domain)

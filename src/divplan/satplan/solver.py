@@ -380,8 +380,9 @@ def solve_external(
     """Run `command <file.cnf>` and parse its s/v output lines.
 
     SAT-competition exit codes (10/20) are tolerated; a command that cannot
-    be started, or output without a status line, is a bridge error naming the
-    command (and, for the latter, its exit status and last stderr line).
+    be started, output without a status line, or a model that falsifies a
+    clause is a bridge error naming the command (and, for output without a
+    status line, its exit status and last stderr line).
     """
     name = shlex.join(command)
     with tempfile.NamedTemporaryFile(
@@ -403,7 +404,7 @@ def solve_external(
     finally:
         os.unlink(path)
     try:
-        return parse_solver_output(proc.stdout, num_vars)
+        model = parse_solver_output(proc.stdout, num_vars)
     except SolverBridgeError as exc:
         stderr = proc.stderr.strip().splitlines()
         last = f"; last stderr line: {stderr[-1]!r}" if stderr else ""
@@ -411,3 +412,11 @@ def solve_external(
             f"external solver {name!r} exited with status "
             f"{proc.returncode}: {exc}{last}"
         ) from exc
+    if model is not None:
+        for clause in clauses:
+            if not any(model[abs(lit)] == (lit > 0) for lit in clause):
+                raise SolverBridgeError(
+                    f"external solver {name!r} reported SATISFIABLE with a "
+                    f"model that falsifies the clause {list(clause)}"
+                )
+    return model

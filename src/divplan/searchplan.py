@@ -49,9 +49,8 @@ class Simulator(Protocol):
     """The black-box planning interface the search needs.
 
     `step` must be deterministic, `propositions` must assign every atom in
-    `alphabet`, and states must either be hashable or be condensed by an
-    optional `digest(state)` method into something hashable that identifies
-    the state's observable future (propositions, goal status, transitions).
+    `alphabet`, and states must be hashable, with equal states having the
+    same observable future (propositions, goal status, transitions).
     `budget`, when set, caps plan length. Callers never mutate a valuation
     `propositions` returns, so a simulator may hand out one dict per state.
     """
@@ -107,15 +106,18 @@ class SearchResult:
     """Outcome of one sweep: the witness of the first target that has one.
 
     trace satisfies targets[index]; every target before index has no plan
-    within the bounds, unless the node budget ran out. definitive=True
-    means the sweep finished (a None trace proves every target empty);
-    definitive=False means the node budget ran out first.
+    within the bounds, unless the node budget ran out.
     """
 
     trace: Optional[PlanTrace]
-    definitive: bool
     stats: SearchStats
     index: Optional[int]
+
+    @property
+    def definitive(self) -> bool:
+        """The sweep finished, so a None trace proves every target empty;
+        False means the node budget ran out first."""
+        return not self.stats.budget_exhausted
 
 
 class _Progression:
@@ -187,11 +189,6 @@ def _trace(node: tuple) -> PlanTrace:
     )
 
 
-def _digest_fn(sim) -> Callable:
-    digest = getattr(sim, "digest", None)
-    return digest if callable(digest) else (lambda state: state)
-
-
 def _make_frontier(cfg: SearchConfig):
     """push/pop pair for the configured strategy: a FIFO queue or a stack."""
     if cfg.strategy == "breadth-first":
@@ -205,13 +202,13 @@ def _search(
     sim,
     targets: Sequence[LtlFormula],
     cfg: SearchConfig,
-    *,
-    deduplicate: bool = True,
     accept: Optional[Callable[[PlanTrace], bool]] = None,
 ) -> SearchResult:
+    # with an accept filter the search walks the plain tree: a goal state
+    # reached again by another action sequence is another plan
+    deduplicate = accept is None
     stats = SearchStats()
     depth_cap = getattr(sim, "budget", None)
-    digest = _digest_fn(sim)
     push, pop, frontier = _make_frontier(cfg)
     table = _Progression(targets)
     # targets[:live] still lack a witness that beats the one already found
@@ -244,7 +241,7 @@ def _search(
             stats.pruned += 1
             continue
         if deduplicate:
-            seen_key = (digest(state), residuals, sats)
+            seen_key = (state, residuals, sats)
             seen = visited.get(seen_key)
             if seen is not None and seen <= depth:
                 stats.deduplicated += 1
@@ -265,12 +262,7 @@ def _search(
             children.reverse()  # so the first legal action is explored first
         for child in children:
             push(child)
-    return SearchResult(
-        witness,
-        definitive=not stats.budget_exhausted,
-        stats=stats,
-        index=None if witness is None else live,
-    )
+    return SearchResult(witness, stats, None if witness is None else live)
 
 
 def constrained_search(
@@ -361,7 +353,7 @@ def plan_generator_ltl(
     def accept(trace: PlanTrace) -> bool:
         return trace.plan.labels() not in seen
 
-    result = _search(sim, (TRUE,), cfg, deduplicate=False, accept=accept)
+    result = _search(sim, (TRUE,), cfg, accept)
     if result.trace is not None:
         return result.trace
     if not result.definitive:

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from divplan import bspace
 from divplan.bspace import (
     DEFAULT_BINS,
     Behaviour,
@@ -287,11 +288,12 @@ def test_enumerate_cells_single_feature():
     assert [c.values for c in enumerate_cells(space)] == [("killed",), ("avoided",)]
 
 
-def test_enumerate_cells_cap(tiny_story):
+def test_enumerate_cells_cap(tiny_story, monkeypatch):
     space = BehaviourSpace((goal_endings_feature(tiny_story),))
     assert len(list(enumerate_cells(space))) == 4
+    monkeypatch.setattr(bspace, "CELL_CAP", 3)
     with pytest.raises(SpaceTooLarge):
-        list(enumerate_cells(space, cap=3))
+        list(enumerate_cells(space))
 
 
 # -- JSON configuration ----------------------------------------------------------------

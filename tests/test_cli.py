@@ -190,6 +190,19 @@ def test_plan_broken_external_solver_is_a_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_plan_external_model_that_falsifies_a_clause_is_blamed_on_the_solver(
+    monkeypatch, capsys
+):
+    # "v 0" assigns nothing, so every variable reads false
+    solver = f"{sys.executable} -c \"print('s SATISFIABLE'); print('v 0')\""
+    monkeypatch.setenv(EXTERNAL_SOLVER_ENV, solver)
+    code = run("plan", "--domain", "story-tiny", "--backend", "sat")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "falsifies the clause" in err and sys.executable in err
+
+
 @pytest.mark.parametrize("solver", ["false", "non-executable"])
 def test_plan_failing_external_solver_names_its_cause(
     solver, tmp_path, monkeypatch, capsys
@@ -226,12 +239,36 @@ def _ltl_space(formula: str) -> str:
         ),
         (_ltl_space("F (killed"), "space.json"),
         (_ltl_space("F warp"), "warp"),
+        ("[]", "space.json: a space must be a JSON object"),
+        (
+            json.dumps({"features": [5]}),
+            "space.json: key 'features' must be a list of objects",
+        ),
+        (
+            json.dumps({"features": 5}),
+            "space.json: key 'features' must be a list of objects",
+        ),
+        (
+            json.dumps({"features": [{"kind": "ltl", "name": "e", "values": 5}]}),
+            "space.json: key 'features[0].values' must be a list of objects",
+        ),
+        (
+            json.dumps({"features": [{"kind": "ltl", "name": "e", "values": [
+                {"value": "killed", "formula": 5}
+            ]}]}),
+            "space.json: key 'features[0].values[0].formula' must be a string",
+        ),
+        (b"\xff\xfe{}", "space.json: 'utf-8' codec can't decode"),
     ],
-    ids=["not-json", "no-formula", "formula-syntax", "unknown-atom"],
+    ids=[
+        "not-json", "no-formula", "formula-syntax", "unknown-atom",
+        "not-an-object", "feature-not-an-object", "features-not-a-list",
+        "values-not-a-list", "formula-not-a-string", "not-utf-8",
+    ],
 )
 def test_plan_bad_space_file_is_one_error_line(tmp_path, capsys, text, fragment):
     space = tmp_path / "space.json"
-    space.write_text(text)
+    space.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = run(
         "plan", "--domain", "platformer", "--backend", "search",
         "--space", str(space),
@@ -353,6 +390,38 @@ def test_plan_missing_file_is_a_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--domain", "story-tiny", "--backend", "sat", "--out", "{dir}"),
+        ("--problem-json", "{dir}", "--backend", "sat"),
+        ("--domain", "platformer", "--backend", "search", "--space", "{dir}"),
+    ],
+    ids=["out", "problem-json", "space"],
+)
+def test_plan_directory_path_is_one_error_line(tmp_path, capsys, flags):
+    code = run("plan", *(f.format(dir=tmp_path) for f in flags))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
+def test_plan_pddl_that_is_not_text_is_one_error_line(tmp_path, capsys):
+    domain = tmp_path / "domain.pddl"
+    domain.write_bytes(b"(define \xff)")
+    problem = tmp_path / "problem.pddl"
+    problem.write_text(_story_tiny("story-tiny-problem.pddl"))
+    code = run(
+        "plan", "--pddl-domain", str(domain), "--pddl-problem", str(problem),
+        "--backend", "sat",
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(domain) in err
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -427,7 +496,7 @@ def test_validate_bad_plan_file_is_one_error_line(tmp_path, capsys, text):
 
 
 def test_render_story_summary(story_report, capsys):
-    code = run("render", str(story_report), "--what", "story-summary")
+    code = run("render", str(story_report))
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "married" in out
@@ -440,7 +509,7 @@ def test_render_platformer_overlay(tmp_path, capsys):
         "plan", "--domain", "platformer", "--backend", "search", "--k", "2",
         "--out", str(out_path),
     ) == EXIT_OK
-    code = run("render", str(out_path), "--what", "platformer")
+    code = run("render", str(out_path))
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "x" in out  # the stomped enemy marker
@@ -448,40 +517,60 @@ def test_render_platformer_overlay(tmp_path, capsys):
     assert "<killed>" in out and "<avoided>" in out
 
 
-def test_render_rejects_wrong_domain(story_report, capsys):
-    code = run("render", str(story_report), "--what", "urban-grid")
+# story-tiny and platformer reports are rendered by the two tests above
+@pytest.mark.parametrize(
+    "domain, backend, marker",
+    [("story", "sat", "married"), ("urban", "search", "scores: sustainability")],
+    ids=["story", "urban"],
+)
+def test_render_picks_the_view_from_the_domain(
+    tmp_path, capsys, domain, backend, marker
+):
+    report = tmp_path / "report.json"
+    argv = ("plan", "--domain", domain, "--backend", backend, "--k", "1")
+    assert run(*argv, "--out", str(report)) == EXIT_OK
+    assert run("render", str(report)) == EXIT_OK
+    assert marker in capsys.readouterr().out
+
+
+def test_render_rejects_unbundled_source(tmp_path, capsys):
+    src = tmp_path / "prob.json"
+    src.write_text(json.dumps(SOLVABLE))
+    report = tmp_path / "report.json"
+    argv = ("plan", "--problem-json", str(src), "--backend", "sat")
+    assert run(*argv, "--out", str(report)) == EXIT_OK
+    code = run("render", str(report))
     assert code == EXIT_USAGE
-    assert "urban" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "platformer, story, story-tiny, urban" in err
 
 
 def test_render_rejects_unknown_schema(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 99}))
-    code = run("render", str(bad), "--what", "story-summary")
+    code = run("render", str(bad))
     assert code == EXIT_USAGE
     assert "schema" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "text, what",
+    "text",
     [
-        ("{not json", "story-summary"),
-        (json.dumps({"schema_version": SCHEMA_VERSION}), "story-summary"),
-        (
-            json.dumps({
-                "schema_version": SCHEMA_VERSION,
-                "config": {"source": {"domain": "urban"}},
-                "result": {"plans": [["bogus"]], "behaviours": [["x"]]},
-            }),
-            "urban-grid",
-        ),
+        "{not json",
+        json.dumps({"schema_version": SCHEMA_VERSION}),
+        json.dumps({
+            "schema_version": SCHEMA_VERSION,
+            "config": {"source": {"domain": "urban"}},
+            "result": {"plans": [["bogus"]], "behaviours": [["x"]]},
+        }),
     ],
     ids=["not-json", "no-config", "unknown-action"],
 )
-def test_render_bad_report_is_one_error_line(tmp_path, capsys, text, what):
+def test_render_bad_report_is_one_error_line(tmp_path, capsys, text):
     bad = tmp_path / "report.json"
     bad.write_text(text)
-    code = run("render", str(bad), "--what", what)
+    code = run("render", str(bad))
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -272,11 +272,9 @@ def test_k_must_be_positive():
 
 def test_result_validation():
     with pytest.raises(ValueError, match="termination"):
-        FbiResult(plans=(), behaviours=(), bdc=0, termination="gave-up")
+        FbiResult(plans=(), behaviours=(), termination="gave-up")
     with pytest.raises(ValueError, match="annotation"):
-        FbiResult(plans=(), behaviours=(None,), bdc=0, termination=REACHED_K)
-    with pytest.raises(ValueError, match="disagrees"):
-        FbiResult(plans=(), behaviours=(), bdc=1, termination=EXHAUSTED)
+        FbiResult(plans=(), behaviours=(None,), termination=REACHED_K)
 
 
 def test_result_to_json_is_plain_data():

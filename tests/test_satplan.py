@@ -205,7 +205,7 @@ ENCODE_PINS = {
 def _pinned_problem(name):
     if name == "choice":
         return choice_problem()
-    return get_domain(name).load()[0]
+    return get_domain(name)()[0]
 
 
 @pytest.mark.parametrize("name", sorted(ENCODE_PINS))

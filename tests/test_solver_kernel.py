@@ -322,7 +322,7 @@ def tiny_story():
 
 
 def aladdin():
-    problem, _space = get_domain("story").load()
+    problem, _space = get_domain("story")()
     return problem
 
 
