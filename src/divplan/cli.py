@@ -3,14 +3,14 @@
 `plan` runs the diverse-planning driver against either backend and writes a
 JSON report; `validate` replays plan files against a declarative problem;
 `render` turns a report back into human-readable text (grids, level strips,
-narrative summaries). Reports are deterministic: same config and seed, same
-bytes.
+narrative summaries). Reports are deterministic: same config, same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from typing import Optional
@@ -50,7 +50,7 @@ from .searchplan import (
     plan_generator_ltl,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EMPTY = 2
@@ -69,8 +69,8 @@ def _resolve_source(args) -> tuple:
     """Return (subject, space, source_doc).
 
     subject is a GroundProblem (planned with the SAT backend) or a simulator
-    (planned with the search backend); space is the bundled/default
-    behaviour space (before any --space override); source_doc echoes where
+    (planned with the search backend); space is a bundled domain's behaviour
+    space, None for a PDDL or problem-JSON source; source_doc echoes where
     the subject came from.
     """
     picked = [
@@ -102,7 +102,7 @@ def _resolve_source(args) -> tuple:
         problem_ast = load_problem_file(args.pddl_problem, domain_ast)
         problem = ground(domain_ast, problem_ast)
         source = {"pddl_domain": args.pddl_domain, "pddl_problem": args.pddl_problem}
-    return problem, BehaviourSpace((goal_endings_feature(problem),)), source
+    return problem, None, source
 
 
 def _check_backend(backend: str, subject) -> None:
@@ -132,11 +132,19 @@ def _counted(fn, counts, key):
     return wrapped
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before planning starts, a report path that no file can take."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"--out {path}: not a file in an existing directory")
+
+
 def cmd_plan(args) -> int:
     subject, space, source = _resolve_source(args)
     _check_backend(args.backend, subject)
     if args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
+    if args.out:
+        _check_out(args.out)
 
     if args.space:
         problem = subject if isinstance(subject, GroundProblem) else None
@@ -145,13 +153,17 @@ def cmd_plan(args) -> int:
             space = load_space(args.space, problem=problem, scores=scores)
         except BspaceError as exc:
             raise ConfigError(f"bad --space file: {exc}") from exc
+    elif space is None:
+        try:
+            space = BehaviourSpace((goal_endings_feature(subject),))
+        except ValueError as exc:  # a goal that every state satisfies
+            raise ConfigError(f"default behaviour space: {exc}") from exc
 
     config_doc: dict = {
         "backend": args.backend,
         "source": source,
         "space": args.space or "bundled",
         "k": args.k,
-        "seed": args.seed,
     }
     counts = {"behaviour": 0, "plan": 0}
 
@@ -163,39 +175,20 @@ def cmd_plan(args) -> int:
             raise ConfigError(
                 f"--max-conflicts must be at least 0, got {args.max_conflicts}"
             )
-        horizons = range(lo, hi + 1)
-        bgen = partial(
-            behaviour_generator_sat,
-            subject,
-            space,
-            horizon_range=horizons,
-            seed=args.seed,
-            max_conflicts=args.max_conflicts,
-        )
-        pgen = partial(
-            plan_generator_sat,
-            subject,
-            horizon_range=horizons,
-            seed=args.seed,
-            max_conflicts=args.max_conflicts,
-        )
+        options = dict(horizon_range=range(lo, hi + 1), max_conflicts=args.max_conflicts)
+        bgen = partial(behaviour_generator_sat, subject, space, **options)
+        pgen = partial(plan_generator_sat, subject, **options)
         config_doc["horizons"] = [lo, hi]
         config_doc["max_conflicts"] = args.max_conflicts
     else:
         try:
-            cfg = SearchConfig(
-                strategy=args.strategy,
-                node_budget=args.node_budget,
-                seed=args.seed,
-                prune=not args.no_prune,
-            )
+            cfg = SearchConfig(strategy=args.strategy, node_budget=args.node_budget)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         bgen = partial(behaviour_generator_ltl, subject, space, cfg=cfg)
         pgen = partial(plan_generator_ltl, subject, cfg=cfg)
         config_doc["node_budget"] = args.node_budget
         config_doc["strategy"] = args.strategy
-        config_doc["prune"] = not args.no_prune
 
     result = fbi(
         args.k,
@@ -315,16 +308,26 @@ def _occupancy_lines(report: dict) -> list:
     return lines
 
 
+def _replay(sim, report: dict):
+    """Yield each report plan's states on the simulator; a label that
+    legal_actions does not offer is a ValueError naming the plan and step."""
+    for i, labels in enumerate(report["result"]["plans"]):
+        states = [sim.initial()]
+        for step, label in enumerate(labels):
+            if label not in sim.legal_actions(states[-1]):
+                raise ValueError(f"plan {i} step {step}: {label!r} is not a legal action")
+            states.append(sim.step(states[-1], label))
+        yield states
+
+
 def _render_urban(report: dict, color: bool) -> list:
     sim = UrbanSimulator(bundled_grid())
     legend = ", ".join(f"{code}={name}" for code, name in LAND_USE_NAMES.items())
     lines = [f"legend: {legend}", ""]
-    for i, labels in enumerate(report["result"]["plans"]):
-        state = sim.initial()
-        for label in labels:
-            state = sim.step(state, label)
+    for i, states in enumerate(_replay(sim, report)):
+        state = states[-1]
         behaviour = _fmt_behaviour(report["result"]["behaviours"][i])
-        lines.append(f"plan {i} {behaviour}: {len(labels)} conversions")
+        lines.append(f"plan {i} {behaviour}: {len(states) - 1} conversions")
         before = render_grid(sim.initial(), color=color).splitlines()
         after = render_grid(state, color=color).splitlines()
         lines.extend(
@@ -342,16 +345,12 @@ def _render_urban(report: dict, color: bool) -> list:
 
 def _render_platformer(report: dict) -> list:
     level = bundled_level()
-    sim = PlatformerSimulator(level)
     lines = []
-    for i, labels in enumerate(report["result"]["plans"]):
-        state = sim.initial()
-        visited = {(state.col, state.row)}
-        for label in labels:
-            state = sim.step(state, label)
-            visited.add((state.col, state.row))
+    for i, states in enumerate(_replay(PlatformerSimulator(level), report)):
+        state = states[-1]
+        visited = {(s.col, s.row) for s in states}
         behaviour = _fmt_behaviour(report["result"]["behaviours"][i])
-        lines.append(f"plan {i} {behaviour}: {len(labels)} moves")
+        lines.append(f"plan {i} {behaviour}: {len(states) - 1} moves")
         for row in range(level.height - 1, -1, -1):
             chars = []
             for col in range(level.width):
@@ -445,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--max-conflicts", type=int, default=None)
     plan.add_argument("--node-budget", type=int, default=SearchConfig.node_budget)
     plan.add_argument("--strategy", choices=STRATEGIES, default=SearchConfig.strategy)
-    plan.add_argument("--no-prune", action="store_true")
-    plan.add_argument("--seed", type=int, default=0)
     plan.add_argument("--out", help="report path (stdout when omitted)")
     plan.set_defaults(func=cmd_plan)
 

@@ -152,7 +152,6 @@ class PlatformerSimulator:
     def __init__(self, level: Level):
         self.level = level
         self.budget = BUDGET
-        self.alphabet = ("killed", "avoided")
 
     def initial(self) -> PlatformerState:
         col, row = self.level.avatar_start

@@ -70,7 +70,6 @@ class CorridorSimulator:
     """
 
     budget: int = 5
-    alphabet: tuple = ("has-key", "at-end")
 
     def initial(self):
         return (0, False)

@@ -82,26 +82,20 @@ class UrbanGrid:
         return len(self.cells) - self.count(EMPTY)
 
 
+CONVERSION_FRACTION = 0.05
+
+
 @dataclass(frozen=True)
 class ConversionRule:
-    """Rewrite a fraction of one land use into others.
+    """Rewrite CONVERSION_FRACTION of one land use into others.
 
-    ceil(fraction * count(source)) cells are affected, taken row-major from
-    the top of the grid; they are split evenly over the targets with any
-    remainder going to the first-listed target.
+    ceil(CONVERSION_FRACTION * count(source)) cells are affected, taken
+    row-major from the top of the grid; they are split evenly over the
+    targets with any remainder going to the first-listed target.
     """
 
     source: str
     targets: tuple
-    fraction: float = 0.05
-
-    def __post_init__(self):
-        if self.source not in LAND_USES:
-            raise ValueError(f"unknown source land use {self.source!r}")
-        if not self.targets or any(t not in LAND_USES for t in self.targets):
-            raise ValueError(f"bad conversion targets {self.targets!r}")
-        if not 0 < self.fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
 
     @property
     def action(self) -> str:
@@ -120,6 +114,9 @@ RULES = (
 _RULE_FOR_ACTION = {rule.action: rule for rule in RULES}
 
 DEFAULT_BUDGET = 10
+
+# a valuation's atoms: the sustainability bins, the diversity bins, the budget marker
+ATOMS = tuple(f"{b.label}_{f}" for f in "SD" for b in DEFAULT_BINS) + ("l-reached",)
 
 
 # -- scores --------------------------------------------------------------------
@@ -166,7 +163,7 @@ def urban_step(grid: UrbanGrid, action: str) -> UrbanGrid:
     indices = [i for i, c in enumerate(grid.cells) if c == rule.source]
     if not indices:
         return replace(grid, counter=grid.counter + 1)
-    affected = indices[: math.ceil(rule.fraction * len(indices))]
+    affected = indices[: math.ceil(CONVERSION_FRACTION * len(indices))]
     share, remainder = divmod(len(affected), len(rule.targets))
     quotas = [share] * len(rule.targets)
     quotas[0] += remainder
@@ -193,9 +190,6 @@ class UrbanSimulator:
         self.grid0 = grid0
         self.rules = RULES
         self.budget = budget
-        self.alphabet = tuple(
-            f"{b.label}_S" for b in DEFAULT_BINS
-        ) + tuple(f"{b.label}_D" for b in DEFAULT_BINS) + ("l-reached",)
         self._step = lru_cache(maxsize=None)(urban_step)
         self._propositions = lru_cache(maxsize=None)(self._propositions_uncached)
         self._valuation = lru_cache(maxsize=None)(self._valuation_uncached)
@@ -221,7 +215,7 @@ class UrbanSimulator:
         )
 
     def _valuation_uncached(self, s_bin: str, d_bin: str, reached: bool) -> dict:
-        valuation = {atom: False for atom in self.alphabet}
+        valuation = dict.fromkeys(ATOMS, False)
         valuation[f"{s_bin}_S"] = True
         valuation[f"{d_bin}_D"] = True
         valuation["l-reached"] = reached

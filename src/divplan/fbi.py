@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .bspace import Behaviour, BehaviourSpace, bdc, pbehaviour, value_to_json
+from .bspace import Behaviour, BehaviourSpace, pbehaviour, value_to_json
 from .core import GeneratorTimeout, Plan, PlanTrace
 
 REACHED_K = "reached-k"
@@ -128,7 +128,7 @@ def fbi(
     else:
         termination = EXHAUSTED
 
-    recount = bdc(space, plans)
+    recount = len(set(behaviours))
     if recount != loop_one_count:
         raise RuntimeError(
             f"diversity recount {recount} disagrees with the loop count "

@@ -274,7 +274,6 @@ def monitor(formula: LtlFormula, prefix: PropTrace) -> Verdict:
 # -- text grammar -------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][\w-]*)|([&|!()])|(\S))")
-_RESERVED = {"G", "F", "FG", "true", "false"}
 
 
 def _tokenize(text: str) -> list[str]:

@@ -221,10 +221,7 @@ def forbid_plan(task: CnfTask, plan: Plan) -> list:
 
 
 def solve_task(
-    task: CnfTask,
-    *,
-    seed: int = 0,
-    max_conflicts: Optional[int] = None,
+    task: CnfTask, *, max_conflicts: Optional[int] = None
 ) -> Optional[list]:
     """A satisfying model (list indexed by variable) or None for UNSAT.
 
@@ -245,7 +242,6 @@ def solve_task(
     return solve(
         task.clauses,
         task.num_vars,
-        seed=seed,
         max_conflicts=max_conflicts,
         phases=task.decision_phases(),
     )

@@ -82,7 +82,6 @@ def _first_trace(
     horizon_range: Iterable[int],
     forbid: Callable[[CnfTask], None],
     check: Callable[[PlanTrace], None],
-    seed: int,
     max_conflicts: Optional[int],
 ) -> Optional[PlanTrace]:
     """The first checked trace over the horizons within the problem's budget.
@@ -107,7 +106,7 @@ def _first_trace(
         task = encode(problem, h)
         task.clauses.extend(forbidding.clauses)
         try:
-            model = solve_task(task, seed=seed, max_conflicts=max_conflicts)
+            model = solve_task(task, max_conflicts=max_conflicts)
         except ResourceLimit as exc:
             raise GeneratorTimeout(str(exc)) from exc
         if model is None:
@@ -136,7 +135,8 @@ def behaviour_generator_sat(
     """A valid trace whose behaviour is none of found_behaviours, or None.
 
     Horizons are tried in the given (ascending) order; each horizon's task
-    carries one forbidding clause per already-found behaviour.
+    carries one forbidding clause per already-found behaviour. seed is
+    ignored (the solver is deterministic); ROADMAP item 1 step 3 removes it.
     """
     _check_goal_assignment_space(space)
     found = tuple(found_behaviours)
@@ -163,7 +163,7 @@ def behaviour_generator_sat(
                 "behaviour-forbidding clauses are broken"
             )
 
-    return _first_trace(problem, horizon_range, forbid, check, seed, max_conflicts)
+    return _first_trace(problem, horizon_range, forbid, check, max_conflicts)
 
 
 def plan_generator_sat(
@@ -177,7 +177,8 @@ def plan_generator_sat(
     """A valid trace whose plan is not in existing_plans, or None.
 
     Only plans whose length equals the current horizon are forbidden at that
-    horizon — others cannot be models there anyway.
+    horizon — others cannot be models there anyway. seed is ignored, as in
+    behaviour_generator_sat.
     """
     existing = sorted(existing_plans, key=lambda p: p.labels())
     seen_labels = {plan.labels() for plan in existing}
@@ -197,4 +198,4 @@ def plan_generator_sat(
                 "plan-forbidding clauses are broken"
             )
 
-    return _first_trace(problem, horizon_range, forbid, check, seed, max_conflicts)
+    return _first_trace(problem, horizon_range, forbid, check, max_conflicts)

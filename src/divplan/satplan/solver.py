@@ -2,9 +2,8 @@
 
 Self-contained and fully deterministic: decisions pick the highest-activity
 variable (ties to the lowest index) with saved phases, restarts follow a
-fixed geometric schedule, and no randomness is consulted anywhere — the seed
-argument is recorded for reproducibility bookkeeping only. A conflict budget
-turns long runs into ResourceLimit instead of open-ended search.
+fixed geometric schedule, and no randomness is consulted anywhere. A conflict
+budget turns long runs into ResourceLimit instead of open-ended search.
 
 Literals are non-zero ints (DIMACS convention: v / -v). The search state is
 indexed by literal: a list of length 2n+1 reaches slot `-v` at 2n+1-v through
@@ -53,11 +52,9 @@ class Solver:
         self,
         num_vars: int,
         clauses: Iterable[Sequence[int]] = (),
-        seed: int = 0,
         phases: Optional[Sequence[bool]] = None,
     ):
         self.num_vars = num_vars
-        self.seed = seed
         size = 2 * num_vars + 1
         self.val: list = [None] * size
         self.level = [0] * size
@@ -293,12 +290,11 @@ class Solver:
 def solve(
     clauses: Iterable[Sequence[int]],
     num_vars: int,
-    seed: int = 0,
     max_conflicts: Optional[int] = None,
     phases: Optional[Sequence[bool]] = None,
 ) -> Optional[list]:
     """Convenience one-shot wrapper around Solver."""
-    return Solver(num_vars, clauses, seed=seed, phases=phases).solve(max_conflicts)
+    return Solver(num_vars, clauses, phases=phases).solve(max_conflicts)
 
 
 # -- DIMACS and the external-solver bridge ------------------------------------

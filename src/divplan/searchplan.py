@@ -48,14 +48,13 @@ STRATEGIES = ("breadth-first", "depth-first")
 class Simulator(Protocol):
     """The black-box planning interface the search needs.
 
-    `step` must be deterministic, `propositions` must assign every atom in
-    `alphabet`, and states must be hashable, with equal states having the
-    same observable future (propositions, goal status, transitions).
+    `step` must be deterministic, `propositions` must assign every atom the
+    search targets use, and states must be hashable, with equal states having
+    the same observable future (propositions, goal status, transitions).
     `budget`, when set, caps plan length. Callers never mutate a valuation
     `propositions` returns, so a simulator may hand out one dict per state.
     """
 
-    alphabet: tuple
     budget: Optional[int]
 
     def initial(self): ...
@@ -76,7 +75,8 @@ class SearchConfig:
     strategy is one of STRATEGIES; node_budget caps the expansions of one
     search, which is one sweep over all its targets, so one generator call;
     prune=False keeps monitor-violated branches (same answers, more nodes).
-    seed is unused: both strategies are deterministic.
+    seed is ignored (both strategies are deterministic); ROADMAP item 1
+    step 3 removes it.
     """
 
     strategy: str = "breadth-first"
@@ -274,15 +274,10 @@ def constrained_search(
 
     Nodes whose progressed obligations are all unsatisfiable — for the prefix
     as well as for every extension — are cut (cfg.prune=False keeps them,
-    which never changes the answer, only the node count).
+    which never changes the answer, only the node count). A target atom the
+    initial state's valuation does not assign raises UnknownAtom.
     """
-    targets = tuple(targets)
-    missing = set().union(*map(atoms, targets)) - set(sim.alphabet)
-    if missing:
-        raise UnknownAtom(
-            f"target uses atoms outside the simulator alphabet: {sorted(missing)}"
-        )
-    return _search(sim, targets, cfg)
+    return _search(sim, tuple(targets), cfg)
 
 
 def behaviour_generator_ltl(

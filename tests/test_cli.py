@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from divplan import cli
 from divplan.cli import EXIT_EMPTY, EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, main
 from divplan.satplan import EXTERNAL_SOLVER_ENV
 
@@ -51,6 +52,7 @@ def test_plan_report_shape(story_report):
     doc = json.loads(story_report.read_text())
     assert doc["schema_version"] == SCHEMA_VERSION
     assert set(doc) == {"schema_version", "config", "result", "stats"}
+    assert "seed" not in doc["config"]
     result = doc["result"]
     assert result["bdc"] == 3
     assert result["termination"] == "reached-k"
@@ -79,6 +81,7 @@ def test_plan_search_backend_on_platformer(tmp_path):
     assert doc["result"]["bdc"] == 2
     assert sorted(b[0] for b in doc["result"]["behaviours"]) == ["avoided", "killed"]
     assert doc["config"]["strategy"] == "breadth-first"
+    assert not {"seed", "prune"} & set(doc["config"])
 
 
 def test_plan_empty_set_exits_2(tmp_path, capsys):
@@ -390,16 +393,25 @@ def test_plan_missing_file_is_a_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def _no_planning(*args, **kwargs):
+    pytest.fail("planned although the command line was already refused")
+
+
 @pytest.mark.parametrize(
     "flags",
     [
         ("--domain", "story-tiny", "--backend", "sat", "--out", "{dir}"),
+        (
+            "--domain", "story-tiny", "--backend", "sat",
+            "--out", "{dir}/missing/report.json",
+        ),
         ("--problem-json", "{dir}", "--backend", "sat"),
         ("--domain", "platformer", "--backend", "search", "--space", "{dir}"),
     ],
-    ids=["out", "problem-json", "space"],
+    ids=["out", "out-missing-parent", "problem-json", "space"],
 )
-def test_plan_directory_path_is_one_error_line(tmp_path, capsys, flags):
+def test_plan_directory_path_is_one_error_line(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.setattr(cli, "fbi", _no_planning)  # a bad path fails before planning
     code = run("plan", *(f.format(dir=tmp_path) for f in flags))
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
@@ -422,9 +434,46 @@ def test_plan_pddl_that_is_not_text_is_one_error_line(tmp_path, capsys):
     assert str(domain) in err
 
 
+STORY_TINY_GOAL = """(:goal (exists (?c1 - char ?c2 - char)
+           (and (married-to ?c2 ?c1) (not (= ?c1 ?c2)))))"""
+
+
+def _trivial_goal_source(tmp_path, source: str) -> list:
+    """A problem whose goal holds in every state, from JSON or from PDDL."""
+    if source == "problem-json":
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps(dict(SOLVABLE, goal=[[]])))
+        return ["--problem-json", str(src)]
+    domain = tmp_path / "domain.pddl"
+    domain.write_text(_story_tiny("story-tiny-domain.pddl"))
+    text = _story_tiny("story-tiny-problem.pddl")
+    assert STORY_TINY_GOAL in text
+    problem = tmp_path / "problem.pddl"
+    problem.write_text(text.replace(STORY_TINY_GOAL, "(:goal (= ala ala))"))
+    return ["--pddl-domain", str(domain), "--pddl-problem", str(problem)]
+
+
+@pytest.mark.parametrize("source", ["problem-json", "pddl"])
+def test_plan_trivial_goal_is_one_error_line(tmp_path, capsys, source):
+    code = run("plan", *_trivial_goal_source(tmp_path, source), "--backend", "sat")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-trivial goal" in err
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source", ["problem-json", "pddl"])
+def test_validate_replays_plans_for_a_trivial_goal(tmp_path, capsys, source):
+    plans = tmp_path / "plans.json"
+    plans.write_text(json.dumps([[]]))
+    argv = ("validate", *_trivial_goal_source(tmp_path, source), "--plans", str(plans))
+    assert run(*argv) == EXIT_OK
+    assert "plan 0: valid, 0 steps, goal reached" in capsys.readouterr().out
 
 
 def test_validate_accepts_report_files(story_report, capsys):
@@ -531,6 +580,25 @@ def test_render_picks_the_view_from_the_domain(
     assert run(*argv, "--out", str(report)) == EXIT_OK
     assert run("render", str(report)) == EXIT_OK
     assert marker in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "domain, labels",
+    [("platformer", ["right"] * 11), ("urban", ["convert-green"] * 40)],
+    ids=["into-the-enemy", "past-the-budget"],
+)
+def test_render_refuses_an_illegal_plan(tmp_path, capsys, domain, labels):
+    report = tmp_path / "report.json"
+    argv = ("plan", "--domain", domain, "--backend", "search", "--k", "1")
+    assert run(*argv, "--out", str(report)) == EXIT_OK
+    doc = json.loads(report.read_text())
+    doc["result"]["plans"] = [labels]  # step 10 walks into the enemy / past the budget
+    report.write_text(json.dumps(doc))
+    code = run("render", str(report))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(report) in err and "plan 0 step 10" in err
 
 
 def test_render_rejects_unbundled_source(tmp_path, capsys):

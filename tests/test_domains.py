@@ -22,6 +22,7 @@ from divplan.domains.platformer import (
 from divplan.domains.story import story_pack, tiny_story_pack
 from divplan.domains.tiny import choice_problem, endings_space, toggle_problem
 from divplan.domains.urban import (
+    ATOMS,
     DEFAULT_BUDGET as URBAN_BUDGET,
     RULES,
     EmptyGrid,
@@ -218,7 +219,7 @@ def test_urban_propositions_one_bin_per_family():
     state = sim.initial()
     for _ in range(3):
         props = sim.propositions(state)
-        assert set(props) == set(sim.alphabet)
+        assert set(props) == set(ATOMS)
         s_bins = [a for a in props if a.endswith("_S") and props[a]]
         d_bins = [a for a in props if a.endswith("_D") and props[a]]
         assert len(s_bins) == 1 and len(d_bins) == 1

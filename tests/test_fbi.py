@@ -1,10 +1,12 @@
 """Driver tests: oracle maximality on tiny instances, termination, contracts."""
 
+import importlib
 from functools import partial
 from itertools import combinations
 
 import pytest
 
+from divplan import bspace
 from divplan.bspace import bdc
 from divplan.core import (
     GeneratorTimeout,
@@ -256,6 +258,30 @@ def test_rejects_padding_that_contradicts_exhaustion():
 
     with pytest.raises(RuntimeError, match="recount"):
         fbi(2, space, bgen, lambda existing: set_b)
+
+
+def test_each_plan_behaviour_is_extracted_once(monkeypatch):
+    # three cells from loop one, then one padding plan that repeats a cell
+    problem = choice_problem()
+    space = endings_space(problem)
+    traces = {
+        p.labels(): validate_plan(problem, p) for p in enumerate_plans(problem, 2)
+    }
+    novel = iter([traces[("set-a",)], traces[("set-b",)], traces[("set-a", "set-b")]])
+    padding = iter([traces[("set-b", "set-a")]])
+    calls = []
+
+    def counting(space, trace):
+        calls.append(trace)
+        return extract(space, trace)
+
+    extract = bspace.pbehaviour
+    # the package re-exports the fbi function under the module's name
+    monkeypatch.setattr(importlib.import_module("divplan.fbi"), "pbehaviour", counting)
+    monkeypatch.setattr(bspace, "pbehaviour", counting)
+    result = fbi(4, space, lambda found: next(novel, None), lambda e: next(padding, None))
+    assert result.termination == REACHED_K and result.bdc == 3
+    assert len(calls) == len(result.plans) == 4
 
 
 def test_k_must_be_positive():

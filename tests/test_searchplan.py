@@ -146,7 +146,7 @@ def test_sweep_returns_the_first_realisable_target():
 def test_missing_proposition_is_an_unknown_atom():
     class Mute(CorridorSimulator):
         def propositions(self, state):
-            return {"at-end": state[0] == 3}  # has-key is in the alphabet only
+            return {"at-end": state[0] == 3}  # has-key is not assigned
 
     with pytest.raises(UnknownAtom):
         behaviour_generator_ltl(Mute(), corridor_space(), set(), cfg())
