@@ -18,7 +18,6 @@ from .core import (
     Plan,
     PlanTrace,
     PlanningError,
-    enumerate_plans,
     validate_plan,
 )
 from .fbi import FbiResult, fbi
@@ -50,7 +49,6 @@ __all__ = [
     "behaviour_generator_sat",
     "categorical_score_feature",
     "constrained_search",
-    "enumerate_plans",
     "fbi",
     "goal_endings_feature",
     "ltl_feature",

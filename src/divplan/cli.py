@@ -24,12 +24,10 @@ from .core import (
     validate_plan,
 )
 from .domains import BUNDLED, get_domain
-from .domains.platformer import PlatformerSimulator, bundled_level
 from .domains.urban import (
     FINAL_GRID_SCORES,
     UrbanSimulator,
     LAND_USE_NAMES,
-    bundled_grid,
     diversity_score,
     render_grid,
     sustainability_score,
@@ -255,6 +253,15 @@ def _plans_from_file(path: str) -> list:
     raise ConfigError(f"{path} holds neither a plan list nor a report")
 
 
+def _label_plan(problem: GroundProblem, labels) -> Plan:
+    """The plan of problem's actions named by labels; an unknown label is a
+    ValueError."""
+    try:
+        return Plan(tuple(problem.action(name) for name in labels))
+    except KeyError as exc:
+        raise ValueError(f"unknown action {exc.args[0]!r} for this problem") from exc
+
+
 def cmd_validate(args) -> int:
     problem, _space, _source = _resolve_source(args)
     if not isinstance(problem, GroundProblem):
@@ -267,13 +274,11 @@ def cmd_validate(args) -> int:
     failures = 0
     for i, labels in enumerate(label_plans):
         try:
-            actions = tuple(problem.action(name) for name in labels)
-        except KeyError as exc:
-            raise ConfigError(
-                f"plan {i}: unknown action {exc.args[0]!r} for this problem"
-            ) from exc
+            plan = _label_plan(problem, labels)
+        except ValueError as exc:
+            raise ConfigError(f"plan {i}: {exc}") from exc
         try:
-            trace = validate_plan(problem, Plan(actions))
+            trace = validate_plan(problem, plan)
         except PlanningError as exc:
             print(f"plan {i}: INVALID — {exc}")
             failures += 1
@@ -320,8 +325,7 @@ def _replay(sim, report: dict):
         yield states
 
 
-def _render_urban(report: dict, color: bool) -> list:
-    sim = UrbanSimulator(bundled_grid())
+def _render_urban(sim, report: dict, color: bool) -> list:
     legend = ", ".join(f"{code}={name}" for code, name in LAND_USE_NAMES.items())
     lines = [f"legend: {legend}", ""]
     for i, states in enumerate(_replay(sim, report)):
@@ -343,10 +347,10 @@ def _render_urban(report: dict, color: bool) -> list:
     return lines
 
 
-def _render_platformer(report: dict) -> list:
-    level = bundled_level()
+def _render_platformer(sim, report: dict) -> list:
+    level = sim.level
     lines = []
-    for i, states in enumerate(_replay(PlatformerSimulator(level), report)):
+    for i, states in enumerate(_replay(sim, report)):
         state = states[-1]
         visited = {(s.col, s.row) for s in states}
         behaviour = _fmt_behaviour(report["result"]["behaviours"][i])
@@ -370,9 +374,14 @@ def _render_platformer(report: dict) -> list:
     return lines
 
 
-def _render_story(report: dict) -> list:
+def _render_story(problem: GroundProblem, report: dict) -> list:
     lines = []
-    for i, values in enumerate(report["result"]["behaviours"]):
+    for i, labels in enumerate(report["result"]["plans"]):
+        try:
+            validate_plan(problem, _label_plan(problem, labels))
+        except (ValueError, PlanningError) as exc:
+            raise ValueError(f"plan {i}: {exc}") from exc
+        values = report["result"]["behaviours"][i]
         endings = []
         for value in values:
             items = value if isinstance(value, list) else [value]
@@ -383,8 +392,7 @@ def _render_story(report: dict) -> list:
                 else:
                     endings.append(item)
         summary = "; ".join(endings) if endings else "nobody married"
-        steps = len(report["result"]["plans"][i])
-        lines.append(f"plan {i} ({steps} steps): {summary}")
+        lines.append(f"plan {i} ({len(labels)} steps): {summary}")
     lines.append("")
     return lines
 
@@ -394,17 +402,18 @@ def cmd_render(args) -> int:
     try:
         source = report["config"]["source"]
         domain = source.get("domain")
-        if domain == "urban":
-            lines = _render_urban(report, args.color)
-        elif domain == "platformer":
-            lines = _render_platformer(report)
-        elif domain in ("story", "story-tiny"):
-            lines = _render_story(report)
-        else:
+        if domain not in BUNDLED:
             raise ConfigError(
                 f"{args.report}: render needs a report from a bundled domain "
                 f"({', '.join(sorted(BUNDLED))}), not {source!r}"
             )
+        subject, _space = BUNDLED[domain]()
+        if domain == "urban":
+            lines = _render_urban(subject, report, args.color)
+        elif domain == "platformer":
+            lines = _render_platformer(subject, report)
+        else:
+            lines = _render_story(subject, report)
     except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
         raise _malformed(args.report, exc) from exc
     print("\n".join(lines + _occupancy_lines(report)))

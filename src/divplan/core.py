@@ -3,8 +3,7 @@
 States are closed-world sets of fluents. Actions carry positive/negative
 preconditions, add/delete effects, and a non-negative cost. Goals are stored
 in DNF (a disjunction of literal conjunctions), which keeps goal checks and
-SAT goal clauses uniform. A brute-force bounded plan enumerator is included
-as the diversity oracle used by the tests.
+SAT goal clauses uniform.
 """
 
 from __future__ import annotations
@@ -237,34 +236,6 @@ def validate_plan(problem: GroundProblem, plan: Plan) -> PlanTrace:
     if not problem.goal.satisfied_by(states[-1]):
         raise GoalNotSatisfied("final state does not satisfy the goal")
     return PlanTrace(plan=plan, states=tuple(states))
-
-
-def enumerate_plans(problem: GroundProblem, max_len: int) -> list[Plan]:
-    """All valid plans of length <= max_len, in deterministic order.
-
-    Brute force over action sequences; intended as the test oracle at desk
-    scale (max_len <= 8 for the bundled instances). Plans are ordered by
-    length, then lexicographically by action position in problem.actions.
-    """
-    limit = max_len
-    if problem.budget is not None:
-        limit = min(limit, problem.budget)
-    found: list[Plan] = []
-
-    def extend(prefix: list[GroundAction], state: State) -> None:
-        if problem.goal.satisfied_by(state):
-            found.append(Plan(tuple(prefix)))
-        if len(prefix) == limit:
-            return
-        for action in problem.actions:
-            if applicable(state, action):
-                prefix.append(action)
-                extend(prefix, apply(state, action))
-                prefix.pop()
-
-    extend([], problem.init)
-    found.sort(key=lambda p: (len(p), [problem.actions.index(a) for a in p]))
-    return found
 
 
 # -- JSON ground-problem format ----------------------------------------------

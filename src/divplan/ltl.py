@@ -101,49 +101,39 @@ def _lookup(valuation: Valuation, name: str) -> bool:
 def eval_finite(formula: LtlFormula, trace: PropTrace) -> bool:
     """Truth of the formula at position 0 of a non-empty finite trace.
 
-    Computed bottom-up: for every subformula a truth vector over all trace
-    positions is filled from the last position backwards, so G and F cost
-    one sweep instead of a quadratic recursion.
+    Computed bottom-up over bitmasks: each subformula is evaluated once, as
+    an int whose bit i is its truth at position i, so G and F cost a
+    constant number of integer operations instead of a sweep.
     """
     if len(trace) == 0:
         raise ValueError("trace must be non-empty")
-    return _truth_vector(formula, trace)[0]
+    return bool(_mask(formula, trace, (1 << len(trace)) - 1) & 1)
 
 
-def _truth_vector(formula: LtlFormula, trace: PropTrace) -> list[bool]:
-    n = len(trace)
+def _mask(formula: LtlFormula, trace: PropTrace, full: int) -> int:
     if isinstance(formula, Atom):
-        return [_lookup(v, formula.name) for v in trace]
+        mask = 0
+        for i, valuation in enumerate(trace):
+            if _lookup(valuation, formula.name):
+                mask |= 1 << i
+        return mask
     if isinstance(formula, TrueFormula):
-        return [True] * n
+        return full
     if isinstance(formula, FalseFormula):
-        return [False] * n
+        return 0
     if isinstance(formula, Not):
-        return [not x for x in _truth_vector(formula.arg, trace)]
+        return full ^ _mask(formula.arg, trace, full)
     if isinstance(formula, And):
-        lv = _truth_vector(formula.left, trace)
-        rv = _truth_vector(formula.right, trace)
-        return [a and b for a, b in zip(lv, rv)]
+        return _mask(formula.left, trace, full) & _mask(formula.right, trace, full)
     if isinstance(formula, Or):
-        lv = _truth_vector(formula.left, trace)
-        rv = _truth_vector(formula.right, trace)
-        return [a or b for a, b in zip(lv, rv)]
+        return _mask(formula.left, trace, full) | _mask(formula.right, trace, full)
     if isinstance(formula, Always):
-        av = _truth_vector(formula.arg, trace)
-        out = [False] * n
-        acc = True
-        for i in range(n - 1, -1, -1):
-            acc = av[i] and acc
-            out[i] = acc
-        return out
+        # holds above the last position where the argument fails
+        cut = (full ^ _mask(formula.arg, trace, full)).bit_length()
+        return full >> cut << cut
     if isinstance(formula, Eventually):
-        av = _truth_vector(formula.arg, trace)
-        out = [False] * n
-        acc = False
-        for i in range(n - 1, -1, -1):
-            acc = av[i] or acc
-            out[i] = acc
-        return out
+        # holds up to the last position where the argument holds
+        return (1 << _mask(formula.arg, trace, full).bit_length()) - 1
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -356,33 +346,3 @@ class _Parser:
 def parse_formula(text: str) -> LtlFormula:
     return _Parser(_tokenize(text)).parse()
 
-
-def format_formula(formula: LtlFormula) -> str:
-    """Round-trippable text form: parse_formula(format_formula(f)) == f."""
-    return _format(formula, 0)
-
-
-def _format(f: LtlFormula, parent_level: int) -> str:
-    # binding strength: | = 1, & = 2, unary = 3
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, TrueFormula):
-        return "true"
-    if isinstance(f, FalseFormula):
-        return "false"
-    if isinstance(f, Or):
-        # parser is left-associative, so a right-nested Or needs parentheses
-        text = f"{_format(f.left, 1)} | {_format(f.right, 2)}"
-        return f"({text})" if parent_level > 1 else text
-    if isinstance(f, And):
-        text = f"{_format(f.left, 2)} & {_format(f.right, 3)}"
-        return f"({text})" if parent_level > 2 else text
-    if isinstance(f, Not):
-        return f"! {_format(f.arg, 3)}"
-    if isinstance(f, Eventually) and isinstance(f.arg, Always):
-        return f"FG {_format(f.arg.arg, 3)}"
-    if isinstance(f, Always):
-        return f"G {_format(f.arg, 3)}"
-    if isinstance(f, Eventually):
-        return f"F {_format(f.arg, 3)}"
-    raise TypeError(f"not a formula: {f!r}")

@@ -24,7 +24,6 @@ from .solver import (
     Solver,
     SolverBridgeError,
     external_solver_command,
-    parse_dimacs,
     parse_solver_output,
     solve,
     solve_external,
@@ -48,7 +47,6 @@ __all__ = [
     "external_solver_command",
     "forbid_behaviour",
     "forbid_plan",
-    "parse_dimacs",
     "parse_solver_output",
     "plan_generator_sat",
     "solve",

@@ -307,32 +307,6 @@ def to_dimacs(num_vars: int, clauses: Sequence[Sequence[int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_dimacs(text: str) -> tuple[int, list]:
-    num_vars = 0
-    clauses = []
-    current: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad DIMACS header: {line!r}")
-            num_vars = int(parts[2])
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(current)
-                current = []
-            else:
-                current.append(lit)
-    if current:
-        clauses.append(current)
-    return num_vars, clauses
-
-
 def parse_solver_output(text: str, num_vars: int) -> Optional[list]:
     """Parse SAT-competition style output ("s ..." and "v ..." lines)."""
     status = None

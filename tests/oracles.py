@@ -1,0 +1,280 @@
+"""Test-only references: hand-sized instances and brute-force oracles.
+
+Nothing here is part of the installed package. The instances are small
+enough that every plan, behaviour and diversity count can be enumerated
+independently and compared with what the real machinery produces; the
+functions are the straightforward versions the program's faster paths are
+checked against.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from divplan.bspace import BehaviourSpace, goal_endings_feature, ltl_feature
+from divplan.core import (
+    Fluent,
+    GoalFormula,
+    GroundAction,
+    GroundProblem,
+    Plan,
+    State,
+    applicable,
+    apply,
+)
+from divplan.ltl import (
+    Always,
+    And,
+    Atom,
+    Eventually,
+    FalseFormula,
+    LtlFormula,
+    Not,
+    Or,
+    PropTrace,
+    TrueFormula,
+)
+
+# -- hand-sized declarative instances ------------------------------------------
+
+ON = Fluent("on")
+A = Fluent("a")
+B = Fluent("b")
+
+
+def toggle_problem() -> GroundProblem:
+    """One switch, goal on: a single realisable ending, odd-length plans."""
+    return GroundProblem(
+        fluents=frozenset([ON]),
+        actions=(
+            GroundAction("turn-on", pre_neg=frozenset([ON]), add=frozenset([ON])),
+            GroundAction("turn-off", pre_pos=frozenset([ON]), delete=frozenset([ON])),
+        ),
+        init=frozenset(),
+        goal=GoalFormula.conjunction([(ON, True)]),
+    )
+
+
+def two_switch_problem() -> GroundProblem:
+    """Two switches, conjunctive goal: one ending, two shortest plans."""
+    return GroundProblem(
+        fluents=frozenset([A, B]),
+        actions=(
+            GroundAction("set-a", pre_neg=frozenset([A]), add=frozenset([A])),
+            GroundAction("set-b", pre_neg=frozenset([B]), add=frozenset([B])),
+        ),
+        init=frozenset(),
+        goal=GoalFormula.conjunction([(A, True), (B, True)]),
+    )
+
+
+def choice_problem() -> GroundProblem:
+    """Two switches, disjunctive goal: three realisable endings."""
+    return GroundProblem(
+        fluents=frozenset([A, B]),
+        actions=(
+            GroundAction("set-a", pre_neg=frozenset([A]), add=frozenset([A])),
+            GroundAction("set-b", pre_neg=frozenset([B]), add=frozenset([B])),
+        ),
+        init=frozenset(),
+        goal=GoalFormula(disjuncts=(((A, True),), ((B, True),))),
+    )
+
+
+def endings_space(problem: GroundProblem) -> BehaviourSpace:
+    return BehaviourSpace((goal_endings_feature(problem),))
+
+
+# -- a hand-sized simulator ------------------------------------------------------
+
+
+@dataclass
+class CorridorSimulator:
+    """A four-cell hallway with an optional key pickup at the third cell.
+
+    Reaching the last cell is the goal; whether the key was ever grabbed is
+    the single behaviour dimension.
+    """
+
+    budget: int = 5
+
+    def initial(self):
+        return (0, False)
+
+    def legal_actions(self, state):
+        pos, key = state
+        actions = []
+        if pos > 0:
+            actions.append("left")
+        if pos < 3:
+            actions.append("right")
+        if pos == 2 and not key:
+            actions.append("grab")
+        return actions
+
+    def step(self, state, action):
+        pos, key = state
+        if action == "left":
+            return (pos - 1, key)
+        if action == "right":
+            return (pos + 1, key)
+        if action == "grab":
+            return (pos, True)
+        raise ValueError(f"unknown action {action!r}")
+
+    def propositions(self, state):
+        return {"has-key": state[1], "at-end": state[0] == 3}
+
+    def is_goal(self, state):
+        return state[0] == 3
+
+
+def corridor_space() -> BehaviourSpace:
+    return BehaviourSpace(
+        (
+            ltl_feature(
+                "key-pickup",
+                (
+                    ("with-key", Eventually(Atom("has-key"))),
+                    ("without-key", Always(Not(Atom("has-key")))),
+                ),
+            ),
+        )
+    )
+
+
+# -- brute-force plan enumeration --------------------------------------------------
+
+
+def enumerate_plans(problem: GroundProblem, max_len: int) -> list[Plan]:
+    """All valid plans of length <= max_len, in deterministic order.
+
+    Brute force over action sequences; intended as the test oracle at desk
+    scale (max_len <= 8 for the bundled instances). Plans are ordered by
+    length, then lexicographically by action position in problem.actions.
+    """
+    limit = max_len
+    if problem.budget is not None:
+        limit = min(limit, problem.budget)
+    found: list[Plan] = []
+
+    def extend(prefix: list[GroundAction], state: State) -> None:
+        if problem.goal.satisfied_by(state):
+            found.append(Plan(tuple(prefix)))
+        if len(prefix) == limit:
+            return
+        for action in problem.actions:
+            if applicable(state, action):
+                prefix.append(action)
+                extend(prefix, apply(state, action))
+                prefix.pop()
+
+    extend([], problem.init)
+    found.sort(key=lambda p: (len(p), [problem.actions.index(a) for a in p]))
+    return found
+
+
+# -- DIMACS reader (the program only writes DIMACS) --------------------------------
+
+
+def parse_dimacs(text: str) -> tuple[int, list]:
+    num_vars = 0
+    clauses = []
+    current: list[int] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ValueError(f"bad DIMACS header: {line!r}")
+            num_vars = int(parts[2])
+            continue
+        for tok in line.split():
+            lit = int(tok)
+            if lit == 0:
+                clauses.append(current)
+                current = []
+            else:
+                current.append(lit)
+    if current:
+        clauses.append(current)
+    return num_vars, clauses
+
+
+# -- temporal formulas: text form and per-position truth ---------------------------
+
+
+def format_formula(formula: LtlFormula) -> str:
+    """Round-trippable text form: parse_formula(format_formula(f)) == f."""
+    return _format(formula, 0)
+
+
+def _format(f: LtlFormula, parent_level: int) -> str:
+    # binding strength: | = 1, & = 2, unary = 3
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, TrueFormula):
+        return "true"
+    if isinstance(f, FalseFormula):
+        return "false"
+    if isinstance(f, Or):
+        # parser is left-associative, so a right-nested Or needs parentheses
+        text = f"{_format(f.left, 1)} | {_format(f.right, 2)}"
+        return f"({text})" if parent_level > 1 else text
+    if isinstance(f, And):
+        text = f"{_format(f.left, 2)} & {_format(f.right, 3)}"
+        return f"({text})" if parent_level > 2 else text
+    if isinstance(f, Not):
+        return f"! {_format(f.arg, 3)}"
+    if isinstance(f, Eventually) and isinstance(f.arg, Always):
+        return f"FG {_format(f.arg.arg, 3)}"
+    if isinstance(f, Always):
+        return f"G {_format(f.arg, 3)}"
+    if isinstance(f, Eventually):
+        return f"F {_format(f.arg, 3)}"
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def truth_vector(formula: LtlFormula, trace: PropTrace) -> list[bool]:
+    """The formula's truth at each position of the trace.
+
+    One list of booleans per subformula, with G and F filled from the last
+    position backwards: the evaluation that `ltl.eval_finite`'s bitmasks
+    replaced, kept as their differential reference.
+    """
+    n = len(trace)
+    if isinstance(formula, Atom):
+        return [bool(v[formula.name]) for v in trace]
+    if isinstance(formula, TrueFormula):
+        return [True] * n
+    if isinstance(formula, FalseFormula):
+        return [False] * n
+    if isinstance(formula, Not):
+        return [not x for x in truth_vector(formula.arg, trace)]
+    if isinstance(formula, And):
+        lv = truth_vector(formula.left, trace)
+        rv = truth_vector(formula.right, trace)
+        return [a and b for a, b in zip(lv, rv)]
+    if isinstance(formula, Or):
+        lv = truth_vector(formula.left, trace)
+        rv = truth_vector(formula.right, trace)
+        return [a or b for a, b in zip(lv, rv)]
+    if isinstance(formula, Always):
+        av = truth_vector(formula.arg, trace)
+        out = [False] * n
+        acc = True
+        for i in range(n - 1, -1, -1):
+            acc = av[i] and acc
+            out[i] = acc
+        return out
+    if isinstance(formula, Eventually):
+        av = truth_vector(formula.arg, trace)
+        out = [False] * n
+        acc = False
+        for i in range(n - 1, -1, -1):
+            acc = av[i] or acc
+            out[i] = acc
+        return out
+    raise TypeError(f"not a formula: {formula!r}")

@@ -15,16 +15,8 @@ import pytest
 
 from divplan.bspace import bdc, pbehaviour
 from divplan.cli import EXIT_OK, main
-from divplan.core import Plan, PlanTrace, enumerate_plans, validate_plan
+from divplan.core import Plan, PlanTrace, validate_plan
 from divplan.domains.story import story_pack, tiny_story_pack
-from divplan.domains.tiny import (
-    CorridorSimulator,
-    choice_problem,
-    corridor_space,
-    endings_space,
-    toggle_problem,
-    two_switch_problem,
-)
 from divplan.domains.platformer import PlatformerSimulator, bundled_level
 from divplan.domains.urban import (
     UrbanGrid,
@@ -50,6 +42,15 @@ from divplan.searchplan import (
     SearchConfig,
     behaviour_generator_ltl,
     plan_generator_ltl,
+)
+from oracles import (
+    CorridorSimulator,
+    choice_problem,
+    corridor_space,
+    endings_space,
+    enumerate_plans,
+    toggle_problem,
+    two_switch_problem,
 )
 
 

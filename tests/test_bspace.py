@@ -28,9 +28,10 @@ from divplan.bspace import (
     space_from_json,
     validate_bins,
 )
-from divplan.core import Fluent, Plan, PlanTrace, enumerate_plans, validate_plan
+from divplan.core import Fluent, Plan, PlanTrace, validate_plan
 from divplan.ltl import Always, Atom, Eventually, parse_formula
 from divplan.pddl import ground, load_domain, load_problem_file
+from oracles import enumerate_plans
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "divplan", "domains", "data")
 

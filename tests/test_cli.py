@@ -601,6 +601,27 @@ def test_render_refuses_an_illegal_plan(tmp_path, capsys, domain, labels):
     assert str(report) in err and "plan 0 step 10" in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda plan: ["fly-to-the-moon"], "unknown action 'fly-to-the-moon'"),
+        (lambda plan: plan[:-1], "does not satisfy the goal"),
+    ],
+    ids=["unknown-label", "truncated"],
+)
+def test_render_refuses_a_story_plan_that_does_not_replay(
+    story_report, capsys, edit, message
+):
+    doc = json.loads(story_report.read_text())
+    doc["result"]["plans"][0] = edit(doc["result"]["plans"][0])
+    story_report.write_text(json.dumps(doc))
+    code = run("render", str(story_report))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(story_report) in err and "plan 0: " in err and message in err
+
+
 def test_render_rejects_unbundled_source(tmp_path, capsys):
     src = tmp_path / "prob.json"
     src.write_text(json.dumps(SOLVABLE))
@@ -656,6 +677,57 @@ def test_same_seed_same_bytes(tmp_path):
     assert run(*argv, "--out", str(a)) == EXIT_OK
     assert run(*argv, "--out", str(b)) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+# tests/golden/<name>.json -> (domain, backend, k) of the run that wrote it.
+# A change that alters a report on purpose regenerates its file and names
+# the witness that changed; urban k=12 is left out for its run time.
+GOLDEN_RUNS = {
+    "story-sat-k3": ("story", "sat", "3"),
+    "story-tiny-sat-k60": ("story-tiny", "sat", "60"),
+    "platformer-k2": ("platformer", "search", "2"),
+    "urban-k2": ("urban", "search", "2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_bundled_reports_match_the_golden_bytes(tmp_path, name):
+    domain, backend, k = GOLDEN_RUNS[name]
+    out = tmp_path / "report.json"
+    argv = ("plan", "--domain", domain, "--backend", backend, "--k", k)
+    assert run(*argv, "--out", str(out)) == EXIT_OK
+    with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+SRC_ALONE = """\
+import os, pkgutil, sys
+sys.path.insert(0, {src!r})
+import divplan
+for module in pkgutil.walk_packages(divplan.__path__, "divplan."):
+    __import__(module.name)
+from divplan import cli
+code = cli.main(["plan", "--domain", "story-tiny", "--backend", "sat", "--k", "3"])
+outside = sorted(
+    name for name, module in sys.modules.items()
+    if os.path.realpath(getattr(module, "__file__", None) or "").startswith(
+        os.path.join({tests!r}, "")
+    )
+)
+sys.exit(f"modules from tests/: {{outside}}" if outside else code)
+"""
+
+
+def test_src_runs_without_the_tests_directory(tmp_path):
+    tests = os.path.dirname(os.path.realpath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", SRC_ALONE.format(src=src, tests=tests)],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["result"]["bdc"] == 3
 
 
 def test_console_script_help():

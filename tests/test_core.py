@@ -14,11 +14,11 @@ from divplan.core import (
     Plan,
     applicable,
     apply,
-    enumerate_plans,
     load_problem,
     problem_from_json,
     validate_plan,
 )
+from oracles import enumerate_plans
 
 
 def fl(text):

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from divplan.bspace import bdc, bin_label, DEFAULT_BINS
-from divplan.core import enumerate_plans, validate_plan
+from divplan.core import validate_plan
 from divplan.domains import get_domain, BUNDLED
 from divplan.domains.platformer import (
     ACTIONS,
@@ -20,7 +20,6 @@ from divplan.domains.platformer import (
     platformer_step,
 )
 from divplan.domains.story import story_pack, tiny_story_pack
-from divplan.domains.tiny import choice_problem, endings_space, toggle_problem
 from divplan.domains.urban import (
     ATOMS,
     DEFAULT_BUDGET as URBAN_BUDGET,
@@ -36,6 +35,7 @@ from divplan.domains.urban import (
     urban_space,
     urban_step,
 )
+from oracles import choice_problem, endings_space, enumerate_plans, toggle_problem
 
 
 def grid(rows, counter=0):

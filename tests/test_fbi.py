@@ -12,23 +12,23 @@ from divplan.core import (
     GeneratorTimeout,
     Plan,
     PlanTrace,
-    enumerate_plans,
     validate_plan,
 )
 from divplan.domains.story import tiny_story_pack
-from divplan.domains.tiny import (
-    CorridorSimulator,
-    choice_problem,
-    corridor_space,
-    endings_space,
-    toggle_problem,
-)
 from divplan.fbi import EXHAUSTED, INCONCLUSIVE, REACHED_K, FbiResult, fbi
 from divplan.satplan import behaviour_generator_sat, plan_generator_sat
 from divplan.searchplan import (
     SearchConfig,
     behaviour_generator_ltl,
     plan_generator_ltl,
+)
+from oracles import (
+    CorridorSimulator,
+    choice_problem,
+    corridor_space,
+    endings_space,
+    enumerate_plans,
+    toggle_problem,
 )
 
 HORIZONS = range(0, 7)  # keeps the SAT backend within the oracle's reach

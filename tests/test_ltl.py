@@ -18,7 +18,6 @@ from divplan.ltl import (
     atoms,
     eval_finite,
     final_eval,
-    format_formula,
     mk_and,
     mk_not,
     mk_or,
@@ -26,6 +25,7 @@ from divplan.ltl import (
     parse_formula,
     progress,
 )
+from oracles import format_formula, truth_vector
 
 A, B = Atom("a"), Atom("b")
 
@@ -166,6 +166,15 @@ def test_eval_matches_oracle_exhaustive_depth2():
     for f in formulas_to_depth(2):
         for t in traces:
             assert eval_finite(f, t) == oracle_eval(f, t), (format_formula(f), t)
+
+
+def test_eval_matches_the_truth_vectors_it_replaced():
+    # position i of a trace is position 0 of its suffix from i
+    traces = all_traces(4)
+    for f in formulas_to_depth(2):
+        for t in traces:
+            got = [eval_finite(f, t[i:]) for i in range(len(t))]
+            assert got == truth_vector(f, t), (format_formula(f), t)
 
 
 def test_eventually_always_is_last_state_for_atoms():

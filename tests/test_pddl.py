@@ -3,7 +3,7 @@ import os
 import pytest
 
 from divplan import pddl
-from divplan.core import Fluent, enumerate_plans
+from divplan.core import Fluent
 from divplan.pddl import (
     GoalAnd,
     GoalAtom,
@@ -21,6 +21,7 @@ from divplan.pddl import (
     parse_domain,
     parse_problem,
 )
+from oracles import enumerate_plans
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "divplan", "domains", "data")
 

@@ -25,12 +25,10 @@ from divplan.core import (
     GroundAction,
     GroundProblem,
     Plan,
-    enumerate_plans,
     validate_plan,
 )
 from divplan.cli import EXIT_USAGE, main
 from divplan.domains import get_domain
-from divplan.domains.tiny import choice_problem
 from divplan.fbi import fbi
 from divplan.ltl import TRUE
 from divplan.pddl import ground, load_domain, load_problem_file, parse_problem
@@ -48,7 +46,6 @@ from divplan.satplan import (
     forbid_behaviour,
     forbid_plan,
     generators,
-    parse_dimacs,
     parse_solver_output,
     plan_generator_sat,
     solve,
@@ -56,6 +53,7 @@ from divplan.satplan import (
     solve_task,
     to_dimacs,
 )
+from oracles import choice_problem, enumerate_plans, parse_dimacs
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "divplan", "domains", "data")
 
@@ -758,8 +756,9 @@ def test_parse_solver_output():
 STUB_SOLVER = textwrap.dedent(
     """\
     import sys
-    sys.path.insert(0, {src!r})
-    from divplan.satplan.solver import parse_dimacs, solve
+    sys.path[:0] = [{src!r}, {tests!r}]
+    from divplan.satplan.solver import solve
+    from oracles import parse_dimacs
     num_vars, clauses = parse_dimacs(open(sys.argv[1]).read())
     model = solve(clauses, num_vars)
     if model is None:
@@ -775,9 +774,10 @@ STUB_SOLVER = textwrap.dedent(
 
 @pytest.fixture
 def stub_solver_cmd(tmp_path):
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(tests, "..", "src")
     script = tmp_path / "stub_solver.py"
-    script.write_text(STUB_SOLVER.format(src=os.path.abspath(src)))
+    script.write_text(STUB_SOLVER.format(src=os.path.abspath(src), tests=tests))
     return f"{sys.executable} {script}"
 
 

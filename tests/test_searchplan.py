@@ -19,11 +19,6 @@ from divplan.domains.platformer import (
     parse_level,
     platformer_space,
 )
-from divplan.domains.tiny import (
-    CorridorSimulator,
-    corridor_space,
-    toggle_problem,
-)
 from divplan.domains.urban import (
     CELL_CODES,
     UrbanGrid,
@@ -40,6 +35,7 @@ from divplan.searchplan import (
     constrained_search,
     plan_generator_ltl,
 )
+from oracles import CorridorSimulator, corridor_space, toggle_problem
 
 END = parse_formula("F at-end")
 KEY = parse_formula("F has-key")
