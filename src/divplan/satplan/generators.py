@@ -1,7 +1,7 @@
 """SAT-backed behaviour and plan generators.
 
-Both generators run one loop over an ascending horizon range. Each horizon is
-encoded afresh and carries the caller's forbidding clauses, so a plan of
+Both generators run one loop over an ascending horizon range. Each horizon
+has its own base encoding plus the caller's forbidding clauses, so a plan of
 length h is found at horizon h, never as a padded longer model.
 
 Forbidding clauses only remove models, so a horizon proved UNSAT under a set
@@ -11,9 +11,16 @@ was proved UNSAT under. A call skips a horizon whose record holds a subset of
 its own clauses, without encoding or solving it. Behaviour clauses (goal
 fluents at the last step) and plan clauses (action variables) never coincide,
 so a set recorded by one generator closes a horizon for the other only when
-it is empty, i.e. when the base encoding itself is UNSAT. The record is keyed
-by object identity and dies with its problem; a budget run-out records
-nothing, so the answers are those of fresh calls, in any call order.
+it is empty, i.e. when the base encoding itself is UNSAT.
+
+The same record keeps one live built-in solver per (generator, horizon) that
+last answered SAT, with the forbidding clauses loaded into it. A call whose
+clauses include those adds only the missing ones and solves again, keeping
+the learned clauses; any other call encodes the horizon afresh. A definitive
+UNSAT or a budget run-out drops the solver, and a run-out records nothing.
+The external solver is always called one-shot. The record is keyed by object
+identity and dies with its problem, so a fresh problem object plans as a
+first call does.
 """
 
 from __future__ import annotations
@@ -37,21 +44,25 @@ from .encoding import (
     forbid_plan,
     solve_task,
 )
-from .solver import ResourceLimit
+from .solver import ResourceLimit, Solver, external_solver_command
 
 DEFAULT_HORIZONS = range(0, 21)
 
-# id(problem) -> {horizon: [forbidding clause sets it was proved UNSAT under]}
-_closed: dict = {}
+
+# id(problem) -> (closed, live); neither may hold the problem, or it would
+# never die:
+#   closed: horizon -> [forbidding clause sets it was proved UNSAT under]
+#   live: (generator, horizon) -> (Solver, the forbidding clause set loaded)
+_records: dict = {}
 
 
-def _closed_horizons(problem: GroundProblem) -> dict:
-    """The closed-horizon record of this problem object (not of equal ones)."""
+def _record(problem: GroundProblem) -> tuple:
+    """The (closed, live) record of this problem object (not of equal ones)."""
     key = id(problem)
-    if key not in _closed:
-        _closed[key] = {}
-        weakref.finalize(problem, _closed.pop, key, None)
-    return _closed[key]
+    if key not in _records:
+        _records[key] = ({}, {})
+        weakref.finalize(problem, _records.pop, key, None)
+    return _records[key]
 
 
 def _merged_assignment(space: BehaviourSpace, behaviour: Behaviour) -> Optional[dict]:
@@ -77,8 +88,37 @@ def _check_goal_assignment_space(space: BehaviourSpace) -> None:
             )
 
 
+def _solve_horizon(
+    live: dict,
+    key: tuple,
+    forbidding: CnfTask,
+    clause_set: frozenset,
+    max_conflicts: Optional[int],
+) -> Optional[list]:
+    """A model of the horizon's base encoding plus the forbidding clauses,
+    or None when UNSAT; the built-in solver stays live only after SAT."""
+    problem, h = forbidding.problem, forbidding.horizon
+    if external_solver_command() is not None:
+        task = encode(problem, h)
+        task.clauses.extend(forbidding.clauses)
+        return solve_task(task, max_conflicts=max_conflicts)
+    solver, loaded = live.pop(key, (None, None))
+    if solver is None or not loaded <= clause_set:
+        task = encode(problem, h)
+        solver = Solver(task.num_vars, task.clauses, phases=task.decision_phases())
+        loaded = frozenset()
+    for clause in forbidding.clauses:
+        if tuple(clause) not in loaded:
+            solver.add_clause(clause)
+    model = solver.solve(max_conflicts)
+    if model is not None:
+        live[key] = (solver, clause_set)
+    return model
+
+
 def _first_trace(
     problem: GroundProblem,
+    generator: str,
     horizon_range: Iterable[int],
     forbid: Callable[[CnfTask], None],
     check: Callable[[PlanTrace], None],
@@ -87,32 +127,31 @@ def _first_trace(
     """The first checked trace over the horizons within the problem's budget.
 
     At each horizon: let forbid build the caller's clauses, skip the horizon
-    if the problem's record closes it under a subset of them, else encode,
-    append them, solve, decode, replay the plan, and let check reject a trace
-    the forbidding clauses should have excluded. None when every horizon is
-    UNSAT.
+    if the problem's record closes it under a subset of them, else solve it,
+    decode, replay the plan, and let check reject a trace the forbidding
+    clauses should have excluded. None when every horizon is UNSAT.
     """
-    closed = _closed_horizons(problem)
+    closed, live = _record(problem)
     fluent_order = tuple(sorted(problem.fluents))
     for h in horizon_range:
         if problem.budget is not None and h > problem.budget:
             continue
-        # forbidding clauses need only the variable numbering, not the CNF
+        # forbidding clauses and decoding need only the variable numbering
         forbidding = CnfTask(problem, h, fluent_order)
         forbid(forbidding)
         clause_set = frozenset(map(tuple, forbidding.clauses))
         if any(unsat <= clause_set for unsat in closed.get(h, ())):
             continue
-        task = encode(problem, h)
-        task.clauses.extend(forbidding.clauses)
         try:
-            model = solve_task(task, max_conflicts=max_conflicts)
+            model = _solve_horizon(
+                live, (generator, h), forbidding, clause_set, max_conflicts
+            )
         except ResourceLimit as exc:
             raise GeneratorTimeout(str(exc)) from exc
         if model is None:
             closed.setdefault(h, []).append(clause_set)
             continue
-        trace = decode(model, task)
+        trace = decode(model, forbidding)
         if validate_plan(problem, trace.plan).states != trace.states:
             raise AssertionError(
                 "decoded state sequence disagrees with plan execution; "
@@ -163,7 +202,9 @@ def behaviour_generator_sat(
                 "behaviour-forbidding clauses are broken"
             )
 
-    return _first_trace(problem, horizon_range, forbid, check, max_conflicts)
+    return _first_trace(
+        problem, "behaviour", horizon_range, forbid, check, max_conflicts
+    )
 
 
 def plan_generator_sat(
@@ -198,4 +239,4 @@ def plan_generator_sat(
                 "plan-forbidding clauses are broken"
             )
 
-    return _first_trace(problem, horizon_range, forbid, check, max_conflicts)
+    return _first_trace(problem, "plan", horizon_range, forbid, check, max_conflicts)

@@ -32,7 +32,15 @@ class SolverBridgeError(SatError):
 
 
 class Solver:
-    """One-shot CDCL solver: construct with the full clause set, call solve().
+    """Incremental CDCL solver: construct with a clause set, call solve(),
+    then add clauses and solve again as often as needed.
+
+    Clauses are only ever added, so learned clauses, activities and saved
+    phases stay sound and carry over to the next solve(). add_clause() and
+    solve() return the search to decision level 0 themselves when a previous
+    solve() left it above; an UNSAT answer is final (`ok` turns False).
+    `conflicts` counts the latest solve() call, so `max_conflicts` is a
+    per-solve budget.
 
     - `val[lit]` is True, False or None; an assignment writes both `val[v]`
       and `val[-v]`, so a model is `val[:num_vars+1]`;
@@ -73,11 +81,13 @@ class Solver:
         for clause in clauses:
             self.add_clause(clause)
 
-    # -- clause loading (pre-search, decision level 0) --
+    # -- clause loading (at decision level 0, before or between solves) --
 
     def add_clause(self, lits: Sequence[int]) -> None:
         if not self.ok:
             return
+        if self.trail_lim:
+            self._backtrack(0)
         n = self.num_vars
         val = self.val
         seen = set()
@@ -247,8 +257,11 @@ class Solver:
 
         Raises ResourceLimit when the conflict budget runs out first.
         """
+        self.conflicts = 0
         if not self.ok:
             return None
+        if self.trail_lim:
+            self._backtrack(0)
         level = self.level
         restart_limit = 100.0
         since_restart = 0
@@ -258,6 +271,7 @@ class Solver:
                 self.conflicts += 1
                 since_restart += 1
                 if len(self.trail_lim) == 0:
+                    self.ok = False
                     return None
                 if max_conflicts is not None and self.conflicts > max_conflicts:
                     raise ResourceLimit(f"exceeded {max_conflicts} conflicts")

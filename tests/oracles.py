@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from divplan.bspace import BehaviourSpace, goal_endings_feature, ltl_feature
+from divplan.bspace import Behaviour, BehaviourSpace, goal_endings_feature, ltl_feature
 from divplan.core import (
     Fluent,
     GoalFormula,
@@ -172,6 +172,27 @@ def enumerate_plans(problem: GroundProblem, max_len: int) -> list[Plan]:
     extend([], problem.init)
     found.sort(key=lambda p: (len(p), [problem.actions.index(a) for a in p]))
     return found
+
+
+def goal_ending_cells(problem: GroundProblem, horizons) -> set:
+    """The cells of `goal_endings_feature(problem)` that plans of a length in
+    `horizons` reach: the goal-fluent ending of every goal state reachable in
+    exactly h steps, by breadth-first state enumeration."""
+    base = problem.goal.fluents()
+    lengths = set(horizons)
+    cells, layer = set(), {problem.init}
+    for depth in range(max(lengths) + 1):
+        if depth in lengths:
+            for state in layer:
+                if problem.goal.satisfied_by(state):
+                    cells.add(Behaviour((frozenset(base & state),)))
+        layer = {
+            apply(state, action)
+            for state in layer
+            for action in problem.actions
+            if applicable(state, action)
+        }
+    return cells
 
 
 # -- DIMACS reader (the program only writes DIMACS) --------------------------------

@@ -701,6 +701,16 @@ def test_bundled_reports_match_the_golden_bytes(tmp_path, name):
         assert out.read_bytes() == fh.read()
 
 
+def test_two_runs_in_one_process_write_the_same_report(tmp_path):
+    # criterion 9 with live SAT solvers: each run grounds its own problem, so
+    # nothing the first run's solvers learned reaches the second
+    argv = ("plan", "--domain", "story-tiny", "--backend", "sat", "--k", "60")
+    paths = [tmp_path / f"report-{i}.json" for i in range(2)]
+    for path in paths:
+        assert run(*argv, "--out", str(path)) == EXIT_OK
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 SRC_ALONE = """\
 import os, pkgutil, sys
 sys.path.insert(0, {src!r})

@@ -6,7 +6,7 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divplan.bspace import (
@@ -53,7 +53,7 @@ from divplan.satplan import (
     solve_task,
     to_dimacs,
 )
-from oracles import choice_problem, enumerate_plans, parse_dimacs
+from oracles import choice_problem, enumerate_plans, goal_ending_cells, parse_dimacs
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "divplan", "domains", "data")
 
@@ -508,9 +508,9 @@ def test_generator_timeout_from_conflict_budget():
     assert _labels(got) == _labels(want) is not None
 
 
-# -- closed horizons -------------------------------------------------------------
+# -- closed horizons and live solvers --------------------------------------------
 # The reference is the fresh path: every call gets its own copy of the problem,
-# so its closed-horizon record is empty and every horizon is solved.
+# so its record is empty and every horizon is encoded and solved from scratch.
 
 
 def _tiny_cut(cast, lamp):
@@ -556,11 +556,27 @@ def _labels(trace):
     ids=["cut-cap-6", "cut-cap-7", "two-switch", "toggle"],
 )
 def test_closed_horizons_keep_fbi_results(make, horizons, k):
+    # learned clauses and saved phases may pick other witnesses, so the runs
+    # agree on what any correct run must: counts, and the cells once exhausted
     problem = make()
-    recorded = fbi(k, *_generator_pair(problem, horizons, fresh=False))
+    space = BehaviourSpace((goal_endings_feature(problem),))
+    live = fbi(k, *_generator_pair(problem, horizons, fresh=False))
     fresh = fbi(k, *_generator_pair(problem, horizons, fresh=True))
-    assert recorded.to_json() == fresh.to_json()
-    assert recorded.bdc >= 1
+    assert live.termination == fresh.termination
+    assert live.bdc == fresh.bdc >= 1
+    assert len(live.plans) == len(fresh.plans)
+    if live.bdc < k:  # loop one ran out of behaviours
+        cells = set(live.behaviours[: live.bdc])
+        assert cells == set(fresh.behaviours[: fresh.bdc])
+        assert cells == goal_ending_cells(problem, horizons)
+    for result in (live, fresh):
+        labels = [trace.plan.labels() for trace in result.plans]
+        assert len(set(labels)) == len(labels)
+        for trace, behaviour in zip(result.plans, result.behaviours):
+            actions = tuple(problem.action(label) for label in trace.plan.labels())
+            replayed = validate_plan(problem, Plan(actions))
+            assert replayed.states == trace.states
+            assert pbehaviour(space, replayed) == behaviour
 
 
 def test_closed_horizons_answer_non_extending_calls_freshly():
@@ -589,24 +605,18 @@ def test_closed_horizons_answer_non_extending_calls_freshly():
 def test_each_generator_proves_each_horizon_unsat_at_most_once(monkeypatch):
     problem = _fresh_tiny_story()
     space, bgen, pgen = _generator_pair(problem, range(0, 6), fresh=False)
-    current = []
     unsat = {"behaviour": [], "plan": []}
 
-    def logged(kind, generator):
-        def call(arg):
-            current[:] = [kind]
-            return generator(arg)
-        return call
-
-    def solve_task(task, **options):
-        model = real_solve_task(task, **options)
+    def solve_horizon(live, key, *args):
+        model = real_solve_horizon(live, key, *args)
         if model is None:
-            unsat[current[0]].append(task.horizon)
+            generator, horizon = key
+            unsat[generator].append(horizon)
         return model
 
-    real_solve_task = generators.solve_task
-    monkeypatch.setattr(generators, "solve_task", solve_task)
-    result = fbi(500, space, logged("behaviour", bgen), logged("plan", pgen))
+    real_solve_horizon = generators._solve_horizon
+    monkeypatch.setattr(generators, "_solve_horizon", solve_horizon)
+    result = fbi(500, space, bgen, pgen)
     assert result.termination == "behaviours-exhausted-then-plans-exhausted"
     assert len(result.plans) > 100
     for kind, horizons in unsat.items():
@@ -620,14 +630,17 @@ def test_each_generator_proves_each_horizon_unsat_at_most_once(monkeypatch):
 def test_closed_horizon_record_dies_with_its_problem():
     problem = _fresh_tiny_story()
     space = BehaviourSpace((goal_endings_feature(problem),))
-    assert behaviour_generator_sat(problem, space, (), range(0, 4)) is not None
+    trace = behaviour_generator_sat(problem, space, (), range(0, 4))
+    assert len(trace.plan) == 3
     key = id(problem)
-    assert generators._closed[key]  # horizons 0-2 are closed
+    closed, live = generators._records[key]
+    assert set(closed) == {0, 1, 2}
+    assert set(live) == {("behaviour", 3)}  # the solver that found it
     twin = copy.copy(problem)
-    assert twin == problem and id(twin) not in generators._closed
-    del problem
+    assert twin == problem and id(twin) not in generators._records
+    del problem, closed, live, trace
     gc.collect()
-    assert key not in generators._closed
+    assert key not in generators._records
 
 
 # -- solver --------------------------------------------------------------------
@@ -698,6 +711,13 @@ def test_learned_clauses_survive_restarts():
     assert solver.conflicts > 100
 
 
+def _brute_sat(num_vars, clauses):
+    return any(
+        all(any((mask >> (abs(l) - 1) & 1) == (l > 0) for l in clause) for clause in clauses)
+        for mask in range(2**num_vars)
+    )
+
+
 @given(
     st.integers(1, 5).flatmap(
         lambda n: st.tuples(
@@ -711,20 +731,50 @@ def test_learned_clauses_survive_restarts():
                 max_size=12,
             ),
         )
-    )
+    ),
+    st.integers(0, 2**12 - 1),
 )
+# units queued at level 0 after a SAT solve: each must propagate
+@example((2, [[1, 2], [-1], [-2]]), 0b1)
+@example((3, [[1, 2], [2, 3], [-2], [-3]]), 0b10)
+# a unit that flips the previous model's decision
+@example((3, [[-1, 2], [-2, 3], [1], [-3]]), 0b10)
 @settings(max_examples=150, deadline=None)
-def test_solver_agrees_with_truth_table(case):
+def test_solver_agrees_with_truth_table(case, solve_after):
     num_vars, clauses = case
     model = solve(clauses, num_vars)
-    brute = any(
-        all(any((mask >> (abs(l) - 1) & 1) == (l > 0) for l in clause) for clause in clauses)
-        for mask in range(2**num_vars)
-    )
+    brute = _brute_sat(num_vars, clauses)
     assert (model is not None) == brute
     if model is not None:
         for clause in clauses:
             assert any(model[abs(l)] == (l > 0) for l in clause)
+    # the same clauses into one live solver, solving after clause i when bit
+    # i of solve_after is set and after the last one
+    live = Solver(num_vars)
+    for i, clause in enumerate(clauses):
+        live.add_clause(clause)
+        if solve_after >> i & 1 or i == len(clauses) - 1:
+            model = live.solve()
+            assert (model is not None) == _brute_sat(num_vars, clauses[: i + 1])
+            if model is None:
+                assert not live.ok
+                continue
+            for earlier in clauses[: i + 1]:
+                assert any(model[abs(l)] == (l > 0) for l in earlier)
+
+
+def test_conflict_budget_is_per_solve():
+    num_vars, clauses = pigeonhole(7, 6)  # UNSAT after 789 conflicts
+    s = num_vars + 1  # a selector that satisfies every clause
+    solver = Solver(s, [clause + [s] for clause in clauses])
+    assert solver.solve() is not None
+    solver.add_clause([-s])
+    for budget in (100, 0, 57):
+        with pytest.raises(ResourceLimit):
+            solver.solve(max_conflicts=budget)
+        assert solver.conflicts == budget + 1  # counted within this call
+    assert solver.solve() is None
+    assert not solver.ok and solver.solve() is None
 
 
 # -- DIMACS and the external bridge ---------------------------------------------

@@ -6,6 +6,10 @@ and read through `_value`, watch lists in a dict rebuilt per falsified
 literal, and a trail popped one literal at a time. The two must follow the
 same search, so every model, every conflict count and the conflict at which
 a budget runs out are compared for equality, not just satisfiability.
+
+A live `Solver` that gets clauses between solves keeps its learned clauses
+and phases, so its search differs from a fresh one; there the reference
+gives only the SAT/UNSAT answer on the cumulative clauses.
 """
 
 import os
@@ -357,6 +361,47 @@ def test_same_search_on_story_tiny(horizon):
 @pytest.mark.parametrize("horizon", range(0, 4))
 def test_same_search_on_aladdin(horizon):
     outcomes = fbi_rounds(aladdin(), horizon, rounds=4)
+    assert (outcomes[0] is None) == (horizon < 3)
+
+
+def incremental_fbi_rounds(problem, horizon, rounds):
+    """fbi_rounds on one live solver: each forbidding clause is added after
+    the solve that found its plan. Every answer must be the fresh reference's
+    on the same cumulative clauses, and every model must satisfy them all."""
+    task = encode(problem, horizon)
+    phases = task.decision_phases()
+    live = Solver(task.num_vars, task.clauses, phases=phases)
+    goal_fluents = sorted(problem.goal.fluents())
+    outcomes = []
+    for step in range(rounds):
+        model = live.solve()
+        expected = ReferenceSolver(task.num_vars, task.clauses, phases=phases).solve()
+        assert (model is None) == (expected is None)
+        outcomes.append(model)
+        if model is None:
+            break
+        for clause in task.clauses:
+            assert any(model[abs(lit)] == (lit > 0) for lit in clause)
+        trace = decode(model, task)
+        if step % 3 == 2 or horizon == 0:
+            clause = forbid_behaviour(
+                task, {f: f in trace.final_state for f in goal_fluents}
+            )
+        else:
+            clause = forbid_plan(task, trace.plan)
+        live.add_clause(clause)
+    return outcomes
+
+
+@pytest.mark.parametrize("horizon", range(0, 7))
+def test_live_solver_answers_on_story_tiny(horizon):
+    outcomes = incremental_fbi_rounds(tiny_story(), horizon, rounds=12)
+    assert outcomes[-1] is None or len(outcomes) == 12
+
+
+@pytest.mark.parametrize("horizon", range(0, 4))
+def test_live_solver_answers_on_aladdin(horizon):
+    outcomes = incremental_fbi_rounds(aladdin(), horizon, rounds=4)
     assert (outcomes[0] is None) == (horizon < 3)
 
 
