@@ -176,6 +176,25 @@ def urban_step(grid: UrbanGrid, action: str) -> UrbanGrid:
     return replace(grid, cells=tuple(cells), counter=grid.counter + 1)
 
 
+@lru_cache(maxsize=None)
+def _valuation(s_bin: str, d_bin: str, reached: bool) -> dict:
+    valuation = dict.fromkeys(ATOMS, False)
+    valuation[f"{s_bin}_S"] = True
+    valuation[f"{d_bin}_D"] = True
+    valuation["l-reached"] = reached
+    return valuation
+
+
+def _grid_valuation(grid: UrbanGrid, budget: int) -> dict:
+    # grids in the same two bins on the same side of the budget share one
+    # valuation dict, which keeps the memo small
+    return _valuation(
+        bin_label(DEFAULT_BINS, sustainability_score(grid)),
+        bin_label(DEFAULT_BINS, diversity_score(grid)),
+        grid.counter >= budget,
+    )
+
+
 class UrbanSimulator:
     """Search interface over grids: states are grids, actions are rules.
 
@@ -190,9 +209,8 @@ class UrbanSimulator:
         self.grid0 = grid0
         self.rules = RULES
         self.budget = budget
-        self._step = lru_cache(maxsize=None)(urban_step)
-        self._propositions = lru_cache(maxsize=None)(self._propositions_uncached)
-        self._valuation = lru_cache(maxsize=None)(self._valuation_uncached)
+        # over a module function, so the simulator is not in a reference cycle
+        self._propositions = lru_cache(maxsize=None)(_grid_valuation)
 
     def initial(self) -> UrbanGrid:
         return self.grid0
@@ -203,28 +221,12 @@ class UrbanSimulator:
         return [rule.action for rule in self.rules]
 
     def step(self, grid: UrbanGrid, action: str) -> UrbanGrid:
-        return self._step(grid, action)
-
-    def _propositions_uncached(self, grid: UrbanGrid) -> dict:
-        # grids in the same two bins on the same side of the budget share
-        # one valuation dict, which keeps the memo small
-        return self._valuation(
-            bin_label(DEFAULT_BINS, sustainability_score(grid)),
-            bin_label(DEFAULT_BINS, diversity_score(grid)),
-            grid.counter >= self.budget,
-        )
-
-    def _valuation_uncached(self, s_bin: str, d_bin: str, reached: bool) -> dict:
-        valuation = dict.fromkeys(ATOMS, False)
-        valuation[f"{s_bin}_S"] = True
-        valuation[f"{d_bin}_D"] = True
-        valuation["l-reached"] = reached
-        return valuation
+        return urban_step(grid, action)
 
     def propositions(self, grid: UrbanGrid) -> dict:
         """The grid's valuation, a dict shared with every caller and with
         grids in the same bins: read it, never mutate it."""
-        return self._propositions(grid)
+        return self._propositions(grid, self.budget)
 
     def is_goal(self, grid: UrbanGrid) -> bool:
         return grid.counter == self.budget

@@ -11,14 +11,22 @@ Formulas are interned to small ids, and progression is memoised on
 (residual id, valuation), so the sweep builds the finite-trace automaton of
 each target lazily (De Giacomo & Vardi, IJCAI 2013) and prunes with it as in
 formula-progression planning (Bacchus & Kabanza, AIJ 2000).
+
+Each simulator object has one record that outlives the calls on it and
+never holds the simulator. Its move table maps every state the search has
+expanded to its (action, successor, valuation) triples, so each transition
+is asked of the simulator once. Its plan walk is the plain tree walk of the
+last plan call, paused after the goal node it returned: the next call goes
+on from there instead of re-walking every plan it already passed.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Optional, Protocol, Sequence
 
 from .bspace import (
     Behaviour,
@@ -53,6 +61,9 @@ class Simulator(Protocol):
     the same observable future (propositions, goal status, transitions).
     `budget`, when set, caps plan length. Callers never mutate a valuation
     `propositions` returns, so a simulator may hand out one dict per state.
+    The search remembers what `legal_actions`, `step` and `propositions`
+    answered for a state for as long as the simulator object lives, so
+    those answers must not change while it does.
     """
 
     budget: Optional[int]
@@ -73,7 +84,9 @@ class SearchConfig:
     """How one search walks the tree.
 
     strategy is one of STRATEGIES; node_budget caps the expansions of one
-    search, which is one sweep over all its targets, so one generator call;
+    search, which is one sweep over all its targets, so one behaviour call;
+    a plan call counts the expansions of its walk from the root, so those of
+    the earlier calls it resumes count too;
     prune=False keeps monitor-violated branches (same answers, more nodes).
     seed is ignored (both strategies are deterministic); ROADMAP item 1
     step 3 removes it.
@@ -198,19 +211,56 @@ def _make_frontier(cfg: SearchConfig):
     return stack.append, stack.pop, stack
 
 
-def _search(
-    sim,
-    targets: Sequence[LtlFormula],
-    cfg: SearchConfig,
-    accept: Optional[Callable[[PlanTrace], bool]] = None,
-) -> SearchResult:
-    # with an accept filter the search walks the plain tree: a goal state
-    # reached again by another action sequence is another plan
-    deduplicate = accept is None
+class _Record:
+    """What one simulator object has shown the search.
+
+    moves: state -> ((action, successor, valuation), ...) in legal_actions
+    order; walk: the plan walk the last plan call paused, or None.
+    """
+
+    __slots__ = ("moves", "walk")
+
+    def __init__(self):
+        self.moves: dict = {}
+        self.walk: Optional[_PlanWalk] = None
+
+
+# id(sim) -> _Record; a record may not hold the simulator, or it would never die
+_records: dict = {}
+
+
+def _record(sim) -> _Record:
+    """The record of this simulator object (not of equal ones)."""
+    key = id(sim)
+    record = _records.get(key)
+    if record is None:
+        record = _Record()
+        try:
+            weakref.finalize(sim, _records.pop, key, None)
+        except TypeError:
+            return record  # no weak references: a record for this call only
+        _records[key] = record
+    return record
+
+
+def _moves(sim, table: dict, state) -> tuple:
+    """state's (action, successor, valuation) triples, asked of sim once."""
+    moves = table.get(state)
+    if moves is None:
+        moves = []
+        for action in sim.legal_actions(state):
+            succ = sim.step(state, action)
+            moves.append((action, succ, sim.propositions(succ)))
+        moves = table[state] = tuple(moves)
+    return moves
+
+
+def _search(sim, targets: Sequence[LtlFormula], cfg: SearchConfig) -> SearchResult:
     stats = SearchStats()
     depth_cap = getattr(sim, "budget", None)
     push, pop, frontier = _make_frontier(cfg)
     table = _Progression(targets)
+    transitions = _record(sim).moves
     # targets[:live] still lack a witness that beats the one already found
     live = len(targets)
     witness: Optional[PlanTrace] = None
@@ -230,39 +280,84 @@ def _search(
         stats.expanded += 1
 
         if True in sats[:live] and sim.is_goal(state):
-            trace = _trace(node)
-            if accept is None or accept(trace):
-                witness, live = trace, sats.index(True)
-                if live == 0:
-                    break
+            witness, live = _trace(node), sats.index(True)
+            if live == 0:
+                break
         residuals, sats = residuals[:live], sats[:live]
 
         if cfg.prune and not any(residuals) and not any(sats):
             stats.pruned += 1
             continue
-        if deduplicate:
-            seen_key = (state, residuals, sats)
-            seen = visited.get(seen_key)
-            if seen is not None and seen <= depth:
-                stats.deduplicated += 1
-                continue
-            visited[seen_key] = depth
+        seen_key = (state, residuals, sats)
+        seen = visited.get(seen_key)
+        if seen is not None and seen <= depth:
+            stats.deduplicated += 1
+            continue
+        visited[seen_key] = depth
         if depth_cap is not None and depth >= depth_cap:
             continue
 
-        children = []
-        for action in sim.legal_actions(state):
-            succ = sim.step(state, action)
-            valuation = sim.propositions(succ)
-            children.append(
-                (succ, node, action, valuation, depth + 1,
-                 *table.advance(residuals, valuation))
-            )
+        children = [
+            (succ, node, action, valuation, depth + 1,
+             *table.advance(residuals, valuation))
+            for action, succ, valuation in _moves(sim, transitions, state)
+        ]
         if cfg.strategy == "depth-first":
             children.reverse()  # so the first legal action is explored first
         for child in children:
             push(child)
     return SearchResult(witness, stats, None if witness is None else live)
+
+
+class _PlanWalk:
+    """A plain tree walk (distinct action sequences are distinct plans)
+    that pauses after each goal node it hands out.
+
+    A goal node's children are pushed before the node is handed out, so the
+    walk goes on exactly where a fresh walk that rejected the node would.
+    `expanded` counts from the root; `passed` holds the plan of every goal
+    node popped so far.
+    """
+
+    def __init__(self, sim, cfg: SearchConfig):
+        self.cfg = cfg
+        self.push, self.pop, self.frontier = _make_frontier(cfg)
+        self.expanded = 0
+        self.passed: set = set()
+        init = sim.initial()
+        self.push((init, None, None, sim.propositions(init), 0))
+
+    def next_fresh(self, sim, transitions: dict, seen: set) -> Optional[PlanTrace]:
+        """The next goal trace whose plan is not in seen, or None."""
+        depth_cap = getattr(sim, "budget", None)
+        while self.frontier:
+            if self.expanded >= self.cfg.node_budget:
+                raise GeneratorTimeout(
+                    "node budget exhausted before a further plan could be "
+                    "found or ruled out"
+                )
+            node = self.pop()
+            self.expanded += 1
+            state, depth = node[0], node[4]
+            fresh = None
+            if sim.is_goal(state):
+                trace = _trace(node)
+                labels = trace.plan.labels()
+                self.passed.add(labels)
+                if labels not in seen:
+                    fresh = trace
+            if depth_cap is None or depth < depth_cap:
+                children = [
+                    (succ, node, action, valuation, depth + 1)
+                    for action, succ, valuation in _moves(sim, transitions, state)
+                ]
+                if self.cfg.strategy == "depth-first":
+                    children.reverse()
+                for child in children:
+                    self.push(child)
+            if fresh is not None:
+                return fresh
+        return None
 
 
 def constrained_search(
@@ -338,22 +433,21 @@ def plan_generator_ltl(
     existing_plans: Iterable[Plan],
     cfg: SearchConfig,
 ) -> Optional[PlanTrace]:
-    """A goal-reaching trace whose action sequence is new, or None.
+    """The first goal-reaching trace, in walk order, whose action sequence
+    is new, or None.
 
     Pure tree search (no duplicate-state merging): distinct action sequences
-    through the same states are distinct plans here.
+    through the same states are distinct plans here. A call resumes the walk
+    the last call on this simulator object paused, when its cfg is equal and
+    existing_plans covers every plan that walk passed, as in `fbi`, whose
+    plan list only grows; any other call, and any call after one that
+    raised, walks from the root. Both give the same answer.
     """
     seen = {plan.labels() for plan in existing_plans}
-
-    def accept(trace: PlanTrace) -> bool:
-        return trace.plan.labels() not in seen
-
-    result = _search(sim, (TRUE,), cfg, accept)
-    if result.trace is not None:
-        return result.trace
-    if not result.definitive:
-        raise GeneratorTimeout(
-            "node budget exhausted before a further plan could be found "
-            "or ruled out"
-        )
-    return None
+    record = _record(sim)
+    walk, record.walk = record.walk, None  # an exception drops the walk
+    if walk is None or walk.cfg != cfg or not walk.passed <= seen:
+        walk = _PlanWalk(sim, cfg)
+    trace = walk.next_fresh(sim, record.moves, seen)
+    record.walk = walk
+    return trace

@@ -9,15 +9,18 @@ checked against.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from divplan.bspace import Behaviour, BehaviourSpace, goal_endings_feature, ltl_feature
 from divplan.core import (
     Fluent,
+    GeneratorTimeout,
     GoalFormula,
     GroundAction,
     GroundProblem,
     Plan,
+    PlanTrace,
     State,
     applicable,
     apply,
@@ -193,6 +196,42 @@ def goal_ending_cells(problem: GroundProblem, horizons) -> set:
             if applicable(state, action)
         }
     return cells
+
+
+# -- the plan walk, one fresh walk per call ----------------------------------------
+
+
+def per_call_plan_generator(sim, existing_plans, cfg):
+    """`searchplan.plan_generator_ltl` as it was before its walk resumed: a
+    plain tree walk from the root on every call that asks the simulator for
+    every transition, returns the first goal trace whose plan is not in
+    existing_plans, and counts its expansions against cfg.node_budget."""
+    seen = {plan.labels() for plan in existing_plans}
+    depth_cap = getattr(sim, "budget", None)
+    init = sim.initial()
+    frontier = deque([((), (init,), (sim.propositions(init),))])
+    pop = frontier.popleft if cfg.strategy == "breadth-first" else frontier.pop
+    expanded = 0
+    while frontier:
+        if expanded >= cfg.node_budget:
+            raise GeneratorTimeout("node budget exhausted")
+        actions, states, valuations = pop()
+        expanded += 1
+        if sim.is_goal(states[-1]) and Plan(actions).labels() not in seen:
+            return PlanTrace(Plan(actions), states, valuations)
+        if depth_cap is not None and len(actions) >= depth_cap:
+            continue
+        children = []
+        for action in sim.legal_actions(states[-1]):
+            succ = sim.step(states[-1], action)
+            children.append(
+                (actions + (action,), states + (succ,),
+                 valuations + (sim.propositions(succ),))
+            )
+        if cfg.strategy == "depth-first":
+            children.reverse()  # so the first legal action is explored first
+        frontier.extend(children)
+    return None
 
 
 # -- DIMACS reader (the program only writes DIMACS) --------------------------------

@@ -733,7 +733,7 @@ def test_src_runs_without_the_tests_directory(tmp_path):
     tests = os.path.dirname(os.path.realpath(__file__))
     src = os.path.join(os.path.dirname(tests), "src")
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", SRC_ALONE.format(src=src, tests=tests)],
+        [sys.executable, "-I", "-B", "-c", SRC_ALONE.format(src=src, tests=tests)],
         cwd=tmp_path, capture_output=True, text=True,
     )
     assert proc.returncode == EXIT_OK, proc.stderr

@@ -1,9 +1,14 @@
+import gc
 import itertools
 import random
+import weakref
+from collections import Counter
+from dataclasses import dataclass
 from functools import partial
 
 import pytest
 
+from divplan import searchplan
 from divplan.bspace import (
     BehaviourSpace,
     SpaceConfigError,
@@ -35,7 +40,12 @@ from divplan.searchplan import (
     constrained_search,
     plan_generator_ltl,
 )
-from oracles import CorridorSimulator, corridor_space, toggle_problem
+from oracles import (
+    CorridorSimulator,
+    corridor_space,
+    per_call_plan_generator,
+    toggle_problem,
+)
 
 END = parse_formula("F at-end")
 KEY = parse_formula("F has-key")
@@ -228,6 +238,13 @@ def test_plan_generator_is_deterministic():
 # -- the sweep against the per-cell search it replaced ---------------------------
 
 
+def cell_target(space, cell):
+    target = TRUE
+    for feature, value in zip(space.features, cell):
+        target = mk_and(target, feature.expression.formula_for(value))
+    return target
+
+
 def per_cell_generator(sim, space, found_behaviours, cfg):
     """One single-target search per open cell, in cell order."""
     found = set(found_behaviours)
@@ -235,10 +252,7 @@ def per_cell_generator(sim, space, found_behaviours, cfg):
     for cell in enumerate_cells(space):
         if cell in found:
             continue
-        target = TRUE
-        for feature, value in zip(space.features, cell):
-            target = mk_and(target, feature.expression.formula_for(value))
-        result = constrained_search(sim, (target,), cfg)
+        result = constrained_search(sim, (cell_target(space, cell),), cfg)
         if result.trace is not None:
             return result.trace
         inconclusive = inconclusive or not result.definitive
@@ -361,3 +375,209 @@ def test_spent_node_budget_still_returns_a_realised_cell():
     assert pbehaviour(space, later).values == ("without-key",)
     first = behaviour_generator_ltl(sim, space, set(), cfg(node_budget=10))
     assert pbehaviour(space, first).values == ("with-key",)
+
+
+# -- the resumable plan walk against one fresh walk per call ----------------------
+
+
+def plan_answers(generator, sim, config, calls, existing=()):
+    """Each of `calls` answers to fbi-style calls whose plan list starts as
+    existing and grows by every answer; a timeout is the answer "timeout"."""
+    plans, answers = list(existing), []
+    for _ in range(calls):
+        try:
+            trace = generator(sim, tuple(plans), config)
+        except GeneratorTimeout:
+            answers.append("timeout")
+            continue
+        answers.append(trace)
+        if trace is not None:
+            plans.append(trace.plan)
+    return answers
+
+
+WALK_CASES = {
+    "corridor": lambda: CorridorSimulator(),
+    "corridor-7": lambda: CorridorSimulator(budget=7),
+    "urban-3x3": lambda: urban_simulator(seeded_grid(1, side=3), budget=3),
+    "urban-4x4": lambda: urban_simulator(seeded_grid(2, side=4), budget=3),
+}
+
+
+@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_resumed_plan_walk_matches_a_fresh_walk_per_call(case, strategy):
+    config = cfg(strategy=strategy)
+    reference = plan_answers(per_call_plan_generator, WALK_CASES[case](), config, 60)
+    assert plan_answers(plan_generator_ltl, WALK_CASES[case](), config, 60) == reference
+    # fbi's loop two starts from the plans loop one found, anywhere in the walk
+    existing = [t.plan for t in reference[1:12:3] if t is not None]
+    assert plan_answers(
+        plan_generator_ltl, WALK_CASES[case](), config, 20, existing
+    ) == plan_answers(per_call_plan_generator, WALK_CASES[case](), config, 20, existing)
+
+
+@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
+@pytest.mark.parametrize("node_budget", [1, 3, 4, 9, 20, 45, 120])
+@pytest.mark.parametrize("case", ["corridor-7", "urban-3x3"])
+def test_plan_walk_times_out_on_the_same_call(case, node_budget, strategy):
+    config = cfg(strategy=strategy, node_budget=node_budget)
+    answers = plan_answers(plan_generator_ltl, WALK_CASES[case](), config, 25)
+    reference = plan_answers(per_call_plan_generator, WALK_CASES[case](), config, 25)
+    assert answers == reference
+
+
+def test_plan_walk_restarts_on_a_plan_list_that_does_not_extend():
+    sim = urban_simulator(seeded_grid(1, side=3), budget=3)
+    reference = urban_simulator(seeded_grid(1, side=3), budget=3)
+    config = cfg()
+    first = plan_answers(plan_generator_ltl, sim, config, 6)
+    # a shorter list, then one missing a plan the walk passed in the middle
+    for existing in ([], [first[0].plan], [t.plan for t in first if t is not first[2]]):
+        assert plan_generator_ltl(sim, existing, config) == per_call_plan_generator(
+            reference, existing, config
+        )
+
+
+def test_plan_walk_restarts_on_a_changed_config():
+    sim, reference = CorridorSimulator(budget=7), CorridorSimulator(budget=7)
+    plans = [t.plan for t in plan_answers(plan_generator_ltl, sim, cfg(), 4)]
+    for config in (cfg(strategy="depth-first"), cfg(node_budget=50), cfg()):
+        assert plan_generator_ltl(sim, plans, config) == per_call_plan_generator(
+            reference, plans, config
+        )
+
+
+class Counting:
+    """A simulator wrapper that counts the step and is_goal calls made."""
+
+    def __init__(self, sim):
+        self.sim, self.steps, self.goal_tests = sim, Counter(), 0
+
+    def step(self, state, action):
+        self.steps[state, action] += 1
+        return self.sim.step(state, action)
+
+    def is_goal(self, state):
+        self.goal_tests += 1
+        return self.sim.is_goal(state)
+
+    def __getattr__(self, name):
+        return getattr(self.sim, name)
+
+
+def test_resumed_walk_visits_each_tree_node_once():
+    sim = Counting(CorridorSimulator(budget=6))
+    answers = plan_answers(plan_generator_ltl, sim, cfg(), 100)
+    assert answers[-1] is None
+    fresh = Counting(CorridorSimulator(budget=6))
+    assert plan_answers(per_call_plan_generator, fresh, cfg(), 100) == answers
+    # the per-call walk goes over the tree again on every call
+    assert sim.goal_tests < fresh.goal_tests / 10
+    assert max(sim.steps.values()) == 1
+
+
+@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
+def test_sweeps_are_the_same_after_earlier_calls_on_the_simulator(strategy):
+    config = cfg(strategy=strategy)
+    space = route_space()
+    cells = list(enumerate_cells(space))
+    used = Counting(CorridorSimulator(budget=7))
+    run_fbi(behaviour_generator_ltl, used, space, 8, config)
+    for sweep in (cells, cells[1:], cells[::-1]):
+        targets = tuple(cell_target(space, cell) for cell in sweep)
+        again = constrained_search(used, targets, config)
+        assert again == constrained_search(CorridorSimulator(budget=7), targets, config)
+    assert max(used.steps.values()) == 1
+
+
+def test_step_runs_once_per_transition_over_an_fbi_run():
+    sim, space, _ = urban_case(seeded_grid(3, side=4), 3)
+    counted = Counting(sim)
+    result = run_fbi(behaviour_generator_ltl, counted, space, space.size, cfg())
+    fresh = urban_simulator(seeded_grid(3, side=4), budget=3)
+    assert result == run_fbi(behaviour_generator_ltl, fresh, space, space.size, cfg())
+    assert len(result.plans) > result.bdc  # the plan walk ran too
+    assert max(counted.steps.values()) == 1
+
+
+# -- the per-simulator record ------------------------------------------------------
+
+
+def test_record_dies_with_its_simulator_without_the_cyclic_gc():
+    for make, space in (
+        (lambda: urban_simulator(seeded_grid(1, side=4), budget=3), urban_space()),
+        (CorridorSimulator, corridor_space()),
+    ):
+        records = len(searchplan._records)
+        gc.disable()
+        try:
+            sim = make()
+            result = run_fbi(behaviour_generator_ltl, sim, space, space.size + 3, cfg())
+            assert len(result.plans) > result.bdc  # the plan walk ran too
+            assert len(searchplan._records) == records + 1
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None
+            assert len(searchplan._records) == records
+        finally:
+            gc.enable()
+
+
+class SlottedCorridor:
+    """The corridor behind a simulator that cannot be weakly referenced."""
+
+    __slots__ = ("_sim",)
+
+    def __init__(self, budget=5):
+        self._sim = CorridorSimulator(budget=budget)
+
+    def __getattr__(self, name):
+        return getattr(self._sim, name)
+
+
+def test_simulator_without_weak_references_still_plans():
+    sim = SlottedCorridor()
+    with pytest.raises(TypeError):
+        weakref.ref(sim)
+    records = len(searchplan._records)
+    assert run_fbi(behaviour_generator_ltl, sim, corridor_space(), 9, cfg()) == run_fbi(
+        behaviour_generator_ltl, CorridorSimulator(), corridor_space(), 9, cfg()
+    )
+    assert len(searchplan._records) == records
+    answers = plan_answers(plan_generator_ltl, sim, cfg(), 8)
+    assert {t.plan.labels() for t in answers if t is not None} == CORRIDOR_PLANS
+
+
+@dataclass
+class FlakySimulator(CorridorSimulator):
+    """The corridor, whose step raises once: on call number fail_at."""
+
+    fail_at: int = 0
+    calls: int = 0
+
+    def step(self, state, action):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("the simulator failed once")
+        return super().step(state, action)
+
+
+@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
+def test_an_exception_mid_walk_drops_the_walk(strategy):
+    config = cfg(strategy=strategy)
+    reference = plan_answers(
+        per_call_plan_generator, CorridorSimulator(budget=7), config, 40
+    )
+    sim = FlakySimulator(budget=7)
+    plans = [plan_generator_ltl(sim, [], config).plan]
+    sim.fail_at = sim.calls + 1  # the next transition the walk asks for
+    with pytest.raises(RuntimeError):
+        while True:
+            plans.append(plan_generator_ltl(sim, plans, config).plan)
+    assert searchplan._record(sim).walk is None
+    assert [p.labels() for p in plans] == [
+        t.plan.labels() for t in reference[: len(plans)]
+    ]
+    later = plan_answers(plan_generator_ltl, sim, config, 40 - len(plans), plans)
+    assert later == reference[len(plans):]
