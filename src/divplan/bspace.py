@@ -10,13 +10,12 @@ behaviours in it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import Callable, Iterator, Optional, Sequence
 
-from .core import GroundProblem, PlanTrace, _field
+from .core import GroundProblem, PlanTrace, _field, read_json
 from .ltl import (
     Always,
     And,
@@ -429,12 +428,12 @@ def load_space(
 ) -> BehaviourSpace:
     """space_from_json over a file; a malformed file is a SpaceConfigError
     that names it."""
+    doc = read_json(path, SpaceConfigError)
     try:
-        with open(path) as fh:
-            return space_from_json(json.load(fh), problem=problem, scores=scores)
+        return space_from_json(doc, problem=problem, scores=scores)
     except KeyError as exc:
         raise SpaceConfigError(f"{path}: missing key {exc}") from exc
-    except (ValueError, LtlSyntaxError) as exc:  # JSON syntax, text, key types
+    except (ValueError, LtlSyntaxError) as exc:  # key types, formula syntax
         raise SpaceConfigError(f"{path}: {exc}") from exc
 
 

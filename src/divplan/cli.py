@@ -1,7 +1,8 @@
 """Command-line front end: plan, validate, render.
 
-`plan` runs the diverse-planning driver against either backend and writes a
-JSON report; `validate` replays plan files against a declarative problem;
+`plan` runs the diverse-planning driver with the backend its source implies
+(sat for a declarative problem, search for a simulator) and writes a JSON
+report; `validate` replays plan files against a declarative problem;
 `render` turns a report back into human-readable text (grids, level strips,
 narrative summaries). Reports are deterministic: same config, same bytes.
 """
@@ -21,6 +22,7 @@ from .core import (
     Plan,
     PlanningError,
     load_problem,
+    read_json,
     validate_plan,
 )
 from .domains import BUNDLED, get_domain
@@ -103,8 +105,8 @@ def _resolve_source(args) -> tuple:
     return problem, None, source
 
 
-def _check_backend(backend: str, subject) -> None:
-    declarative = isinstance(subject, GroundProblem)
+def _check_backend(backend: Optional[str], declarative: bool) -> None:
+    """A --backend that was given must be the one the source implies."""
     if backend == "sat" and not declarative:
         raise ConfigError(
             "the sat backend needs a declarative problem (PDDL, problem JSON, "
@@ -138,14 +140,15 @@ def _check_out(path: str) -> None:
 
 def cmd_plan(args) -> int:
     subject, space, source = _resolve_source(args)
-    _check_backend(args.backend, subject)
+    declarative = isinstance(subject, GroundProblem)
+    _check_backend(args.backend, declarative)
     if args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
     if args.out:
         _check_out(args.out)
 
     if args.space:
-        problem = subject if isinstance(subject, GroundProblem) else None
+        problem = subject if declarative else None
         scores = FINAL_GRID_SCORES if isinstance(subject, UrbanSimulator) else None
         try:
             space = load_space(args.space, problem=problem, scores=scores)
@@ -158,14 +161,14 @@ def cmd_plan(args) -> int:
             raise ConfigError(f"default behaviour space: {exc}") from exc
 
     config_doc: dict = {
-        "backend": args.backend,
+        "backend": "sat" if declarative else "search",
         "source": source,
         "space": args.space or "bundled",
         "k": args.k,
     }
     counts = {"behaviour": 0, "plan": 0}
 
-    if args.backend == "sat":
+    if declarative:
         lo, hi = args.horizon_min, args.horizon_max
         if lo < 0 or hi < lo:
             raise ConfigError(f"bad horizon range [{lo}, {hi}]")
@@ -219,15 +222,6 @@ def cmd_plan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_json(path: str):
-    """The document in a JSON file; bad JSON is a ConfigError naming it."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # JSON syntax, or bytes that are not text
-            raise ConfigError(f"{path}: not a JSON file: {exc}") from exc
-
-
 def _malformed(path: str, exc: Exception) -> ConfigError:
     return ConfigError(f"{path}: malformed ({type(exc).__name__}: {exc})")
 
@@ -241,7 +235,7 @@ def _checked_report(doc) -> dict:
 
 
 def _plans_from_file(path: str) -> list:
-    doc = _read_json(path)
+    doc = read_json(path, ConfigError)
     if isinstance(doc, dict) and "result" in doc:  # a plan report
         return [list(p) for p in _checked_report(doc)["result"]["plans"]]
     if isinstance(doc, dict) and "plans" in doc:
@@ -398,7 +392,7 @@ def _render_story(problem: GroundProblem, report: dict) -> list:
 
 
 def cmd_render(args) -> int:
-    report = _checked_report(_read_json(args.report))
+    report = _checked_report(read_json(args.report, ConfigError))
     try:
         source = report["config"]["source"]
         domain = source.get("domain")
@@ -443,7 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = subs.add_parser("plan", help="run the diverse-planning driver")
     _add_source_flags(plan)
-    plan.add_argument("--backend", choices=("sat", "search"), required=True)
+    plan.add_argument(
+        "--backend", choices=("sat", "search"),
+        help="default: sat for a declarative source, search for a simulator",
+    )
     plan.add_argument("--space", help="behaviour-space JSON file (overrides bundled)")
     plan.add_argument("--k", type=int, default=2, help="requested number of plans")
     plan.add_argument("--horizon-min", type=int, default=DEFAULT_HORIZONS.start)

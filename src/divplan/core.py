@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -238,6 +239,26 @@ def validate_plan(problem: GroundProblem, plan: Plan) -> PlanTrace:
     return PlanTrace(plan=plan, states=tuple(states))
 
 
+def record_of(records: dict, obj, make):
+    """The record kept in records for this very object, made on first use.
+
+    Keyed by identity, not equality: an equal copy of obj has a record of
+    its own. The entry leaves records when obj dies, so a record must never
+    hold obj. An object without weak references gets a fresh record that
+    only the current call sees.
+    """
+    key = id(obj)
+    record = records.get(key)
+    if record is None:
+        record = make()
+        try:
+            weakref.finalize(obj, records.pop, key, None)
+        except TypeError:
+            return record
+        records[key] = record
+    return record
+
+
 # -- JSON ground-problem format ----------------------------------------------
 #
 # {"fluents": ["p(a,b)", ...],          optional; derived when absent
@@ -338,14 +359,24 @@ def problem_from_json(doc: dict) -> GroundProblem:
     )
 
 
+def read_json(path: str, error: type):
+    """The document in a JSON file. Bad syntax, bytes that are not UTF-8 and
+    nesting too deep to decode are one error(...) that names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: {exc}") from exc
+
+
 def load_problem(path: str) -> GroundProblem:
     """problem_from_json over a file; a malformed file is a
     ProblemFormatError that names it."""
+    doc = read_json(path, ProblemFormatError)
     try:
-        with open(path) as fh:
-            return problem_from_json(json.load(fh))
+        return problem_from_json(doc)
     except KeyError as exc:
         raise ProblemFormatError(f"{path}: missing key {exc}") from exc
-    except ValueError as exc:  # JSON syntax, or a model check of core
+    except ValueError as exc:  # a key of the wrong type, or a model check
         raise ProblemFormatError(f"{path}: {exc}") from exc
 

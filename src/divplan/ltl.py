@@ -8,6 +8,9 @@ prefix satisfies the formula; Undetermined is always a sound answer.
 
 Text grammar: ``G``, ``F``, ``FG``, ``!``, ``&``, ``|``, parentheses, and
 atom identifiers (``G``, ``F``, ``FG``, ``true``, ``false`` are reserved).
+Progression, evaluation and even hashing recurse on a formula's depth, so
+the parser refuses more than MAX_FORMULA_DEPTH operators on one path, or
+prefix operators and parentheses around one position.
 """
 
 from __future__ import annotations
@@ -263,6 +266,8 @@ def monitor(formula: LtlFormula, prefix: PropTrace) -> Verdict:
 
 # -- text grammar -------------------------------------------------------------
 
+MAX_FORMULA_DEPTH = 200  # formulas at this depth plan on --domain urban
+_TOO_DEEP = f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][\w-]*)|([&|!()])|(\S))")
 
 
@@ -284,10 +289,21 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _depth(formula: LtlFormula) -> int:
+    """The most operators on a path from the root to a leaf."""
+    deepest, stack = 0, [(formula, 0)]
+    while stack:
+        f, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((g, depth + 1) for g in vars(f).values() if not isinstance(g, str))
+    return deepest
+
+
 class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # prefix operators and parentheses around the position
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -319,18 +335,27 @@ class _Parser:
             f = And(f, self.unary())
         return f
 
+    def nested(self, rule) -> LtlFormula:
+        """rule's formula inside one more prefix operator or parenthesis."""
+        self.open += 1
+        if self.open > MAX_FORMULA_DEPTH:
+            raise LtlSyntaxError(_TOO_DEEP)
+        f = rule()
+        self.open -= 1
+        return f
+
     def unary(self) -> LtlFormula:
         tok = self.take()
         if tok == "!":
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if tok == "G":
-            return Always(self.unary())
+            return Always(self.nested(self.unary))
         if tok == "F":
-            return Eventually(self.unary())
+            return Eventually(self.nested(self.unary))
         if tok == "FG":
-            return Eventually(Always(self.unary()))
+            return Eventually(Always(self.nested(self.unary)))
         if tok == "(":
-            f = self.disjunction()
+            f = self.nested(self.disjunction)
             if self.take() != ")":
                 raise LtlSyntaxError("expected ')'")
             return f
@@ -344,5 +369,8 @@ class _Parser:
 
 
 def parse_formula(text: str) -> LtlFormula:
-    return _Parser(_tokenize(text)).parse()
+    formula = _Parser(_tokenize(text)).parse()
+    if _depth(formula) > MAX_FORMULA_DEPTH:
+        raise LtlSyntaxError(_TOO_DEEP)
+    return formula
 

@@ -39,6 +39,8 @@ from .core import Fluent, GoalFormula, GroundAction, GroundProblem
 ROOT_TYPE = "object"
 SUPPORTED_REQUIREMENTS = (":strips", ":typing", ":negative-preconditions", ":equality")
 GROUND_ACTION_CAP = 200_000
+# the parser and grounder recurse on list nesting, so _read_sexps stops here
+MAX_NESTING = 100
 
 
 class PddlError(Exception):
@@ -125,6 +127,8 @@ def _read_sexps(text: str) -> list:
     top: list = []
     for tok, line, col in _tokenize(text):
         if tok == "(":
+            if len(stack) == MAX_NESTING:
+                raise PddlSyntaxError(f"lists nested deeper than {MAX_NESTING}", line, col)
             stack.append(_SList(line, col))
         elif tok == ")":
             if not stack:

@@ -1,5 +1,9 @@
 """Planning as satisfiability: sequential CNF encoding, a small CDCL solver,
-and the behaviour/plan generator pair built on them."""
+and the behaviour/plan generator pair built on them.
+
+The generators drive the built-in `Solver` themselves, one live solver per
+horizon; `solve_task` is the one-shot call to an external solver.
+"""
 
 from .encoding import (
     CnfTask,
@@ -25,7 +29,6 @@ from .solver import (
     SolverBridgeError,
     external_solver_command,
     parse_solver_output,
-    solve,
     solve_external,
     to_dimacs,
 )
@@ -49,7 +52,6 @@ __all__ = [
     "forbid_plan",
     "parse_solver_output",
     "plan_generator_sat",
-    "solve",
     "solve_external",
     "solve_task",
     "to_dimacs",

@@ -38,13 +38,7 @@ from ..core import (
     Plan,
     PlanTrace,
 )
-from .solver import (
-    EXTERNAL_SOLVER_ENV,
-    SatError,
-    external_solver_command,
-    solve,
-    solve_external,
-)
+from .solver import EXTERNAL_SOLVER_ENV, SatError, external_solver_command, solve_external
 
 
 class EncodingError(Exception):
@@ -223,26 +217,22 @@ def forbid_plan(task: CnfTask, plan: Plan) -> list:
 def solve_task(
     task: CnfTask, *, max_conflicts: Optional[int] = None
 ) -> Optional[list]:
-    """A satisfying model (list indexed by variable) or None for UNSAT.
+    """A satisfying model (list indexed by variable) or None for UNSAT, from
+    the external solver named by DIVPLAN_EXTERNAL_SAT; a SatError when that
+    variable is unset.
 
-    Uses the external solver named by DIVPLAN_EXTERNAL_SAT when that variable
-    is set, otherwise the built-in one, seeded with action-first phases so the
-    internal search walks candidate plans depth-first. Only the built-in
-    solver counts conflicts, so a conflict budget with an external solver is
-    a SatError rather than a budget silently dropped.
+    The built-in solver is not reached from here: the generators keep one
+    live `Solver` per horizon instead. Only the built-in solver counts
+    conflicts, so a conflict budget here is a SatError rather than a budget
+    silently dropped.
     """
     command = external_solver_command()
-    if command is not None:
-        if max_conflicts is not None:
-            raise SatError(
-                f"--max-conflicts {max_conflicts} applies only to the built-in "
-                f"solver; unset {EXTERNAL_SOLVER_ENV} or drop the budget"
-            )
-        return solve_external(command, task.num_vars, task.clauses)
-    return solve(
-        task.clauses,
-        task.num_vars,
-        max_conflicts=max_conflicts,
-        phases=task.decision_phases(),
-    )
+    if command is None:
+        raise SatError(f"no external solver: {EXTERNAL_SOLVER_ENV} is not set")
+    if max_conflicts is not None:
+        raise SatError(
+            f"--max-conflicts {max_conflicts} applies only to the built-in "
+            f"solver; unset {EXTERNAL_SOLVER_ENV} or drop the budget"
+        )
+    return solve_external(command, task.num_vars, task.clauses)
 

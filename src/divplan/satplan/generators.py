@@ -18,14 +18,13 @@ last answered SAT, with the forbidding clauses loaded into it. A call whose
 clauses include those adds only the missing ones and solves again, keeping
 the learned clauses; any other call encodes the horizon afresh. A definitive
 UNSAT or a budget run-out drops the solver, and a run-out records nothing.
-The external solver is always called one-shot. The record is keyed by object
-identity and dies with its problem, so a fresh problem object plans as a
-first call does.
+The external solver is always called one-shot, through `solve_task`. The
+record is kept by `core.record_of`: keyed by object identity, it dies with
+its problem, so a fresh problem object plans as a first call does.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Iterable, Optional
 
 from ..bspace import (
@@ -35,7 +34,9 @@ from ..bspace import (
     SpaceConfigError,
     pbehaviour,
 )
-from ..core import GeneratorTimeout, GroundProblem, Plan, PlanTrace, validate_plan
+from ..core import (
+    GeneratorTimeout, GroundProblem, Plan, PlanTrace, record_of, validate_plan,
+)
 from .encoding import (
     CnfTask,
     decode,
@@ -49,20 +50,10 @@ from .solver import ResourceLimit, Solver, external_solver_command
 DEFAULT_HORIZONS = range(0, 21)
 
 
-# id(problem) -> (closed, live); neither may hold the problem, or it would
-# never die:
+# id(problem) -> (closed, live), kept by core.record_of:
 #   closed: horizon -> [forbidding clause sets it was proved UNSAT under]
 #   live: (generator, horizon) -> (Solver, the forbidding clause set loaded)
 _records: dict = {}
-
-
-def _record(problem: GroundProblem) -> tuple:
-    """The (closed, live) record of this problem object (not of equal ones)."""
-    key = id(problem)
-    if key not in _records:
-        _records[key] = ({}, {})
-        weakref.finalize(problem, _records.pop, key, None)
-    return _records[key]
 
 
 def _merged_assignment(space: BehaviourSpace, behaviour: Behaviour) -> Optional[dict]:
@@ -131,7 +122,7 @@ def _first_trace(
     decode, replay the plan, and let check reject a trace the forbidding
     clauses should have excluded. None when every horizon is UNSAT.
     """
-    closed, live = _record(problem)
+    closed, live = record_of(_records, problem, lambda: ({}, {}))
     fluent_order = tuple(sorted(problem.fluents))
     for h in horizon_range:
         if problem.budget is not None and h > problem.budget:

@@ -301,16 +301,6 @@ class Solver:
             self._enqueue(lit, None)
 
 
-def solve(
-    clauses: Iterable[Sequence[int]],
-    num_vars: int,
-    max_conflicts: Optional[int] = None,
-    phases: Optional[Sequence[bool]] = None,
-) -> Optional[list]:
-    """Convenience one-shot wrapper around Solver."""
-    return Solver(num_vars, clauses, phases=phases).solve(max_conflicts)
-
-
 # -- DIMACS and the external-solver bridge ------------------------------------
 
 

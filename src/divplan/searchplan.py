@@ -7,22 +7,21 @@ each branch, so a node carries, per target, the obligation that remains for
 its subtree. A branch is cut once every live obligation has collapsed to
 false and no live target is satisfied by the prefix itself.
 
-Formulas are interned to small ids, and progression is memoised on
-(residual id, valuation), so the sweep builds the finite-trace automaton of
-each target lazily (De Giacomo & Vardi, IJCAI 2013) and prunes with it as in
-formula-progression planning (Bacchus & Kabanza, AIJ 2000).
+Formulas are interned to small ids, and one memo maps a residual-id tuple
+and a valuation to the next tuple, so the sweep builds the product of the
+targets' finite-trace automata lazily (De Giacomo & Vardi, IJCAI 2013) and
+prunes with it as in formula-progression planning (Bacchus & Kabanza, 2000).
 
-Each simulator object has one record that outlives the calls on it and
-never holds the simulator. Its move table maps every state the search has
-expanded to its (action, successor, valuation) triples, so each transition
-is asked of the simulator once. Its plan walk is the plain tree walk of the
-last plan call, paused after the goal node it returned: the next call goes
-on from there instead of re-walking every plan it already passed.
+Each simulator object has one record (`core.record_of`) that outlives the
+calls on it. Its move table maps every state the search has expanded to its
+(action, successor, valuation) triples, so each transition is asked of the
+simulator once. Its plan walk is the plain tree walk of the last plan call,
+paused after the goal node it returned: the next call goes on from there
+instead of re-walking every plan it already passed.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
@@ -36,7 +35,7 @@ from .bspace import (
     enumerate_cells,
     pbehaviour,
 )
-from .core import GeneratorTimeout, Plan, PlanTrace
+from .core import GeneratorTimeout, Plan, PlanTrace, record_of
 from .ltl import (
     FALSE,
     TRUE,
@@ -139,8 +138,9 @@ class _Progression:
     A residual is an id into `_formulas`; FALSE is always id 0, so a tuple
     of residual ids is all-false exactly when it has no truthy entry. A
     valuation is keyed by the truth of the targets' atoms, which are the only
-    atoms progression reads. Whole residual tuples are memoised as well, so
-    a child costs one lookup however many targets are live.
+    atoms progression reads. The one memo, residual tuple x valuation key,
+    is the targets' product automaton built lazily: a child costs one lookup
+    however many targets are live.
     """
 
     def __init__(self, targets: Sequence[LtlFormula]):
@@ -148,7 +148,6 @@ class _Progression:
         self._project = itemgetter(*names) if names else (lambda valuation: ())
         self._formulas: list = [FALSE]
         self._ids: dict = {FALSE: 0}
-        self._steps: dict = {}  # (residual id, valuation key) -> (id, prefix_sat)
         self._tuples: dict = {}  # (residual ids, valuation key) -> (ids, bits)
 
     def intern(self, formula: LtlFormula) -> int:
@@ -158,17 +157,6 @@ class _Progression:
             self._formulas.append(formula)
         return rid
 
-    def _step(self, rid: int, key, valuation) -> tuple:
-        hit = self._steps.get((rid, key))
-        if hit is None:
-            formula = self._formulas[rid]
-            hit = (
-                self.intern(progress(formula, valuation)),
-                final_eval(formula, valuation),
-            )
-            self._steps[(rid, key)] = hit
-        return hit
-
     def advance(self, residuals: tuple, valuation) -> tuple:
         """(residual ids after valuation, truth of each if the trace ends there)."""
         try:
@@ -177,9 +165,11 @@ class _Progression:
             raise UnknownAtom(f"atom {exc.args[0]!r} not assigned by valuation") from None
         hit = self._tuples.get(key)
         if hit is None:
-            steps = [self._step(rid, key[1], valuation) for rid in residuals]
-            hit = (tuple(r for r, _ in steps), tuple(s for _, s in steps))
-            self._tuples[key] = hit
+            formulas = [self._formulas[rid] for rid in residuals]
+            hit = self._tuples[key] = (
+                tuple(self.intern(progress(f, valuation)) for f in formulas),
+                tuple(final_eval(f, valuation) for f in formulas),
+            )
         return hit
 
 
@@ -203,12 +193,13 @@ def _trace(node: tuple) -> PlanTrace:
 
 
 def _make_frontier(cfg: SearchConfig):
-    """push/pop pair for the configured strategy: a FIFO queue or a stack."""
+    """(push, pop, frontier) for the configured strategy. push takes siblings
+    in legal_actions order; a stack reverses them, so the first is explored first."""
     if cfg.strategy == "breadth-first":
         queue: deque = deque()
-        return queue.append, queue.popleft, queue
+        return queue.extend, queue.popleft, queue
     stack: list = []
-    return stack.append, stack.pop, stack
+    return lambda nodes: stack.extend(reversed(nodes)), stack.pop, stack
 
 
 class _Record:
@@ -225,22 +216,8 @@ class _Record:
         self.walk: Optional[_PlanWalk] = None
 
 
-# id(sim) -> _Record; a record may not hold the simulator, or it would never die
+# id(sim) -> _Record, kept by core.record_of
 _records: dict = {}
-
-
-def _record(sim) -> _Record:
-    """The record of this simulator object (not of equal ones)."""
-    key = id(sim)
-    record = _records.get(key)
-    if record is None:
-        record = _Record()
-        try:
-            weakref.finalize(sim, _records.pop, key, None)
-        except TypeError:
-            return record  # no weak references: a record for this call only
-        _records[key] = record
-    return record
 
 
 def _moves(sim, table: dict, state) -> tuple:
@@ -255,12 +232,70 @@ def _moves(sim, table: dict, state) -> tuple:
     return moves
 
 
-def _search(sim, targets: Sequence[LtlFormula], cfg: SearchConfig) -> SearchResult:
+class _PlanWalk:
+    """A plain tree walk (distinct action sequences are distinct plans)
+    that pauses after each goal node it hands out.
+
+    A goal node's children are pushed before the node is handed out, so the
+    walk goes on exactly where a fresh walk that rejected the node would.
+    `expanded` counts from the root; `passed` holds the plan of every goal
+    node popped so far.
+    """
+
+    def __init__(self, sim, cfg: SearchConfig):
+        self.cfg = cfg
+        self.push, self.pop, self.frontier = _make_frontier(cfg)
+        self.expanded = 0
+        self.passed: set = set()
+        init = sim.initial()
+        self.push([(init, None, None, sim.propositions(init), 0)])
+
+    def next_fresh(self, sim, transitions: dict, seen: set) -> Optional[PlanTrace]:
+        """The next goal trace whose plan is not in seen, or None."""
+        depth_cap = getattr(sim, "budget", None)
+        while self.frontier:
+            if self.expanded >= self.cfg.node_budget:
+                raise GeneratorTimeout(
+                    "node budget exhausted before a further plan could be "
+                    "found or ruled out"
+                )
+            node = self.pop()
+            self.expanded += 1
+            state, depth = node[0], node[4]
+            fresh = None
+            if sim.is_goal(state):
+                trace = _trace(node)
+                labels = trace.plan.labels()
+                self.passed.add(labels)
+                if labels not in seen:
+                    fresh = trace
+            if depth_cap is None or depth < depth_cap:
+                self.push([
+                    (succ, node, action, valuation, depth + 1)
+                    for action, succ, valuation in _moves(sim, transitions, state)
+                ])
+            if fresh is not None:
+                return fresh
+        return None
+
+
+def constrained_search(
+    sim, targets: Sequence[LtlFormula], cfg: SearchConfig
+) -> SearchResult:
+    """One sweep for a goal-reaching trace that satisfies the first target
+    it can: the sweep ends once targets[0] has a witness or the tree is
+    exhausted, and returns the witness of the lowest-index target found.
+
+    Nodes whose progressed obligations are all unsatisfiable — for the prefix
+    as well as for every extension — are cut (cfg.prune=False keeps them,
+    which never changes the answer, only the node count). A target atom the
+    initial state's valuation does not assign raises UnknownAtom.
+    """
     stats = SearchStats()
     depth_cap = getattr(sim, "budget", None)
     push, pop, frontier = _make_frontier(cfg)
     table = _Progression(targets)
-    transitions = _record(sim).moves
+    transitions = record_of(_records, sim, _Record).moves
     # targets[:live] still lack a witness that beats the one already found
     live = len(targets)
     witness: Optional[PlanTrace] = None
@@ -268,7 +303,7 @@ def _search(sim, targets: Sequence[LtlFormula], cfg: SearchConfig) -> SearchResu
     init = sim.initial()
     v0 = sim.propositions(init)
     roots = tuple(table.intern(target) for target in targets)
-    push((init, None, None, v0, 0, *table.advance(roots, v0)))
+    push([(init, None, None, v0, 0, *table.advance(roots, v0))])
     visited: dict = {}  # dedup key -> shallowest depth seen
 
     while frontier:
@@ -297,82 +332,12 @@ def _search(sim, targets: Sequence[LtlFormula], cfg: SearchConfig) -> SearchResu
         if depth_cap is not None and depth >= depth_cap:
             continue
 
-        children = [
+        push([
             (succ, node, action, valuation, depth + 1,
              *table.advance(residuals, valuation))
             for action, succ, valuation in _moves(sim, transitions, state)
-        ]
-        if cfg.strategy == "depth-first":
-            children.reverse()  # so the first legal action is explored first
-        for child in children:
-            push(child)
+        ])
     return SearchResult(witness, stats, None if witness is None else live)
-
-
-class _PlanWalk:
-    """A plain tree walk (distinct action sequences are distinct plans)
-    that pauses after each goal node it hands out.
-
-    A goal node's children are pushed before the node is handed out, so the
-    walk goes on exactly where a fresh walk that rejected the node would.
-    `expanded` counts from the root; `passed` holds the plan of every goal
-    node popped so far.
-    """
-
-    def __init__(self, sim, cfg: SearchConfig):
-        self.cfg = cfg
-        self.push, self.pop, self.frontier = _make_frontier(cfg)
-        self.expanded = 0
-        self.passed: set = set()
-        init = sim.initial()
-        self.push((init, None, None, sim.propositions(init), 0))
-
-    def next_fresh(self, sim, transitions: dict, seen: set) -> Optional[PlanTrace]:
-        """The next goal trace whose plan is not in seen, or None."""
-        depth_cap = getattr(sim, "budget", None)
-        while self.frontier:
-            if self.expanded >= self.cfg.node_budget:
-                raise GeneratorTimeout(
-                    "node budget exhausted before a further plan could be "
-                    "found or ruled out"
-                )
-            node = self.pop()
-            self.expanded += 1
-            state, depth = node[0], node[4]
-            fresh = None
-            if sim.is_goal(state):
-                trace = _trace(node)
-                labels = trace.plan.labels()
-                self.passed.add(labels)
-                if labels not in seen:
-                    fresh = trace
-            if depth_cap is None or depth < depth_cap:
-                children = [
-                    (succ, node, action, valuation, depth + 1)
-                    for action, succ, valuation in _moves(sim, transitions, state)
-                ]
-                if self.cfg.strategy == "depth-first":
-                    children.reverse()
-                for child in children:
-                    self.push(child)
-            if fresh is not None:
-                return fresh
-        return None
-
-
-def constrained_search(
-    sim, targets: Sequence[LtlFormula], cfg: SearchConfig
-) -> SearchResult:
-    """One sweep for a goal-reaching trace that satisfies the first target
-    it can: the sweep ends once targets[0] has a witness or the tree is
-    exhausted, and returns the witness of the lowest-index target found.
-
-    Nodes whose progressed obligations are all unsatisfiable — for the prefix
-    as well as for every extension — are cut (cfg.prune=False keeps them,
-    which never changes the answer, only the node count). A target atom the
-    initial state's valuation does not assign raises UnknownAtom.
-    """
-    return _search(sim, tuple(targets), cfg)
 
 
 def behaviour_generator_ltl(
@@ -444,7 +409,7 @@ def plan_generator_ltl(
     raised, walks from the root. Both give the same answer.
     """
     seen = {plan.labels() for plan in existing_plans}
-    record = _record(sim)
+    record = record_of(_records, sim, _Record)
     walk, record.walk = record.walk, None  # an exception drops the walk
     if walk is None or walk.cfg != cfg or not walk.passed <= seen:
         walk = _PlanWalk(sim, cfg)

@@ -263,7 +263,31 @@ def parse_dimacs(text: str) -> tuple[int, list]:
     return num_vars, clauses
 
 
-# -- temporal formulas: text form and per-position truth ---------------------------
+# -- temporal formulas: samplers, text form and per-position truth -----------------
+
+# criterion 7's formula shapes, over the atoms a and b
+MONITOR_SHAPES = (
+    Eventually(Always(Atom("a"))),          # score settles in a bin
+    Always(Atom("a")),                      # safety (avoided)
+    Eventually(Atom("a")),                  # reachability (key pickup)
+    Always(Not(Atom("a"))),                 # negative safety (never the key)
+    Eventually(Always(And(Atom("a"), Not(Atom("b"))))),  # settles with other bins off
+)
+
+
+def random_formula(rng, depth: int, leaves) -> LtlFormula:
+    """Criterion 6's sampler: a formula of depth exactly `depth` over leaves.
+    One side of a binary node carries the full remaining depth, the other
+    is free."""
+    if depth == 0:
+        return rng.choice(leaves)
+    op = rng.choice([Not, Always, Eventually, And, Or])
+    if op in (Not, Always, Eventually):
+        return op(random_formula(rng, depth - 1, leaves))
+    deep = random_formula(rng, depth - 1, leaves)
+    free = random_formula(rng, rng.randrange(depth), leaves)
+    return op(deep, free) if rng.random() < 0.5 else op(free, deep)
+
 
 
 def format_formula(formula: LtlFormula) -> str:

@@ -44,11 +44,13 @@ from divplan.searchplan import (
     plan_generator_ltl,
 )
 from oracles import (
+    MONITOR_SHAPES,
     CorridorSimulator,
     choice_problem,
     corridor_space,
     endings_space,
     enumerate_plans,
+    random_formula,
     toggle_problem,
     two_switch_problem,
 )
@@ -327,18 +329,7 @@ def test_criterion_6_temporal_semantics_match_the_definition():
     import random
 
     rng = random.Random(0)
-
-    def random_formula(depth):
-        if depth == 0:
-            return rng.choice(leaves)
-        op = rng.choice([*unary, *binary])
-        if op in unary:
-            return op(random_formula(depth - 1))
-        # one side carries the full remaining depth, the other is free
-        deep, free = random_formula(depth - 1), random_formula(rng.randrange(depth))
-        return op(deep, free) if rng.random() < 0.5 else op(free, deep)
-
-    sampled = [random_formula(3) for _ in range(200)]
+    sampled = [random_formula(rng, 3, leaves) for _ in range(200)]
     for formula in sampled:
         for trace in traces:
             assert eval_finite(formula, trace) == defn_vector(formula, trace)[0]
@@ -365,14 +356,6 @@ def test_criterion_6_temporal_semantics_match_the_definition():
 
 
 def test_criterion_7_monitor_definite_verdicts_are_final():
-    a, b = Atom("a"), Atom("b")
-    shapes = [
-        Eventually(Always(a)),          # score settles in a bin
-        Always(a),                      # safety (avoided)
-        Eventually(a),                  # reachability (key pickup)
-        Always(Not(a)),                 # negative safety (never the key)
-        Eventually(Always(And(a, Not(b)))),  # settles with other bins off
-    ]
     vals = [{"a": x, "b": y} for x in (False, True) for y in (False, True)]
 
     def sequences(max_len):
@@ -380,7 +363,7 @@ def test_criterion_7_monitor_definite_verdicts_are_final():
             yield from (list(c) for c in itertools.product(vals, repeat=n))
 
     checked = violations = 0
-    for formula in shapes:
+    for formula in MONITOR_SHAPES:
         for prefix in sequences(3):
             verdict = monitor(formula, prefix)
             if verdict is Verdict.UNDETERMINED:

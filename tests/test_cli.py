@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from divplan import cli
+from divplan import cli, ltl
 from divplan.cli import EXIT_EMPTY, EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, main
 from divplan.satplan import EXTERNAL_SOLVER_ENV
 
@@ -701,6 +701,15 @@ def test_bundled_reports_match_the_golden_bytes(tmp_path, name):
         assert out.read_bytes() == fh.read()
 
 
+@pytest.mark.parametrize("name", ["story-sat-k3", "urban-k2"])
+def test_plan_derives_the_backend_from_the_source(tmp_path, name):
+    domain, _backend, k = GOLDEN_RUNS[name]
+    out = tmp_path / "report.json"
+    assert run("plan", "--domain", domain, "--k", k, "--out", str(out)) == EXIT_OK
+    with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_two_runs_in_one_process_write_the_same_report(tmp_path):
     # criterion 9 with live SAT solvers: each run grounds its own problem, so
     # nothing the first run's solvers learned reaches the second
@@ -717,7 +726,7 @@ sys.path.insert(0, {src!r})
 import divplan
 for module in pkgutil.walk_packages(divplan.__path__, "divplan."):
     __import__(module.name)
-from divplan import cli
+from divplan import cli, ltl
 code = cli.main(["plan", "--domain", "story-tiny", "--backend", "sat", "--k", "3"])
 outside = sorted(
     name for name, module in sys.modules.items()
@@ -750,3 +759,79 @@ def test_console_script_help():
     assert proc.returncode == 0
     for sub in ("plan", "validate", "render"):
         assert sub in proc.stdout
+
+
+# -- input nested too deep for a recursive reader ------------------------------------
+
+
+def _nested_pddl(tmp_path, file_name, conjunction, depth):
+    """story-tiny with one conjunction wrapped in `depth` more (and ...)."""
+    text = _story_tiny(file_name)
+    assert conjunction in text
+    path = tmp_path / file_name
+    path.write_text(text.replace(conjunction, "(and " * depth + conjunction + ")" * depth))
+    return str(path)
+
+
+def _deep_cases(tmp_path):
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text("[" * 200_000)
+    deep = str(deep_json)
+    domain = _nested_pddl(
+        tmp_path, "story-tiny-domain.pddl", "(and (at ?c ?from) (not (= ?from ?to)))", 3000
+    )
+    problem = _nested_pddl(
+        tmp_path, "story-tiny-problem.pddl",
+        "(and (married-to ?c2 ?c1) (not (= ?c1 ?c2)))", 3000,
+    )
+    space = tmp_path / "space.json"
+    space.write_text(_ltl_space("!" * 500 + "VL_S"))
+    json_error = "maximum recursion depth exceeded while decoding a JSON array"
+    data = os.path.join(os.path.dirname(cli.__file__), "domains", "data")
+    return {
+        "problem-json": (("plan", "--problem-json", deep), json_error),
+        "space": (("plan", "--domain", "urban", "--space", deep), json_error),
+        "plans": (("validate", "--domain", "story", "--plans", deep), json_error),
+        "report": (("render", deep), json_error),
+        "pddl-precondition": (
+            ("plan", "--pddl-domain", domain, "--pddl-problem",
+             os.path.join(data, "story-tiny-problem.pddl")),
+            "nested deeper than",
+        ),
+        "pddl-goal": (
+            ("plan", "--pddl-domain", os.path.join(data, "story-tiny-domain.pddl"),
+             "--pddl-problem", problem),
+            "nested deeper than",
+        ),
+        "ltl": (("plan", "--domain", "urban", "--space", str(space)), "nested deeper than"),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["problem-json", "space", "plans", "report", "pddl-precondition", "pddl-goal", "ltl"],
+)
+def test_deeply_nested_input_is_one_error_line(tmp_path, capsys, case):
+    argv, fragment = _deep_cases(tmp_path)[case]
+    assert run(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and fragment in err
+
+
+def test_formula_at_the_nesting_cap_plans_to_completion(tmp_path, capsys):
+    # both values settle-or-not in the M sustainability bin, each formula
+    # exactly MAX_FORMULA_DEPTH operators deep
+    depth = ltl.MAX_FORMULA_DEPTH
+    values = [
+        {"value": "M", "formula": "F " * (depth - 1) + "G M_S"},
+        {"value": "other", "formula": "! " + "F " * (depth - 2) + "G M_S"},
+    ]
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"features": [
+        {"kind": "ltl", "name": "settles", "values": values}
+    ]}))
+    assert run("plan", "--domain", "urban", "--space", str(space), "--k", "2") == EXIT_OK
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["termination"] == "reached-k"
+    assert sorted(result["behaviours"]) == [["M"], ["other"]]

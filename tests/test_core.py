@@ -1,4 +1,7 @@
+import copy
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +19,7 @@ from divplan.core import (
     apply,
     load_problem,
     problem_from_json,
+    record_of,
     validate_plan,
 )
 from oracles import enumerate_plans
@@ -297,3 +301,34 @@ def test_apply_frame_property(state, action):
 def test_applicable_matches_precondition_definition(state, action):
     expected = action.pre_pos <= state and not (action.pre_neg & state)
     assert applicable(state, action) == expected
+
+
+# -- record_of: the per-object records both backends keep ------------------------
+
+
+def test_record_of_keys_by_identity_and_dies_with_its_object():
+    records, problem = {}, toggle_problem()
+    record = record_of(records, problem, list)
+    assert record_of(records, problem, list) is record
+    twin = copy.copy(problem)
+    assert twin == problem and record_of(records, twin, list) is not record
+    assert len(records) == 2
+    gc.disable()  # the entry goes when the object dies, not at a collection
+    try:
+        del problem
+        assert len(records) == 1
+    finally:
+        gc.enable()
+
+
+class Slotted:
+    __slots__ = ()
+
+
+def test_record_of_an_object_without_weak_references_is_per_call():
+    records, obj = {}, Slotted()
+    with pytest.raises(TypeError):
+        weakref.ref(obj)
+    first = record_of(records, obj, list)
+    assert record_of(records, obj, list) is not first
+    assert records == {}

@@ -10,6 +10,7 @@ from divplan.ltl import (
     And,
     Atom,
     Eventually,
+    MAX_FORMULA_DEPTH,
     LtlSyntaxError,
     Not,
     Or,
@@ -111,6 +112,25 @@ def test_parse_errors():
     for text in ["", "a &", "& a", "(a", "a)", "a b", "G", "a ? b"]:
         with pytest.raises(LtlSyntaxError):
             parse_formula(text)
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "!" * n + "a",
+        lambda n: "G " * n + "a",
+        lambda n: "(" * n + "a" + ")" * n,
+        lambda n: " & ".join("a" * (n + 1)),
+        lambda n: " | ".join("ab"[i % 2] for i in range(n + 1)),
+    ],
+    ids=["not", "always", "parentheses", "and-chain", "or-chain"],
+)
+def test_nesting_is_capped(nest):
+    parse_formula(nest(MAX_FORMULA_DEPTH))
+    with pytest.raises(LtlSyntaxError, match="nested deeper than"):
+        parse_formula(nest(MAX_FORMULA_DEPTH + 1))
+    with pytest.raises(LtlSyntaxError, match="nested deeper than"):
+        parse_formula(nest(5000))
 
 
 def test_atoms_collection():

@@ -105,6 +105,20 @@ def test_unbalanced_parens_positioned():
         assert e.line == 2 and e.col == 3  # the innermost unclosed paren
 
 
+def test_nesting_deeper_than_the_cap_is_a_positioned_syntax_error():
+    flat = "(and (shiny a) (shiny b))"  # its atoms sit 4 lists deep
+
+    def nested(wraps):
+        return TINY_PROBLEM.replace(flat, "(and " * wraps + flat + ")" * wraps)
+
+    domain = parse_domain(TINY_DOMAIN)
+    at_cap = parse_problem(nested(pddl.MAX_NESTING - 4))
+    assert ground(domain, at_cap).goal == ground(domain, parse_problem(TINY_PROBLEM)).goal
+    with pytest.raises(PddlSyntaxError, match="nested deeper than") as info:
+        parse_problem(nested(pddl.MAX_NESTING - 3))
+    assert info.value.line == 6 and info.value.col is not None
+
+
 def test_error_position_points_at_reference_site():
     bad = TINY_DOMAIN.replace("(shiny ?b))", "(glossy ?b))", 1)
     with pytest.raises(PddlSyntaxError, match="glossy"):

@@ -48,7 +48,6 @@ from divplan.satplan import (
     generators,
     parse_solver_output,
     plan_generator_sat,
-    solve,
     solve_external,
     solve_task,
     to_dimacs,
@@ -120,12 +119,18 @@ def tiny_story():
     return _fresh_tiny_story()
 
 
+def solve_cnf(task):
+    """A model of the task from a fresh built-in Solver with the phases the
+    generators give it, or None for UNSAT."""
+    return Solver(task.num_vars, task.clauses, phases=task.decision_phases()).solve()
+
+
 def exhaust_models(problem, horizon):
     """All decodable plans at exactly this horizon, via iterated forbidding."""
     task = encode(problem, horizon)
     plans = []
     while True:
-        model = solve_task(task)
+        model = solve_cnf(task)
         if model is None:
             return plans
         trace = decode(model, task)
@@ -143,14 +148,14 @@ def exhaust_models(problem, horizon):
 def test_horizon_zero_goal_already_true():
     problem = toggle_problem(goal_on=False)  # init: off, goal: off
     task = encode(problem, 0)
-    model = solve_task(task)
+    model = solve_cnf(task)
     assert model is not None
     assert decode(model, task).plan.labels() == ()
 
 
 def test_horizon_zero_goal_false_is_unsat():
     task = encode(toggle_problem(goal_on=True), 0)
-    assert solve_task(task) is None
+    assert solve_cnf(task) is None
 
 
 def test_negative_horizon_rejected():
@@ -246,10 +251,10 @@ def test_at_most_one_action_per_step(n):
         task = encode(problem, 1)
         for i in indices:
             task.add_clause([task.action_var(i, 0)])
-        return solve_task(task)
+        return solve_cnf(task)
 
     if n == 0:
-        assert solve_task(base) is None
+        assert solve_cnf(base) is None
     for i in range(n):
         model = forced(i)
         assert model is not None
@@ -304,14 +309,14 @@ def test_forbid_behaviour_single_fluent():
     problem = toggle_problem()
     task = encode(problem, 1)
     forbid_behaviour(task, {ON: True})
-    assert solve_task(task) is None  # the goal forces on=true
+    assert solve_cnf(task) is None  # the goal forces on=true
 
 
 def test_forbid_behaviour_other_polarity_keeps_models():
     problem = toggle_problem()
     task = encode(problem, 1)
     forbid_behaviour(task, {ON: False})
-    model = solve_task(task)
+    model = solve_cnf(task)
     assert model is not None
     assert decode(model, task).plan.labels() == ("turn-on",)
 
@@ -331,7 +336,7 @@ def test_forbid_all_assignments_exhausts_two_fluent_goal():
     for va in (False, True):
         for vb in (False, True):
             forbid_behaviour(task, {a: va, b: vb})
-    assert solve_task(task) is None
+    assert solve_cnf(task) is None
 
 
 def test_forbid_behaviour_rejects_non_goal_fluent():
@@ -369,18 +374,18 @@ def test_forbid_unique_plan_makes_unsat():
     problem = toggle_problem()
     task = encode(problem, 1)
     forbid_plan(task, Plan((problem.actions[0],)))
-    assert solve_task(task) is None
+    assert solve_cnf(task) is None
 
 
 def test_forbid_one_symmetric_plan_yields_the_other():
     problem = two_switch_problem()
     task = encode(problem, 2)
-    first = decode(solve_task(task), task).plan
+    first = decode(solve_cnf(task), task).plan
     forbid_plan(task, first)
-    second = decode(solve_task(task), task).plan
+    second = decode(solve_cnf(task), task).plan
     assert {first.labels(), second.labels()} == {("set-a", "set-b"), ("set-b", "set-a")}
     forbid_plan(task, second)
-    assert solve_task(task) is None
+    assert solve_cnf(task) is None
 
 
 # -- generators ----------------------------------------------------------------
@@ -647,11 +652,11 @@ def test_closed_horizon_record_dies_with_its_problem():
 
 
 def test_empty_clause_set_is_sat():
-    assert solve([], 3) is not None
+    assert Solver(3, []).solve() is not None
 
 
 def test_contradictory_units_unsat():
-    assert solve([[1], [-1]], 1) is None
+    assert Solver(1, [[1], [-1]]).solve() is None
 
 
 def pigeonhole(pigeons, holes):
@@ -668,12 +673,12 @@ def pigeonhole(pigeons, holes):
 
 def test_pigeonhole_three_holes_unsat():
     num_vars, clauses = pigeonhole(4, 3)
-    assert solve(clauses, num_vars) is None
+    assert Solver(num_vars, clauses).solve() is None
 
 
 def test_pigeonhole_assignment_exists_with_enough_holes():
     num_vars, clauses = pigeonhole(3, 3)
-    model = solve(clauses, num_vars)
+    model = Solver(num_vars, clauses).solve()
     assert model is not None
     for clause in clauses:
         assert any(model[abs(l)] == (l > 0) for l in clause)
@@ -682,12 +687,12 @@ def test_pigeonhole_assignment_exists_with_enough_holes():
 def test_conflict_budget_raises():
     num_vars, clauses = pigeonhole(5, 4)
     with pytest.raises(ResourceLimit):
-        solve(clauses, num_vars, max_conflicts=1)
+        Solver(num_vars, clauses).solve(max_conflicts=1)
 
 
 def test_solver_is_deterministic():
     num_vars, clauses = pigeonhole(3, 3)
-    assert solve(clauses, num_vars) == solve(clauses, num_vars)
+    assert Solver(num_vars, clauses).solve() == Solver(num_vars, clauses).solve()
 
 
 def test_model_has_the_bridge_shape():
@@ -742,7 +747,7 @@ def _brute_sat(num_vars, clauses):
 @settings(max_examples=150, deadline=None)
 def test_solver_agrees_with_truth_table(case, solve_after):
     num_vars, clauses = case
-    model = solve(clauses, num_vars)
+    model = Solver(num_vars, clauses).solve()
     brute = _brute_sat(num_vars, clauses)
     assert (model is not None) == brute
     if model is not None:
@@ -807,10 +812,10 @@ STUB_SOLVER = textwrap.dedent(
     """\
     import sys
     sys.path[:0] = [{src!r}, {tests!r}]
-    from divplan.satplan.solver import solve
+    from divplan.satplan.solver import Solver
     from oracles import parse_dimacs
     num_vars, clauses = parse_dimacs(open(sys.argv[1]).read())
-    model = solve(clauses, num_vars)
+    model = Solver(num_vars, clauses).solve()
     if model is None:
         print("s UNSATISFIABLE")
         sys.exit(20)
@@ -859,6 +864,13 @@ def test_generator_uses_external_solver(tiny_story, monkeypatch, stub_solver_cmd
         validate_plan(tiny_story, trace.plan)
         found.add(pbehaviour(space, trace))
     assert len(found) == 3
+
+
+def test_solve_task_is_the_external_solver_only(tiny_story, monkeypatch):
+    # the built-in solver is driven by the generators, one live per horizon
+    monkeypatch.delenv(EXTERNAL_SOLVER_ENV, raising=False)
+    with pytest.raises(SatError, match=EXTERNAL_SOLVER_ENV):
+        solve_task(encode(tiny_story, 3))
 
 
 def test_external_solver_refuses_a_conflict_budget(

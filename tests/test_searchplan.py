@@ -31,8 +31,20 @@ from divplan.domains.urban import (
     urban_simulator,
     urban_space,
 )
+from divplan.cli import EXIT_OK, main
 from divplan.fbi import fbi
-from divplan.ltl import TRUE, UnknownAtom, eval_finite, mk_and, mk_not, parse_formula
+from divplan.ltl import (
+    TRUE,
+    FALSE,
+    Atom,
+    UnknownAtom,
+    eval_finite,
+    final_eval,
+    mk_and,
+    mk_not,
+    parse_formula,
+    progress,
+)
 from divplan.searchplan import (
     SearchConfig,
     SearchResult,
@@ -41,9 +53,11 @@ from divplan.searchplan import (
     plan_generator_ltl,
 )
 from oracles import (
+    MONITOR_SHAPES,
     CorridorSimulator,
     corridor_space,
     per_call_plan_generator,
+    random_formula,
     toggle_problem,
 )
 
@@ -575,9 +589,87 @@ def test_an_exception_mid_walk_drops_the_walk(strategy):
     with pytest.raises(RuntimeError):
         while True:
             plans.append(plan_generator_ltl(sim, plans, config).plan)
-    assert searchplan._record(sim).walk is None
+    assert searchplan._records[id(sim)].walk is None
     assert [p.labels() for p in plans] == [
         t.plan.labels() for t in reference[: len(plans)]
     ]
     later = plan_answers(plan_generator_ltl, sim, config, 40 - len(plans), plans)
     assert later == reference[len(plans):]
+
+
+# -- what simplifying the sweep must not change ---------------------------------
+
+
+def test_progression_memo_matches_direct_progression():
+    # formula tuples from the samplers of criteria 6 and 7, advanced along
+    # random valuation walks; each walk runs twice, so the second pass and
+    # the four distinct valuations exercise the memo
+    rng = random.Random(14)
+    leaves = [Atom("a"), Atom("b"), TRUE, FALSE]
+    for _ in range(60):
+        targets = tuple(
+            rng.choice(MONITOR_SHAPES) if rng.random() < 0.3
+            else random_formula(rng, rng.randrange(4), leaves)
+            for _ in range(rng.randint(1, 4))
+        )
+        table = searchplan._Progression(targets)
+        roots = tuple(table.intern(target) for target in targets)
+        walks = [
+            [
+                {atom: rng.random() < 0.5 for atom in ("a", "b", "unread")}
+                for _ in range(rng.randint(1, 6))
+            ]
+            for _ in range(4)
+        ]
+        for walk in walks + walks:
+            residuals = roots
+            for valuation in walk:
+                formulas = [table._formulas[rid] for rid in residuals]
+                residuals, sats = table.advance(residuals, valuation)
+                assert [table._formulas[rid] for rid in residuals] == [
+                    progress(f, valuation) for f in formulas
+                ]
+                assert sats == tuple(final_eval(f, valuation) for f in formulas)
+        # interning: one id per distinct formula
+        assert len(set(table._formulas)) == len(table._formulas)
+
+
+# SearchStats (expanded, pruned, deduplicated) of every sweep of the bundled
+# urban k=12 and platformer k=8 runs, in call order
+SWEEP_STATS = {
+    ("urban", "breadth-first"): (
+        (27866, 0, 17268), (27866, 0, 17905), (27866, 0, 18034), (27866, 0, 18326),
+        (27866, 0, 18298), (27866, 0, 17861), (27866, 0, 18335), (27866, 0, 18321),
+        (27866, 0, 17764), (27866, 0, 18286), (27866, 0, 18187), (27866, 0, 18335),
+    ),
+    ("urban", "depth-first"): (
+        (50041, 0, 32437), (37641, 0, 24429), (33331, 0, 21769), (27881, 0, 18335),
+        (28026, 0, 18402), (37581, 0, 24596), (27866, 0, 18335), (27901, 0, 18343),
+        (42216, 0, 27506), (28181, 0, 18497), (29546, 0, 19341), (27866, 0, 18335),
+    ),
+    ("platformer", "breadth-first"): (
+        (1161, 0, 818), (569, 8, 413),
+    ),
+    ("platformer", "depth-first"): (
+        (4262, 0, 2975), (73, 0, 38),
+    ),
+}
+
+
+@pytest.mark.parametrize("domain, strategy", sorted(SWEEP_STATS))
+def test_bundled_sweeps_keep_their_node_counts(tmp_path, monkeypatch, domain, strategy):
+    seen = []
+
+    def counted(sim, targets, config):
+        result = real(sim, targets, config)
+        stats = result.stats
+        seen.append((stats.expanded, stats.pruned, stats.deduplicated))
+        return result
+
+    real = searchplan.constrained_search
+    monkeypatch.setattr(searchplan, "constrained_search", counted)
+    k = "12" if domain == "urban" else "8"
+    argv = ["plan", "--domain", domain, "--backend", "search", "--k", k,
+            "--strategy", strategy]
+    assert main([*argv, "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert tuple(seen) == SWEEP_STATS[domain, strategy]
