@@ -40,14 +40,6 @@ class ExtractorRangeError(BspaceError):
     """An extractor produced a value outside its feature's domain."""
 
 
-class BinGap(BspaceError):
-    pass
-
-
-class BinOverlap(BspaceError):
-    pass
-
-
 class SpaceTooLarge(BspaceError):
     pass
 
@@ -247,6 +239,7 @@ class Bin:
     upper: float
 
 
+# the one bin table: the first bin is closed at 0, the rest are half-open (lower, upper]
 DEFAULT_BINS = (
     Bin("VL", 0, 20),
     Bin("L", 20, 30),
@@ -255,29 +248,6 @@ DEFAULT_BINS = (
     Bin("VH", 70, 90),
     Bin("ID", 90, 100),
 )
-
-
-def validate_bins(bins: Sequence[Bin]) -> tuple:
-    """Bins must partition [0,100]: first closed at 0, then half-open (lo, up]."""
-    bins = tuple(bins)
-    if not bins:
-        raise BinGap("empty bin table")
-    if bins[0].lower != 0:
-        raise BinGap(f"first bin starts at {bins[0].lower}, not 0")
-    for prev, cur in zip(bins, bins[1:]):
-        if cur.lower < prev.upper:
-            raise BinOverlap(f"bins {prev.label!r} and {cur.label!r} overlap")
-        if cur.lower > prev.upper:
-            raise BinGap(f"gap between bins {prev.label!r} and {cur.label!r}")
-    if bins[-1].upper != 100:
-        raise BinGap(f"last bin ends at {bins[-1].upper}, not 100")
-    for b in bins:
-        if b.upper <= b.lower:
-            raise BinGap(f"bin {b.label!r} is empty")
-    labels = [b.label for b in bins]
-    if len(set(labels)) != len(labels):
-        raise BinOverlap("duplicate bin labels")
-    return bins
 
 
 def bin_label(bins: Sequence[Bin], score: float) -> str:
@@ -292,36 +262,33 @@ def bin_label(bins: Sequence[Bin], score: float) -> str:
 def categorical_score_feature(
     name: str,
     score_fn: Callable[[PlanTrace], Optional[float]],
-    bins: Sequence[Bin] = DEFAULT_BINS,
-    atom_suffix: Optional[str] = None,
+    atom_suffix: str,
 ) -> Feature:
-    """Bin a 0-100 trace score into categorical values.
+    """Bin a 0-100 trace score into the DEFAULT_BINS labels.
 
     score_fn may return None to mean "still undefined when the step budget
     ran out", which maps to the reserved horizon value. Each bin label is
-    characterised by the temporal formula FG(label atom): the trace settles
-    in that bin; the horizon value by FG of the horizon atom with every bin
-    atom false.
+    characterised by the temporal formula FG(label atom), the atom being
+    "<label>_<atom_suffix>": the trace settles in that bin; the horizon
+    value by FG of the horizon atom with every bin atom false.
     """
-    bins = validate_bins(bins)
-    suffix = atom_suffix if atom_suffix is not None else name
-    labels = tuple(b.label for b in bins)
+    labels = tuple(b.label for b in DEFAULT_BINS)
 
     def extract(trace: PlanTrace):
         score = score_fn(trace)
         if score is None:
             return HORIZON_VALUE
-        return bin_label(bins, score)
+        return bin_label(DEFAULT_BINS, score)
 
     def settles(inner: LtlFormula) -> LtlFormula:
         return Eventually(Always(inner))
 
     formulas = []
     for label in labels:
-        formulas.append((label, settles(Atom(f"{label}_{suffix}"))))
+        formulas.append((label, settles(Atom(f"{label}_{atom_suffix}"))))
     horizon_body: LtlFormula = Atom(HORIZON_VALUE)
     for label in labels:
-        horizon_body = And(horizon_body, Not(Atom(f"{label}_{suffix}")))
+        horizon_body = And(horizon_body, Not(Atom(f"{label}_{atom_suffix}")))
     formulas.append((HORIZON_VALUE, settles(horizon_body)))
 
     return Feature(
@@ -336,9 +303,16 @@ def ltl_feature(name: str, values: Sequence[tuple]) -> Feature:
     """A feature defined directly by (value, formula) pairs.
 
     The extractor returns the first value whose formula holds on the trace's
-    valuations; traces matching no formula are an extractor error.
+    valuations; traces matching no formula are an extractor error. A value's
+    search formula is its formula and no earlier value's, so where formulas
+    overlap, a search for a value finds only traces extraction files under it.
     """
     pairs = tuple((v, f) for v, f in values)
+    searched = []
+    for i, (value, formula) in enumerate(pairs):
+        for _, earlier in pairs[:i]:
+            formula = And(formula, Not(earlier))
+        searched.append((value, formula))
 
     def extract(trace: PlanTrace):
         if trace.valuations is None:
@@ -354,29 +328,23 @@ def ltl_feature(name: str, values: Sequence[tuple]) -> Feature:
         name=name,
         domain=ExplicitDomain(tuple(v for v, _ in pairs)),
         extractor=extract,
-        expression=TemporalFormula(pairs),
+        expression=TemporalFormula(tuple(searched)),
     )
 
 
 # -- JSON configuration -------------------------------------------------------------
 
 
-def bins_from_json(entries) -> tuple:
-    return validate_bins(tuple(Bin(label, lo, up) for label, lo, up in entries))
+def space_from_json(doc: dict, subject=None) -> BehaviourSpace:
+    """Build a space over subject from its JSON description.
 
-
-def space_from_json(
-    doc: dict,
-    problem: Optional[GroundProblem] = None,
-    scores: Optional[dict] = None,
-) -> BehaviourSpace:
-    """Build a space from its JSON description.
-
-    Feature kinds: "goal-endings" (needs the ground problem), "categorical-score"
-    (needs a score registry entry named by its "score" key), and "ltl"
+    Feature kinds: "goal-endings" (subject must be a ground problem),
+    "categorical-score" (its "score" key names an entry of the subject's
+    `scores` registry, which fixes the bins and atoms), and "ltl"
     (self-contained value/formula pairs). A key of the wrong JSON type is a
     ValueError naming it.
     """
+    scores = getattr(subject, "scores", {})
     if not isinstance(doc, dict):
         raise ValueError("a space must be a JSON object")
     features = []
@@ -384,26 +352,22 @@ def space_from_json(
         where = f"features[{i}]."
         kind = entry.get("kind")
         if kind == "goal-endings":
-            if problem is None:
+            if not isinstance(subject, GroundProblem):
                 raise SpaceConfigError("goal-endings feature needs a ground problem")
             name = _field(entry, "name", "a string", "possible-endings", where)
-            features.append(goal_endings_feature(problem, name))
+            features.append(goal_endings_feature(subject, name))
         elif kind == "categorical-score":
+            for key in ("bins", "suffix"):
+                if key in entry:
+                    raise SpaceConfigError(
+                        f"key {where + key!r} is not accepted: "
+                        "the score fixes its bins and atoms"
+                    )
             score = _field(entry, "score", "a string", where=where)
-            if not scores or score not in scores:
+            if score not in scores:
                 raise SpaceConfigError(f"unknown score function {score!r}")
-            bins = DEFAULT_BINS
-            if "bins" in entry:
-                shape = "a list of [label, lower, upper] lists"
-                bins = bins_from_json(_field(entry, "bins", shape, where=where))
-            features.append(
-                categorical_score_feature(
-                    _field(entry, "name", "a string", where=where),
-                    scores[score],
-                    bins=bins,
-                    atom_suffix=entry.get("suffix"),
-                )
-            )
+            name = _field(entry, "name", "a string", where=where)
+            features.append(scores[score](name))
         elif kind == "ltl":
             values = []
             items = _field(entry, "values", "a list of objects", [], where)
@@ -421,16 +385,12 @@ def space_from_json(
     return BehaviourSpace(tuple(features))
 
 
-def load_space(
-    path: str,
-    problem: Optional[GroundProblem] = None,
-    scores: Optional[dict] = None,
-) -> BehaviourSpace:
+def load_space(path: str, subject=None) -> BehaviourSpace:
     """space_from_json over a file; a malformed file is a SpaceConfigError
     that names it."""
     doc = read_json(path, SpaceConfigError)
     try:
-        return space_from_json(doc, problem=problem, scores=scores)
+        return space_from_json(doc, subject)
     except KeyError as exc:
         raise SpaceConfigError(f"{path}: missing key {exc}") from exc
     except (ValueError, LtlSyntaxError) as exc:  # key types, formula syntax
@@ -446,3 +406,14 @@ def value_to_json(value):
     if isinstance(value, frozenset):
         return sorted(str(f) for f in value)
     return str(value)
+
+
+def format_behaviour(values) -> str:
+    """A report behaviour (value_to_json values) as "<a | {b, c}>"."""
+    parts = []
+    for value in values:
+        if isinstance(value, list):
+            parts.append("{" + ", ".join(value) + "}")
+        else:
+            parts.append(str(value))
+    return "<" + " | ".join(parts) + ">"

@@ -13,27 +13,29 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from functools import partial
 from typing import Optional
 
-from .bspace import BehaviourSpace, BspaceError, goal_endings_feature, load_space
+from .bspace import (
+    BehaviourSpace,
+    BspaceError,
+    format_behaviour,
+    goal_endings_feature,
+    load_space,
+    pbehaviour,
+    value_to_json,
+)
 from .core import (
     GroundProblem,
     Plan,
+    PlanTrace,
     PlanningError,
     load_problem,
     read_json,
     validate_plan,
 )
 from .domains import BUNDLED, get_domain
-from .domains.urban import (
-    FINAL_GRID_SCORES,
-    UrbanSimulator,
-    LAND_USE_NAMES,
-    diversity_score,
-    render_grid,
-    sustainability_score,
-)
 from .fbi import fbi
 from .ltl import LtlError
 from .pddl import PddlError, ground, load_domain, load_problem_file
@@ -148,10 +150,8 @@ def cmd_plan(args) -> int:
         _check_out(args.out)
 
     if args.space:
-        problem = subject if declarative else None
-        scores = FINAL_GRID_SCORES if isinstance(subject, UrbanSimulator) else None
         try:
-            space = load_space(args.space, problem=problem, scores=scores)
+            space = load_space(args.space, subject)
         except BspaceError as exc:
             raise ConfigError(f"bad --space file: {exc}") from exc
     elif space is None:
@@ -286,109 +286,28 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_behaviour(values) -> str:
-    parts = []
-    for value in values:
-        if isinstance(value, list):
-            parts.append("{" + ", ".join(value) + "}")
-        else:
-            parts.append(str(value))
-    return "<" + " | ".join(parts) + ">"
-
-
 def _occupancy_lines(report: dict) -> list:
-    counts: dict = {}
-    for values in report["result"]["behaviours"]:
-        key = _fmt_behaviour(values)
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(map(format_behaviour, report["result"]["behaviours"]))
     lines = ["behaviour-space occupancy:"]
-    for key in sorted(counts):
-        lines.append(f"  {key}: {counts[key]} plan(s)")
-    return lines
+    return lines + [f"  {key}: {counts[key]} plan(s)" for key in sorted(counts)]
 
 
-def _replay(sim, report: dict):
-    """Yield each report plan's states on the simulator; a label that
-    legal_actions does not offer is a ValueError naming the plan and step."""
-    for i, labels in enumerate(report["result"]["plans"]):
-        states = [sim.initial()]
-        for step, label in enumerate(labels):
-            if label not in sim.legal_actions(states[-1]):
-                raise ValueError(f"plan {i} step {step}: {label!r} is not a legal action")
-            states.append(sim.step(states[-1], label))
-        yield states
-
-
-def _render_urban(sim, report: dict, color: bool) -> list:
-    legend = ", ".join(f"{code}={name}" for code, name in LAND_USE_NAMES.items())
-    lines = [f"legend: {legend}", ""]
-    for i, states in enumerate(_replay(sim, report)):
-        state = states[-1]
-        behaviour = _fmt_behaviour(report["result"]["behaviours"][i])
-        lines.append(f"plan {i} {behaviour}: {len(states) - 1} conversions")
-        before = render_grid(sim.initial(), color=color).splitlines()
-        after = render_grid(state, color=color).splitlines()
-        lines.extend(
-            f"  {b}   ->   {a}" for b, a in zip(before, after)
-        )
-        lines.append(
-            "  scores: sustainability "
-            f"{sustainability_score(sim.initial()):.1f} -> "
-            f"{sustainability_score(state):.1f}, diversity "
-            f"{diversity_score(sim.initial()):.1f} -> {diversity_score(state):.1f}"
-        )
-        lines.append("")
-    return lines
-
-
-def _render_platformer(sim, report: dict) -> list:
-    level = sim.level
-    lines = []
-    for i, states in enumerate(_replay(sim, report)):
-        state = states[-1]
-        visited = {(s.col, s.row) for s in states}
-        behaviour = _fmt_behaviour(report["result"]["behaviours"][i])
-        lines.append(f"plan {i} {behaviour}: {len(states) - 1} moves")
-        for row in range(level.height - 1, -1, -1):
-            chars = []
-            for col in range(level.width):
-                if (col, row) == (state.col, state.row):
-                    chars.append("A")
-                elif (col, row) == level.enemy_pos:
-                    chars.append("E" if state.enemy_alive else "x")
-                elif level.is_solid(col, row):
-                    chars.append("#")
-                elif (col, row) in visited:
-                    chars.append("o")
-                else:
-                    chars.append(".")
-            lines.append("  " + "".join(chars))
-        lines.append("")
-    lines.append("legend: A avatar (final), o path, E enemy, x stomped enemy")
-    return lines
-
-
-def _render_story(problem: GroundProblem, report: dict) -> list:
-    lines = []
-    for i, labels in enumerate(report["result"]["plans"]):
+def _replay(subject, i: int, labels) -> PlanTrace:
+    """The trace of report plan i on subject, with valuations on a simulator.
+    A ground problem validates the plan; a simulator must offer each step as
+    a legal action. A plan that fails is a ValueError naming it."""
+    if isinstance(subject, GroundProblem):
         try:
-            validate_plan(problem, _label_plan(problem, labels))
+            return validate_plan(subject, _label_plan(subject, labels))
         except (ValueError, PlanningError) as exc:
             raise ValueError(f"plan {i}: {exc}") from exc
-        values = report["result"]["behaviours"][i]
-        endings = []
-        for value in values:
-            items = value if isinstance(value, list) else [value]
-            for item in items:
-                if item.startswith("married-to(") and item.endswith(")"):
-                    a, b = item[len("married-to(") : -1].split(",")
-                    endings.append(f"{a.strip()} married {b.strip()}")
-                else:
-                    endings.append(item)
-        summary = "; ".join(endings) if endings else "nobody married"
-        lines.append(f"plan {i} ({len(labels)} steps): {summary}")
-    lines.append("")
-    return lines
+    states = [subject.initial()]
+    for step, label in enumerate(labels):
+        if label not in subject.legal_actions(states[-1]):
+            raise ValueError(f"plan {i} step {step}: {label!r} is not a legal action")
+        states.append(subject.step(states[-1], label))
+    valuations = tuple(map(subject.propositions, states))
+    return PlanTrace(Plan(tuple(labels)), tuple(states), valuations)
 
 
 def cmd_render(args) -> int:
@@ -401,13 +320,27 @@ def cmd_render(args) -> int:
                 f"{args.report}: render needs a report from a bundled domain "
                 f"({', '.join(sorted(BUNDLED))}), not {source!r}"
             )
-        subject, _space = BUNDLED[domain]()
-        if domain == "urban":
-            lines = _render_urban(subject, report, args.color)
-        elif domain == "platformer":
-            lines = _render_platformer(subject, report)
-        else:
-            lines = _render_story(subject, report)
+        pack, view = BUNDLED[domain]
+        subject, space = pack()
+        plans, behaviours = report["result"]["plans"], report["result"]["behaviours"]
+        if len(plans) != len(behaviours):
+            raise ConfigError(
+                f"{args.report}: {len(plans)} plans but {len(behaviours)} behaviours"
+            )
+        bundled = report["config"]["space"] == "bundled"
+        replayed = []
+        for i, (labels, behaviour) in enumerate(zip(plans, behaviours)):
+            trace = _replay(subject, i, labels)
+            if bundled:
+                derived = [value_to_json(v) for v in pbehaviour(space, trace)]
+                if derived != behaviour:
+                    raise ConfigError(
+                        f"{args.report}: plan {i} is annotated "
+                        f"{format_behaviour(behaviour)} but replays to "
+                        f"{format_behaviour(derived)}"
+                    )
+            replayed.append((trace.states, behaviour))
+        lines = view(subject, replayed, args.color)
     except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
         raise _malformed(args.report, exc) from exc
     print("\n".join(lines + _occupancy_lines(report)))

@@ -300,10 +300,6 @@ _SHAPES = {
     "a list of objects": _list_of(lambda v: isinstance(v, dict)),
     "a number": _is_number,
     "an integer or null": lambda v: v is None or _is_int(v),
-    "a list of [label, lower, upper] lists": _list_of(
-        lambda v: isinstance(v, list) and len(v) == 3 and _is_str(v[0])
-        and _is_number(v[1]) and _is_number(v[2])
-    ),
 }
 _REQUIRED = object()
 

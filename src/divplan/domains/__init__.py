@@ -1,25 +1,28 @@
-"""Bundled case-study domains and the registry the CLI picks them from."""
+"""Bundled case-study domains, each with the view `render` draws its
+reports in, and the registry the CLI picks them from."""
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .platformer import platformer_pack
-from .story import story_pack, tiny_story_pack
-from .urban import urban_pack
+from .platformer import platformer_pack, platformer_view
+from .story import story_pack, story_view, tiny_story_pack
+from .urban import urban_pack, urban_view
 
-# name -> () -> (GroundProblem or simulator, BehaviourSpace)
+# name -> (pack, view): pack() -> (GroundProblem or simulator, BehaviourSpace);
+# view(subject, [(replayed states, report behaviour)], color) -> text lines
 BUNDLED = {
-    "story": story_pack,
-    "story-tiny": tiny_story_pack,
-    "urban": urban_pack,
-    "platformer": platformer_pack,
+    "story": (story_pack, story_view),
+    "story-tiny": (tiny_story_pack, story_view),
+    "urban": (urban_pack, urban_view),
+    "platformer": (platformer_pack, platformer_view),
 }
 
 
 def get_domain(name: str) -> Callable[[], tuple]:
+    """The pack of the bundled domain called name."""
     try:
-        return BUNDLED[name]
+        return BUNDLED[name][0]
     except KeyError:
         raise KeyError(
             f"unknown bundled domain {name!r}; available: {sorted(BUNDLED)}"

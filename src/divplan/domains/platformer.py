@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib.resources import files
 from typing import Optional
 
-from ..bspace import BehaviourSpace, ltl_feature
+from ..bspace import BehaviourSpace, format_behaviour, ltl_feature
 from ..ltl import Always, Atom, Eventually
 
 ACTIONS = ("left", "right", "jump", "noop")
@@ -202,3 +202,31 @@ def bundled_level() -> Level:
 def platformer_pack() -> tuple:
     """(simulator over the bundled level, enemy-encounter space)."""
     return PlatformerSimulator(bundled_level()), platformer_space()
+
+
+def platformer_view(sim: PlatformerSimulator, plans, color: bool) -> list:
+    """Render lines for replayed (states, behaviour) pairs: the level with
+    each plan's path, final avatar and enemy fate drawn in (no colours)."""
+    level = sim.level
+    lines = []
+    for i, (states, behaviour) in enumerate(plans):
+        state = states[-1]
+        visited = {(s.col, s.row) for s in states}
+        lines.append(f"plan {i} {format_behaviour(behaviour)}: {len(states) - 1} moves")
+        for row in range(level.height - 1, -1, -1):
+            chars = []
+            for col in range(level.width):
+                if (col, row) == (state.col, state.row):
+                    chars.append("A")
+                elif (col, row) == level.enemy_pos:
+                    chars.append("E" if state.enemy_alive else "x")
+                elif level.is_solid(col, row):
+                    chars.append("#")
+                elif (col, row) in visited:
+                    chars.append("o")
+                else:
+                    chars.append(".")
+            lines.append("  " + "".join(chars))
+        lines.append("")
+    lines.append("legend: A avatar (final), o path, E enemy, x stomped enemy")
+    return lines

@@ -31,3 +31,23 @@ def story_pack() -> tuple:
 def tiny_story_pack() -> tuple:
     """The two-character cut: 4 ground actions, oracle-enumerable."""
     return _pack("story-tiny-domain.pddl", "story-tiny-problem.pddl")
+
+
+def story_view(problem, plans, color: bool) -> list:
+    """Render lines for replayed (states, behaviour) pairs: each plan's
+    length and who ends up married to whom (no colours)."""
+    lines = []
+    for i, (states, behaviour) in enumerate(plans):
+        endings = []
+        for value in behaviour:
+            items = value if isinstance(value, list) else [value]
+            for item in items:
+                if item.startswith("married-to(") and item.endswith(")"):
+                    a, b = item[len("married-to(") : -1].split(",")
+                    endings.append(f"{a.strip()} married {b.strip()}")
+                else:
+                    endings.append(item)
+        summary = "; ".join(endings) if endings else "nobody married"
+        lines.append(f"plan {i} ({len(states) - 1} steps): {summary}")
+    lines.append("")
+    return lines

@@ -15,15 +15,14 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib.resources import files
-from typing import Optional
 
 from ..bspace import (
     DEFAULT_BINS,
     BehaviourSpace,
     bin_label,
     categorical_score_feature,
+    format_behaviour,
 )
-from ..core import PlanTrace
 
 RESIDENTIAL = "R"
 OFFICE = "O"
@@ -195,6 +194,22 @@ def _grid_valuation(grid: UrbanGrid, budget: int) -> dict:
     )
 
 
+def _final_grid_feature(score, atom_suffix: str):
+    """name -> the categorical feature of score on a trace's final grid,
+    over the bin atoms with this suffix that `propositions` assigns."""
+    return lambda name: categorical_score_feature(
+        name, lambda trace: score(trace.final_state), atom_suffix
+    )
+
+
+# Score features by name, judged on the final grid: the registry a
+# categorical-score feature of a --space file names its "score" from.
+SCORES = {
+    "sustainability": _final_grid_feature(sustainability_score, "S"),
+    "diversity": _final_grid_feature(diversity_score, "D"),
+}
+
+
 class UrbanSimulator:
     """Search interface over grids: states are grids, actions are rules.
 
@@ -202,6 +217,8 @@ class UrbanSimulator:
     full budget. Propositions expose one sustainability-bin atom, one
     diversity-bin atom, and the budget marker.
     """
+
+    scores = SCORES
 
     def __init__(self, grid0: UrbanGrid, budget: int = DEFAULT_BUDGET):
         if budget < 1:
@@ -236,33 +253,9 @@ def urban_simulator(grid0: UrbanGrid, budget: int = DEFAULT_BUDGET) -> UrbanSimu
     return UrbanSimulator(grid0, budget)
 
 
-def _final_grid(score):
-    def on_trace(trace: PlanTrace) -> Optional[float]:
-        return score(trace.final_state)
-
-    return on_trace
-
-
-# Trace scores by name, judged on the final grid: the registry a
-# categorical-score feature of a --space file names its "score" from.
-FINAL_GRID_SCORES = {
-    "sustainability": _final_grid(sustainability_score),
-    "diversity": _final_grid(diversity_score),
-}
-
-
 def urban_space() -> BehaviourSpace:
     """Sustainability-bin x diversity-bin, judged on the final grid."""
-    return BehaviourSpace(
-        (
-            categorical_score_feature(
-                "sustainability", FINAL_GRID_SCORES["sustainability"], atom_suffix="S"
-            ),
-            categorical_score_feature(
-                "diversity", FINAL_GRID_SCORES["diversity"], atom_suffix="D"
-            ),
-        )
-    )
+    return BehaviourSpace(tuple(make(name) for name, make in SCORES.items()))
 
 
 def bundled_grid() -> UrbanGrid:
@@ -312,3 +305,27 @@ def render_grid(grid: UrbanGrid, color: bool = False) -> str:
         else:
             lines.append("".join(row))
     return "\n".join(lines)
+
+
+def urban_view(sim: UrbanSimulator, plans, color: bool) -> list:
+    """Render lines for replayed (states, behaviour) pairs: each plan's
+    before/after grids and how its two scores moved."""
+    legend = ", ".join(f"{code}={name}" for code, name in LAND_USE_NAMES.items())
+    lines = [f"legend: {legend}", ""]
+    start = sim.initial()
+    before = render_grid(start, color=color).splitlines()
+    for i, (states, behaviour) in enumerate(plans):
+        state = states[-1]
+        lines.append(
+            f"plan {i} {format_behaviour(behaviour)}: {len(states) - 1} conversions"
+        )
+        after = render_grid(state, color=color).splitlines()
+        lines.extend(f"  {b}   ->   {a}" for b, a in zip(before, after))
+        lines.append(
+            "  scores: sustainability "
+            f"{sustainability_score(start):.1f} -> "
+            f"{sustainability_score(state):.1f}, diversity "
+            f"{diversity_score(start):.1f} -> {diversity_score(state):.1f}"
+        )
+        lines.append("")
+    return lines

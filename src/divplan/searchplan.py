@@ -58,7 +58,10 @@ class Simulator(Protocol):
     `step` must be deterministic, `propositions` must assign every atom the
     search targets use, and states must be hashable, with equal states having
     the same observable future (propositions, goal status, transitions).
-    `budget`, when set, caps plan length. Callers never mutate a valuation
+    `budget`, when set, caps plan length. `scores`, where a simulator has
+    it, maps each score name a space file may give a categorical-score
+    feature to a maker, feature name -> Feature, whose bins and atoms are
+    the ones `propositions` assigns. Callers never mutate a valuation
     `propositions` returns, so a simulator may hand out one dict per state.
     The search remembers what `legal_actions`, `step` and `propositions`
     answered for a state for as long as the simulator object lives, so

@@ -1,4 +1,6 @@
 import os
+import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,9 +9,6 @@ from divplan.bspace import (
     DEFAULT_BINS,
     Behaviour,
     BehaviourSpace,
-    Bin,
-    BinGap,
-    BinOverlap,
     ExplicitDomain,
     ExtractorRangeError,
     Feature,
@@ -26,12 +25,11 @@ from divplan.bspace import (
     ltl_feature,
     pbehaviour,
     space_from_json,
-    validate_bins,
 )
 from divplan.core import Fluent, Plan, PlanTrace, validate_plan
-from divplan.ltl import Always, Atom, Eventually, parse_formula
+from divplan.ltl import Always, Atom, Eventually, TRUE, eval_finite, parse_formula
 from divplan.pddl import ground, load_domain, load_problem_file
-from oracles import enumerate_plans
+from oracles import enumerate_plans, random_formula
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "divplan", "domains", "data")
 
@@ -55,7 +53,12 @@ def trace_with_valuations(valuations):
 # -- bins ------------------------------------------------------------------------
 
 def test_default_bins_cover_0_to_100():
-    validate_bins(DEFAULT_BINS)
+    # a partition of [0, 100]: contiguous, non-empty bins with unique labels
+    assert DEFAULT_BINS[0].lower == 0 and DEFAULT_BINS[-1].upper == 100
+    for prev, cur in zip(DEFAULT_BINS, DEFAULT_BINS[1:]):
+        assert prev.upper == cur.lower
+    assert all(b.lower < b.upper for b in DEFAULT_BINS)
+    assert len({b.label for b in DEFAULT_BINS}) == len(DEFAULT_BINS)
     assert bin_label(DEFAULT_BINS, 0) == "VL"
     assert bin_label(DEFAULT_BINS, 15) == "VL"
     assert bin_label(DEFAULT_BINS, 20) == "VL"
@@ -66,19 +69,6 @@ def test_default_bins_cover_0_to_100():
     assert bin_label(DEFAULT_BINS, 90) == "VH"
     assert bin_label(DEFAULT_BINS, 95) == "ID"
     assert bin_label(DEFAULT_BINS, 100) == "ID"
-
-
-def test_bin_validation_errors():
-    with pytest.raises(BinGap):
-        validate_bins((Bin("A", 0, 40), Bin("B", 50, 100)))
-    with pytest.raises(BinOverlap):
-        validate_bins((Bin("A", 0, 60), Bin("B", 50, 100)))
-    with pytest.raises(BinGap):
-        validate_bins((Bin("A", 10, 100),))
-    with pytest.raises(BinGap):
-        validate_bins((Bin("A", 0, 90),))
-    with pytest.raises(BinOverlap):
-        validate_bins((Bin("A", 0, 50), Bin("A", 50, 100)))
 
 
 def test_score_out_of_range_is_an_error():
@@ -260,6 +250,30 @@ def test_ltl_feature_no_match_is_an_error():
         feat.extractor(t)
 
 
+def test_ltl_search_formulas_pick_the_extracted_value():
+    # with overlapping value formulas, exactly the value first-match
+    # extraction returns has a search formula that holds, and none when no
+    # value's formula holds
+    rng = random.Random(15)
+    leaves = (Atom("p"), Atom("q"), TRUE)
+    for _ in range(400):
+        pairs = [(f"v{j}", random_formula(rng, rng.randrange(3), leaves))
+                 for j in range(rng.randint(1, 4))]
+        feat = ltl_feature("f", pairs)
+        trace = trace_with_valuations([
+            {"p": rng.random() < 0.5, "q": rng.random() < 0.5}
+            for _ in range(rng.randint(1, 5))
+        ])
+        holding = [
+            value for value, formula in feat.expression.formulas
+            if eval_finite(formula, trace.valuations)
+        ]
+        try:
+            assert holding == [feat.extractor(trace)], pairs
+        except ExtractorRangeError:
+            assert holding == [], pairs
+
+
 # -- spaces ------------------------------------------------------------------------
 
 def test_space_size_and_unique_names():
@@ -299,44 +313,51 @@ def test_enumerate_cells_cap(tiny_story, monkeypatch):
 
 # -- JSON configuration ----------------------------------------------------------------
 
+# a subject whose score registry holds one score that is always 50
+SCORED = SimpleNamespace(
+    scores={"sustainability": lambda name: categorical_score_feature(
+        name, lambda t: 50.0, atom_suffix="S"
+    )}
+)
+ENEMY_LTL = {
+    "kind": "ltl",
+    "name": "enemy",
+    "values": [
+        {"value": "killed", "formula": "FG killed"},
+        {"value": "avoided", "formula": "G avoided"},
+    ],
+}
+
+
 def test_space_from_json_all_kinds(tiny_story):
-    doc = {
-        "features": [
-            {"kind": "goal-endings"},
-            {
-                "kind": "categorical-score",
-                "name": "sustainability",
-                "score": "sustainability",
-                "suffix": "S",
-            },
-            {
-                "kind": "ltl",
-                "name": "enemy",
-                "values": [
-                    {"value": "killed", "formula": "FG killed"},
-                    {"value": "avoided", "formula": "G avoided"},
-                ],
-            },
-        ]
-    }
-    space = space_from_json(
-        doc, problem=tiny_story, scores={"sustainability": lambda t: 50.0}
-    )
-    assert [f.name for f in space.features] == [
-        "possible-endings",
-        "sustainability",
-        "enemy",
-    ]
-    assert space.size == 4 * 7 * 2
+    # goal-endings needs a ground problem and categorical-score a score
+    # registry, which no one subject has, so the three kinds take two spaces
+    doc = {"features": [{"kind": "goal-endings"}, ENEMY_LTL]}
+    space = space_from_json(doc, tiny_story)
+    assert [f.name for f in space.features] == ["possible-endings", "enemy"]
+    assert space.size == 4 * 2
+    scores = {"kind": "categorical-score", "name": "s", "score": "sustainability"}
+    space = space_from_json({"features": [scores, ENEMY_LTL]}, SCORED)
+    assert [f.name for f in space.features] == ["s", "enemy"]
+    assert space.size == 7 * 2
+    assert space.features[0].extractor(trace_with_valuations([{}])) == "M"
 
 
 def test_space_from_json_errors(tiny_story):
     with pytest.raises(SpaceConfigError):
         space_from_json({"features": [{"kind": "goal-endings"}]})
     with pytest.raises(SpaceConfigError):
+        space_from_json({"features": [{"kind": "goal-endings"}]}, SCORED)
+    with pytest.raises(SpaceConfigError):
         space_from_json(
             {"features": [{"kind": "categorical-score", "name": "x", "score": "nope"}]},
-            scores={},
+            SCORED,
+        )
+    with pytest.raises(SpaceConfigError):
+        space_from_json(
+            {"features": [{"kind": "categorical-score", "name": "x",
+                           "score": "sustainability"}]},
+            tiny_story,
         )
     with pytest.raises(SpaceConfigError):
         space_from_json({"features": [{"kind": "mystery"}]})
@@ -344,18 +365,11 @@ def test_space_from_json_errors(tiny_story):
         space_from_json({"features": [{"kind": "ltl", "name": "x", "values": []}]})
 
 
-def test_custom_bins_from_json():
-    doc = {
-        "features": [
-            {
-                "kind": "categorical-score",
-                "name": "s",
-                "score": "s",
-                "bins": [["LO", 0, 50], ["HI", 50, 100]],
-            }
-        ]
-    }
-    space = space_from_json(doc, scores={"s": lambda t: 75.0})
-    feat = space.features[0]
-    assert list(feat.domain) == ["LO", "HI", "l-reached"]
-    assert feat.extractor(trace_with_valuations([{"x": True}])) == "HI"
+@pytest.mark.parametrize(
+    "key, value", [("bins", [["LO", 0, 50], ["HI", 50, 100]]), ("suffix", "S")]
+)
+def test_space_from_json_refuses_bins_and_suffix(key, value):
+    # the score's registry entry fixes both; a file may not restate them
+    entry = {"kind": "categorical-score", "name": "s", "score": "sustainability"}
+    with pytest.raises(SpaceConfigError, match=f"'features\\[0\\].{key}'"):
+        space_from_json({"features": [{**entry, key: value}]}, SCORED)

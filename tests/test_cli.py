@@ -355,9 +355,8 @@ def test_plan_bad_problem_is_one_error_line(
 
 URBAN_SCORES_SPACE = json.dumps({"features": [
     {"kind": "categorical-score", "name": "sustainability",
-     "score": "sustainability", "suffix": "S"},
-    {"kind": "categorical-score", "name": "diversity",
-     "score": "diversity", "suffix": "D"},
+     "score": "sustainability"},
+    {"kind": "categorical-score", "name": "diversity", "score": "diversity"},
 ]})
 
 
@@ -371,6 +370,20 @@ def test_space_file_scores_reproduce_the_bundled_urban_space(tmp_path, capsys):
     from_file = json.loads(capsys.readouterr().out)
     assert json.dumps(from_file["result"]) == json.dumps(bundled["result"])
     assert from_file["stats"] == bundled["stats"]
+
+
+@pytest.mark.parametrize("key, value", [("bins", [["LO", 0, 50], ["HI", 50, 100]]),
+                                        ("suffix", "S")])
+def test_space_file_bins_and_suffix_are_refused(tmp_path, capsys, key, value):
+    doc = json.loads(URBAN_SCORES_SPACE)
+    doc["features"][1][key] = value
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(doc))
+    code = run("plan", "--domain", "urban", "--space", str(space), "--k", "1")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'features[1].{key}'" in err
 
 
 def test_urban_scores_are_unknown_on_platformer(tmp_path, capsys):
@@ -622,6 +635,57 @@ def test_render_refuses_a_story_plan_that_does_not_replay(
     assert str(story_report) in err and "plan 0: " in err and message in err
 
 
+def _golden_report(tmp_path, name, edit):
+    with open(os.path.join(GOLDEN, f"{name}.json")) as fh:
+        doc = json.load(fh)
+    edit(doc["result"])
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    return report
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda result: result["behaviours"].append(["killed"]),
+        lambda result: result["behaviours"].pop(),
+        lambda result: result["plans"].pop(),
+    ],
+    ids=["extra-behaviour", "missing-behaviour", "missing-plan"],
+)
+def test_render_refuses_plan_and_behaviour_lists_of_other_lengths(
+    tmp_path, capsys, edit
+):
+    report = _golden_report(tmp_path, "platformer-k2", edit)
+    assert run("render", str(report)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(report) in err and " plans but " in err
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        # plan 0 stomps the enemy, plan 1 never touches it
+        ("platformer-k2", "<avoided> but replays to <killed>"),
+        ("story-sat-k3", "<{married-to(dragon,jasmine)}> but replays to "
+                         "<{married-to(jasmine,dragon)}>"),
+        ("urban-k2", "<L | VH> but replays to <L | H>"),
+    ],
+)
+def test_render_refuses_an_annotation_the_plan_does_not_replay_to(
+    tmp_path, capsys, name, message
+):
+    def swap(result):
+        result["behaviours"][:2] = result["behaviours"][1::-1]
+
+    report = _golden_report(tmp_path, name, swap)
+    assert run("render", str(report)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{report}: plan 0 is annotated {message}" in err
+
+
 def test_render_rejects_unbundled_source(tmp_path, capsys):
     src = tmp_path / "prob.json"
     src.write_text(json.dumps(SOLVABLE))
@@ -699,6 +763,21 @@ def test_bundled_reports_match_the_golden_bytes(tmp_path, name):
     assert run(*argv, "--out", str(out)) == EXIT_OK
     with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+# tests/golden/<name>.txt -> (report, render flags) of the render that wrote it
+GOLDEN_RENDERS = {
+    **{f"{name}.render": (name, ()) for name in GOLDEN_RUNS},
+    "urban-k2.color.render": ("urban-k2", ("--color",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RENDERS))
+def test_render_matches_the_golden_text(capsys, name):
+    report, flags = GOLDEN_RENDERS[name]
+    assert run("render", os.path.join(GOLDEN, f"{report}.json"), *flags) == EXIT_OK
+    with open(os.path.join(GOLDEN, f"{name}.txt"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
 
 
 @pytest.mark.parametrize("name", ["story-sat-k3", "urban-k2"])

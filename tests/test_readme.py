@@ -1,11 +1,15 @@
-"""The README's command-line section against the parser it documents."""
+"""The README's command-line section against the program it documents."""
 
+import json
 import re
 from pathlib import Path
 
+from divplan.bspace import load_space
 from divplan.cli import EXIT_OK, build_parser, main
+from divplan.domains.urban import urban_pack
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _command_line_section() -> str:
@@ -40,3 +44,21 @@ def test_bundled_readme_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in lines:
         assert main(argv) == EXIT_OK, argv
+
+
+def test_readme_space_file_rebuilds_the_bundled_urban_space(tmp_path):
+    (block,) = re.findall(r"```json\n(.*?)```", _command_line_section(), re.S)
+    space_file = tmp_path / "space.json"
+    space_file.write_text(block)
+    sim, bundled = urban_pack()
+    space = load_space(str(space_file), sim)
+    for mine, theirs in zip(space.features, bundled.features, strict=True):
+        assert (mine.name, mine.domain, mine.expression) == (
+            theirs.name, theirs.domain, theirs.expression
+        )
+    report = tmp_path / "urban.json"
+    argv = ["plan", "--domain", "urban", "--k", "2", "--space", str(space_file)]
+    assert main([*argv, "--out", str(report)]) == EXIT_OK
+    mine = json.loads(report.read_text())
+    golden = json.loads((GOLDEN / "urban-k2.json").read_text())
+    assert (mine["result"], mine["stats"]) == (golden["result"], golden["stats"])

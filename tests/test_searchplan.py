@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import random
 import weakref
 from collections import Counter
@@ -14,6 +15,7 @@ from divplan.bspace import (
     SpaceConfigError,
     enumerate_cells,
     goal_endings_feature,
+    load_space,
     ltl_feature,
     pbehaviour,
 )
@@ -32,6 +34,7 @@ from divplan.domains.urban import (
     urban_space,
 )
 from divplan.cli import EXIT_OK, main
+from divplan.domains import get_domain
 from divplan.fbi import fbi
 from divplan.ltl import (
     TRUE,
@@ -673,3 +676,36 @@ def test_bundled_sweeps_keep_their_node_counts(tmp_path, monkeypatch, domain, st
             "--strategy", strategy]
     assert main([*argv, "--out", str(tmp_path / "report.json")]) == EXIT_OK
     assert tuple(seen) == SWEEP_STATS[domain, strategy]
+
+
+# ltl values whose formulas overlap -> the cells loop one can realise: the
+# bundled grid does not start in sustainability bin VL, so urban's "b" is empty
+OVERLAPPING_LTL = {
+    "urban": ([("a", "!VL_S"), ("b", "true")], [["a"]]),
+    "platformer": ([("killed", "F killed"), ("other", "true")], [["killed"], ["other"]]),
+}
+
+
+@pytest.mark.parametrize("domain", sorted(OVERLAPPING_LTL))
+def test_overlapping_ltl_values_plan_without_a_traceback(tmp_path, domain):
+    values, cells = OVERLAPPING_LTL[domain]
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps({"features": [{
+        "kind": "ltl", "name": "f",
+        "values": [{"value": v, "formula": f} for v, f in values],
+    }]}))
+    report = tmp_path / "report.json"
+    argv = ["plan", "--domain", domain, "--k", "3", "--space", str(space_file)]
+    assert main([*argv, "--out", str(report)]) == EXIT_OK
+    result = json.loads(report.read_text())["result"]
+    assert result["behaviours"][: result["bdc"]] == cells
+    sim, _space = get_domain(domain)()
+    space = load_space(str(space_file), sim)
+    for labels, [value] in zip(result["plans"], cells):
+        states = [sim.initial()]
+        for label in labels:
+            states.append(sim.step(states[-1], label))
+        valuations = tuple(map(sim.propositions, states))
+        trace = PlanTrace(Plan(tuple(labels)), tuple(states), valuations)
+        assert pbehaviour(space, trace).values == (value,)
+        assert eval_finite(space.features[0].expression.formula_for(value), valuations)
