@@ -147,27 +147,36 @@ def platformer_step(level: Level, state: PlatformerState, action: str) -> Platfo
 
 
 class PlatformerSimulator:
-    """Search interface; fatal moves are simply not offered as legal."""
+    """Search interface; fatal moves are simply not offered as legal.
+
+    Finding the legal moves steps every action, so the simulator keeps the
+    successors of the last state `legal_actions` saw, and `step` on that
+    state returns them instead of stepping again.
+    """
 
     def __init__(self, level: Level):
         self.level = level
         self.budget = BUDGET
+        self._last: tuple = (None, {})  # (state, action -> successor)
 
     def initial(self) -> PlatformerState:
         col, row = self.level.avatar_start
         return PlatformerState(col=col, row=row, vy=0, enemy_alive=True)
 
     def legal_actions(self, state: PlatformerState):
-        legal = []
+        successors = {}
         for action in ACTIONS:
             try:
-                platformer_step(self.level, state, action)
+                successors[action] = platformer_step(self.level, state, action)
             except AvatarDied:
                 continue
-            legal.append(action)
-        return legal
+        self._last = (state, successors)
+        return list(successors)
 
     def step(self, state: PlatformerState, action: str) -> PlatformerState:
+        last, successors = self._last
+        if state is last and action in successors:
+            return successors[action]
         return platformer_step(self.level, state, action)
 
     def propositions(self, state: PlatformerState) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
 
@@ -161,7 +161,7 @@ def urban_step(grid: UrbanGrid, action: str) -> UrbanGrid:
         )
     indices = [i for i, c in enumerate(grid.cells) if c == rule.source]
     if not indices:
-        return replace(grid, counter=grid.counter + 1)
+        return _successor(grid, grid.cells)
     affected = indices[: math.ceil(CONVERSION_FRACTION * len(indices))]
     share, remainder = divmod(len(affected), len(rule.targets))
     quotas = [share] * len(rule.targets)
@@ -172,7 +172,18 @@ def urban_step(grid: UrbanGrid, action: str) -> UrbanGrid:
         for i in affected[cursor : cursor + quota]:
             cells[i] = target
         cursor += quota
-    return replace(grid, cells=tuple(cells), counter=grid.counter + 1)
+    return _successor(grid, tuple(cells))
+
+
+def _successor(grid: UrbanGrid, cells: tuple) -> UrbanGrid:
+    """The grid after one step, holding cells. A rule keeps the shape and
+    writes only land-use codes, so the successor skips the check
+    `UrbanGrid.__post_init__` makes of grids that come from input."""
+    succ = object.__new__(UrbanGrid)
+    succ.__dict__.update(
+        width=grid.width, height=grid.height, cells=cells, counter=grid.counter + 1
+    )
+    return succ
 
 
 @lru_cache(maxsize=None)

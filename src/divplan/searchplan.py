@@ -15,9 +15,13 @@ prunes with it as in formula-progression planning (Bacchus & Kabanza, 2000).
 Each simulator object has one record (`core.record_of`) that outlives the
 calls on it. Its move table maps every state the search has expanded to its
 (action, successor, valuation) triples, so each transition is asked of the
-simulator once. Its plan walk is the plain tree walk of the last plan call,
-paused after the goal node it returned: the next call goes on from there
-instead of re-walking every plan it already passed.
+simulator once. Its sweep is the behaviour sweep of the last search, paused
+once the call's first target had a witness, with the first witness of every
+target it has met: a later call over fewer targets reads its answer from
+there or walks on, instead of sweeping the tree again. Its plan walk is the
+plain tree walk of the last plan call, paused after the goal node it
+returned: the next call goes on from there instead of re-walking every plan
+it already passed.
 """
 
 from __future__ import annotations
@@ -85,10 +89,11 @@ class Simulator(Protocol):
 class SearchConfig:
     """How one search walks the tree.
 
-    strategy is one of STRATEGIES; node_budget caps the expansions of one
-    search, which is one sweep over all its targets, so one behaviour call;
-    a plan call counts the expansions of its walk from the root, so those of
-    the earlier calls it resumes count too;
+    strategy is one of STRATEGIES; node_budget caps the new expansions of
+    one search call, so of one behaviour call: a call that resumes a paused
+    sweep spends its budget from the pause, and one that reads a witness the
+    sweep already met spends none; a plan call counts the expansions of its
+    walk from the root, so those of the earlier calls it resumes count too;
     prune=False keeps monitor-violated branches (same answers, more nodes).
     seed is ignored (both strategies are deterministic); ROADMAP item 1
     step 3 removes it.
@@ -209,14 +214,16 @@ class _Record:
     """What one simulator object has shown the search.
 
     moves: state -> ((action, successor, valuation), ...) in legal_actions
-    order; walk: the plan walk the last plan call paused, or None.
+    order; walk: the plan walk the last plan call paused, or None; sweep:
+    the behaviour sweep the last search paused, or None.
     """
 
-    __slots__ = ("moves", "walk")
+    __slots__ = ("moves", "walk", "sweep")
 
     def __init__(self):
         self.moves: dict = {}
         self.walk: Optional[_PlanWalk] = None
+        self.sweep: Optional[_Sweep] = None
 
 
 # id(sim) -> _Record, kept by core.record_of
@@ -282,12 +289,88 @@ class _PlanWalk:
         return None
 
 
+class _Sweep:
+    """One sweep over targets that pauses between calls.
+
+    Every target stays live, so the dedup key holds every residual and a
+    target's first witness is the same node whichever call reaches it.
+    witnesses[i] is the first goal trace in walk order that satisfies
+    targets[i], or None while the sweep has met none.
+    """
+
+    def __init__(self, sim, targets: Sequence[LtlFormula], cfg: SearchConfig):
+        self.cfg = cfg
+        self.targets = tuple(targets)
+        self.witnesses: list = [None] * len(self.targets)
+        self.push, self.pop, self.frontier = _make_frontier(cfg)
+        self.table = _Progression(self.targets)
+        self.visited: dict = {}  # dedup key -> shallowest depth seen
+        init = sim.initial()
+        v0 = sim.propositions(init)
+        roots = tuple(self.table.intern(target) for target in self.targets)
+        self.push([(init, None, None, v0, 0, *self.table.advance(roots, v0))])
+
+    def positions(self, targets: Sequence[LtlFormula]) -> Optional[list]:
+        """Where each of targets sits among this sweep's, matched in order,
+        or None if they are not a subsequence of them."""
+        rest = iter(range(len(self.targets)))
+        positions = [next((i for i in rest if self.targets[i] == t), None) for t in targets]
+        return None if None in positions else positions
+
+    def walk(self, sim, transitions: dict, first: Optional[int], stats: SearchStats):
+        """Expand nodes until targets[first] has a witness, the tree ends or
+        this call's node budget runs out. A node is handled in full, its
+        children pushed, before the walk pauses after it."""
+        depth_cap = getattr(sim, "budget", None)
+        cfg, witnesses, visited, table = self.cfg, self.witnesses, self.visited, self.table
+        while self.frontier and (first is None or witnesses[first] is None):
+            if stats.expanded >= cfg.node_budget:
+                stats.budget_exhausted = True
+                return
+            node = self.pop()
+            state, _, _, _, depth, residuals, sats = node
+            stats.expanded += 1
+
+            if True in sats and sim.is_goal(state):
+                trace = None
+                for i, sat in enumerate(sats):
+                    if sat and witnesses[i] is None:
+                        witnesses[i] = trace = trace or _trace(node)
+
+            if cfg.prune and not any(residuals) and not any(sats):
+                stats.pruned += 1
+                continue
+            seen_key = (state, residuals, sats)
+            seen = visited.get(seen_key)
+            if seen is not None and seen <= depth:
+                stats.deduplicated += 1
+                continue
+            visited[seen_key] = depth
+            if depth_cap is not None and depth >= depth_cap:
+                continue
+
+            self.push([
+                (succ, node, action, valuation, depth + 1,
+                 *table.advance(residuals, valuation))
+                for action, succ, valuation in _moves(sim, transitions, state)
+            ])
+
+
 def constrained_search(
     sim, targets: Sequence[LtlFormula], cfg: SearchConfig
 ) -> SearchResult:
-    """One sweep for a goal-reaching trace that satisfies the first target
-    it can: the sweep ends once targets[0] has a witness or the tree is
-    exhausted, and returns the witness of the lowest-index target found.
+    """A goal-reaching trace that satisfies the first target it can: the
+    witness of the lowest-index target found once targets[0] has a witness
+    or the tree is exhausted.
+
+    The sweep is resumable. A call goes on with the sweep the last call on
+    this simulator object paused, when its cfg is equal and targets is a
+    subsequence of that sweep's targets, as in `behaviour_generator_ltl`,
+    whose open cells only shrink; a witness that sweep already met is read
+    back without expanding a node. Any other call, and any call after one
+    that raised, starts a sweep from the root over its own targets. Under
+    breadth-first search both give the same answer. The stats count only
+    the nodes this call expanded.
 
     Nodes whose progressed obligations are all unsatisfiable — for the prefix
     as well as for every extension — are cut (cfg.prune=False keeps them,
@@ -295,52 +378,20 @@ def constrained_search(
     initial state's valuation does not assign raises UnknownAtom.
     """
     stats = SearchStats()
-    depth_cap = getattr(sim, "budget", None)
-    push, pop, frontier = _make_frontier(cfg)
-    table = _Progression(targets)
-    transitions = record_of(_records, sim, _Record).moves
-    # targets[:live] still lack a witness that beats the one already found
-    live = len(targets)
-    witness: Optional[PlanTrace] = None
-
-    init = sim.initial()
-    v0 = sim.propositions(init)
-    roots = tuple(table.intern(target) for target in targets)
-    push([(init, None, None, v0, 0, *table.advance(roots, v0))])
-    visited: dict = {}  # dedup key -> shallowest depth seen
-
-    while frontier:
-        if stats.expanded >= cfg.node_budget:
-            stats.budget_exhausted = True
-            break
-        node = pop()
-        state, _, _, _, depth, residuals, sats = node
-        stats.expanded += 1
-
-        if True in sats[:live] and sim.is_goal(state):
-            witness, live = _trace(node), sats.index(True)
-            if live == 0:
-                break
-        residuals, sats = residuals[:live], sats[:live]
-
-        if cfg.prune and not any(residuals) and not any(sats):
-            stats.pruned += 1
-            continue
-        seen_key = (state, residuals, sats)
-        seen = visited.get(seen_key)
-        if seen is not None and seen <= depth:
-            stats.deduplicated += 1
-            continue
-        visited[seen_key] = depth
-        if depth_cap is not None and depth >= depth_cap:
-            continue
-
-        push([
-            (succ, node, action, valuation, depth + 1,
-             *table.advance(residuals, valuation))
-            for action, succ, valuation in _moves(sim, transitions, state)
-        ])
-    return SearchResult(witness, stats, None if witness is None else live)
+    record = record_of(_records, sim, _Record)
+    sweep, record.sweep = record.sweep, None  # an exception drops the sweep
+    positions = None
+    if sweep is not None and sweep.cfg == cfg:
+        positions = sweep.positions(targets)
+    if positions is None:
+        sweep = _Sweep(sim, targets, cfg)
+        positions = range(len(sweep.targets))
+    sweep.walk(sim, record.moves, positions[0] if positions else None, stats)
+    record.sweep = sweep
+    for index, position in enumerate(positions):
+        if sweep.witnesses[position] is not None:
+            return SearchResult(sweep.witnesses[position], stats, index)
+    return SearchResult(None, stats, None)
 
 
 def behaviour_generator_ltl(
@@ -351,10 +402,11 @@ def behaviour_generator_ltl(
 ) -> Optional[PlanTrace]:
     """A trace realising some not-yet-found behaviour cell, or None.
 
-    One sweep per call searches every open cell at once; its target is the
-    conjunction of the cell's per-feature formulas, and cells take priority
-    in feature-declaration order, so the call returns the first realisable
-    open cell. None means every open cell is proven empty. If the node
+    One sweep searches every open cell at once; a cell's target is the
+    conjunction of its per-feature formulas, and cells take priority in
+    feature-declaration order, so the call returns the first realisable
+    open cell. The open cells only shrink over an fbi run, so every later
+    call resumes the sweep the first one paused (see `constrained_search`). None means every open cell is proven empty. If the node
     budget runs out first, a cell already realised is still returned;
     otherwise the call fails loudly rather than feigning exhaustion.
     """

@@ -37,6 +37,14 @@ from divplan.ltl import (
     PropTrace,
     TrueFormula,
 )
+from divplan.searchplan import (
+    SearchResult,
+    SearchStats,
+    _make_frontier,
+    _moves,
+    _Progression,
+    _trace,
+)
 
 # -- hand-sized declarative instances ------------------------------------------
 
@@ -232,6 +240,64 @@ def per_call_plan_generator(sim, existing_plans, cfg):
             children.reverse()  # so the first legal action is explored first
         frontier.extend(children)
     return None
+
+
+# -- the behaviour sweep, one fresh sweep per call ---------------------------------
+
+
+def per_call_sweep(sim, targets, cfg):
+    """`searchplan.constrained_search` as it was before its sweep resumed:
+    one sweep from the root per call, which stops once targets[0] has a
+    witness and stops tracking every target behind the best one found. It
+    keeps a move table of its own, so it asks the simulator for every
+    transition it needs."""
+    stats = SearchStats()
+    depth_cap = getattr(sim, "budget", None)
+    push, pop, frontier = _make_frontier(cfg)
+    table = _Progression(targets)
+    transitions: dict = {}
+    # targets[:live] still lack a witness that beats the one already found
+    live = len(targets)
+    witness = None
+
+    init = sim.initial()
+    v0 = sim.propositions(init)
+    roots = tuple(table.intern(target) for target in targets)
+    push([(init, None, None, v0, 0, *table.advance(roots, v0))])
+    visited: dict = {}  # dedup key -> shallowest depth seen
+
+    while frontier:
+        if stats.expanded >= cfg.node_budget:
+            stats.budget_exhausted = True
+            break
+        node = pop()
+        state, _, _, _, depth, residuals, sats = node
+        stats.expanded += 1
+
+        if True in sats[:live] and sim.is_goal(state):
+            witness, live = _trace(node), sats.index(True)
+            if live == 0:
+                break
+        residuals, sats = residuals[:live], sats[:live]
+
+        if cfg.prune and not any(residuals) and not any(sats):
+            stats.pruned += 1
+            continue
+        seen_key = (state, residuals, sats)
+        seen = visited.get(seen_key)
+        if seen is not None and seen <= depth:
+            stats.deduplicated += 1
+            continue
+        visited[seen_key] = depth
+        if depth_cap is not None and depth >= depth_cap:
+            continue
+
+        push([
+            (succ, node, action, valuation, depth + 1,
+             *table.advance(residuals, valuation))
+            for action, succ, valuation in _moves(sim, transitions, state)
+        ])
+    return SearchResult(witness, stats, None if witness is None else live)
 
 
 # -- DIMACS reader (the program only writes DIMACS) --------------------------------

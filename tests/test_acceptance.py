@@ -270,8 +270,15 @@ def all_traces(max_len=5):
             yield list(combo)
 
 
-def defn_vector(formula, trace):
-    """Literal transcription of the defining clauses, one truth per position."""
+def defn_vector(formula, trace, memo=None):
+    """Literal transcription of the defining clauses, one truth per position.
+
+    memo, if given, maps the id of a formula to its vector on this trace,
+    already computed by this definition; a subformula found there is not
+    recomputed.
+    """
+    if memo is not None and id(formula) in memo:
+        return memo[id(formula)]
     n = len(trace)
     if formula is TRUE:
         return [True] * n
@@ -280,18 +287,20 @@ def defn_vector(formula, trace):
     if isinstance(formula, Atom):
         return [bool(v.get(formula.name, False)) for v in trace]
     if isinstance(formula, Not):
-        return [not x for x in defn_vector(formula.arg, trace)]
+        return [not x for x in defn_vector(formula.arg, trace, memo)]
     if isinstance(formula, And):
-        left, right = defn_vector(formula.left, trace), defn_vector(formula.right, trace)
+        left = defn_vector(formula.left, trace, memo)
+        right = defn_vector(formula.right, trace, memo)
         return [a and b for a, b in zip(left, right)]
     if isinstance(formula, Or):
-        left, right = defn_vector(formula.left, trace), defn_vector(formula.right, trace)
+        left = defn_vector(formula.left, trace, memo)
+        right = defn_vector(formula.right, trace, memo)
         return [a or b for a, b in zip(left, right)]
     if isinstance(formula, Always):
-        sub = defn_vector(formula.arg, trace)
+        sub = defn_vector(formula.arg, trace, memo)
         return [all(sub[i:]) for i in range(n)]
     if isinstance(formula, Eventually):
-        sub = defn_vector(formula.arg, trace)
+        sub = defn_vector(formula.arg, trace, memo)
         return [any(sub[i:]) for i in range(n)]
     raise TypeError(formula)
 
@@ -313,10 +322,13 @@ def test_criterion_6_temporal_semantics_match_the_definition():
     depth2 += [op(a, b) for op in binary for a in depth1 for b in depth1]
     assert len(depth2) == 4 + 3 * 48 + 2 * 48 * 48  # 4756
 
+    # every depth-2 formula is an operator over depth-<=1 children, so each
+    # child's vector is computed once per trace
+    memos = [{id(child): defn_vector(child, trace) for child in depth1} for trace in traces]
     mismatches = 0
     for formula in depth2:
-        for trace in traces:
-            if eval_finite(formula, trace) != defn_vector(formula, trace)[0]:
+        for trace, memo in zip(traces, memos):
+            if eval_finite(formula, trace) != defn_vector(formula, trace, memo)[0]:
                 mismatches += 1
     assert mismatches == 0
 

@@ -151,13 +151,36 @@ def test_rules_cover_every_land_use():
 # ---------------------------------------------------------------------------
 
 
+# every check a grid from input gets, with the message it raises
+INVALID_GRIDS = [
+    ((0, 2, ()), 0, "^grid dimensions must be positive$"),
+    ((2, -1, ()), 0, "^grid dimensions must be positive$"),
+    ((2, 2, ("G", "G")), 0, "^expected 4 cells, got 2$"),
+    ((2, 1, ("G", "X")), 0, r"^unknown cell codes: \['X'\]$"),
+    ((3, 1, tuple("GqX")), 0, r"^unknown cell codes: \['X', 'q'\]$"),
+    ((1, 1, ("G",)), -1, "^step counter cannot be negative$"),
+]
+
+
 def test_grid_validation():
-    with pytest.raises(ValueError, match="dimensions"):
-        UrbanGrid(width=0, height=2, cells=())
-    with pytest.raises(ValueError, match="cell codes"):
-        grid(["GX"])
-    with pytest.raises(ValueError):
-        UrbanGrid(width=2, height=2, cells=("G", "G"))
+    for (width, height, cells), counter, message in INVALID_GRIDS:
+        with pytest.raises(ValueError, match=message):
+            UrbanGrid(width, height, cells, counter)
+        if width > 0 and height > 0 and len(cells) == width * height:
+            rows = ["".join(cells[r * width:(r + 1) * width]) for r in range(height)]
+            doc = {"width": width, "height": height, "rows": rows, "counter": counter}
+            with pytest.raises(ValueError, match=message):
+                grid_from_json(doc)
+
+
+def test_stepped_grids_equal_checked_grids():
+    start = bundled_grid()
+    for rule in RULES:
+        for second in RULES:
+            succ = urban_step(urban_step(start, rule.action), second.action)
+            checked = UrbanGrid(start.width, start.height, succ.cells, 2)
+            assert succ == checked and hash(succ) == hash(checked)
+            assert repr(succ) == repr(checked)
 
 
 def test_grid_json_roundtrip():

@@ -10,6 +10,7 @@ from functools import partial
 import pytest
 
 from divplan import searchplan
+from divplan.domains import platformer
 from divplan.bspace import (
     BehaviourSpace,
     SpaceConfigError,
@@ -60,6 +61,7 @@ from oracles import (
     CorridorSimulator,
     corridor_space,
     per_call_plan_generator,
+    per_call_sweep,
     random_formula,
     toggle_problem,
 )
@@ -494,6 +496,11 @@ def test_resumed_walk_visits_each_tree_node_once():
     assert max(sim.steps.values()) == 1
 
 
+def answer(result):
+    """What a sweep answers, without the node counts of how it got there."""
+    return result.trace, result.index, result.definitive
+
+
 @pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
 def test_sweeps_are_the_same_after_earlier_calls_on_the_simulator(strategy):
     config = cfg(strategy=strategy)
@@ -504,8 +511,95 @@ def test_sweeps_are_the_same_after_earlier_calls_on_the_simulator(strategy):
     for sweep in (cells, cells[1:], cells[::-1]):
         targets = tuple(cell_target(space, cell) for cell in sweep)
         again = constrained_search(used, targets, config)
-        assert again == constrained_search(CorridorSimulator(budget=7), targets, config)
+        fresh = constrained_search(CorridorSimulator(budget=7), targets, config)
+        assert answer(again) == answer(fresh)
     assert max(used.steps.values()) == 1
+
+
+# -- the resumed sweep against one fresh sweep per call ---------------------------
+
+SWEEP_SPACES = {
+    "corridor": route_space,
+    "corridor-7": route_space,
+    "urban-3x3": urban_space,
+    "urban-4x4": urban_space,
+}
+
+
+def checked_against_the_oracle(monkeypatch, reference, config=None):
+    """Make every constrained_search call also ask per_call_sweep on the
+    fresh simulator reference, under config if given; returns the list of
+    (answer, oracle's answer) pairs the calls fill."""
+    calls = []
+
+    def both(sim, targets, own_config):
+        result = real(sim, targets, own_config)
+        oracle = per_call_sweep(reference, targets, config or own_config)
+        calls.append((answer(result), answer(oracle)))
+        return result
+
+    real = searchplan.constrained_search
+    monkeypatch.setattr(searchplan, "constrained_search", both)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_resumed_sweep_matches_a_fresh_sweep_per_call(monkeypatch, case, strategy):
+    config = cfg(strategy=strategy)
+    space = SWEEP_SPACES[case]()
+    calls = checked_against_the_oracle(monkeypatch, WALK_CASES[case]())
+    run_fbi(behaviour_generator_ltl, WALK_CASES[case](), space, space.size, config)
+    assert len(calls) > 1
+    assert [new for new, _ in calls] == [old for _, old in calls]
+
+
+@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
+@pytest.mark.parametrize("node_budget", [1, 3, 4, 9, 20, 45, 120])
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_a_budgeted_resumed_sweep_answers_as_an_unbudgeted_one(
+    monkeypatch, case, node_budget, strategy
+):
+    # a resumed call spends its budget from where the sweep paused, not from
+    # the root, so it may answer where a fresh sweep per call runs out; it
+    # never answers otherwise than a sweep with no budget
+    config = cfg(strategy=strategy, node_budget=node_budget)
+    space = SWEEP_SPACES[case]()
+    reference = WALK_CASES[case]()
+    calls = checked_against_the_oracle(monkeypatch, reference, cfg(strategy=strategy))
+    resumed = run_fbi(behaviour_generator_ltl, WALK_CASES[case](), space, space.size, config)
+    for (trace, index, definitive), unbudgeted in calls:
+        if definitive:
+            assert (trace, index, definitive) == unbudgeted
+        elif trace is not None:
+            assert index >= unbudgeted[1]
+            if strategy == "breadth-first":
+                target = (cell_target(space, pbehaviour(space, trace)),)
+                assert trace == per_call_sweep(reference, target, cfg()).trace
+    monkeypatch.setattr(searchplan, "constrained_search", per_call_sweep)
+    per_call = run_fbi(behaviour_generator_ltl, reference, space, space.size, config)
+    assert resumed.bdc >= per_call.bdc
+
+
+@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_resumed_sweep_matches_for_any_found_cell_order(case, strategy):
+    # targets in cell order, as behaviour_generator_ltl passes them, and in
+    # shuffled priority orders, in which a later call's witness may lie
+    # below the goal node the sweep paused at
+    config = cfg(strategy=strategy)
+    space = SWEEP_SPACES[case]()
+    cells = list(enumerate_cells(space))
+    rng = random.Random(case)
+    for priority in [cells, cells[::-1]] + [rng.sample(cells, len(cells)) for _ in range(2)]:
+        found_order = rng.sample(cells, len(cells))
+        sim, reference = WALK_CASES[case](), WALK_CASES[case]()
+        for n in range(len(cells)):
+            found = set(found_order[:n])
+            targets = tuple(cell_target(space, c) for c in priority if c not in found)
+            assert answer(constrained_search(sim, targets, config)) == answer(
+                per_call_sweep(reference, targets, config)
+            ), (priority, found_order, n)
 
 
 def test_step_runs_once_per_transition_over_an_fbi_run():
@@ -516,6 +610,25 @@ def test_step_runs_once_per_transition_over_an_fbi_run():
     assert result == run_fbi(behaviour_generator_ltl, fresh, space, space.size, cfg())
     assert len(result.plans) > result.bdc  # the plan walk ran too
     assert max(counted.steps.values()) == 1
+
+
+@pytest.mark.parametrize("case", ["platformer-bundled", "platformer-seed1"])
+def test_platformer_steps_each_pair_once_over_an_fbi_run(monkeypatch, case):
+    sim, space, k = SWEEP_CASES[case]()
+    steps = Counter()
+
+    def counted(level, state, action):
+        steps[state, action] += 1
+        return real(level, state, action)
+
+    real = platformer.platformer_step
+    monkeypatch.setattr(platformer, "platformer_step", counted)
+    result = run_fbi(behaviour_generator_ltl, sim, space, k + 1, cfg(node_budget=2000))
+    assert result.bdc == k
+    assert steps and max(steps.values()) == 1
+    monkeypatch.setattr(platformer, "platformer_step", real)
+    fresh = SWEEP_CASES[case]()[0]
+    assert result == run_fbi(behaviour_generator_ltl, fresh, space, k + 1, cfg(node_budget=2000))
 
 
 # -- the per-simulator record ------------------------------------------------------
@@ -568,16 +681,26 @@ def test_simulator_without_weak_references_still_plans():
 
 @dataclass
 class FlakySimulator(CorridorSimulator):
-    """The corridor, whose step raises once: on call number fail_at."""
+    """The corridor, whose method named flaky raises once: on its call
+    number fail_at. calls counts the calls of that method."""
 
     fail_at: int = 0
     calls: int = 0
+    flaky: str = "step"
+
+    def _call(self, method):
+        if method == self.flaky:
+            self.calls += 1
+            if self.calls == self.fail_at:
+                raise RuntimeError(f"the simulator's {method} failed once")
 
     def step(self, state, action):
-        self.calls += 1
-        if self.calls == self.fail_at:
-            raise RuntimeError("the simulator failed once")
+        self._call("step")
         return super().step(state, action)
+
+    def is_goal(self, state):
+        self._call("is_goal")
+        return super().is_goal(state)
 
 
 @pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
@@ -598,6 +721,30 @@ def test_an_exception_mid_walk_drops_the_walk(strategy):
     ]
     later = plan_answers(plan_generator_ltl, sim, config, 40 - len(plans), plans)
     assert later == reference[len(plans):]
+
+
+@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
+def test_an_exception_mid_sweep_drops_the_sweep(strategy):
+    # the first sweep pauses at its shallow first target and leaves every
+    # transition in the move table, so the resumed sweep fails in is_goal,
+    # which it asks of every node it expands
+    config = cfg(strategy=strategy)
+    space = route_space()
+    targets = tuple(cell_target(space, cell) for cell in enumerate_cells(space))[::-1]
+    sim = FlakySimulator(budget=7, flaky="is_goal")
+    constrained_search(sim, targets, config)
+    record = searchplan._records[id(sim)]
+    assert record.sweep is not None
+    sim.fail_at = sim.calls + 3
+    with pytest.raises(RuntimeError):
+        constrained_search(sim, targets[1:], config)
+    assert record.sweep is None
+    reference = CorridorSimulator(budget=7)
+    for rest in (targets[1:], targets[2:]):
+        assert answer(constrained_search(sim, rest, config)) == answer(
+            per_call_sweep(reference, rest, config)
+        )
+    assert record.sweep is not None
 
 
 # -- what simplifying the sweep must not change ---------------------------------
@@ -638,24 +785,13 @@ def test_progression_memo_matches_direct_progression():
 
 
 # SearchStats (expanded, pruned, deduplicated) of every sweep of the bundled
-# urban k=12 and platformer k=8 runs, in call order
+# urban k=12 and platformer k=8 runs, in call order: each later call of a run
+# reads its witness from the sweep the first call paused
 SWEEP_STATS = {
-    ("urban", "breadth-first"): (
-        (27866, 0, 17268), (27866, 0, 17905), (27866, 0, 18034), (27866, 0, 18326),
-        (27866, 0, 18298), (27866, 0, 17861), (27866, 0, 18335), (27866, 0, 18321),
-        (27866, 0, 17764), (27866, 0, 18286), (27866, 0, 18187), (27866, 0, 18335),
-    ),
-    ("urban", "depth-first"): (
-        (50041, 0, 32437), (37641, 0, 24429), (33331, 0, 21769), (27881, 0, 18335),
-        (28026, 0, 18402), (37581, 0, 24596), (27866, 0, 18335), (27901, 0, 18343),
-        (42216, 0, 27506), (28181, 0, 18497), (29546, 0, 19341), (27866, 0, 18335),
-    ),
-    ("platformer", "breadth-first"): (
-        (1161, 0, 818), (569, 8, 413),
-    ),
-    ("platformer", "depth-first"): (
-        (4262, 0, 2975), (73, 0, 38),
-    ),
+    ("urban", "breadth-first"): ((27866, 0, 18335),) + ((0, 0, 0),) * 11,
+    ("urban", "depth-first"): ((27866, 0, 18335),) + ((0, 0, 0),) * 11,
+    ("platformer", "breadth-first"): ((1065, 0, 771), (0, 0, 0)),
+    ("platformer", "depth-first"): ((1516, 0, 1039), (0, 0, 0)),
 }
 
 
