@@ -3,7 +3,6 @@
 from .bspace import (
     Behaviour,
     BehaviourSpace,
-    bdc,
     categorical_score_feature,
     goal_endings_feature,
     ltl_feature,
@@ -44,7 +43,6 @@ __all__ = [
     "PlanTrace",
     "PlanningError",
     "SearchConfig",
-    "bdc",
     "behaviour_generator_ltl",
     "behaviour_generator_sat",
     "categorical_score_feature",

@@ -196,11 +196,6 @@ def pbehaviour(space: BehaviourSpace, trace: PlanTrace) -> Behaviour:
     return Behaviour(tuple(values))
 
 
-def bdc(space: BehaviourSpace, traces) -> int:
-    """Behaviour diversity count: distinct behaviours among the traces."""
-    return len({pbehaviour(space, t) for t in traces})
-
-
 def enumerate_cells(space: BehaviourSpace) -> Iterator[Behaviour]:
     """Every cell exactly once, in feature-major deterministic order."""
     if space.size > CELL_CAP:

@@ -1,8 +1,10 @@
 """Planning as satisfiability: sequential CNF encoding, a small CDCL solver,
 and the behaviour/plan generator pair built on them.
 
-The generators drive the built-in `Solver` themselves, one live solver per
-horizon; `solve_task` is the one-shot call to an external solver.
+The generators drive the built-in `Solver` themselves: one live solver per
+problem and generator, loaded once per step from one growing encoding, with
+each horizon's goal an assumption. `solve_task` is the one-shot call to an
+external solver.
 """
 
 from .encoding import (

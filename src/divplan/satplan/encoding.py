@@ -1,21 +1,28 @@
 """Sequential planning-as-satisfiability encoding and plan decoding.
 
-One action per step. Variables are numbered by formula, with no lookup
-table:
+One action per step. One encoding serves every horizon: it grows a step at
+a time and nothing in a step mentions the horizon. Variables are numbered by
+formula, with no lookup table. With F fluents, A actions, B = ceil(log2 A)
+code bits, G = 1 plus the goal's disjunct count when it has two or more,
+and the stride S = F + G + A + B:
 
-* action i (its index in problem.actions) at step t < horizon is
-  1 + t*|A| + i;
-* fluent f at step t <= horizon is 1 + horizon*|A| + t*|F| + index(f),
-  where index(f) is f's position in sorted order;
-* goal selectors for a multi-disjunct goal come after those, then
-  ceil(log2 |A|) code bits per step.
+* layer t starts at 1 + t*S. Fluent f is 1 + t*S + index(f), where
+  index(f) is f's position in sorted order. The horizon guard g_t is
+  1 + t*S + F, and the goal selectors of layer t follow it;
+* step t follows layer t. Action i (its index in problem.actions) is
+  1 + t*S + F + G + i, and the step's code bits follow the actions. Layer
+  t+1 comes next.
 
-So the action variables are 1..horizon*|A|, one row of |A| per step, and the
-fluent variables one row of |F| per step after them. Clauses: init units,
-goal at the final step, exactly-one action per step, action implications for
-preconditions and effects, and positive/negative explanatory frame axioms.
-Plans shorter than the horizon are the business of lower horizons — there is
-no no-op padding.
+So layer 0 holds the fluents, and step block t holds step t's actions, its
+code bits and layer t+1. A task at horizon h has h*S + F + G variables.
+Clauses: init units; for each step, exactly one action, action implications
+for preconditions and effects, and positive/negative explanatory frame
+axioms. The goal at h, and every clause that forbids a behaviour or a plan
+at h, also holds the literal ¬g_h, so it binds only where g_h is assumed;
+the one-shot `encode` asserts g_h with a unit. Every layer below the
+horizon is retired: units set its guard and goal selectors False, which
+switches off a goal encoded there before the task grew. Plans shorter than
+the horizon are the business of lower horizons — there is no no-op padding.
 
 At most one action per step uses the binary encoding (Frisch & Giannaros,
 ModRef 2010): action i forces the step's code bits to spell i, so two true
@@ -28,7 +35,6 @@ clauses per step. A sequential counter (Sinz, CP 2005) is also linear but adds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from ..core import (
@@ -53,27 +59,55 @@ class HorizonMismatch(EncodingError):
     """forbid_plan needs a plan of exactly the task's horizon."""
 
 
-@dataclass
 class CnfTask:
-    """A CNF planning task plus the variable layout needed to decode models
-    (the numbering formulas are in the module docstring; fluent_order gives
-    index(f))."""
+    """A CNF planning task that grows one step at a time, plus the variable
+    layout needed to decode models (the numbering formulas are in the module
+    docstring; fluent_order gives index(f)).
 
-    problem: GroundProblem
-    horizon: int
-    fluent_order: tuple
-    clauses: list = field(default_factory=list)
-    num_vars: int = 0
+    `horizon` steps are encoded, and so is the goal at `horizon`, guarded by
+    `guard(horizon)`. `clauses` holds the clauses emitted and not yet handed
+    to a solver: all of them, for a one-shot task. The task keeps the
+    problem's actions but not the problem itself, so a record that keeps a
+    task does not keep its problem alive.
+    """
 
-    def __post_init__(self):
+    def __init__(self, problem: GroundProblem, horizon: int = 0):
+        self.actions = problem.actions
+        self.action_index = {a.name: i for i, a in enumerate(self.actions)}
+        self.fluent_order = tuple(sorted(problem.fluents))
         self.fluent_index = {f: i for i, f in enumerate(self.fluent_order)}
-        self.fluent_base = 1 + self.horizon * len(self.problem.actions)
+        goal = problem.goal
+        self.goal_fluents = goal.fluents()
+        self._disjuncts = () if goal.is_trivial() else goal.disjuncts
+        n_a, n_f = len(self.actions), len(self.fluent_order)
+        n_selectors = len(self._disjuncts) if len(self._disjuncts) > 1 else 0
+        self.n_bits = max(n_a - 1, 0).bit_length()  # 0 when |A| <= 1
+        self.layer_size = n_f + 1 + n_selectors  # F + G
+        self.stride = self.layer_size + n_a + self.n_bits
+        self._adders: dict = {f: [] for f in self.fluent_order}
+        self._deleters: dict = {f: [] for f in self.fluent_order}
+        for i, a in enumerate(self.actions):
+            for f in sorted(a.add):
+                self._adders[f].append(i)
+            for f in sorted(a.delete):
+                self._deleters[f].append(i)
 
-    def action_var(self, action_index: int, t: int) -> int:
-        return 1 + t * len(self.problem.actions) + action_index
+        # every literal below is a variable number, so none is zero
+        self.clauses: list = [
+            [self.fluent_var(f, 0) if f in problem.init else -self.fluent_var(f, 0)]
+            for f in self.fluent_order
+        ]
+        self.horizon = 0
+        self.advance(horizon)
 
     def fluent_var(self, fluent: Fluent, t: int) -> int:
-        return self.fluent_base + t * len(self.fluent_order) + self.fluent_index[fluent]
+        return 1 + t * self.stride + self.fluent_index[fluent]
+
+    def guard(self, t: int) -> int:
+        return 1 + t * self.stride + len(self.fluent_order)
+
+    def action_var(self, action_index: int, t: int) -> int:
+        return 1 + t * self.stride + self.layer_size + action_index
 
     def add_clause(self, clause: Sequence[int]) -> list:
         clause = list(clause)
@@ -82,68 +116,46 @@ class CnfTask:
         self.clauses.append(clause)
         return clause
 
-    def decision_phases(self) -> list:
-        """Initial solver phases: try actions True so search walks plans
-        depth-first; everything else defaults to False."""
-        phases = [False] * (self.num_vars + 1)
-        phases[1 : self.fluent_base] = [True] * (self.fluent_base - 1)
-        return phases
-
-
-def encode(problem: GroundProblem, horizon: int) -> CnfTask:
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    actions = problem.actions
-    fluents = tuple(sorted(problem.fluents))
-    n_a, n_f = len(actions), len(fluents)
-
-    task = CnfTask(problem=problem, horizon=horizon, fluent_order=fluents)
-    task.num_vars = n_a * horizon + n_f * (horizon + 1)
-    fv = task.fluent_var
-    av = task.action_var
-    # every literal below is a variable number, so none is zero
-    add = task.clauses.append
-
-    # init: closed world at step 0
-    for f in fluents:
-        add([fv(f, 0) if f in problem.init else -fv(f, 0)])
-
-    # goal at the final step
-    if not problem.goal.is_trivial():
-        disjuncts = problem.goal.disjuncts
+    def advance(self, horizon: int) -> None:
+        """Grow to `horizon`: retire each layer below it (units set its guard
+        and goal selectors False, so search never decides them), encode the
+        missing steps, and guard the goal at `horizon`."""
+        if horizon < self.horizon:
+            raise ValueError(f"horizon {horizon} is below the task's {self.horizon}")
+        add = self.clauses.append
+        for t in range(self.horizon, horizon):
+            for var in range(self.guard(t), self.action_var(0, t)):
+                add([-var])
+            self._add_step(t)
+        self.horizon = horizon
+        self.num_vars = horizon * self.stride + self.layer_size
+        g = self.guard(horizon)
+        disjuncts = self._disjuncts
         if len(disjuncts) == 1:
             for f, positive in disjuncts[0]:
-                add([fv(f, horizon) if positive else -fv(f, horizon)])
-        else:
-            selectors = []
-            for disjunct in disjuncts:
-                task.num_vars += 1
-                s = task.num_vars
-                selectors.append(s)
+                var = self.fluent_var(f, horizon)
+                add([var if positive else -var, -g])
+        elif disjuncts:
+            selectors = range(g + 1, g + 1 + len(disjuncts))
+            for s, disjunct in zip(selectors, disjuncts):
                 for f, positive in disjunct:
-                    lit = fv(f, horizon) if positive else -fv(f, horizon)
-                    add([-s, lit])
-            add(selectors)
+                    var = self.fluent_var(f, horizon)
+                    add([-s, var if positive else -var])
+            add([*selectors, -g])
 
-    adders: dict = {f: [] for f in fluents}
-    deleters: dict = {f: [] for f in fluents}
-    for i, a in enumerate(actions):
-        for f in sorted(a.add):
-            adders[f].append(i)
-        for f in sorted(a.delete):
-            deleters[f].append(i)
-
-    n_bits = max(n_a - 1, 0).bit_length()  # ceil(log2 |A|), 0 when |A| <= 1
-    for t in range(horizon):
+    def _add_step(self, t: int) -> None:
+        fv = self.fluent_var
+        av = self.action_var
+        n_a = len(self.actions)
+        add = self.clauses.append
         # exactly one action: at least one, and at most one via the code bits
         add([av(i, t) for i in range(n_a)])
-        bits = range(task.num_vars + 1, task.num_vars + 1 + n_bits)
-        task.num_vars += n_bits
+        bits = range(av(n_a, t), av(n_a, t) + self.n_bits)
         for i in range(n_a):
             for k, b in enumerate(bits):
                 add([-av(i, t), b if i >> k & 1 else -b])
         # preconditions and effects
-        for i, a in enumerate(actions):
+        for i, a in enumerate(self.actions):
             lit = -av(i, t)
             for f in sorted(a.pre_pos):
                 add([lit, fv(f, t)])
@@ -154,26 +166,43 @@ def encode(problem: GroundProblem, horizon: int) -> CnfTask:
             for f in sorted(a.delete):
                 add([lit, -fv(f, t + 1)])
         # explanatory frame axioms: a change implies a cause
-        for f in fluents:
-            add([-fv(f, t + 1), fv(f, t)] + [av(i, t) for i in adders[f]])
-            add([fv(f, t + 1), -fv(f, t)] + [av(i, t) for i in deleters[f]])
+        for f in self.fluent_order:
+            add([-fv(f, t + 1), fv(f, t)] + [av(i, t) for i in self._adders[f]])
+            add([fv(f, t + 1), -fv(f, t)] + [av(i, t) for i in self._deleters[f]])
+
+    def decision_phases(self) -> list:
+        """Initial solver phases: try actions True so search walks plans
+        depth-first; everything else defaults to False."""
+        phases = [False] * (self.num_vars + 1)
+        n_a = len(self.actions)
+        for t in range(self.horizon):
+            start = self.action_var(0, t)
+            phases[start : start + n_a] = [True] * n_a
+        return phases
+
+
+def encode(problem: GroundProblem, horizon: int) -> CnfTask:
+    """The one-shot task at `horizon`: its goal asserted by the unit g_h."""
+    task = CnfTask(problem, horizon)
+    task.clauses.append([task.guard(horizon)])
     return task
 
 
 def decode(model: Sequence, task: CnfTask) -> PlanTrace:
     """Read the plan and state sequence off a satisfying model."""
-    actions = task.problem.actions
+    actions = task.actions
     n_a, n_f = len(actions), len(task.fluent_order)
     plan = []
     for t in range(task.horizon):
-        row = model[1 + t * n_a : 1 + (t + 1) * n_a]
+        start = task.action_var(0, t)
+        row = model[start : start + n_a]
         chosen = [a for a, value in zip(actions, row) if value]
         if len(chosen) != 1:
             raise MalformedModel(f"step {t}: {len(chosen)} actions are true")
         plan.append(chosen[0])
     states = []
     for t in range(task.horizon + 1):
-        start = task.fluent_base + t * n_f
+        start = 1 + t * task.stride
         row = model[start : start + n_f]
         states.append(frozenset(f for f, value in zip(task.fluent_order, row) if value))
     return PlanTrace(plan=Plan(tuple(plan)), states=tuple(states))
@@ -181,26 +210,27 @@ def decode(model: Sequence, task: CnfTask) -> PlanTrace:
 
 def forbid_behaviour(task: CnfTask, feature_assignments: Mapping[Fluent, bool]) -> list:
     """Exclude every model that reproduces this goal-fluent assignment at the
-    final step: the clause is the disjunction of the flipped literals."""
-    goal_fluents = task.problem.goal.fluents()
+    task's horizon: the clause is the disjunction of the flipped literals,
+    guarded by the horizon's g."""
     clause = []
     for fluent in sorted(feature_assignments):
-        if fluent not in goal_fluents:
+        if fluent not in task.goal_fluents:
             raise ValueError(f"{fluent} is not a goal fluent")
         var = task.fluent_var(fluent, task.horizon)
         clause.append(-var if feature_assignments[fluent] else var)
     if not clause:
         raise ValueError("empty behaviour assignment")
-    return task.add_clause(clause)
+    return task.add_clause(clause + [-task.guard(task.horizon)])
 
 
 def forbid_plan(task: CnfTask, plan: Plan) -> list:
-    """Exclude this exact action sequence."""
+    """Exclude this exact action sequence at the task's horizon, guarded by
+    the horizon's g."""
     if len(plan) != task.horizon:
         raise HorizonMismatch(
             f"plan length {len(plan)} != task horizon {task.horizon}"
         )
-    index_of = {a.name: i for i, a in enumerate(task.problem.actions)}
+    index_of = task.action_index
     clause = []
     for t, action in enumerate(plan):
         name = action.name if isinstance(action, GroundAction) else str(action)
@@ -211,7 +241,7 @@ def forbid_plan(task: CnfTask, plan: Plan) -> list:
         # a zero-length plan at horizon 0 cannot be excluded by a clause over
         # action vars; the caller must stop offering horizon 0 instead
         raise HorizonMismatch("cannot forbid the empty plan at horizon 0")
-    return task.add_clause(clause)
+    return task.add_clause(clause + [-task.guard(task.horizon)])
 
 
 def solve_task(
@@ -222,9 +252,9 @@ def solve_task(
     variable is unset.
 
     The built-in solver is not reached from here: the generators keep one
-    live `Solver` per horizon instead. Only the built-in solver counts
-    conflicts, so a conflict budget here is a SatError rather than a budget
-    silently dropped.
+    live `Solver` per problem and generator instead. Only the built-in
+    solver counts conflicts, so a conflict budget here is a SatError rather
+    than a budget silently dropped.
     """
     command = external_solver_command()
     if command is None:

@@ -1,31 +1,38 @@
 """SAT-backed behaviour and plan generators.
 
-Both generators run one loop over an ascending horizon range. Each horizon
-has its own base encoding plus the caller's forbidding clauses, so a plan of
-length h is found at horizon h, never as a padded longer model.
+Both generators run one loop over an ascending horizon range, and a plan of
+length h is found at horizon h, never as a padded longer model. At each
+horizon a caller forbids a list of items: merged goal-fluent assignments
+for the behaviour generator, and the label tuples of its plans of length h
+for the plan generator. At a fixed horizon the items map one-to-one to the
+forbidding clauses.
 
 Forbidding clauses only remove models, so a horizon proved UNSAT under a set
-of them stays UNSAT under any superset. Each ground problem object keeps a
-record of its closed horizons: for each horizon, the forbidding clause sets it
-was proved UNSAT under. A call skips a horizon whose record holds a subset of
-its own clauses, without encoding or solving it. Behaviour clauses (goal
-fluents at the last step) and plan clauses (action variables) never coincide,
-so a set recorded by one generator closes a horizon for the other only when
-it is empty, i.e. when the base encoding itself is UNSAT.
+of items stays UNSAT under any superset. Each ground problem object keeps a
+record of its closed horizons: for each horizon, the item sets it was proved
+UNSAT under. A call skips a horizon whose record holds a subset of its own
+items, without building a clause or solving. The two generators' items never
+coincide, so a set recorded by one generator closes a horizon for the other
+only when it is empty, i.e. when the steps alone are UNSAT.
 
-The same record keeps one live built-in solver per (generator, horizon) that
-last answered SAT, with the forbidding clauses loaded into it. A call whose
-clauses include those adds only the missing ones and solves again, keeping
-the learned clauses; any other call encodes the horizon afresh. A definitive
-UNSAT or a budget run-out drops the solver, and a run-out records nothing.
-The external solver is always called one-shot, through `solve_task`. The
-record is kept by `core.record_of`: keyed by object identity, it dies with
-its problem, so a fresh problem object plans as a first call does.
+The same record keeps one live built-in solver per (problem, generator) and
+the growing task it was loaded from (`encoding.CnfTask`): each step is
+encoded and loaded once, and learned clauses carry over between horizons
+and calls. A solve at h runs under the assumption g_h, with the goal and the
+items' clauses at h guarded by it; moving on past h retires g_h with a unit.
+Within one generator the first open horizon only rises, so the solver
+holds exactly steps 0..h-1 when it answers at h. A call that needs a horizon
+below the task's, or that drops an item loaded at the task's horizon, starts
+a fresh solver. A budget run-out drops the solver and records nothing. The
+external solver is always called one-shot, through `encode` and
+`solve_task`. The record is kept by `core.record_of`: keyed by object
+identity, it dies with its problem (neither task nor solver holds it), so a
+fresh problem object plans as a first call does.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from ..bspace import (
     Behaviour,
@@ -51,8 +58,9 @@ DEFAULT_HORIZONS = range(0, 21)
 
 
 # id(problem) -> (closed, live), kept by core.record_of:
-#   closed: horizon -> [forbidding clause sets it was proved UNSAT under]
-#   live: (generator, horizon) -> (Solver, the forbidding clause set loaded)
+#   closed: horizon -> [frozensets of forbidden items it was proved UNSAT under]
+#   live: generator -> (CnfTask, the Solver loaded from it, the set of items
+#         whose clauses it holds at the task's horizon)
 _records: dict = {}
 
 
@@ -81,68 +89,80 @@ def _check_goal_assignment_space(space: BehaviourSpace) -> None:
 
 def _solve_horizon(
     live: dict,
-    key: tuple,
-    forbidding: CnfTask,
-    clause_set: frozenset,
+    generator: str,
+    problem: GroundProblem,
+    horizon: int,
+    forbidden: Sequence[Hashable],
+    forbid: Callable[[CnfTask, Hashable], None],
     max_conflicts: Optional[int],
-) -> Optional[list]:
-    """A model of the horizon's base encoding plus the forbidding clauses,
-    or None when UNSAT; the built-in solver stays live only after SAT."""
-    problem, h = forbidding.problem, forbidding.horizon
+) -> tuple:
+    """(model or None, the task to decode it with): a model of the problem
+    at this horizon with every forbidden item excluded, or None when UNSAT.
+    The built-in solver stays live unless its budget runs out."""
     if external_solver_command() is not None:
-        task = encode(problem, h)
-        task.clauses.extend(forbidding.clauses)
-        return solve_task(task, max_conflicts=max_conflicts)
-    solver, loaded = live.pop(key, (None, None))
-    if solver is None or not loaded <= clause_set:
-        task = encode(problem, h)
+        task = encode(problem, horizon)
+        for item in forbidden:
+            forbid(task, item)
+        return solve_task(task, max_conflicts=max_conflicts), task
+    task, solver, loaded = live.pop(generator, (None, None, None))
+    if task is None or task.horizon > horizon or (
+        task.horizon == horizon and not loaded.issubset(forbidden)
+    ):
+        task = CnfTask(problem, horizon)
         solver = Solver(task.num_vars, task.clauses, phases=task.decision_phases())
-        loaded = frozenset()
-    for clause in forbidding.clauses:
-        if tuple(clause) not in loaded:
-            solver.add_clause(clause)
-    model = solver.solve(max_conflicts)
-    if model is not None:
-        live[key] = (solver, clause_set)
-    return model
+        task.clauses.clear()
+        loaded = set()
+    elif task.horizon < horizon:
+        task.advance(horizon)
+        solver.add_vars(task.decision_phases()[solver.num_vars + 1 :])
+        loaded = set()
+    for item in forbidden:
+        if item not in loaded:
+            forbid(task, item)
+            loaded.add(item)
+    for clause in task.clauses:
+        solver.add_clause(clause)
+    task.clauses.clear()
+    model = solver.solve(max_conflicts, assumptions=(task.guard(horizon),))
+    live[generator] = (task, solver, loaded)
+    return model, task
 
 
 def _first_trace(
     problem: GroundProblem,
     generator: str,
     horizon_range: Iterable[int],
-    forbid: Callable[[CnfTask], None],
+    forbidden_at: Callable[[int], Sequence[Hashable]],
+    forbid: Callable[[CnfTask, Hashable], None],
     check: Callable[[PlanTrace], None],
     max_conflicts: Optional[int],
 ) -> Optional[PlanTrace]:
     """The first checked trace over the horizons within the problem's budget.
 
-    At each horizon: let forbid build the caller's clauses, skip the horizon
-    if the problem's record closes it under a subset of them, else solve it,
-    decode, replay the plan, and let check reject a trace the forbidding
-    clauses should have excluded. None when every horizon is UNSAT.
+    At each horizon: skip it if the problem's record closes it under a
+    subset of the caller's forbidden items, else solve it with forbid
+    building each item's clause, decode, replay the plan, and let check
+    reject a trace the forbidding clauses should have excluded. None when
+    every horizon is UNSAT.
     """
     closed, live = record_of(_records, problem, lambda: ({}, {}))
-    fluent_order = tuple(sorted(problem.fluents))
     for h in horizon_range:
         if problem.budget is not None and h > problem.budget:
             continue
-        # forbidding clauses and decoding need only the variable numbering
-        forbidding = CnfTask(problem, h, fluent_order)
-        forbid(forbidding)
-        clause_set = frozenset(map(tuple, forbidding.clauses))
-        if any(unsat <= clause_set for unsat in closed.get(h, ())):
+        forbidden = forbidden_at(h)
+        items = frozenset(forbidden)
+        if any(unsat <= items for unsat in closed.get(h, ())):
             continue
         try:
-            model = _solve_horizon(
-                live, (generator, h), forbidding, clause_set, max_conflicts
+            model, task = _solve_horizon(
+                live, generator, problem, h, forbidden, forbid, max_conflicts
             )
         except ResourceLimit as exc:
             raise GeneratorTimeout(str(exc)) from exc
         if model is None:
-            closed.setdefault(h, []).append(clause_set)
+            closed.setdefault(h, []).append(items)
             continue
-        trace = decode(model, forbidding)
+        trace = decode(model, task)
         if validate_plan(problem, trace.plan).states != trace.states:
             raise AssertionError(
                 "decoded state sequence disagrees with plan execution; "
@@ -164,13 +184,14 @@ def behaviour_generator_sat(
 ) -> Optional[PlanTrace]:
     """A valid trace whose behaviour is none of found_behaviours, or None.
 
-    Horizons are tried in the given (ascending) order; each horizon's task
-    carries one forbidding clause per already-found behaviour. seed is
-    ignored (the solver is deterministic); ROADMAP item 1 step 3 removes it.
+    Horizons are tried in the given (ascending) order; at each one, every
+    already-found behaviour's merged goal-fluent assignment is forbidden.
+    seed is ignored (the solver is deterministic); ROADMAP item 1 step 3
+    removes it.
     """
     _check_goal_assignment_space(space)
     found = tuple(found_behaviours)
-    assignments = []
+    assignments = set()
     for behaviour in found:
         merged = _merged_assignment(space, behaviour)
         if merged is None:
@@ -178,12 +199,11 @@ def behaviour_generator_sat(
         if not merged:
             # a cell with no constraining fluents covers every trace
             return None
-        assignments.append(sorted((str(f), f, v) for f, v in merged.items()))
-    forbidden = [{f: v for _, f, v in a} for a in sorted(assignments)]
+        assignments.add(tuple(sorted(merged.items())))
+    forbidden = sorted(assignments)
 
-    def forbid(task: CnfTask) -> None:
-        for assignment in forbidden:
-            forbid_behaviour(task, assignment)
+    def forbid(task: CnfTask, assignment: tuple) -> None:
+        forbid_behaviour(task, dict(assignment))
 
     def check(trace: PlanTrace) -> None:
         behaviour = pbehaviour(space, trace)
@@ -194,7 +214,8 @@ def behaviour_generator_sat(
             )
 
     return _first_trace(
-        problem, "behaviour", horizon_range, forbid, check, max_conflicts
+        problem, "behaviour", horizon_range, lambda h: forbidden, forbid, check,
+        max_conflicts,
     )
 
 
@@ -212,16 +233,16 @@ def plan_generator_sat(
     horizon — others cannot be models there anyway. seed is ignored, as in
     behaviour_generator_sat.
     """
-    existing = sorted(existing_plans, key=lambda p: p.labels())
-    seen_labels = {plan.labels() for plan in existing}
+    seen_labels = {plan.labels() for plan in existing_plans}
     if () in seen_labels:
         # the empty plan is the only horizon-0 model and no clause excludes it
         horizon_range = (h for h in horizon_range if h != 0)
+    of_length: dict = {}
+    for labels in sorted(seen_labels):
+        of_length.setdefault(len(labels), []).append(labels)
 
-    def forbid(task: CnfTask) -> None:
-        for plan in existing:
-            if len(plan) == task.horizon:
-                forbid_plan(task, plan)
+    def forbid(task: CnfTask, labels: tuple) -> None:
+        forbid_plan(task, Plan(labels))
 
     def check(trace: PlanTrace) -> None:
         if trace.plan.labels() in seen_labels:
@@ -230,4 +251,7 @@ def plan_generator_sat(
                 "plan-forbidding clauses are broken"
             )
 
-    return _first_trace(problem, "plan", horizon_range, forbid, check, max_conflicts)
+    return _first_trace(
+        problem, "plan", horizon_range, lambda h: of_length.get(h, ()), forbid,
+        check, max_conflicts,
+    )

@@ -35,12 +35,13 @@ class Solver:
     """Incremental CDCL solver: construct with a clause set, call solve(),
     then add clauses and solve again as often as needed.
 
-    Clauses are only ever added, so learned clauses, activities and saved
-    phases stay sound and carry over to the next solve(). add_clause() and
-    solve() return the search to decision level 0 themselves when a previous
-    solve() left it above; an UNSAT answer is final (`ok` turns False).
-    `conflicts` counts the latest solve() call, so `max_conflicts` is a
-    per-solve budget.
+    Clauses and variables are only ever added, so learned clauses,
+    activities and saved phases stay sound and carry over to the next
+    solve(). add_clause() and solve() return the search to decision level 0
+    themselves when a previous solve() left it above. An UNSAT answer under
+    assumptions leaves the solver as usable as before; one without them is
+    final (`ok` turns False). `conflicts` counts the latest solve() call, so
+    `max_conflicts` is a per-solve budget.
 
     - `val[lit]` is True, False or None; an assignment writes both `val[v]`
       and `val[-v]`, so a model is `val[:num_vars+1]`;
@@ -113,6 +114,20 @@ class Solver:
             self._enqueue(out[0], None)
             return
         self._watch(out)
+
+    def add_vars(self, phases: Sequence[bool]) -> None:
+        """Add len(phases) variables after the existing ones, with these
+        saved phases. Each literal-indexed list gets its new slots at n+1,
+        so slot `-v` of an old variable stays at 2n+1-v for the new n."""
+        n, k = self.num_vars, len(phases)
+        at = n + 1
+        self.val[at:at] = [None] * (2 * k)
+        self.level[at:at] = [0] * (2 * k)
+        self.reason[at:at] = [None] * (2 * k)
+        self.watches[at:at] = [[] for _ in range(2 * k)]
+        self.activity.extend([0.0] * k)
+        self.phase.extend(phases)
+        self.num_vars = n + k
 
     def _watch(self, clause: list) -> None:
         self.watches[clause[0]].append(clause)
@@ -251,17 +266,26 @@ class Solver:
             return None
         return best if self.phase[best] else -best
 
-    def solve(self, max_conflicts: Optional[int] = None) -> Optional[list]:
+    def solve(
+        self, max_conflicts: Optional[int] = None, assumptions: Sequence[int] = ()
+    ) -> Optional[list]:
         """A model as a list of num_vars+1 bools indexed by variable (index 0
-        is None), or None when the clauses are UNSAT.
+        is None), or None when the clauses are UNSAT under the assumptions.
 
-        Raises ResourceLimit when the conflict budget runs out first.
+        The assumptions are decided first, one decision level each, in the
+        given order; a falsified one ends the solve as UNSAT with `ok` left
+        True. Raises ResourceLimit when the conflict budget runs out first.
         """
         self.conflicts = 0
+        n = self.num_vars
+        for lit in assumptions:
+            if lit == 0 or not -n <= lit <= n:
+                raise ValueError(f"bad assumption {lit}")
         if not self.ok:
             return None
         if self.trail_lim:
             self._backtrack(0)
+        val = self.val
         level = self.level
         restart_limit = 100.0
         since_restart = 0
@@ -293,6 +317,16 @@ class Solver:
                 since_restart = 0
                 restart_limit *= 1.5
                 self._backtrack(0)
+                continue
+            depth = len(self.trail_lim)
+            if depth < len(assumptions):
+                lit = assumptions[depth]
+                if val[lit] is False:
+                    return None
+                # an assumption already true still gets its own level
+                self.trail_lim.append(len(self.trail))
+                if val[lit] is None:
+                    self._enqueue(lit, None)
                 continue
             lit = self._decide()
             if lit is None:

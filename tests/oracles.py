@@ -12,7 +12,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from divplan.bspace import Behaviour, BehaviourSpace, goal_endings_feature, ltl_feature
+from divplan.bspace import (
+    Behaviour,
+    BehaviourSpace,
+    goal_endings_feature,
+    ltl_feature,
+    pbehaviour,
+)
 from divplan.core import (
     Fluent,
     GeneratorTimeout,
@@ -155,6 +161,11 @@ def corridor_space() -> BehaviourSpace:
 
 
 # -- brute-force plan enumeration --------------------------------------------------
+
+
+def bdc(space: BehaviourSpace, traces) -> int:
+    """Behaviour diversity count: distinct behaviours among the traces."""
+    return len({pbehaviour(space, t) for t in traces})
 
 
 def enumerate_plans(problem: GroundProblem, max_len: int) -> list[Plan]:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from divplan.bspace import bdc, pbehaviour
+from divplan.bspace import pbehaviour
 from divplan.cli import EXIT_OK, main
 from divplan.core import Plan, PlanTrace, validate_plan
 from divplan.domains.story import story_pack, tiny_story_pack
@@ -46,6 +46,7 @@ from divplan.searchplan import (
 from oracles import (
     MONITOR_SHAPES,
     CorridorSimulator,
+    bdc,
     choice_problem,
     corridor_space,
     endings_space,

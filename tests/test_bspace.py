@@ -17,7 +17,6 @@ from divplan.bspace import (
     SpaceTooLarge,
     SubsetDomain,
     TemporalFormula,
-    bdc,
     bin_label,
     categorical_score_feature,
     enumerate_cells,
@@ -29,7 +28,7 @@ from divplan.bspace import (
 from divplan.core import Fluent, Plan, PlanTrace, validate_plan
 from divplan.ltl import Always, Atom, Eventually, TRUE, eval_finite, parse_formula
 from divplan.pddl import ground, load_domain, load_problem_file
-from oracles import enumerate_plans, random_formula
+from oracles import bdc, enumerate_plans, random_formula
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "divplan", "domains", "data")
 

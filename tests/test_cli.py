@@ -668,8 +668,8 @@ def test_render_refuses_plan_and_behaviour_lists_of_other_lengths(
     [
         # plan 0 stomps the enemy, plan 1 never touches it
         ("platformer-k2", "<avoided> but replays to <killed>"),
-        ("story-sat-k3", "<{married-to(dragon,jasmine)}> but replays to "
-                         "<{married-to(jasmine,dragon)}>"),
+        ("story-sat-k3", "<{married-to(aladdin,jasmine)}> but replays to "
+                         "<{married-to(jasmine,aladdin)}>"),
         ("urban-k2", "<L | VH> but replays to <L | H>"),
     ],
 )

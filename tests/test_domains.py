@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from divplan.bspace import bdc, bin_label, DEFAULT_BINS
+from divplan.bspace import bin_label, DEFAULT_BINS
 from divplan.core import validate_plan
 from divplan.domains import get_domain, BUNDLED
 from divplan.domains.platformer import (
@@ -35,7 +35,7 @@ from divplan.domains.urban import (
     urban_space,
     urban_step,
 )
-from oracles import choice_problem, endings_space, enumerate_plans, toggle_problem
+from oracles import bdc, choice_problem, endings_space, enumerate_plans, toggle_problem
 
 
 def grid(rows, counter=0):

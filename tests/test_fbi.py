@@ -7,7 +7,6 @@ from itertools import combinations
 import pytest
 
 from divplan import bspace
-from divplan.bspace import bdc
 from divplan.core import (
     GeneratorTimeout,
     Plan,
@@ -24,6 +23,7 @@ from divplan.searchplan import (
 )
 from oracles import (
     CorridorSimulator,
+    bdc,
     choice_problem,
     corridor_space,
     endings_space,

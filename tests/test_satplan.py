@@ -34,6 +34,7 @@ from divplan.ltl import TRUE
 from divplan.pddl import ground, load_domain, load_problem_file, parse_problem
 from divplan.satplan import (
     EXTERNAL_SOLVER_ENV,
+    CnfTask,
     HorizonMismatch,
     MalformedModel,
     ResourceLimit,
@@ -177,30 +178,29 @@ def test_encoding_grows_near_linearly_per_step():
     assert step <= n_a * ((n_a - 1).bit_length() + 1) + literals + 2 * n_f + 1
 
 
-# (num_vars, clause digest) of encode at horizons 0-4, recorded while the
-# variable numbers still came from per-encode lookup tables: computing them
-# by formula must leave every variable and clause where it was
+# (num_vars, clause digest) of encode at horizons 0-4: any change to the
+# variable numbering or the clause order shows here
 ENCODE_PINS = {
     "story": [
-        (80, "541cdadb27f59083"),
-        (358, "6369e189a8d35f16"),
-        (636, "bb2ba4a54fb4a5e6"),
-        (914, "2eee6d3148cc1a38"),
-        (1192, "560478208c2651e5"),
+        (81, "68eae497586c00fe"),
+        (380, "7c8d12f4a9838c39"),
+        (679, "1e610a338e7ad760"),
+        (978, "c13f2dd6da7f8e06"),
+        (1277, "8b7c794bb01a0ddb"),
     ],
     "story-tiny": [
-        (9, "19eaefbd91605071"),
-        (22, "89de9dfbdc651254"),
-        (35, "82ec6a20b84671c1"),
-        (48, "1cde56471a161e9d"),
-        (61, "ebfc8e940e743399"),
+        (10, "5078ec7ea26a343f"),
+        (26, "29a4b99e4bc75915"),
+        (42, "ecaba320d0ee40eb"),
+        (58, "912c6db7285cb4ac"),
+        (74, "946938e617aa305e"),
     ],
     "choice": [
-        (4, "8a0dbcb309bd13c3"),
-        (9, "a8e32f6c52c940d6"),
-        (14, "fc87b1e190fc4dd7"),
-        (19, "f807fef643994b5a"),
-        (24, "0fe1f2989481d5c9"),
+        (5, "02ab0aed7813a303"),
+        (13, "55a5aa1b183825c2"),
+        (21, "bd3f8249a5aac2cf"),
+        (29, "55ab15ff3dcdd056"),
+        (37, "b7ac4a2b26619b2e"),
     ],
 }
 
@@ -218,10 +218,25 @@ def test_encoding_is_pinned(name):
         task = encode(problem, horizon)
         got = hashlib.sha256(repr(task.clauses).encode()).hexdigest()[:16]
         assert (task.num_vars, got) == (num_vars, digest), horizon
-        # actions first in the decision phases, one row of |A| per step
+        # only actions start True in the decision phases, one row of |A| per
+        # step, each row one stride after the last
         phases = task.decision_phases()
-        assert phases.index(False, 1) == 1 + horizon * len(problem.actions)
-        assert phases.count(True) == horizon * len(problem.actions)
+        n_a = len(problem.actions)
+        rows = [task.action_var(0, t) for t in range(horizon)]
+        assert [v for v, on in enumerate(phases) if on] == [
+            start + i for start in rows for i in range(n_a)
+        ]
+        assert all(b - a == task.stride for a, b in zip(rows, rows[1:]))
+        # each step adds one stride of variables, wherever it is encoded
+        assert task.num_vars == horizon * task.stride + encode(problem, 0).num_vars
+    # the layout is horizon-independent: a task grown one step at a time
+    # holds every clause of the task built at its final horizon
+    grown = CnfTask(problem)
+    for horizon in range(1, 5):
+        grown.advance(horizon)
+    direct = CnfTask(problem, 4)
+    assert grown.num_vars == direct.num_vars
+    assert set(map(tuple, direct.clauses)) <= set(map(tuple, grown.clauses))
 
 
 @pytest.mark.parametrize("horizon", range(0, 6))
@@ -245,7 +260,8 @@ def test_tiny_story_models_match_oracle(tiny_story, horizon):
 def test_at_most_one_action_per_step(n):
     problem = parallel_actions_problem(n)
     base = encode(problem, 1)
-    assert base.num_vars == n + 2 * n + max(n - 1, 0).bit_length()
+    # two layers of n fluents and a guard, n actions and the code bits
+    assert base.num_vars == 2 * (n + 1) + n + max(n - 1, 0).bit_length()
 
     def forced(*indices):
         task = encode(problem, 1)
@@ -507,15 +523,22 @@ def test_generator_timeout_from_conflict_budget():
         behaviour_generator_sat(
             problem, space, set(), range(3, 4), max_conflicts=0
         )
-    # the run-out closed nothing: an unbudgeted call still solves horizon 3
+    # the run-out dropped the solver and closed nothing: an unbudgeted call
+    # still solves horizon 3
+    assert generators._records[id(problem)] == ({}, {})
     got = behaviour_generator_sat(problem, space, set(), range(3, 4))
     want = behaviour_generator_sat(copy.copy(problem), space, set(), range(3, 4))
     assert _labels(got) == _labels(want) is not None
 
 
 # -- closed horizons and live solvers --------------------------------------------
-# The reference is the fresh path: every call gets its own copy of the problem,
-# so its record is empty and every horizon is encoded and solved from scratch.
+# Two references. The fresh path gives every call its own copy of the problem,
+# so its record is empty and its solver starts at the range's first horizon.
+# The one-shot path is what one live solver per generator replaces: at each
+# horizon a one-shot `encode` with the call's forbidding clauses, solved by a
+# fresh Solver. Learned clauses and saved phases may pick other witnesses, so
+# the live path must agree with it on the horizon of each answer (None when
+# there is none), not on the witness.
 
 
 def _tiny_cut(cast, lamp):
@@ -550,6 +573,84 @@ def _labels(trace):
     return None if trace is None else trace.plan.labels()
 
 
+def _length(trace):
+    return None if trace is None else len(trace.plan)
+
+
+def _one_shot_horizon(problem, horizons, forbid):
+    """The first horizon with a model of a one-shot encode plus forbid's
+    clauses, each solved by a fresh Solver; None when there is none. forbid
+    returns False for a horizon it rules out without a clause."""
+    for h in horizons:
+        if problem.budget is not None and h > problem.budget:
+            continue
+        task = encode(problem, h)
+        if forbid(task) is not False and solve_cnf(task) is not None:
+            return h
+    return None
+
+
+def _forbid_behaviours(space, found):
+    def forbid(task):
+        for behaviour in found:
+            forbid_behaviour(task, generators._merged_assignment(space, behaviour))
+
+    return forbid
+
+
+def _forbid_plans(existing):
+    def forbid(task):
+        for plan in existing:
+            if len(plan) == task.horizon:
+                if not plan:
+                    return False  # only the empty plan is a horizon-0 model
+                forbid_plan(task, plan)
+
+    return forbid
+
+
+def _assert_replays(problem, space, result):
+    labels = [trace.plan.labels() for trace in result.plans]
+    assert len(set(labels)) == len(labels)
+    for trace, behaviour in zip(result.plans, result.behaviours):
+        actions = tuple(problem.action(label) for label in trace.plan.labels())
+        replayed = validate_plan(problem, Plan(actions))
+        assert replayed.states == trace.states
+        assert pbehaviour(space, replayed) == behaviour
+
+
+@pytest.mark.parametrize(
+    "cast, lamp, cap",
+    [
+        (("ala", "jas", "gen"), "jas", 6),
+        (("mor", "dra", "jaf"), "mor", 7),
+        (("ala", "gen", "jaf"), "gen", 6),
+    ],
+    ids=["ala-jas-gen-6", "mor-dra-jaf-7", "ala-gen-jaf-6"],
+)
+def test_live_solver_agrees_with_one_shot_solves(cast, lamp, cap):
+    problem = _tiny_cut(cast, lamp)
+    horizons = range(0, cap + 1)
+    space = BehaviourSpace((goal_endings_feature(problem),))
+
+    def bgen(found):
+        trace = behaviour_generator_sat(problem, space, found, horizons)
+        want = _one_shot_horizon(problem, horizons, _forbid_behaviours(space, found))
+        assert _length(trace) == want
+        return trace
+
+    def pgen(existing):
+        trace = plan_generator_sat(problem, existing, horizons)
+        assert _length(trace) == _one_shot_horizon(problem, horizons, _forbid_plans(existing))
+        return trace
+
+    k = 60
+    result = fbi(k, space, bgen, pgen)
+    assert result.bdc < k
+    assert set(result.behaviours[: result.bdc]) == goal_ending_cells(problem, horizons)
+    _assert_replays(problem, space, result)
+
+
 @pytest.mark.parametrize(
     "make, horizons, k",
     [
@@ -575,27 +676,24 @@ def test_closed_horizons_keep_fbi_results(make, horizons, k):
         assert cells == set(fresh.behaviours[: fresh.bdc])
         assert cells == goal_ending_cells(problem, horizons)
     for result in (live, fresh):
-        labels = [trace.plan.labels() for trace in result.plans]
-        assert len(set(labels)) == len(labels)
-        for trace, behaviour in zip(result.plans, result.behaviours):
-            actions = tuple(problem.action(label) for label in trace.plan.labels())
-            replayed = validate_plan(problem, Plan(actions))
-            assert replayed.states == trace.states
-            assert pbehaviour(space, replayed) == behaviour
+        _assert_replays(problem, space, result)
 
 
 def test_closed_horizons_answer_non_extending_calls_freshly():
     problem = _fresh_tiny_story()
     space = BehaviourSpace((goal_endings_feature(problem),))
+    horizons = range(0, 6)
     found = []
-    while (trace := behaviour_generator_sat(problem, space, found, range(0, 6))):
+    while (trace := behaviour_generator_sat(problem, space, found, horizons)):
         found.append(pbehaviour(space, trace))
     assert len(found) == 3
-    # a smaller set after the full one, then a disjoint one
+    # a smaller set after the full one, then a disjoint one: each drops an
+    # item the live solver holds, so each starts a fresh solver
     for later in (found[:1], found[1:2], found[2:], [], found[:2]):
-        got = behaviour_generator_sat(problem, space, later, range(0, 6))
-        want = behaviour_generator_sat(copy.copy(problem), space, later, range(0, 6))
-        assert _labels(got) == _labels(want) is not None
+        got = behaviour_generator_sat(problem, space, later, horizons)
+        assert pbehaviour(space, got) not in later
+        want = _one_shot_horizon(problem, horizons, _forbid_behaviours(space, later))
+        assert _length(got) == want is not None
 
     plans = []
     while (trace := plan_generator_sat(problem, plans, range(0, 4))):
@@ -603,8 +701,30 @@ def test_closed_horizons_answer_non_extending_calls_freshly():
     assert len(plans) == 4
     for later in (plans[:1], plans[2:], [], plans[1:3]):
         got = plan_generator_sat(problem, later, range(0, 4))
-        want = plan_generator_sat(copy.copy(problem), later, range(0, 4))
-        assert _labels(got) == _labels(want) is not None
+        assert got.plan not in later
+        want = _one_shot_horizon(problem, range(0, 4), _forbid_plans(later))
+        assert _length(got) == want is not None
+
+
+def test_a_descending_horizon_range_starts_a_fresh_solver():
+    problem = _fresh_tiny_story()
+    space = BehaviourSpace((goal_endings_feature(problem),))
+    first = behaviour_generator_sat(problem, space, (), range(0, 6))
+    assert len(first.plan) == 3
+    _closed, live = generators._records[id(problem)]
+    _task, solver, _loaded = live["behaviour"]
+    found = [pbehaviour(space, first)]
+    # a range that starts above moves the same solver on to horizon 4
+    above = behaviour_generator_sat(problem, space, found, range(4, 6))
+    assert len(above.plan) == 4
+    task, same, _loaded = live["behaviour"]
+    assert same is solver and task.horizon == 4
+    # back down: horizon 3 is open for this set but below the solver's steps
+    again = behaviour_generator_sat(problem, space, found, range(0, 6))
+    assert live["behaviour"][1] is not solver
+    assert pbehaviour(space, again) not in found
+    want = _one_shot_horizon(problem, range(0, 6), _forbid_behaviours(space, found))
+    assert _length(again) == want == 3
 
 
 def test_each_generator_proves_each_horizon_unsat_at_most_once(monkeypatch):
@@ -612,12 +732,11 @@ def test_each_generator_proves_each_horizon_unsat_at_most_once(monkeypatch):
     space, bgen, pgen = _generator_pair(problem, range(0, 6), fresh=False)
     unsat = {"behaviour": [], "plan": []}
 
-    def solve_horizon(live, key, *args):
-        model = real_solve_horizon(live, key, *args)
+    def solve_horizon(live, generator, problem, horizon, *args):
+        model, task = real_solve_horizon(live, generator, problem, horizon, *args)
         if model is None:
-            generator, horizon = key
             unsat[generator].append(horizon)
-        return model
+        return model, task
 
     real_solve_horizon = generators._solve_horizon
     monkeypatch.setattr(generators, "_solve_horizon", solve_horizon)
@@ -640,10 +759,12 @@ def test_closed_horizon_record_dies_with_its_problem():
     key = id(problem)
     closed, live = generators._records[key]
     assert set(closed) == {0, 1, 2}
-    assert set(live) == {("behaviour", 3)}  # the solver that found it
+    assert set(live) == {"behaviour"}  # the solver that found it
+    task, _solver, loaded = live["behaviour"]
+    assert task.horizon == 3 and loaded == set()
     twin = copy.copy(problem)
     assert twin == problem and id(twin) not in generators._records
-    del problem, closed, live, trace
+    del problem, closed, live, trace, task
     gc.collect()
     assert key not in generators._records
 
@@ -723,6 +844,10 @@ def _brute_sat(num_vars, clauses):
     )
 
 
+def _satisfies(model, clauses):
+    return all(any(model[abs(l)] == (l > 0) for l in clause) for clause in clauses)
+
+
 @given(
     st.integers(1, 5).flatmap(
         lambda n: st.tuples(
@@ -738,34 +863,81 @@ def _brute_sat(num_vars, clauses):
         )
     ),
     st.integers(0, 2**12 - 1),
+    # assumption sets, one per solve in turn; literals are folded into 1..n
+    st.lists(
+        st.lists(st.integers(1, 5).flatmap(lambda v: st.sampled_from([v, -v])), max_size=3),
+        min_size=1,
+        max_size=4,
+    ),
 )
 # units queued at level 0 after a SAT solve: each must propagate
-@example((2, [[1, 2], [-1], [-2]]), 0b1)
-@example((3, [[1, 2], [2, 3], [-2], [-3]]), 0b10)
+@example((2, [[1, 2], [-1], [-2]]), 0b1, [[]])
+@example((3, [[1, 2], [2, 3], [-2], [-3]]), 0b10, [[]])
 # a unit that flips the previous model's decision
-@example((3, [[-1, 2], [-2, 3], [1], [-3]]), 0b10)
+@example((3, [[-1, 2], [-2, 3], [1], [-3]]), 0b10, [[]])
+# UNSAT under the assumptions, then SAT without them: the solver stays usable
+@example((2, [[1, 2]]), 0b1, [[-1, -2]])
+# an assumption already implied at level 0, then a contradicting one
+@example((2, [[1], [-1, 2]]), 0b1, [[2, 1], [-2]])
 @settings(max_examples=150, deadline=None)
-def test_solver_agrees_with_truth_table(case, solve_after):
+def test_solver_agrees_with_truth_table(case, solve_after, assumption_sets):
     num_vars, clauses = case
     model = Solver(num_vars, clauses).solve()
     brute = _brute_sat(num_vars, clauses)
     assert (model is not None) == brute
     if model is not None:
-        for clause in clauses:
-            assert any(model[abs(l)] == (l > 0) for l in clause)
-    # the same clauses into one live solver, solving after clause i when bit
-    # i of solve_after is set and after the last one
-    live = Solver(num_vars)
+        assert _satisfies(model, clauses)
+    # the same clauses into one live solver that starts with no variables and
+    # grows to each clause's; it solves after clause i when bit i of
+    # solve_after is set and after the last one, first under the next
+    # assumption set and then without it
+    assumption_sets = [
+        [(abs(l) - 1) % num_vars + 1 if l > 0 else -((abs(l) - 1) % num_vars + 1) for l in a]
+        for a in assumption_sets
+    ]
+    live = Solver(0)
+    solves = 0
     for i, clause in enumerate(clauses):
+        live.add_vars([False] * max(0, max(map(abs, clause)) - live.num_vars))
         live.add_clause(clause)
-        if solve_after >> i & 1 or i == len(clauses) - 1:
-            model = live.solve()
-            assert (model is not None) == _brute_sat(num_vars, clauses[: i + 1])
-            if model is None:
-                assert not live.ok
-                continue
-            for earlier in clauses[: i + 1]:
-                assert any(model[abs(l)] == (l > 0) for l in earlier)
+        if not (solve_after >> i & 1 or i == len(clauses) - 1):
+            continue
+        assumptions = assumption_sets[solves % len(assumption_sets)]
+        solves += 1
+        live.add_vars([True] * max(0, max(map(abs, assumptions), default=0) - live.num_vars))
+        units = [[lit] for lit in assumptions]
+        model = live.solve(assumptions=assumptions)
+        assert (model is not None) == _brute_sat(num_vars, clauses[: i + 1] + units)
+        if model is not None:
+            assert _satisfies(model, clauses[: i + 1] + units)
+        assert live.ok or model is None and not _brute_sat(num_vars, clauses[: i + 1])
+        if not live.ok:
+            continue
+        model = live.solve()
+        assert (model is not None) == _brute_sat(num_vars, clauses[: i + 1])
+        if model is None:
+            assert not live.ok
+            continue
+        assert len(model) == live.num_vars + 1
+        assert _satisfies(model, clauses[: i + 1])
+
+
+def test_added_variables_keep_the_old_assignments():
+    # level-0 values sit at both literal slots; growth must move the
+    # negative slots with the variable count
+    solver = Solver(2, [[-1], [1, 2]])
+    assert solver.solve() == [None, False, True]
+    solver.add_vars([True, False])
+    assert solver.val[-1] is True and solver.val[-2] is False
+    assert solver.solve() == [None, False, True, True, False]
+    solver.add_clause([-2, -3, 4])
+    assert solver.solve(assumptions=[3]) == [None, False, True, True, True]
+    assert solver.solve(assumptions=[3, -4]) is None and solver.ok
+    solver.add_clause([-3])
+    assert solver.solve(assumptions=[3]) is None and solver.ok
+    assert solver.solve() == [None, False, True, False, True]
+    with pytest.raises(ValueError):
+        solver.solve(assumptions=[5])
 
 
 def test_conflict_budget_is_per_solve():
