@@ -126,6 +126,25 @@ def _check_backend(backend: Optional[str], declarative: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
+# the plan options each backend reads; they default to None, so cmd_plan
+# tells a given one from an absent one and fills in the defaults itself
+_BACKEND_OPTIONS = {
+    "sat": ("horizon_min", "horizon_max", "max_conflicts"),
+    "search": ("node_budget", "strategy"),
+}
+
+
+def _check_options(args, backend: str) -> None:
+    """Refuse a given option that `backend` does not read."""
+    other = "search" if backend == "sat" else "sat"
+    for name in _BACKEND_OPTIONS[other]:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(
+                f"{flag} is a {other} option; the {backend} backend does not read it"
+            )
+
+
 def _counted(fn, counts, key):
     def wrapped(arg):
         counts[key] += 1
@@ -144,6 +163,8 @@ def cmd_plan(args) -> int:
     subject, space, source = _resolve_source(args)
     declarative = isinstance(subject, GroundProblem)
     _check_backend(args.backend, declarative)
+    backend = "sat" if declarative else "search"
+    _check_options(args, backend)
     if args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
     if args.out:
@@ -161,7 +182,7 @@ def cmd_plan(args) -> int:
             raise ConfigError(f"default behaviour space: {exc}") from exc
 
     config_doc: dict = {
-        "backend": "sat" if declarative else "search",
+        "backend": backend,
         "source": source,
         "space": args.space or "bundled",
         "k": args.k,
@@ -169,7 +190,8 @@ def cmd_plan(args) -> int:
     counts = {"behaviour": 0, "plan": 0}
 
     if declarative:
-        lo, hi = args.horizon_min, args.horizon_max
+        lo = DEFAULT_HORIZONS.start if args.horizon_min is None else args.horizon_min
+        hi = DEFAULT_HORIZONS.stop - 1 if args.horizon_max is None else args.horizon_max
         if lo < 0 or hi < lo:
             raise ConfigError(f"bad horizon range [{lo}, {hi}]")
         if args.max_conflicts is not None and args.max_conflicts < 0:
@@ -182,14 +204,17 @@ def cmd_plan(args) -> int:
         config_doc["horizons"] = [lo, hi]
         config_doc["max_conflicts"] = args.max_conflicts
     else:
+        budget = SearchConfig.node_budget if args.node_budget is None else args.node_budget
         try:
-            cfg = SearchConfig(strategy=args.strategy, node_budget=args.node_budget)
+            cfg = SearchConfig(
+                strategy=args.strategy or SearchConfig.strategy, node_budget=budget
+            )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         bgen = partial(behaviour_generator_ltl, subject, space, cfg=cfg)
         pgen = partial(plan_generator_ltl, subject, cfg=cfg)
-        config_doc["node_budget"] = args.node_budget
-        config_doc["strategy"] = args.strategy
+        config_doc["node_budget"] = cfg.node_budget
+        config_doc["strategy"] = cfg.strategy
 
     result = fbi(
         args.k,
@@ -376,13 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument("--space", help="behaviour-space JSON file (overrides bundled)")
     plan.add_argument("--k", type=int, default=2, help="requested number of plans")
-    plan.add_argument("--horizon-min", type=int, default=DEFAULT_HORIZONS.start)
-    plan.add_argument(
-        "--horizon-max", type=int, default=DEFAULT_HORIZONS.stop - 1
-    )
-    plan.add_argument("--max-conflicts", type=int, default=None)
-    plan.add_argument("--node-budget", type=int, default=SearchConfig.node_budget)
-    plan.add_argument("--strategy", choices=STRATEGIES, default=SearchConfig.strategy)
+    plan.add_argument("--horizon-min", type=int)
+    plan.add_argument("--horizon-max", type=int)
+    plan.add_argument("--max-conflicts", type=int)
+    plan.add_argument("--node-budget", type=int)
+    plan.add_argument("--strategy", choices=STRATEGIES)
     plan.add_argument("--out", help="report path (stdout when omitted)")
     plan.set_defaults(func=cmd_plan)
 

@@ -5,13 +5,19 @@ stationary enemy blocks the path: landing on its cell from above removes it
 (the `killed` proposition latches), touching it any other way is fatal.
 Physics are discrete — a fixed jump impulse, unit gravity, and cell-by-cell
 collision against the level's solid tiles.
+
+One kernel, `_successors`, steps a state under every action in one pass:
+the ground check and the vertical motion without a jump are computed once
+and shared by left, right and noop, and fatal actions are left out.
+`platformer_step` reads one action from it. States are `NamedTuple`s, so
+the search builds, hashes and compares them in C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib.resources import files
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..bspace import BehaviourSpace, format_behaviour, ltl_feature
 from ..ltl import Always, Atom, Eventually
@@ -20,6 +26,8 @@ ACTIONS = ("left", "right", "jump", "noop")
 JUMP_IMPULSE = 2
 TERMINAL_VELOCITY = -2
 BUDGET = 40  # moves per plan
+_KILLED = {"killed": True, "avoided": False}  # the two valuations, shared
+_AVOIDED = {"killed": False, "avoided": True}
 
 
 class PlatformerError(Exception):
@@ -55,8 +63,10 @@ class Level:
         return 0 <= col < self.width and 0 <= row < self.height
 
 
-@dataclass(frozen=True)
-class PlatformerState:
+class PlatformerState(NamedTuple):
+    """The avatar's cell and vertical speed, and whether the enemy lives.
+    A tuple, so the search builds, hashes and compares states in C."""
+
     col: int
     row: int
     vy: int
@@ -101,57 +111,76 @@ def parse_level(text: str) -> Level:
     )
 
 
+_new_state = tuple.__new__  # a state without the Python-level NamedTuple.__new__
+
+
+def _vertical(solid, height: int, col: int, row: int, vy: int, stop) -> tuple:
+    """(row, vy) after moving vy cells up (vy > 0) or down, cell by cell:
+    a solid tile or the level edge zeroes vy (head bump or landing), and
+    entering row `stop` (the live enemy's cell in this column) ends the
+    move."""
+    step = 1 if vy > 0 else -1
+    for _ in range(abs(vy)):
+        row += step
+        if not 0 <= row < height or (col, row) in solid:
+            return row - step, 0
+        if row == stop:
+            break
+    return row, vy
+
+
+def _successors(level: Level, state: PlatformerState) -> dict:
+    """action -> successor for every action that does not kill the avatar,
+    in ACTIONS order. One physics tick: optional jump impulse, vertical
+    motion with collisions, then horizontal motion, then enemy contact (a
+    squash if the tick began above the enemy's row, else death) and
+    gravity. Left, right and noop share one vertical motion; jump moves on
+    its own only from the ground, and off it is noop."""
+    col, row, vy, alive = state
+    solid, width, height = level.solid, level.width, level.height
+    ecol, erow = level.enemy_pos
+    stop = erow if alive and ecol == col else None
+    fall = _vertical(solid, height, col, row, vy, stop)
+    on_ground = row == 0 or (col, row - 1) in solid
+    leap = _vertical(solid, height, col, row, JUMP_IMPULSE, stop) if on_ground else fall
+    successors = {}
+    for action, dcol, (top, speed) in (
+        ("left", -1, fall), ("right", 1, fall), ("jump", 0, leap), ("noop", 0, fall)
+    ):
+        cell = col + dcol
+        if dcol and (not 0 <= cell < width or (cell, top) in solid):
+            cell = col
+        survives = alive
+        if alive and cell == ecol and top == erow:
+            if row <= erow:
+                continue  # walked into the enemy
+            survives = False  # squashed from above
+        if top == 0 or (cell, top - 1) in solid:
+            speed = 0
+        else:
+            speed = speed - 1 if speed > TERMINAL_VELOCITY else TERMINAL_VELOCITY
+        successors[action] = _new_state(PlatformerState, (cell, top, speed, survives))
+    return successors
+
+
 def platformer_step(level: Level, state: PlatformerState, action: str) -> PlatformerState:
-    """One physics tick: optional jump impulse, vertical motion with
-    collisions, then horizontal motion, then enemy contact and gravity."""
+    """One physics tick of `action` (see `_successors`); AvatarDied if it
+    kills the avatar."""
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
-    col, row, vy = state.col, state.row, state.vy
-    start_row = row
-    on_ground = level.is_solid(col, row - 1) or row == 0
-
-    if action == "jump" and on_ground:
-        vy = JUMP_IMPULSE
-
-    # vertical, cell by cell; stop on solids and on entering the enemy cell
-    direction = 1 if vy > 0 else -1
-    for _ in range(abs(vy)):
-        nxt = row + direction
-        if not level.in_bounds(col, nxt) or level.is_solid(col, nxt):
-            vy = 0  # head bump or landing
-            break
-        row = nxt
-        if state.enemy_alive and (col, row) == level.enemy_pos:
-            break
-
-    # horizontal
-    dcol = {"left": -1, "right": 1}.get(action, 0)
-    if dcol and level.in_bounds(col + dcol, row) and not level.is_solid(col + dcol, row):
-        col += dcol
-
-    # enemy contact
-    enemy_alive = state.enemy_alive
-    if enemy_alive and (col, row) == level.enemy_pos:
-        if start_row > level.enemy_pos[1]:
-            enemy_alive = False  # squashed from above
-        else:
-            raise AvatarDied(f"walked into the enemy at {level.enemy_pos}")
-
-    # gravity
-    if level.is_solid(col, row - 1) or row == 0:
-        vy = 0
-    else:
-        vy = max(vy - 1, TERMINAL_VELOCITY)
-
-    return PlatformerState(col=col, row=row, vy=vy, enemy_alive=enemy_alive)
+    try:
+        return _successors(level, state)[action]
+    except KeyError:
+        raise AvatarDied(f"walked into the enemy at {level.enemy_pos}") from None
 
 
 class PlatformerSimulator:
     """Search interface; fatal moves are simply not offered as legal.
 
-    Finding the legal moves steps every action, so the simulator keeps the
-    successors of the last state `legal_actions` saw, and `step` on that
-    state returns them instead of stepping again.
+    `legal_actions` computes every successor of a state in one physics pass
+    (`_successors`), and the simulator keeps the successors of the last
+    state it saw, so `step` on that state returns them instead of stepping
+    again. States are tuples and valuations are two shared dicts.
     """
 
     def __init__(self, level: Level):
@@ -164,12 +193,7 @@ class PlatformerSimulator:
         return PlatformerState(col=col, row=row, vy=0, enemy_alive=True)
 
     def legal_actions(self, state: PlatformerState):
-        successors = {}
-        for action in ACTIONS:
-            try:
-                successors[action] = platformer_step(self.level, state, action)
-            except AvatarDied:
-                continue
+        successors = _successors(self.level, state)
         self._last = (state, successors)
         return list(successors)
 
@@ -180,7 +204,7 @@ class PlatformerSimulator:
         return platformer_step(self.level, state, action)
 
     def propositions(self, state: PlatformerState) -> dict:
-        return {"killed": not state.enemy_alive, "avoided": state.enemy_alive}
+        return _AVOIDED if state.enemy_alive else _KILLED
 
     def is_goal(self, state: PlatformerState) -> bool:
         return state.col == self.level.width - 1

@@ -69,7 +69,9 @@ class Simulator(Protocol):
     `propositions` returns, so a simulator may hand out one dict per state.
     The search remembers what `legal_actions`, `step` and `propositions`
     answered for a state for as long as the simulator object lives, so
-    those answers must not change while it does.
+    those answers must not change while it does. It hashes and compares a
+    state on every node it deduplicates, so a tuple (or a tuple subclass
+    such as a `NamedTuple`) is the cheap choice of state.
     """
 
     budget: Optional[int]

@@ -31,6 +31,14 @@ from divplan.core import (
     applicable,
     apply,
 )
+from divplan.domains.platformer import (
+    ACTIONS,
+    JUMP_IMPULSE,
+    TERMINAL_VELOCITY,
+    AvatarDied,
+    Level,
+    PlatformerState,
+)
 from divplan.ltl import (
     Always,
     And,
@@ -158,6 +166,56 @@ def corridor_space() -> BehaviourSpace:
             ),
         )
     )
+
+
+# -- the platformer step, one action at a time -------------------------------------
+
+
+def reference_platformer_step(
+    level: Level, state: PlatformerState, action: str
+) -> PlatformerState:
+    """One physics tick: optional jump impulse, vertical motion with
+    collisions, then horizontal motion, then enemy contact and gravity."""
+    if action not in ACTIONS:
+        raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
+    col, row, vy = state.col, state.row, state.vy
+    start_row = row
+    on_ground = level.is_solid(col, row - 1) or row == 0
+
+    if action == "jump" and on_ground:
+        vy = JUMP_IMPULSE
+
+    # vertical, cell by cell; stop on solids and on entering the enemy cell
+    direction = 1 if vy > 0 else -1
+    for _ in range(abs(vy)):
+        nxt = row + direction
+        if not level.in_bounds(col, nxt) or level.is_solid(col, nxt):
+            vy = 0  # head bump or landing
+            break
+        row = nxt
+        if state.enemy_alive and (col, row) == level.enemy_pos:
+            break
+
+    # horizontal
+    dcol = {"left": -1, "right": 1}.get(action, 0)
+    if dcol and level.in_bounds(col + dcol, row) and not level.is_solid(col + dcol, row):
+        col += dcol
+
+    # enemy contact
+    enemy_alive = state.enemy_alive
+    if enemy_alive and (col, row) == level.enemy_pos:
+        if start_row > level.enemy_pos[1]:
+            enemy_alive = False  # squashed from above
+        else:
+            raise AvatarDied(f"walked into the enemy at {level.enemy_pos}")
+
+    # gravity
+    if level.is_solid(col, row - 1) or row == 0:
+        vy = 0
+    else:
+        vy = max(vy - 1, TERMINAL_VELOCITY)
+
+    return PlatformerState(col=col, row=row, vy=vy, enemy_alive=enemy_alive)
 
 
 # -- brute-force plan enumeration --------------------------------------------------

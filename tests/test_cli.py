@@ -176,11 +176,34 @@ def test_plan_horizon_flags_bound_the_search(capsys):
              "--max-conflicts", "-3"),
             "--max-conflicts",
         ),
+        # an option of the other backend is refused, not ignored
+        (
+            ("plan", "--domain", "platformer", "--k", "2", "--horizon-max", "3"),
+            "--horizon-max is a sat option; the search backend does not read it",
+        ),
+        (
+            ("plan", "--domain", "platformer", "--horizon-min", "0"),
+            "--horizon-min is a sat option; the search backend",
+        ),
+        (
+            ("plan", "--domain", "urban", "--max-conflicts", "10"),
+            "--max-conflicts is a sat option; the search backend",
+        ),
+        (
+            ("plan", "--domain", "story-tiny", "--node-budget", "10"),
+            "--node-budget is a search option; the sat backend does not read it",
+        ),
+        (
+            ("plan", "--domain", "story-tiny", "--backend", "sat",
+             "--strategy", "depth-first"),
+            "--strategy is a search option; the sat backend",
+        ),
     ],
 )
 def test_plan_config_errors(capsys, argv, fragment):
     assert run(*argv) == EXIT_USAGE
-    assert fragment in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert fragment in err and err.count("\n") == 1
 
 
 def test_plan_broken_external_solver_is_a_usage_error(monkeypatch, capsys):

@@ -2,8 +2,12 @@
 
 import json
 import math
+import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divplan.bspace import bin_label, DEFAULT_BINS
 from divplan.core import validate_plan
@@ -12,8 +16,12 @@ from divplan.domains.platformer import (
     ACTIONS,
     AvatarDied,
     BUDGET as PLATFORMER_BUDGET,
+    JUMP_IMPULSE,
+    TERMINAL_VELOCITY,
+    Level,
     LevelFormatError,
     PlatformerSimulator,
+    PlatformerState,
     bundled_level,
     parse_level,
     platformer_space,
@@ -35,7 +43,14 @@ from divplan.domains.urban import (
     urban_space,
     urban_step,
 )
-from oracles import bdc, choice_problem, endings_space, enumerate_plans, toggle_problem
+from oracles import (
+    bdc,
+    choice_problem,
+    endings_space,
+    enumerate_plans,
+    reference_platformer_step,
+    toggle_problem,
+)
 
 
 def grid(rows, counter=0):
@@ -424,6 +439,163 @@ def test_platformer_space_orders_killed_first():
     assert space.size == 2
     (feature,) = space.features
     assert list(feature.domain) == ["killed", "avoided"]
+
+
+# ---------------------------------------------------------------------------
+# platformer: the one-pass kernel against the one-action reference step
+# ---------------------------------------------------------------------------
+
+
+def reference_successors(level, state) -> dict:
+    """action -> successor, in ACTIONS order, for every action the
+    reference step survives."""
+    successors = {}
+    for action in ACTIONS:
+        try:
+            successors[action] = reference_platformer_step(level, state, action)
+        except AvatarDied:
+            continue
+    return successors
+
+
+def reachable(level, limit=None) -> list:
+    """States reachable from the start under the reference step, breadth
+    first, at most `limit` of them."""
+    col, row = level.avatar_start
+    start = PlatformerState(col, row, 0, True)
+    seen, order, queue = {start}, [], deque([start])
+    while queue and (limit is None or len(order) < limit):
+        state = queue.popleft()
+        order.append(state)
+        for succ in reference_successors(level, state).values():
+            if succ not in seen:
+                seen.add(succ)
+                queue.append(succ)
+    return order
+
+
+def assert_matches_reference(level, states):
+    sim = PlatformerSimulator(level)
+    for state in states:
+        expected = reference_successors(level, state)
+        assert sim.legal_actions(state) == list(expected), state
+        for action, succ in expected.items():
+            assert sim.step(state, action) == succ, (state, action)
+            assert platformer_step(level, state, action) == succ, (state, action)
+        for action in ACTIONS:
+            if action not in expected:
+                with pytest.raises(AvatarDied, match="walked into the enemy at"):
+                    platformer_step(level, state, action)
+
+
+def bench_shaped_level(seed):
+    """Width 16-24, height 8, a floor, the avatar at column 1, the enemy in
+    a column in 5..width-4 and 0-2 three-tile platforms on one row."""
+    rng = random.Random(seed)
+    width = rng.randint(16, 24)
+    rows = [["."] * width for _ in range(8)]
+    rows[-1] = ["#"] * width
+    rows[-2][1] = "A"
+    rows[-2][rng.randint(5, width - 4)] = "E"
+    for start in rng.sample(range(3, width - 3, 4), rng.randint(0, 2)):
+        for col in range(start, start + 3):
+            rows[-5][col] = "#"
+    return parse_level("\n".join("".join(row) for row in rows))
+
+
+@pytest.mark.parametrize("seed", [None, *range(8)])  # None: the bundled level
+def test_successors_match_the_reference_on_every_reachable_state(seed):
+    level = bundled_level() if seed is None else bench_shaped_level(seed)
+    states = reachable(level)
+    assert len(states) > 50
+    assert_matches_reference(level, states)
+
+
+# (rows, start state, action, successor or None where the avatar dies)
+HAND_CASES = {
+    # rising into a tile: stop below it, then fall
+    "head-bump": (
+        ["#..", "...", "A.E", "###"], (0, 1, 0, True), "jump", (0, 2, -1, True)
+    ),
+    # two cells a tick once falling at TERMINAL_VELOCITY
+    "terminal-fall": (
+        ["A..", "...", "...", "...", "...", "..E", "###"],
+        (0, 4, TERMINAL_VELOCITY, True), "noop", (0, 2, TERMINAL_VELOCITY, True),
+    ),
+    # the enemy cell ends the fall and the landing squashes it
+    "fall-onto-enemy": (
+        ["A..", "...", "...", "E..", "###"], (0, 3, TERMINAL_VELOCITY, True),
+        "noop", (0, 1, 0, False),
+    ),
+    # a floating enemy's cell ends a fall that would have gone past it
+    "fall-stops-at-floating-enemy": (
+        ["A..", "...", "E..", "...", "###"], (0, 3, TERMINAL_VELOCITY, True),
+        "noop", (0, 2, TERMINAL_VELOCITY, False),
+    ),
+    # the enemy cell ends the fall, and moving on from it escapes it
+    "fall-through-enemy-cell": (
+        ["A..", "...", "...", "E..", "###"], (0, 3, TERMINAL_VELOCITY, True),
+        "right", (1, 1, 0, True),
+    ),
+    # same-row contact in mid-air is fatal
+    "mid-air-sideways": (
+        ["A..", ".E.", "...", "###"], (0, 2, 0, True), "right", None
+    ),
+    # a jump off the ground carries the avatar up beside the enemy
+    "jump-beside-enemy": (
+        ["...", "...", "AE.", "###"], (0, 1, 0, True), "jump", (0, 3, 1, True)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_CASES))
+def test_hand_traced_ticks(name):
+    rows, start, action, expected = HAND_CASES[name]
+    level, state = lvl(rows), PlatformerState(*start)
+    if expected is None:
+        with pytest.raises(AvatarDied):
+            reference_platformer_step(level, state, action)
+        assert action not in PlatformerSimulator(level).legal_actions(state)
+    else:
+        assert reference_platformer_step(level, state, action) == expected
+    assert_matches_reference(level, [state])
+
+
+def test_platformer_state_is_a_tuple_with_the_dataclass_repr():
+    state = PlatformerState(col=1, row=2, vy=JUMP_IMPULSE, enemy_alive=True)
+    assert state == (1, 2, JUMP_IMPULSE, True) and isinstance(state, tuple)
+    assert repr(state) == "PlatformerState(col=1, row=2, vy=2, enemy_alive=True)"
+    sim = PlatformerSimulator(bundled_level())
+    assert sim.propositions(state) is sim.propositions(sim.initial())
+
+
+LEVEL_CHARS = "#.AE? \n"
+
+
+@st.composite
+def level_grids(draw):
+    """A map with one 'A' and one 'E', a few cells then overwritten with
+    any of LEVEL_CHARS, so that some parse and some do not."""
+    width, height = draw(st.integers(2, 10)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from("#."), min_size=width * height,
+                          max_size=width * height))
+    index = st.integers(0, width * height - 1)
+    avatar, enemy = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+    cells[avatar], cells[enemy] = "A", "E"
+    for i, ch in draw(st.lists(st.tuples(index, st.sampled_from(LEVEL_CHARS)), max_size=2)):
+        cells[i] = ch
+    return "\n".join("".join(cells[r * width:(r + 1) * width]) for r in range(height))
+
+
+@given(st.one_of(st.text(alphabet=LEVEL_CHARS, max_size=80), level_grids()))
+@settings(max_examples=200, deadline=None)
+def test_level_text_parses_or_fails_cleanly_and_plays_like_the_reference(text):
+    try:
+        level = parse_level(text)
+    except LevelFormatError:
+        return
+    assert isinstance(level, Level)
+    assert_matches_reference(level, reachable(level, limit=200))
 
 
 # ---------------------------------------------------------------------------

@@ -614,19 +614,21 @@ def test_step_runs_once_per_transition_over_an_fbi_run():
 
 @pytest.mark.parametrize("case", ["platformer-bundled", "platformer-seed1"])
 def test_platformer_steps_each_pair_once_over_an_fbi_run(monkeypatch, case):
+    # one kernel call computes every successor of a state, so each
+    # (state, action) pair is stepped once when each state is passed once
     sim, space, k = SWEEP_CASES[case]()
-    steps = Counter()
+    passes = Counter()
 
-    def counted(level, state, action):
-        steps[state, action] += 1
-        return real(level, state, action)
+    def counted(level, state):
+        passes[state] += 1
+        return real(level, state)
 
-    real = platformer.platformer_step
-    monkeypatch.setattr(platformer, "platformer_step", counted)
+    real = platformer._successors
+    monkeypatch.setattr(platformer, "_successors", counted)
     result = run_fbi(behaviour_generator_ltl, sim, space, k + 1, cfg(node_budget=2000))
     assert result.bdc == k
-    assert steps and max(steps.values()) == 1
-    monkeypatch.setattr(platformer, "platformer_step", real)
+    assert passes and max(passes.values()) == 1
+    monkeypatch.setattr(platformer, "_successors", real)
     fresh = SWEEP_CASES[case]()[0]
     assert result == run_fbi(behaviour_generator_ltl, fresh, space, k + 1, cfg(node_budget=2000))
 
