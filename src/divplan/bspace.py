@@ -15,14 +15,13 @@ from itertools import product
 from math import prod
 from typing import Callable, Iterator, Optional, Sequence
 
-from .core import GroundProblem, PlanTrace, _field, read_json
+from .core import GroundProblem, PlanTrace, _field
 from .ltl import (
     Always,
     And,
     Atom,
     Eventually,
     LtlFormula,
-    LtlSyntaxError,
     Not,
     eval_finite,
     parse_formula,
@@ -378,18 +377,6 @@ def space_from_json(doc: dict, subject=None) -> BehaviourSpace:
         else:
             raise SpaceConfigError(f"unknown feature kind {kind!r}")
     return BehaviourSpace(tuple(features))
-
-
-def load_space(path: str, subject=None) -> BehaviourSpace:
-    """space_from_json over a file; a malformed file is a SpaceConfigError
-    that names it."""
-    doc = read_json(path, SpaceConfigError)
-    try:
-        return space_from_json(doc, subject)
-    except KeyError as exc:
-        raise SpaceConfigError(f"{path}: missing key {exc}") from exc
-    except (ValueError, LtlSyntaxError) as exc:  # key types, formula syntax
-        raise SpaceConfigError(f"{path}: {exc}") from exc
 
 
 # -- serialisation helpers (reports need plain data) ---------------------------------

@@ -2,9 +2,10 @@
 
 `plan` runs the diverse-planning driver with the backend its source implies
 (sat for a declarative problem, search for a simulator) and writes a JSON
-report; `validate` replays plan files against a declarative problem;
-`render` turns a report back into human-readable text (grids, level strips,
-narrative summaries). Reports are deterministic: same config, same bytes.
+report that carries its behaviour space; `validate` replays plan files on a
+problem or simulator; `render` replays a report and turns it back into
+human-readable text (grids, level strips, narrative summaries). Reports are
+deterministic: same config, same bytes.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ from .bspace import (
     BspaceError,
     format_behaviour,
     goal_endings_feature,
-    load_space,
     pbehaviour,
+    space_from_json,
     value_to_json,
 )
 from .core import (
+    BudgetExceeded,
+    GoalNotSatisfied,
     GroundProblem,
+    InapplicableAction,
     Plan,
     PlanTrace,
     PlanningError,
@@ -52,7 +56,7 @@ from .searchplan import (
     plan_generator_ltl,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EMPTY = 2
@@ -105,6 +109,17 @@ def _resolve_source(args) -> tuple:
         problem = ground(domain_ast, problem_ast)
         source = {"pddl_domain": args.pddl_domain, "pddl_problem": args.pddl_problem}
     return problem, None, source
+
+
+def _space_of(doc, subject, where: str) -> BehaviourSpace:
+    """The space doc describes over subject; a doc that describes none is
+    one ConfigError that names where it came from."""
+    try:
+        return space_from_json(doc, subject)
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing key {exc}") from exc
+    except (ValueError, BspaceError, LtlError) as exc:  # key types, kinds, formulas
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _check_backend(backend: Optional[str], declarative: bool) -> None:
@@ -170,11 +185,10 @@ def cmd_plan(args) -> int:
     if args.out:
         _check_out(args.out)
 
+    space_doc = "bundled"
     if args.space:
-        try:
-            space = load_space(args.space, subject)
-        except BspaceError as exc:
-            raise ConfigError(f"bad --space file: {exc}") from exc
+        space_doc = read_json(args.space, ConfigError)
+        space = _space_of(space_doc, subject, args.space)
     elif space is None:
         try:
             space = BehaviourSpace((goal_endings_feature(subject),))
@@ -184,7 +198,7 @@ def cmd_plan(args) -> int:
     config_doc: dict = {
         "backend": backend,
         "source": source,
-        "space": args.space or "bundled",
+        "space": space_doc,
         "k": args.k,
     }
     counts = {"behaviour": 0, "plan": 0}
@@ -272,20 +286,32 @@ def _plans_from_file(path: str) -> list:
     raise ConfigError(f"{path} holds neither a plan list nor a report")
 
 
-def _label_plan(problem: GroundProblem, labels) -> Plan:
-    """The plan of problem's actions named by labels; an unknown label is a
-    ValueError."""
-    try:
-        return Plan(tuple(problem.action(name) for name in labels))
-    except KeyError as exc:
-        raise ValueError(f"unknown action {exc.args[0]!r} for this problem") from exc
+def _replay(subject, labels) -> PlanTrace:
+    """The trace of the plan labels name on subject, with valuations on a
+    simulator. A label a ground problem lacks is a ValueError; a step that
+    is not applicable or legal, a plan over the budget or a final state
+    that is not a goal is a PlanningError."""
+    if isinstance(subject, GroundProblem):
+        try:
+            plan = Plan(tuple(subject.action(name) for name in labels))
+        except KeyError as exc:
+            raise ValueError(f"unknown action {exc.args[0]!r} for this problem") from exc
+        return validate_plan(subject, plan)
+    states = [subject.initial()]
+    for step, label in enumerate(labels):
+        if label not in subject.legal_actions(states[-1]):
+            raise InapplicableAction(f"step {step}: {label!r} is not a legal action", step)
+        states.append(subject.step(states[-1], label))
+    if subject.budget is not None and len(labels) > subject.budget:
+        raise BudgetExceeded(f"plan length {len(labels)} exceeds budget {subject.budget}")
+    if not subject.is_goal(states[-1]):
+        raise GoalNotSatisfied("final state is not a goal")
+    valuations = tuple(map(subject.propositions, states))
+    return PlanTrace(Plan(tuple(labels)), tuple(states), valuations)
 
 
 def cmd_validate(args) -> int:
-    problem, _space, _source = _resolve_source(args)
-    if not isinstance(problem, GroundProblem):
-        raise ConfigError("validate needs a declarative problem source")
-
+    subject, _space, _source = _resolve_source(args)
     try:
         label_plans = _plans_from_file(args.plans)
     except (KeyError, TypeError) as exc:
@@ -293,11 +319,9 @@ def cmd_validate(args) -> int:
     failures = 0
     for i, labels in enumerate(label_plans):
         try:
-            plan = _label_plan(problem, labels)
+            trace = _replay(subject, labels)
         except ValueError as exc:
             raise ConfigError(f"plan {i}: {exc}") from exc
-        try:
-            trace = validate_plan(problem, plan)
         except PlanningError as exc:
             print(f"plan {i}: INVALID — {exc}")
             failures += 1
@@ -317,53 +341,39 @@ def _occupancy_lines(report: dict) -> list:
     return lines + [f"  {key}: {counts[key]} plan(s)" for key in sorted(counts)]
 
 
-def _replay(subject, i: int, labels) -> PlanTrace:
-    """The trace of report plan i on subject, with valuations on a simulator.
-    A ground problem validates the plan; a simulator must offer each step as
-    a legal action. A plan that fails is a ValueError naming it."""
-    if isinstance(subject, GroundProblem):
-        try:
-            return validate_plan(subject, _label_plan(subject, labels))
-        except (ValueError, PlanningError) as exc:
-            raise ValueError(f"plan {i}: {exc}") from exc
-    states = [subject.initial()]
-    for step, label in enumerate(labels):
-        if label not in subject.legal_actions(states[-1]):
-            raise ValueError(f"plan {i} step {step}: {label!r} is not a legal action")
-        states.append(subject.step(states[-1], label))
-    valuations = tuple(map(subject.propositions, states))
-    return PlanTrace(Plan(tuple(labels)), tuple(states), valuations)
-
-
 def cmd_render(args) -> int:
     report = _checked_report(read_json(args.report, ConfigError))
     try:
-        source = report["config"]["source"]
-        domain = source.get("domain")
+        config = report["config"]
+        domain = config["source"].get("domain")
         if domain not in BUNDLED:
             raise ConfigError(
                 f"{args.report}: render needs a report from a bundled domain "
-                f"({', '.join(sorted(BUNDLED))}), not {source!r}"
+                f"({', '.join(sorted(BUNDLED))}), not {config['source']!r}"
             )
         pack, view = BUNDLED[domain]
         subject, space = pack()
+        if config["space"] != "bundled":
+            space = _space_of(config["space"], subject, f"{args.report}: config.space")
         plans, behaviours = report["result"]["plans"], report["result"]["behaviours"]
         if len(plans) != len(behaviours):
             raise ConfigError(
                 f"{args.report}: {len(plans)} plans but {len(behaviours)} behaviours"
             )
-        bundled = report["config"]["space"] == "bundled"
         replayed = []
         for i, (labels, behaviour) in enumerate(zip(plans, behaviours)):
-            trace = _replay(subject, i, labels)
-            if bundled:
+            try:
+                trace = _replay(subject, labels)
                 derived = [value_to_json(v) for v in pbehaviour(space, trace)]
-                if derived != behaviour:
-                    raise ConfigError(
-                        f"{args.report}: plan {i} is annotated "
-                        f"{format_behaviour(behaviour)} but replays to "
-                        f"{format_behaviour(derived)}"
-                    )
+            except (ValueError, PlanningError, BspaceError, LtlError) as exc:
+                at = " " if isinstance(exc, InapplicableAction) else ": "
+                raise ConfigError(f"{args.report}: plan {i}{at}{exc}") from exc
+            if derived != behaviour:
+                raise ConfigError(
+                    f"{args.report}: plan {i} is annotated "
+                    f"{format_behaviour(behaviour)} but replays to "
+                    f"{format_behaviour(derived)}"
+                )
             replayed.append((trace.states, behaviour))
         lines = view(subject, replayed, args.color)
     except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:

@@ -59,9 +59,6 @@ class Level:
     def is_solid(self, col: int, row: int) -> bool:
         return (col, row) in self.solid
 
-    def in_bounds(self, col: int, row: int) -> bool:
-        return 0 <= col < self.width and 0 <= row < self.height
-
 
 class PlatformerState(NamedTuple):
     """The avatar's cell and vertical speed, and whether the enemy lives.

@@ -429,6 +429,11 @@ def _validate_domain(domain: DomainAst) -> None:
     for t in domain.types:
         if t.type != ROOT_TYPE and t.type not in parents:
             raise PddlSyntaxError(f"type {t.name!r} has undeclared parent {t.type!r}")
+        ancestor = t.type
+        for _ in parents:  # a cycle through t is at most len(parents) long
+            if ancestor == t.name:
+                raise PddlSyntaxError(f"type {t.name!r} is its own ancestor")
+            ancestor = parents.get(ancestor)
     for decl in domain.predicates:
         for p in decl.params:
             if p.type not in parents:

@@ -178,6 +178,10 @@ def reference_platformer_step(
     collisions, then horizontal motion, then enemy contact and gravity."""
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
+
+    def in_bounds(col: int, row: int) -> bool:
+        return 0 <= col < level.width and 0 <= row < level.height
+
     col, row, vy = state.col, state.row, state.vy
     start_row = row
     on_ground = level.is_solid(col, row - 1) or row == 0
@@ -189,7 +193,7 @@ def reference_platformer_step(
     direction = 1 if vy > 0 else -1
     for _ in range(abs(vy)):
         nxt = row + direction
-        if not level.in_bounds(col, nxt) or level.is_solid(col, nxt):
+        if not in_bounds(col, nxt) or level.is_solid(col, nxt):
             vy = 0  # head bump or landing
             break
         row = nxt
@@ -198,7 +202,7 @@ def reference_platformer_step(
 
     # horizontal
     dcol = {"left": -1, "right": 1}.get(action, 0)
-    if dcol and level.in_bounds(col + dcol, row) and not level.is_solid(col + dcol, row):
+    if dcol and in_bounds(col + dcol, row) and not level.is_solid(col + dcol, row):
         col += dcol
 
     # enemy contact

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from divplan import cli, ltl
 from divplan.cli import EXIT_EMPTY, EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, main
@@ -122,17 +124,16 @@ def test_plan_pddl_source(tmp_path, capsys):
 def test_plan_custom_space_file(tmp_path, capsys):
     src = tmp_path / "solvable.json"
     src.write_text(json.dumps(SOLVABLE))
+    space_doc = {"features": [{"kind": "goal-endings", "name": "endings"}]}
     space = tmp_path / "space.json"
-    space.write_text(
-        json.dumps({"features": [{"kind": "goal-endings", "name": "endings"}]})
-    )
+    space.write_text(json.dumps(space_doc))
     code = run(
         "plan", "--problem-json", str(src), "--backend", "sat", "--k", "1",
         "--space", str(space),
     )
     assert code == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["config"]["space"].endswith("space.json")
+    assert doc["config"]["space"] == space_doc  # the document, not its path
 
 
 def test_plan_horizon_flags_bound_the_search(capsys):
@@ -552,12 +553,34 @@ def test_validate_unknown_action_is_a_usage_error(tmp_path, capsys):
     assert "unknown action" in capsys.readouterr().err
 
 
-def test_validate_rejects_simulator_domains(capsys, tmp_path):
-    plans = tmp_path / "plans.json"
-    plans.write_text(json.dumps([["noop"]]))
-    code = run("validate", "--domain", "urban", "--plans", str(plans))
-    assert code == EXIT_USAGE
-    assert "declarative" in capsys.readouterr().err
+@pytest.mark.parametrize("name", ["platformer-k2", "urban-k2"])
+def test_validate_replays_simulator_reports(capsys, name):
+    domain = GOLDEN_RUNS[name][0]
+    report = os.path.join(GOLDEN, f"{name}.json")
+    assert run("validate", "--domain", domain, "--plans", report) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    steps = [len(p) for p in _golden_doc(name)["result"]["plans"]]
+    assert out == [f"plan {i}: valid, {n} steps, goal reached" for i, n in enumerate(steps)]
+
+
+# platformer-k2 plan 0 is 24 moves and plan 1 is 23, against BUDGET 40
+BROKEN_PLATFORMER_PLANS = {
+    "illegal-step": (lambda plans: ["right"] * 11, "step 10: 'right' is not a legal action"),
+    "not-a-goal": (lambda plans: plans[1][:5], "final state is not a goal"),
+    "over-budget": (lambda plans: ["noop"] * 20 + plans[0], "plan length 44 exceeds budget 40"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_PLATFORMER_PLANS))
+def test_validate_flags_a_broken_simulator_plan(tmp_path, capsys, case):
+    edit, message = BROKEN_PLATFORMER_PLANS[case]
+    plans = _golden_doc("platformer-k2")["result"]["plans"]
+    path = tmp_path / "plans.json"
+    path.write_text(json.dumps({"plans": [plans[1], edit(plans)]}))
+    code = run("validate", "--domain", "platformer", "--plans", str(path))
+    assert code == EXIT_EMPTY
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["plan 0: valid, 23 steps, goal reached", f"plan 1: INVALID — {message}"]
 
 
 @pytest.mark.parametrize(
@@ -658,13 +681,21 @@ def test_render_refuses_a_story_plan_that_does_not_replay(
     assert str(story_report) in err and "plan 0: " in err and message in err
 
 
-def _golden_report(tmp_path, name, edit):
+def _golden_doc(name):
     with open(os.path.join(GOLDEN, f"{name}.json")) as fh:
-        doc = json.load(fh)
-    edit(doc["result"])
+        return json.load(fh)
+
+
+def _write_report(tmp_path, doc):
     report = tmp_path / "report.json"
     report.write_text(json.dumps(doc))
     return report
+
+
+def _golden_report(tmp_path, name, edit):
+    doc = _golden_doc(name)
+    edit(doc["result"])
+    return _write_report(tmp_path, doc)
 
 
 @pytest.mark.parametrize(
@@ -707,6 +738,75 @@ def test_render_refuses_an_annotation_the_plan_does_not_replay_to(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{report}: plan 0 is annotated {message}" in err
+
+
+@pytest.mark.parametrize("case", ["not-a-goal", "over-budget"])
+def test_render_refuses_a_plan_that_ends_off_goal_or_over_budget(tmp_path, capsys, case):
+    edit, message = BROKEN_PLATFORMER_PLANS[case]
+
+    def broken(result):
+        result["plans"][1] = edit(result["plans"])
+
+    report = _golden_report(tmp_path, "platformer-k2", broken)
+    assert run("render", str(report)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {report}: plan 1: {message}\n"
+
+
+# "true" holds on every plan, so a plan that stomps the enemy is "killed"
+# only because that value comes first
+KILLED_OR_NOT = {"features": [{"kind": "ltl", "name": "enemy", "values": [
+    {"value": "killed", "formula": "F killed"}, {"value": "other", "formula": "true"},
+]}]}
+
+
+@pytest.fixture
+def space_report(tmp_path):
+    """A platformer report planned with a --space file, and that file."""
+    space, report = tmp_path / "space.json", tmp_path / "report.json"
+    space.write_text(json.dumps(KILLED_OR_NOT))
+    argv = ("plan", "--domain", "platformer", "--k", "2", "--space", str(space))
+    assert run(*argv, "--out", str(report)) == EXIT_OK
+    return report, space
+
+
+def test_render_rebuilds_the_space_the_report_carries(space_report, capsys):
+    report, space = space_report
+    assert json.loads(report.read_text())["config"]["space"] == KILLED_OR_NOT
+    space.unlink()
+    assert run("render", str(report)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "<killed>: 1 plan(s)" in out and "<other>: 1 plan(s)" in out
+
+
+def test_render_checks_annotations_against_a_space_file(space_report, capsys):
+    report, _space = space_report
+    doc = json.loads(report.read_text())
+    assert doc["result"]["behaviours"] == [["killed"], ["other"]]
+    doc["result"]["behaviours"].reverse()
+    report.write_text(json.dumps(doc))
+    assert run("render", str(report)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {report}: plan 0 is annotated <other> but replays to <killed>\n"
+
+
+def test_render_names_a_stored_space_that_describes_none(tmp_path, capsys):
+    doc = _golden_doc("platformer-k2")
+    doc["config"]["space"] = {"features": [{"kind": "ltl", "name": "e"}]}
+    report = _write_report(tmp_path, doc)
+    assert run("render", str(report)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {report}: config.space: ltl feature needs at least one value\n"
+
+
+@pytest.mark.parametrize("command", ["render", "validate"])
+def test_schema_3_reports_are_refused(tmp_path, capsys, command):
+    doc = _golden_doc("platformer-k2")
+    doc["schema_version"] = 3
+    report = _write_report(tmp_path, doc)
+    argv = {"render": (), "validate": ("--domain", "platformer", "--plans")}[command]
+    assert run(command, *argv, str(report)) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown report schema version 3\n"
 
 
 def test_render_rejects_unbundled_source(tmp_path, capsys):
@@ -937,3 +1037,56 @@ def test_formula_at_the_nesting_cap_plans_to_completion(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["termination"] == "reached-k"
     assert sorted(result["behaviours"]) == [["M"], ["other"]]
+
+
+# -- random space documents ------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+_FORMULAS = ("F killed", "G avoided", "true", "!killed U killed", "F (killed", "F warp")
+# documents that reach past the top-level checks: feature lists over every kind
+SPACE_LIKE = st.fixed_dictionaries({"features": st.lists(
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(("goal-endings", "categorical-score", "ltl", "bins")),
+        "name": st.sampled_from(("e", "f")) | JSON_VALUES,
+        "score": st.sampled_from(("sustainability",)) | JSON_VALUES,
+        "values": st.lists(st.fixed_dictionaries({
+            "value": st.sampled_from(("killed", "avoided", "other")),
+            "formula": st.sampled_from(_FORMULAS) | JSON_VALUES,
+        }), max_size=3),
+    }),
+    max_size=2,
+)})
+SPACE_DOCS = JSON_VALUES | SPACE_LIKE
+_SPACE_DOC_SETTINGS = settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _exited_cleanly(code, capsys):
+    err = capsys.readouterr().err
+    if code == EXIT_USAGE:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:  # a space whose cells the node budget cannot reach plans nothing
+        assert code in (EXIT_OK, EXIT_EMPTY) and err == ""
+
+
+@_SPACE_DOC_SETTINGS
+@given(doc=SPACE_DOCS)
+def test_any_space_file_plans_or_is_one_error_line(tmp_path, capsys, doc):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(doc))
+    argv = ("plan", "--domain", "platformer", "--k", "2", "--node-budget", "2000")
+    _exited_cleanly(run(*argv, "--space", str(space)), capsys)
+
+
+@_SPACE_DOC_SETTINGS
+@given(doc=SPACE_DOCS)
+def test_any_stored_space_renders_or_is_one_error_line(tmp_path, capsys, doc):
+    report = _golden_doc("platformer-k2")
+    report["config"]["space"] = doc
+    _exited_cleanly(run("render", str(_write_report(tmp_path, report))), capsys)

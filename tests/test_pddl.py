@@ -1,6 +1,9 @@
 import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divplan import pddl
 from divplan.core import Fluent
@@ -338,3 +341,75 @@ def test_ground_fluent_universe_closed():
         assert a.fluents() <= g.fluents
     assert g.init <= g.fluents
     assert g.goal.fluents() <= g.fluents
+
+
+# -- type hierarchies and malformed input ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "types, name",
+    [("char loc object", "object"), ("char - loc loc - char", "char")],
+    ids=["object-listed", "two-type-cycle"],
+)
+def test_type_cycle_is_one_syntax_error(types, name):
+    # a listed `object` defaults to parent `object`; grounding walks each
+    # object's type up to the root, so parsing refuses a cycle first
+    text = open(data_file("story-tiny-domain.pddl")).read()
+    assert "(:types char loc - object)" in text
+    text = text.replace("(:types char loc - object)", f"(:types {types})")
+    with pytest.raises(PddlSyntaxError, match=f"type '{name}' is its own ancestor"):
+        parse_domain(text)
+
+
+_TOKEN = re.compile(r"\(|\)|[^\s()]+")
+_INSERTS = (
+    "(", ")", "-", "object", "either", "and", "or", "not", "=", "exists",
+    "forall", "when", ":types", ":objects", ":init", ":goal", "?c", "char", "loc",
+)
+
+
+def _tokens(name):
+    with open(data_file(name)) as fh:
+        return _TOKEN.findall(re.sub(r";[^\n]*", "", fh.read()))
+
+
+def _mutated(tokens, edits):
+    tokens = list(tokens)
+    for op, i, j, insert in edits:
+        i, j = i % len(tokens), j % len(tokens)
+        if op == "delete" and len(tokens) > 1:
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif op == "swap":
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif op == "insert":
+            tokens.insert(i, insert)
+    return tokens
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("delete", "duplicate", "swap", "insert")),
+        st.integers(0, 10_000),
+        st.integers(0, 10_000),
+        st.sampled_from(_INSERTS),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=_EDITS, in_domain=st.booleans())
+def test_token_mutations_parse_or_raise_a_pddl_error(edits, in_domain):
+    domain, problem = _tokens("story-tiny-domain.pddl"), _tokens("story-tiny-problem.pddl")
+    if in_domain:
+        domain = _mutated(domain, edits)
+    else:
+        problem = _mutated(problem, edits)
+    try:
+        d = parse_domain(" ".join(domain))
+        ground(d, parse_problem(" ".join(problem), d))
+    except PddlError:
+        pass

@@ -4,8 +4,7 @@ import json
 import re
 from pathlib import Path
 
-from divplan.bspace import load_space
-from divplan.cli import EXIT_OK, build_parser, main
+from divplan.cli import EXIT_OK, _space_of, build_parser, main
 from divplan.domains.urban import urban_pack
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -51,7 +50,7 @@ def test_readme_space_file_rebuilds_the_bundled_urban_space(tmp_path):
     space_file = tmp_path / "space.json"
     space_file.write_text(block)
     sim, bundled = urban_pack()
-    space = load_space(str(space_file), sim)
+    space = _space_of(json.loads(block), sim, "README")
     for mine, theirs in zip(space.features, bundled.features, strict=True):
         assert (mine.name, mine.domain, mine.expression) == (
             theirs.name, theirs.domain, theirs.expression

@@ -16,7 +16,6 @@ from divplan.bspace import (
     SpaceConfigError,
     enumerate_cells,
     goal_endings_feature,
-    load_space,
     ltl_feature,
     pbehaviour,
 )
@@ -34,7 +33,7 @@ from divplan.domains.urban import (
     urban_simulator,
     urban_space,
 )
-from divplan.cli import EXIT_OK, main
+from divplan.cli import EXIT_OK, _space_of, main
 from divplan.domains import get_domain
 from divplan.fbi import fbi
 from divplan.ltl import (
@@ -835,10 +834,11 @@ def test_overlapping_ltl_values_plan_without_a_traceback(tmp_path, domain):
     report = tmp_path / "report.json"
     argv = ["plan", "--domain", domain, "--k", "3", "--space", str(space_file)]
     assert main([*argv, "--out", str(report)]) == EXIT_OK
-    result = json.loads(report.read_text())["result"]
+    doc = json.loads(report.read_text())
+    result = doc["result"]
     assert result["behaviours"][: result["bdc"]] == cells
     sim, _space = get_domain(domain)()
-    space = load_space(str(space_file), sim)
+    space = _space_of(doc["config"]["space"], sim, str(report))
     for labels, [value] in zip(result["plans"], cells):
         states = [sim.initial()]
         for label in labels:
