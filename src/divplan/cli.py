@@ -273,17 +273,19 @@ def _checked_report(doc) -> dict:
     return doc
 
 
-def _plans_from_file(path: str) -> list:
+def _plans_from_file(path: str) -> tuple:
+    """(the label plans, and the source a report names, else None)."""
     doc = read_json(path, ConfigError)
     if isinstance(doc, dict) and "result" in doc:  # a plan report
-        return [list(p) for p in _checked_report(doc)["result"]["plans"]]
+        report = _checked_report(doc)
+        return [list(p) for p in report["result"]["plans"]], report["config"]["source"]
     if isinstance(doc, dict) and "plans" in doc:
-        return [list(p) for p in doc["plans"]]
-    if isinstance(doc, list) and all(isinstance(x, str) for x in doc):
-        return [doc]
-    if isinstance(doc, list):
-        return [list(p) for p in doc]
-    raise ConfigError(f"{path} holds neither a plan list nor a report")
+        doc = doc["plans"]
+    elif isinstance(doc, list) and all(isinstance(x, str) for x in doc):
+        doc = [doc]
+    elif not isinstance(doc, list):
+        raise ConfigError(f"{path} holds neither a plan list nor a report")
+    return [list(p) for p in doc], None
 
 
 def _replay(subject, labels) -> PlanTrace:
@@ -311,11 +313,13 @@ def _replay(subject, labels) -> PlanTrace:
 
 
 def cmd_validate(args) -> int:
-    subject, _space, _source = _resolve_source(args)
+    subject, _space, source = _resolve_source(args)
     try:
-        label_plans = _plans_from_file(args.plans)
+        label_plans, planned_on = _plans_from_file(args.plans)
     except (KeyError, TypeError) as exc:
         raise _malformed(args.plans, exc) from exc
+    if planned_on not in (None, source):
+        raise ConfigError(f"{args.plans} was planned on {planned_on}, not on {source}")
     failures = 0
     for i, labels in enumerate(label_plans):
         try:

@@ -31,6 +31,18 @@ by unit propagation. That is |A|*ceil(log2 |A|) clauses per step instead of
 the pairwise |A|(|A|-1)/2, which made up 21,945 of the bundled story's 22,716
 clauses per step. A sequential counter (Sinz, CP 2005) is also linear but adds
 |A|-1 variables per step, which slowed search on the small story cuts.
+
+`CnfTask.keep_one_order` adds a commutation reduction (Wehrle & Helmert,
+ICAPS 2012). Two actions commute unless some fluent is read by one and
+changed by the other, or added by one and deleted by the other; back to back
+they then reach the same state in either order. Adjacent swaps turn any plan
+into one of the same length and final state in which no commuting pair stands
+out of problem.actions order, so forbidding such pairs keeps every final
+state at every horizon, though not every plan. For action j, r_j is the first
+index above j whose action does not commute with j, or 2^B when none does
+(codes >= |A| never occur). At step t >= 1, a_j forbids a step-(t-1) code in
+(j, r_j): one clause per aligned power-of-two block of that interval, ¬a_{j,t}
+∨ (some fixed prefix bit of the block differs), at most 2B per action.
 """
 
 from __future__ import annotations
@@ -69,6 +81,11 @@ class CnfTask:
     to a solver: all of them, for a one-shot task. The task keeps the
     problem's actions but not the problem itself, so a record that keeps a
     task does not keep its problem alive.
+
+    After `keep_one_order()`, every step t >= 1 also carries the ordering
+    clauses of the module docstring, which forbid an action right after a
+    higher-indexed one it commutes with: every final state keeps a model,
+    every plan does not.
     """
 
     def __init__(self, problem: GroundProblem, horizon: int = 0):
@@ -91,6 +108,7 @@ class CnfTask:
                 self._adders[f].append(i)
             for f in sorted(a.delete):
                 self._deleters[f].append(i)
+        self._order: Optional[list] = None  # per action, its blocks' fixed bits
 
         # every literal below is a variable number, so none is zero
         self.clauses: list = [
@@ -169,6 +187,36 @@ class CnfTask:
         for f in self.fluent_order:
             add([-fv(f, t + 1), fv(f, t)] + [av(i, t) for i in self._adders[f]])
             add([fv(f, t + 1), -fv(f, t)] + [av(i, t) for i in self._deleters[f]])
+        if self._order is not None and t > 0:
+            self._add_order(t)
+
+    def keep_one_order(self) -> None:
+        """Forbid commuting actions out of order at steps 1..horizon-1 and at
+        every step encoded later; a second call does nothing."""
+        if self._order is not None:
+            return
+        n_bits = self.n_bits
+        self._order = []
+        for j, r in enumerate(_commute_bounds(self.actions, 1 << n_bits)):
+            blocks, lo = [], j + 1
+            while lo < r:  # the largest aligned block at lo that fits below r
+                size = lo & -lo
+                while lo + size > r:
+                    size >>= 1
+                low = size.bit_length() - 1
+                blocks.append([(k, lo >> k & 1) for k in range(low, n_bits)])
+                lo += size
+            self._order.append(blocks)
+        for t in range(1, self.horizon):
+            self._add_order(t)
+
+    def _add_order(self, t: int) -> None:
+        bits = self.action_var(len(self.actions), t - 1)  # step t-1's code
+        add = self.clauses.append
+        for j, blocks in enumerate(self._order):
+            lit = -self.action_var(j, t)
+            for block in blocks:
+                add([lit] + [-(bits + k) if one else bits + k for k, one in block])
 
     def decision_phases(self) -> list:
         """Initial solver phases: try actions True so search walks plans
@@ -179,6 +227,23 @@ class CnfTask:
             start = self.action_var(0, t)
             phases[start : start + n_a] = [True] * n_a
         return phases
+
+
+def _commute_bounds(actions: Sequence[GroundAction], top: int) -> list:
+    """r_j for each action j: the first index above j whose action does not
+    commute with j, else top. Two actions commute unless some fluent plays
+    different roles in them (read, added, deleted), so one right-to-left pass
+    keeps the lowest index seen so far per (fluent, role)."""
+    first: dict = {}
+    bounds = [top] * len(actions)
+    for j in range(len(actions) - 1, -1, -1):
+        a = actions[j]
+        roles = [(f, 0) for f in a.pre_pos | a.pre_neg]
+        roles += [(f, 1) for f in a.add] + [(f, 2) for f in a.delete]
+        clashes = [(f, other) for f, role in roles for other in {0, 1, 2} - {role}]
+        bounds[j] = min([first.get(key, top) for key in clashes], default=top)
+        first.update(dict.fromkeys(roles, j))
+    return bounds
 
 
 def encode(problem: GroundProblem, horizon: int) -> CnfTask:

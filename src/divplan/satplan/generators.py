@@ -15,6 +15,14 @@ items, without building a clause or solving. The two generators' items never
 coincide, so a set recorded by one generator closes a horizon for the other
 only when it is empty, i.e. when the steps alone are UNSAT.
 
+The behaviour generator's first UNSAT under a non-empty set turns on its
+commutation reduction (`CnfTask.keep_one_order`) in the record: for the live
+task's steps, every later step and every fresh behaviour task, one-shot
+included. Every final state, hence every behaviour, survives it, and an
+empty-set UNSAT proved under it still shows that no plan of that length
+reaches the goal, so the closed-horizon record stays safe to share. The plan
+generator needs every plan, so its tasks never carry the clauses.
+
 The same record keeps one live built-in solver per (problem, generator) and
 the growing task it was loaded from (`encoding.CnfTask`): each step is
 encoded and loaded once, and learned clauses carry over between horizons
@@ -57,10 +65,11 @@ from .solver import ResourceLimit, Solver, external_solver_command
 DEFAULT_HORIZONS = range(0, 21)
 
 
-# id(problem) -> (closed, live), kept by core.record_of:
+# id(problem) -> (closed, live, ordered), kept by core.record_of:
 #   closed: horizon -> [frozensets of forbidden items it was proved UNSAT under]
 #   live: generator -> (CnfTask, the Solver loaded from it, the set of items
 #         whose clauses it holds at the task's horizon)
+#   ordered: the generators whose tasks keep one order of commuting actions
 _records: dict = {}
 
 
@@ -95,12 +104,16 @@ def _solve_horizon(
     forbidden: Sequence[Hashable],
     forbid: Callable[[CnfTask, Hashable], None],
     max_conflicts: Optional[int],
+    ordered: bool,
 ) -> tuple:
     """(model or None, the task to decode it with): a model of the problem
     at this horizon with every forbidden item excluded, or None when UNSAT.
+    A new task keeps one order of commuting actions when ordered is set.
     The built-in solver stays live unless its budget runs out."""
     if external_solver_command() is not None:
         task = encode(problem, horizon)
+        if ordered:
+            task.keep_one_order()
         for item in forbidden:
             forbid(task, item)
         return solve_task(task, max_conflicts=max_conflicts), task
@@ -109,6 +122,8 @@ def _solve_horizon(
         task.horizon == horizon and not loaded.issubset(forbidden)
     ):
         task = CnfTask(problem, horizon)
+        if ordered:
+            task.keep_one_order()
         solver = Solver(task.num_vars, task.clauses, phases=task.decision_phases())
         task.clauses.clear()
         loaded = set()
@@ -145,7 +160,7 @@ def _first_trace(
     reject a trace the forbidding clauses should have excluded. None when
     every horizon is UNSAT.
     """
-    closed, live = record_of(_records, problem, lambda: ({}, {}))
+    closed, live, ordered = record_of(_records, problem, lambda: ({}, {}, set()))
     for h in horizon_range:
         if problem.budget is not None and h > problem.budget:
             continue
@@ -155,12 +170,16 @@ def _first_trace(
             continue
         try:
             model, task = _solve_horizon(
-                live, generator, problem, h, forbidden, forbid, max_conflicts
+                live, generator, problem, h, forbidden, forbid, max_conflicts,
+                generator in ordered,
             )
         except ResourceLimit as exc:
             raise GeneratorTimeout(str(exc)) from exc
         if model is None:
             closed.setdefault(h, []).append(items)
+            if items and generator == "behaviour":
+                ordered.add(generator)
+                task.keep_one_order()  # loaded before the live solver's next solve
             continue
         trace = decode(model, task)
         if validate_plan(problem, trace.plan).states != trace.states:

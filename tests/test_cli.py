@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib.resources import files
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -561,6 +562,40 @@ def test_validate_replays_simulator_reports(capsys, name):
     out = capsys.readouterr().out.splitlines()
     steps = [len(p) for p in _golden_doc(name)["result"]["plans"]]
     assert out == [f"plan {i}: valid, {n} steps, goal reached" for i, n in enumerate(steps)]
+
+
+STORY_TINY_PDDL = (
+    "--pddl-domain", str(files("divplan.domains") / "data" / "story-tiny-domain.pddl"),
+    "--pddl-problem", str(files("divplan.domains") / "data" / "story-tiny-problem.pddl"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (("--domain", "urban"), "platformer-k2"),
+        (("--domain", "story"), "story-tiny-sat-k60"),
+        (STORY_TINY_PDDL, "story-tiny-sat-k60"),
+    ],
+    ids=["urban-for-platformer", "story-for-story-tiny", "pddl-for-story-tiny"],
+)
+def test_validate_refuses_a_report_from_another_source(capsys, argv, report):
+    path = os.path.join(GOLDEN, f"{report}.json")
+    assert run("validate", *argv, "--plans", path) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path in err and repr(_golden_doc(report)["config"]["source"]) in err
+    assert repr(argv[1]) in err
+
+
+def test_validate_accepts_a_report_from_the_same_pddl_source(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run("plan", *STORY_TINY_PDDL, "--k", "3", "--out", str(report)) == EXIT_OK
+    capsys.readouterr()
+    assert run("validate", *STORY_TINY_PDDL, "--plans", str(report)) == EXIT_OK
+    assert capsys.readouterr().out.count(": valid,") == 3
 
 
 # platformer-k2 plan 0 is 24 moves and plan 1 is 23, against BUDGET 40

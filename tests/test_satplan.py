@@ -4,6 +4,7 @@ import hashlib
 import os
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,8 @@ from divplan.bspace import (
 from divplan.core import (
     Fluent,
     GeneratorTimeout,
+    apply,
+    applicable,
     GoalFormula,
     GroundAction,
     GroundProblem,
@@ -53,6 +56,7 @@ from divplan.satplan import (
     solve_task,
     to_dimacs,
 )
+import oracles
 from oracles import choice_problem, enumerate_plans, goal_ending_cells, parse_dimacs
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "divplan", "domains", "data")
@@ -525,7 +529,7 @@ def test_generator_timeout_from_conflict_budget():
         )
     # the run-out dropped the solver and closed nothing: an unbudgeted call
     # still solves horizon 3
-    assert generators._records[id(problem)] == ({}, {})
+    assert generators._records[id(problem)] == ({}, {}, set())
     got = behaviour_generator_sat(problem, space, set(), range(3, 4))
     want = behaviour_generator_sat(copy.copy(problem), space, set(), range(3, 4))
     assert _labels(got) == _labels(want) is not None
@@ -541,14 +545,14 @@ def test_generator_timeout_from_conflict_budget():
 # there is none), not on the witness.
 
 
-def _tiny_cut(cast, lamp):
-    """A story-tiny cut: three characters at one place, one holding the lamp."""
+def _tiny_cut(cast, lamp, places=("home",)):
+    """A story-tiny cut: the cast at the first place, one holding the lamp."""
     d = load_domain(os.path.join(DATA, "story-tiny-domain.pddl"))
-    init = " ".join(f"(at {c} home)" for c in cast)
+    init = " ".join(f"(at {c} {places[0]})" for c in cast)
     text = textwrap.dedent(f"""\
         (define (problem story-tiny-cut)
           (:domain story-tiny)
-          (:objects {' '.join(cast)} - char home - loc)
+          (:objects {' '.join(cast)} - char {' '.join(places)} - loc)
           (:init {init} (has-lamp {lamp}))
           (:goal (exists (?c1 - char ?c2 - char)
                    (and (married-to ?c2 ?c1) (not (= ?c1 ?c2))))))
@@ -711,7 +715,7 @@ def test_a_descending_horizon_range_starts_a_fresh_solver():
     space = BehaviourSpace((goal_endings_feature(problem),))
     first = behaviour_generator_sat(problem, space, (), range(0, 6))
     assert len(first.plan) == 3
-    _closed, live = generators._records[id(problem)]
+    _closed, live, _ordered = generators._records[id(problem)]
     _task, solver, _loaded = live["behaviour"]
     found = [pbehaviour(space, first)]
     # a range that starts above moves the same solver on to horizon 4
@@ -757,16 +761,260 @@ def test_closed_horizon_record_dies_with_its_problem():
     trace = behaviour_generator_sat(problem, space, (), range(0, 4))
     assert len(trace.plan) == 3
     key = id(problem)
-    closed, live = generators._records[key]
+    closed, live, ordered = generators._records[key]
     assert set(closed) == {0, 1, 2}
     assert set(live) == {"behaviour"}  # the solver that found it
     task, _solver, loaded = live["behaviour"]
-    assert task.horizon == 3 and loaded == set()
+    assert task.horizon == 3 and loaded == set() and ordered == set()
     twin = copy.copy(problem)
     assert twin == problem and id(twin) not in generators._records
-    del problem, closed, live, trace, task
+    del problem, closed, live, ordered, trace, task
     gc.collect()
     assert key not in generators._records
+
+
+# -- commutation reduction --------------------------------------------------------
+# Once the behaviour generator proves a horizon empty under a non-empty set,
+# its tasks forbid an action right after a higher-indexed one it commutes
+# with. The references: the commutation definition checked pair by pair and
+# state by state, and brute-force plan enumeration.
+
+def _lamp_problem():
+    """light and dark clash only by effects: one adds what the other deletes."""
+    lit, tick = Fluent("lit"), Fluent("tick")
+    return GroundProblem(
+        fluents=frozenset([lit, tick]),
+        actions=(
+            GroundAction("light", add=frozenset([lit])),
+            GroundAction("dark", delete=frozenset([lit])),
+            GroundAction("tick", add=frozenset([tick])),
+        ),
+        init=frozenset(),
+        goal=GoalFormula.conjunction([(tick, True)]),
+    )
+
+
+REDUCTION_PROBLEMS = {
+    "cut-one-place": lambda: _tiny_cut(("ala", "jas", "gen"), "jas"),
+    "cut-two-places": lambda: _tiny_cut(("ala", "jas", "gen"), "ala", ("home", "park")),
+    "story-tiny": _fresh_tiny_story,
+    "story-tiny-two-places": lambda: _tiny_cut(("ala", "jas"), "ala", ("home", "park")),
+    "toggle": oracles.toggle_problem,
+    "two-switch": oracles.two_switch_problem,
+    "choice": oracles.choice_problem,
+    "lamp": _lamp_problem,
+}
+# the three-character cuts have too many plans of length 6 to enumerate
+ENUMERABLE = sorted(set(REDUCTION_PROBLEMS) - {"cut-one-place", "cut-two-places"})
+
+
+def _ordering_pairs(problem):
+    """The (i, j) action index pairs that the ordering clauses forbid as
+    steps 0 and 1, read off the clauses by evaluating each assignment."""
+    task = CnfTask(problem, 2)
+    task.clauses.clear()
+    task.keep_one_order()
+    n, n_bits = len(task.actions), task.n_bits
+    assert len(task.clauses) <= 2 * n_bits * n
+    assert all(len(clause) <= n_bits + 1 for clause in task.clauses)
+    bits = task.action_var(n, 0)  # step 0's code
+    pairs = set()
+    for i in range(n):
+        code = {bits + k if i >> k & 1 else -(bits + k) for k in range(n_bits)}
+        for j in range(n):
+            true = code | {task.action_var(j, 1)}
+            if any(all(-lit in true for lit in clause) for clause in task.clauses):
+                pairs.add((i, j))
+    return pairs
+
+
+def _commute(a, b):
+    def changes(x):
+        return x.add | x.delete
+
+    def reads(x):
+        return x.pre_pos | x.pre_neg
+
+    return not (
+        reads(a) & changes(b) or reads(b) & changes(a)
+        or a.add & b.delete or b.add & a.delete
+    )
+
+
+def _reachable(problem):
+    seen, frontier = {problem.init}, [problem.init]
+    while frontier:
+        state = frontier.pop()
+        for action in problem.actions:
+            if applicable(state, action) and (nxt := apply(state, action)) not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_PROBLEMS))
+def test_ordering_clauses_forbid_only_commuting_pairs(name):
+    problem = REDUCTION_PROBLEMS[name]()
+    actions = problem.actions
+    pairs = _ordering_pairs(problem)
+    # exactly the pairs below each action's first non-commuting successor
+    want = set()
+    for j, a in enumerate(actions):
+        for i in range(j + 1, len(actions)):
+            if not _commute(a, actions[i]):
+                break
+            want.add((i, j))
+    assert pairs == want
+    assert pairs or name == "toggle"
+    # and each of them commutes wherever it runs
+    checked = 0
+    for state in _reachable(problem):
+        for i, first in enumerate(actions):
+            if not applicable(state, first):
+                continue
+            after = apply(state, first)
+            for j, second in enumerate(actions):
+                if (i, j) in pairs and applicable(after, second):
+                    assert applicable(state, second)
+                    swapped = apply(state, second)
+                    assert applicable(swapped, first)
+                    assert apply(swapped, first) == apply(after, second)
+                    checked += 1
+    assert checked or name == "toggle"
+
+
+@pytest.mark.parametrize("name", ENUMERABLE)
+def test_reduced_plans_reach_every_goal_ending(name):
+    problem = REDUCTION_PROBLEMS[name]()
+    pairs = _ordering_pairs(problem)
+    index = {a.name: i for i, a in enumerate(problem.actions)}
+    goal = problem.goal.fluents()
+    ends = {}  # (horizon, reduced) -> goal-fluent projections
+    for plan in enumerate_plans(problem, 6):
+        steps = [index[a.name] for a in plan]
+        reduced = not any(pair in pairs for pair in zip(steps, steps[1:]))
+        end = validate_plan(problem, plan).states[-1] & goal
+        ends.setdefault((len(plan), False), set()).add(end)
+        if reduced:
+            ends.setdefault((len(plan), True), set()).add(end)
+    for h in range(7):
+        assert ends.get((h, True)) == ends.get((h, False)), h
+    # the generators, with the reduction switched on by the first exhaustion
+    # proof, still reach every cell
+    horizons = range(0, 7)
+    cells = goal_ending_cells(problem, horizons)
+    space = BehaviourSpace((goal_endings_feature(problem),))
+    result = fbi(len(cells) + 3, *_generator_pair(problem, horizons, fresh=False))
+    assert set(result.behaviours[: result.bdc]) == cells
+    assert generators._records[id(problem)][2] == {"behaviour"}
+    _assert_replays(problem, space, result)
+
+
+@pytest.mark.parametrize("switched_at", [0, 1, 2])
+def test_ordering_clauses_do_not_depend_on_when_they_are_switched_on(switched_at):
+    problem = _tiny_cut(("ala", "jas"), "ala", ("home", "park"))
+
+    def ordering_clauses(switch_at):
+        """The clauses a task grown to horizon 4 gains by the switch."""
+        tasks = [CnfTask(problem, switch_at) for _ in range(2)]
+        tasks[0].keep_one_order()
+        tasks[0].keep_one_order()  # a second call adds nothing
+        counts = []
+        for task in tasks:
+            task.advance(4)
+            counts.append(Counter(map(tuple, task.clauses)))
+        return counts[0] - counts[1]
+
+    want = ordering_clauses(4)
+    assert want and ordering_clauses(switched_at) == want
+
+
+def test_a_fresh_behaviour_task_after_the_switch_carries_the_clauses():
+    problem = _fresh_tiny_story()
+    space = BehaviourSpace((goal_endings_feature(problem),))
+    found = []
+    while (trace := behaviour_generator_sat(problem, space, found, range(0, 6))):
+        found.append(pbehaviour(space, trace))
+    _closed, live, ordered = generators._records[id(problem)]
+    assert ordered == {"behaviour"}
+    task = live["behaviour"][0]
+    assert task._order is not None
+    # a smaller set drops an item the live solver holds: a fresh solver
+    behaviour_generator_sat(problem, space, found[:1], range(0, 6))
+    fresh = live["behaviour"][0]
+    assert fresh is not task and fresh._order is not None
+
+
+def _bundled_fbi(domain, k):
+    problem, _space = get_domain(domain)()
+    space = BehaviourSpace((goal_endings_feature(problem),))
+    fbi(
+        k, space,
+        lambda found: behaviour_generator_sat(problem, space, found),
+        lambda existing: plan_generator_sat(problem, existing),
+    )
+    return generators._records[id(problem)][2]
+
+
+def test_exhaustion_switches_the_reduction_on_and_story_k3_never_does():
+    assert _bundled_fbi("story-tiny", 60) == {"behaviour"}
+    assert _bundled_fbi("story", 3) == set()
+
+
+@pytest.mark.parametrize(
+    "cast, lamp, cap",
+    [(("ala", "jas", "gen"), "jas", 6), (("mor", "dra", "jaf"), "mor", 7)],
+    ids=["ala-jas-gen-6", "mor-dra-jaf-7"],
+)
+def test_the_reduced_live_solver_answers_as_a_fresh_full_one(monkeypatch, cast, lamp, cap):
+    problem = _tiny_cut(cast, lamp)
+    answers = []
+
+    def solve_horizon(live, generator, problem, horizon, forbidden, forbid, *rest):
+        model, task = real_solve_horizon(
+            live, generator, problem, horizon, forbidden, forbid, *rest
+        )
+        if generator == "behaviour" and task._order is not None:
+            fresh = encode(problem, horizon)  # no ordering clauses
+            for item in forbidden:
+                forbid(fresh, item)
+            answers.append((horizon, model is None, solve_cnf(fresh) is None))
+        return model, task
+
+    real_solve_horizon = generators._solve_horizon
+    monkeypatch.setattr(generators, "_solve_horizon", solve_horizon)
+    fbi(60, *_generator_pair(problem, range(0, cap + 1), fresh=False))
+    assert {unsat for _h, unsat, _want in answers} == {False, True}
+    for horizon, unsat, want in answers:
+        assert unsat == want, horizon
+
+
+def test_the_external_path_carries_the_clauses_once_switched_on(
+    monkeypatch, stub_solver_cmd
+):
+    monkeypatch.setenv(EXTERNAL_SOLVER_ENV, stub_solver_cmd)
+    problem = _fresh_tiny_story()
+    ordered = []
+
+    def solve(task, **kwargs):
+        ordered.append(task._order is not None)
+        return real_solve_task(task, **kwargs)
+
+    real_solve_task = generators.solve_task
+    monkeypatch.setattr(generators, "solve_task", solve)
+    space, bgen, _pgen = _generator_pair(problem, range(0, 6), fresh=False)
+    found = []
+    while (trace := bgen(found)):
+        found.append(pbehaviour(space, trace))
+    assert len(found) == 3
+    # off until the first UNSAT under a non-empty set, on from the next solve
+    assert ordered[0] is False and ordered[-1] is True
+    assert ordered == sorted(ordered)
+    del ordered[:]
+    plans = []
+    while (trace := plan_generator_sat(problem, plans, range(0, 4))):
+        plans.append(trace.plan)
+    assert len(plans) == 4 and ordered and not any(ordered)
 
 
 # -- solver --------------------------------------------------------------------
