@@ -45,7 +45,7 @@ from .ltl import LtlError
 from .pddl import PddlError, ground, load_domain, load_problem_file
 from .satplan import (
     DEFAULT_HORIZONS,
-    SatError,
+    EXTERNAL_SOLVER_ENV,
     behaviour_generator_sat,
     plan_generator_sat,
 )
@@ -180,6 +180,11 @@ def cmd_plan(args) -> int:
     _check_backend(args.backend, declarative)
     backend = "sat" if declarative else "search"
     _check_options(args, backend)
+    if declarative and os.environ.get(EXTERNAL_SOLVER_ENV):
+        raise ConfigError(
+            f"{EXTERNAL_SOLVER_ENV} is set, but the external SAT solver is gone; "
+            "unset it to plan with the built-in solver"
+        )
     if args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
     if args.out:
@@ -444,8 +449,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return args.func(args)
     except (
-        ConfigError, PddlError, PlanningError, BspaceError, SatError,
-        LtlError, OSError,
+        ConfigError, PddlError, PlanningError, BspaceError, LtlError, OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,8 +3,9 @@ and the behaviour/plan generator pair built on them.
 
 The generators drive the built-in `Solver` themselves: one live solver per
 problem and generator, loaded once per step from one growing encoding, with
-each horizon's goal an assumption. `solve_task` is the one-shot call to an
-external solver.
+each horizon's goal an assumption. `encode` and `solve_task` are the
+one-shot reference they are checked against: a fresh solver on the task at
+one horizon.
 """
 
 from .encoding import (
@@ -28,11 +29,6 @@ from .solver import (
     ResourceLimit,
     SatError,
     Solver,
-    SolverBridgeError,
-    external_solver_command,
-    parse_solver_output,
-    solve_external,
-    to_dimacs,
 )
 
 __all__ = [
@@ -45,16 +41,11 @@ __all__ = [
     "ResourceLimit",
     "SatError",
     "Solver",
-    "SolverBridgeError",
     "behaviour_generator_sat",
     "decode",
     "encode",
-    "external_solver_command",
     "forbid_behaviour",
     "forbid_plan",
-    "parse_solver_output",
     "plan_generator_sat",
-    "solve_external",
     "solve_task",
-    "to_dimacs",
 ]

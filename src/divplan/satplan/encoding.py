@@ -56,7 +56,7 @@ from ..core import (
     Plan,
     PlanTrace,
 )
-from .solver import EXTERNAL_SOLVER_ENV, SatError, external_solver_command, solve_external
+from .solver import Solver
 
 
 class EncodingError(Exception):
@@ -312,22 +312,8 @@ def forbid_plan(task: CnfTask, plan: Plan) -> list:
 def solve_task(
     task: CnfTask, *, max_conflicts: Optional[int] = None
 ) -> Optional[list]:
-    """A satisfying model (list indexed by variable) or None for UNSAT, from
-    the external solver named by DIVPLAN_EXTERNAL_SAT; a SatError when that
-    variable is unset.
-
-    The built-in solver is not reached from here: the generators keep one
-    live `Solver` per problem and generator instead. Only the built-in
-    solver counts conflicts, so a conflict budget here is a SatError rather
-    than a budget silently dropped.
-    """
-    command = external_solver_command()
-    if command is None:
-        raise SatError(f"no external solver: {EXTERNAL_SOLVER_ENV} is not set")
-    if max_conflicts is not None:
-        raise SatError(
-            f"--max-conflicts {max_conflicts} applies only to the built-in "
-            f"solver; unset {EXTERNAL_SOLVER_ENV} or drop the budget"
-        )
-    return solve_external(command, task.num_vars, task.clauses)
-
+    """A satisfying model (list indexed by variable) or None for UNSAT, from a
+    fresh built-in solver with the task's decision phases: the one-shot
+    reference for the generators' live solvers, which never call it."""
+    solver = Solver(task.num_vars, task.clauses, phases=task.decision_phases())
+    return solver.solve(max_conflicts)

@@ -17,11 +17,11 @@ only when it is empty, i.e. when the steps alone are UNSAT.
 
 The behaviour generator's first UNSAT under a non-empty set turns on its
 commutation reduction (`CnfTask.keep_one_order`) in the record: for the live
-task's steps, every later step and every fresh behaviour task, one-shot
-included. Every final state, hence every behaviour, survives it, and an
-empty-set UNSAT proved under it still shows that no plan of that length
-reaches the goal, so the closed-horizon record stays safe to share. The plan
-generator needs every plan, so its tasks never carry the clauses.
+task's steps, every later step and every fresh behaviour task. Every final
+state, hence every behaviour, survives it, and an empty-set UNSAT proved
+under it still shows that no plan of that length reaches the goal, so the
+closed-horizon record stays safe to share. The plan generator needs every
+plan, so its tasks never carry the clauses.
 
 The same record keeps one live built-in solver per (problem, generator) and
 the growing task it was loaded from (`encoding.CnfTask`): each step is
@@ -32,10 +32,9 @@ Within one generator the first open horizon only rises, so the solver
 holds exactly steps 0..h-1 when it answers at h. A call that needs a horizon
 below the task's, or that drops an item loaded at the task's horizon, starts
 a fresh solver. A budget run-out drops the solver and records nothing. The
-external solver is always called one-shot, through `encode` and
-`solve_task`. The record is kept by `core.record_of`: keyed by object
-identity, it dies with its problem (neither task nor solver holds it), so a
-fresh problem object plans as a first call does.
+record is kept by `core.record_of`: keyed by object identity, it dies with
+its problem (neither task nor solver holds it), so a fresh problem object
+plans as a first call does.
 """
 
 from __future__ import annotations
@@ -52,15 +51,10 @@ from ..bspace import (
 from ..core import (
     GeneratorTimeout, GroundProblem, Plan, PlanTrace, record_of, validate_plan,
 )
-from .encoding import (
-    CnfTask,
-    decode,
-    encode,
-    forbid_behaviour,
-    forbid_plan,
-    solve_task,
-)
-from .solver import ResourceLimit, Solver, external_solver_command
+from .encoding import CnfTask, decode, forbid_behaviour, forbid_plan
+# not called here: bench/spans.py's tracer patches these two names on this module
+from .encoding import encode, solve_task
+from .solver import ResourceLimit, Solver
 
 DEFAULT_HORIZONS = range(0, 21)
 
@@ -110,13 +104,6 @@ def _solve_horizon(
     at this horizon with every forbidden item excluded, or None when UNSAT.
     A new task keeps one order of commuting actions when ordered is set.
     The built-in solver stays live unless its budget runs out."""
-    if external_solver_command() is not None:
-        task = encode(problem, horizon)
-        if ordered:
-            task.keep_one_order()
-        for item in forbidden:
-            forbid(task, item)
-        return solve_task(task, max_conflicts=max_conflicts), task
     task, solver, loaded = live.pop(generator, (None, None, None))
     if task is None or task.horizon > horizon or (
         task.horizon == horizon and not loaded.issubset(forbidden)

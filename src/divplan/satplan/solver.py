@@ -12,10 +12,6 @@ Python's negative indexing, so the hot loops never take `abs`.
 
 from __future__ import annotations
 
-import os
-import shlex
-import subprocess
-import tempfile
 from typing import Iterable, Optional, Sequence
 
 
@@ -27,8 +23,9 @@ class ResourceLimit(SatError):
     """Conflict budget exhausted before an answer was reached."""
 
 
-class SolverBridgeError(SatError):
-    """An external solver produced output we could not interpret."""
+# named an external DIMACS solver, which is gone; `plan` refuses it rather
+# than plan silently with this solver
+EXTERNAL_SOLVER_ENV = "DIVPLAN_EXTERNAL_SAT"
 
 
 class Solver:
@@ -333,98 +330,3 @@ class Solver:
                 return self.val[: self.num_vars + 1]
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, None)
-
-
-# -- DIMACS and the external-solver bridge ------------------------------------
-
-
-def to_dimacs(num_vars: int, clauses: Sequence[Sequence[int]]) -> str:
-    lines = [f"p cnf {num_vars} {len(clauses)}"]
-    for clause in clauses:
-        lines.append(" ".join(map(str, clause)) + " 0")
-    return "\n".join(lines) + "\n"
-
-
-def parse_solver_output(text: str, num_vars: int) -> Optional[list]:
-    """Parse SAT-competition style output ("s ..." and "v ..." lines)."""
-    status = None
-    lits: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("s "):
-            status = line[2:].strip().upper()
-        elif line.startswith("v ") or line.startswith("v\t"):
-            lits.extend(int(tok) for tok in line[2:].split())
-        elif line == "v":
-            continue
-    if status == "UNSATISFIABLE":
-        return None
-    if status != "SATISFIABLE":
-        raise SolverBridgeError("no recognisable status line in solver output")
-    model: list = [False] * (num_vars + 1)
-    model[0] = None
-    for lit in lits:
-        if lit == 0:
-            continue
-        if abs(lit) <= num_vars:
-            model[abs(lit)] = lit > 0
-    return model
-
-
-EXTERNAL_SOLVER_ENV = "DIVPLAN_EXTERNAL_SAT"
-
-
-def external_solver_command() -> Optional[list]:
-    """The configured external solver argv, if the env var is set."""
-    raw = os.environ.get(EXTERNAL_SOLVER_ENV)
-    if not raw:
-        return None
-    return shlex.split(raw)
-
-
-def solve_external(
-    command: Sequence[str], num_vars: int, clauses: Sequence[Sequence[int]]
-) -> Optional[list]:
-    """Run `command <file.cnf>` and parse its s/v output lines.
-
-    SAT-competition exit codes (10/20) are tolerated; a command that cannot
-    be started, output without a status line, or a model that falsifies a
-    clause is a bridge error naming the command (and, for output without a
-    status line, its exit status and last stderr line).
-    """
-    name = shlex.join(command)
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".cnf", prefix="divplan-", delete=False
-    ) as fh:
-        fh.write(to_dimacs(num_vars, clauses))
-        path = fh.name
-    try:
-        proc = subprocess.run(
-            list(command) + [path],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-    except OSError as exc:
-        raise SolverBridgeError(
-            f"external solver {name!r} could not be run: {exc.strerror or exc}"
-        ) from exc
-    finally:
-        os.unlink(path)
-    try:
-        model = parse_solver_output(proc.stdout, num_vars)
-    except SolverBridgeError as exc:
-        stderr = proc.stderr.strip().splitlines()
-        last = f"; last stderr line: {stderr[-1]!r}" if stderr else ""
-        raise SolverBridgeError(
-            f"external solver {name!r} exited with status "
-            f"{proc.returncode}: {exc}{last}"
-        ) from exc
-    if model is not None:
-        for clause in clauses:
-            if not any(model[abs(lit)] == (lit > 0) for lit in clause):
-                raise SolverBridgeError(
-                    f"external solver {name!r} reported SATISFIABLE with a "
-                    f"model that falsifies the clause {list(clause)}"
-                )
-    return model

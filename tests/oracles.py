@@ -373,35 +373,6 @@ def per_call_sweep(sim, targets, cfg):
     return SearchResult(witness, stats, None if witness is None else live)
 
 
-# -- DIMACS reader (the program only writes DIMACS) --------------------------------
-
-
-def parse_dimacs(text: str) -> tuple[int, list]:
-    num_vars = 0
-    clauses = []
-    current: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad DIMACS header: {line!r}")
-            num_vars = int(parts[2])
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(current)
-                current = []
-            else:
-                current.append(lit)
-    if current:
-        clauses.append(current)
-    return num_vars, clauses
-
-
 # -- temporal formulas: samplers, text form and per-position truth -----------------
 
 # criterion 7's formula shapes, over the atoms a and b

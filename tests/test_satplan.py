@@ -2,7 +2,6 @@ import copy
 import gc
 import hashlib
 import os
-import sys
 import textwrap
 from collections import Counter
 
@@ -30,34 +29,27 @@ from divplan.core import (
     Plan,
     validate_plan,
 )
-from divplan.cli import EXIT_USAGE, main
 from divplan.domains import get_domain
 from divplan.fbi import fbi
 from divplan.ltl import TRUE
 from divplan.pddl import ground, load_domain, load_problem_file, parse_problem
 from divplan.satplan import (
-    EXTERNAL_SOLVER_ENV,
     CnfTask,
     HorizonMismatch,
     MalformedModel,
     ResourceLimit,
-    SatError,
     Solver,
-    SolverBridgeError,
     behaviour_generator_sat,
     decode,
     encode,
     forbid_behaviour,
     forbid_plan,
     generators,
-    parse_solver_output,
     plan_generator_sat,
-    solve_external,
     solve_task,
-    to_dimacs,
 )
 import oracles
-from oracles import choice_problem, enumerate_plans, goal_ending_cells, parse_dimacs
+from oracles import choice_problem, enumerate_plans, goal_ending_cells
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "divplan", "domains", "data")
 
@@ -124,18 +116,12 @@ def tiny_story():
     return _fresh_tiny_story()
 
 
-def solve_cnf(task):
-    """A model of the task from a fresh built-in Solver with the phases the
-    generators give it, or None for UNSAT."""
-    return Solver(task.num_vars, task.clauses, phases=task.decision_phases()).solve()
-
-
 def exhaust_models(problem, horizon):
     """All decodable plans at exactly this horizon, via iterated forbidding."""
     task = encode(problem, horizon)
     plans = []
     while True:
-        model = solve_cnf(task)
+        model = solve_task(task)
         if model is None:
             return plans
         trace = decode(model, task)
@@ -153,14 +139,14 @@ def exhaust_models(problem, horizon):
 def test_horizon_zero_goal_already_true():
     problem = toggle_problem(goal_on=False)  # init: off, goal: off
     task = encode(problem, 0)
-    model = solve_cnf(task)
+    model = solve_task(task)
     assert model is not None
     assert decode(model, task).plan.labels() == ()
 
 
 def test_horizon_zero_goal_false_is_unsat():
     task = encode(toggle_problem(goal_on=True), 0)
-    assert solve_cnf(task) is None
+    assert solve_task(task) is None
 
 
 def test_negative_horizon_rejected():
@@ -271,10 +257,10 @@ def test_at_most_one_action_per_step(n):
         task = encode(problem, 1)
         for i in indices:
             task.add_clause([task.action_var(i, 0)])
-        return solve_cnf(task)
+        return solve_task(task)
 
     if n == 0:
-        assert solve_cnf(base) is None
+        assert solve_task(base) is None
     for i in range(n):
         model = forced(i)
         assert model is not None
@@ -329,14 +315,14 @@ def test_forbid_behaviour_single_fluent():
     problem = toggle_problem()
     task = encode(problem, 1)
     forbid_behaviour(task, {ON: True})
-    assert solve_cnf(task) is None  # the goal forces on=true
+    assert solve_task(task) is None  # the goal forces on=true
 
 
 def test_forbid_behaviour_other_polarity_keeps_models():
     problem = toggle_problem()
     task = encode(problem, 1)
     forbid_behaviour(task, {ON: False})
-    model = solve_cnf(task)
+    model = solve_task(task)
     assert model is not None
     assert decode(model, task).plan.labels() == ("turn-on",)
 
@@ -356,7 +342,7 @@ def test_forbid_all_assignments_exhausts_two_fluent_goal():
     for va in (False, True):
         for vb in (False, True):
             forbid_behaviour(task, {a: va, b: vb})
-    assert solve_cnf(task) is None
+    assert solve_task(task) is None
 
 
 def test_forbid_behaviour_rejects_non_goal_fluent():
@@ -394,18 +380,18 @@ def test_forbid_unique_plan_makes_unsat():
     problem = toggle_problem()
     task = encode(problem, 1)
     forbid_plan(task, Plan((problem.actions[0],)))
-    assert solve_cnf(task) is None
+    assert solve_task(task) is None
 
 
 def test_forbid_one_symmetric_plan_yields_the_other():
     problem = two_switch_problem()
     task = encode(problem, 2)
-    first = decode(solve_cnf(task), task).plan
+    first = decode(solve_task(task), task).plan
     forbid_plan(task, first)
-    second = decode(solve_cnf(task), task).plan
+    second = decode(solve_task(task), task).plan
     assert {first.labels(), second.labels()} == {("set-a", "set-b"), ("set-b", "set-a")}
     forbid_plan(task, second)
-    assert solve_cnf(task) is None
+    assert solve_task(task) is None
 
 
 # -- generators ----------------------------------------------------------------
@@ -589,7 +575,7 @@ def _one_shot_horizon(problem, horizons, forbid):
         if problem.budget is not None and h > problem.budget:
             continue
         task = encode(problem, h)
-        if forbid(task) is not False and solve_cnf(task) is not None:
+        if forbid(task) is not False and solve_task(task) is not None:
             return h
     return None
 
@@ -978,7 +964,7 @@ def test_the_reduced_live_solver_answers_as_a_fresh_full_one(monkeypatch, cast, 
             fresh = encode(problem, horizon)  # no ordering clauses
             for item in forbidden:
                 forbid(fresh, item)
-            answers.append((horizon, model is None, solve_cnf(fresh) is None))
+            answers.append((horizon, model is None, solve_task(fresh) is None))
         return model, task
 
     real_solve_horizon = generators._solve_horizon
@@ -987,34 +973,6 @@ def test_the_reduced_live_solver_answers_as_a_fresh_full_one(monkeypatch, cast, 
     assert {unsat for _h, unsat, _want in answers} == {False, True}
     for horizon, unsat, want in answers:
         assert unsat == want, horizon
-
-
-def test_the_external_path_carries_the_clauses_once_switched_on(
-    monkeypatch, stub_solver_cmd
-):
-    monkeypatch.setenv(EXTERNAL_SOLVER_ENV, stub_solver_cmd)
-    problem = _fresh_tiny_story()
-    ordered = []
-
-    def solve(task, **kwargs):
-        ordered.append(task._order is not None)
-        return real_solve_task(task, **kwargs)
-
-    real_solve_task = generators.solve_task
-    monkeypatch.setattr(generators, "solve_task", solve)
-    space, bgen, _pgen = _generator_pair(problem, range(0, 6), fresh=False)
-    found = []
-    while (trace := bgen(found)):
-        found.append(pbehaviour(space, trace))
-    assert len(found) == 3
-    # off until the first UNSAT under a non-empty set, on from the next solve
-    assert ordered[0] is False and ordered[-1] is True
-    assert ordered == sorted(ordered)
-    del ordered[:]
-    plans = []
-    while (trace := plan_generator_sat(problem, plans, range(0, 4))):
-        plans.append(trace.plan)
-    assert len(plans) == 4 and ordered and not any(ordered)
 
 
 # -- solver --------------------------------------------------------------------
@@ -1064,16 +1022,13 @@ def test_solver_is_deterministic():
     assert Solver(num_vars, clauses).solve() == Solver(num_vars, clauses).solve()
 
 
-def test_model_has_the_bridge_shape():
-    # decode indexes models by variable: slot 0 unused, one bool per variable,
-    # exactly as parse_solver_output builds them
+def test_model_is_indexed_by_variable():
+    # decode indexes models by variable: slot 0 unused, one bool per variable
     num_vars, clauses = pigeonhole(3, 3)
     model = Solver(num_vars, clauses).solve()
     assert len(model) == num_vars + 1
     assert model[0] is None
     assert all(isinstance(value, bool) for value in model[1:])
-    lits = " ".join(str(v if model[v] else -v) for v in range(1, num_vars + 1))
-    assert parse_solver_output(f"s SATISFIABLE\nv {lits} 0\n", num_vars) == model
     assert Solver(0).solve() == [None]
 
 
@@ -1200,114 +1155,3 @@ def test_conflict_budget_is_per_solve():
         assert solver.conflicts == budget + 1  # counted within this call
     assert solver.solve() is None
     assert not solver.ok and solver.solve() is None
-
-
-# -- DIMACS and the external bridge ---------------------------------------------
-
-
-def test_dimacs_roundtrip():
-    clauses = [[1, -2], [2, 3], [-1]]
-    text = to_dimacs(3, clauses)
-    num_vars, parsed = parse_dimacs(text)
-    assert num_vars == 3
-    assert parsed == clauses
-
-
-def test_dimacs_roundtrip_of_encoded_task(tiny_story):
-    task = encode(tiny_story, 3)
-    num_vars, clauses = parse_dimacs(to_dimacs(task.num_vars, task.clauses))
-    assert num_vars == task.num_vars
-    assert clauses == [list(c) for c in task.clauses]
-
-
-def test_parse_solver_output():
-    assert parse_solver_output("s UNSATISFIABLE\n", 2) is None
-    model = parse_solver_output("c comment\ns SATISFIABLE\nv 1 -2 0\n", 2)
-    assert model[1:] == [True, False]  # slot 0 is unused, as internally
-    with pytest.raises(Exception):
-        parse_solver_output("garbage\n", 2)
-
-
-STUB_SOLVER = textwrap.dedent(
-    """\
-    import sys
-    sys.path[:0] = [{src!r}, {tests!r}]
-    from divplan.satplan.solver import Solver
-    from oracles import parse_dimacs
-    num_vars, clauses = parse_dimacs(open(sys.argv[1]).read())
-    model = Solver(num_vars, clauses).solve()
-    if model is None:
-        print("s UNSATISFIABLE")
-        sys.exit(20)
-    print("s SATISFIABLE")
-    lits = [v if model[v] else -v for v in range(1, num_vars + 1)]
-    print("v " + " ".join(map(str, lits)) + " 0")
-    sys.exit(10)
-    """
-)
-
-
-@pytest.fixture
-def stub_solver_cmd(tmp_path):
-    tests = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(tests, "..", "src")
-    script = tmp_path / "stub_solver.py"
-    script.write_text(STUB_SOLVER.format(src=os.path.abspath(src), tests=tests))
-    return f"{sys.executable} {script}"
-
-
-def test_solve_external_sat_and_unsat(stub_solver_cmd):
-    cmd = stub_solver_cmd.split()
-    model = solve_external(cmd, 2, [[1, 2], [-1]])
-    assert model is not None and model[2] and not model[1]
-    assert solve_external(cmd, 1, [[1], [-1]]) is None
-
-
-def test_solve_external_failure_names_command_status_and_stderr():
-    cmd = [sys.executable, "-c", "import sys; sys.exit('out of cheese')"]
-    with pytest.raises(SolverBridgeError) as info:
-        solve_external(cmd, 1, [[1]])
-    message = str(info.value)
-    assert sys.executable in message
-    assert "status 1" in message
-    assert "out of cheese" in message
-
-
-def test_generator_uses_external_solver(tiny_story, monkeypatch, stub_solver_cmd):
-    monkeypatch.setenv(EXTERNAL_SOLVER_ENV, stub_solver_cmd)
-    space = BehaviourSpace((goal_endings_feature(tiny_story),))
-    found = set()
-    while True:
-        trace = behaviour_generator_sat(tiny_story, space, found, range(0, 6))
-        if trace is None:
-            break
-        validate_plan(tiny_story, trace.plan)
-        found.add(pbehaviour(space, trace))
-    assert len(found) == 3
-
-
-def test_solve_task_is_the_external_solver_only(tiny_story, monkeypatch):
-    # the built-in solver is driven by the generators, one live per horizon
-    monkeypatch.delenv(EXTERNAL_SOLVER_ENV, raising=False)
-    with pytest.raises(SatError, match=EXTERNAL_SOLVER_ENV):
-        solve_task(encode(tiny_story, 3))
-
-
-def test_external_solver_refuses_a_conflict_budget(
-    tiny_story, monkeypatch, stub_solver_cmd, capsys
-):
-    monkeypatch.setenv(EXTERNAL_SOLVER_ENV, stub_solver_cmd)
-    task = encode(tiny_story, 3)
-    assert solve_task(task) is not None
-    with pytest.raises(SatError) as info:
-        solve_task(task, max_conflicts=50)
-    assert not isinstance(info.value, ResourceLimit)  # not a budget run-out
-    assert "--max-conflicts" in str(info.value)
-    assert EXTERNAL_SOLVER_ENV in str(info.value)
-
-    code = main(["plan", "--domain", "story-tiny", "--backend", "sat",
-                 "--max-conflicts", "50"])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "--max-conflicts" in err and EXTERNAL_SOLVER_ENV in err
