@@ -224,12 +224,9 @@ def cmd_plan(args) -> int:
         config_doc["max_conflicts"] = args.max_conflicts
     else:
         budget = SearchConfig.node_budget if args.node_budget is None else args.node_budget
-        try:
-            cfg = SearchConfig(
-                strategy=args.strategy or SearchConfig.strategy, node_budget=budget
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if budget < 1:
+            raise ConfigError(f"--node-budget must be at least 1, got {budget}")
+        cfg = SearchConfig(strategy=args.strategy or SearchConfig.strategy, node_budget=budget)
         bgen = partial(behaviour_generator_ltl, subject, space, cfg=cfg)
         pgen = partial(plan_generator_ltl, subject, cfg=cfg)
         config_doc["node_budget"] = cfg.node_budget

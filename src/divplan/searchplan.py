@@ -5,7 +5,10 @@ of target formulas in priority order and looks for goal states whose
 proposition trace satisfies one of them. Every target is progressed along
 each branch, so a node carries, per target, the obligation that remains for
 its subtree. A branch is cut once every live obligation has collapsed to
-false and no live target is satisfied by the prefix itself.
+false and no live target is satisfied by the prefix itself. Nodes with the
+same state and the same obligations have the same future, so a sweep
+expands one of them: breadth-first drops a duplicate when it is generated
+(immediate duplicate detection), depth-first when it is popped.
 
 Formulas are interned to small ids, and one memo maps a residual-id tuple
 and a valuation to the next tuple, so the sweep builds the product of the
@@ -69,9 +72,10 @@ class Simulator(Protocol):
     `propositions` returns, so a simulator may hand out one dict per state.
     The search remembers what `legal_actions`, `step` and `propositions`
     answered for a state for as long as the simulator object lives, so
-    those answers must not change while it does. It hashes and compares a
-    state on every node it deduplicates, so a tuple (or a tuple subclass
-    such as a `NamedTuple`) is the cheap choice of state.
+    those answers must not change while it does. A behaviour sweep hashes
+    and compares a state on every child it generates (breadth-first) or
+    every node it pops (depth-first), so a tuple (or a tuple subclass such
+    as a `NamedTuple`) is the cheap choice of state.
     """
 
     budget: Optional[int]
@@ -92,10 +96,12 @@ class SearchConfig:
     """How one search walks the tree.
 
     strategy is one of STRATEGIES; node_budget caps the new expansions of
-    one search call, so of one behaviour call: a call that resumes a paused
-    sweep spends its budget from the pause, and one that reads a witness the
-    sweep already met spends none; a plan call counts the expansions of its
-    walk from the root, so those of the earlier calls it resumes count too;
+    one search call, so of one behaviour call, as SearchStats.expanded
+    counts them (breadth-first: distinct dedup keys; depth-first: popped
+    nodes, duplicates included): a call that resumes a paused sweep spends
+    its budget from the pause, and one that reads a witness the sweep
+    already met spends none; a plan call counts the expansions of its walk
+    from the root, so those of the earlier calls it resumes count too;
     prune=False keeps monitor-violated branches (same answers, more nodes).
     seed is ignored (both strategies are deterministic); ROADMAP item 1
     step 3 removes it.
@@ -117,6 +123,19 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
+    """What one behaviour call did, counted from where it resumed.
+
+    expanded: nodes popped, each handled in full (checked for a witness,
+    then pruned, dropped or given its children). Breadth-first never pops
+    a duplicate, so it expands each dedup key (state, residuals, prefix
+    truths) once; depth-first pops duplicates and counts them here too.
+    pruned: expanded nodes cut because every obligation had collapsed.
+    deduplicated: breadth-first, children not pushed because their key was
+    already pushed, so the count includes duplicates among the children of
+    the node the call paused after; depth-first, popped nodes dropped
+    because their key was expanded at no greater depth.
+    """
+
     expanded: int = 0
     pruned: int = 0
     deduplicated: int = 0
@@ -310,7 +329,10 @@ class _Sweep:
         init = sim.initial()
         v0 = sim.propositions(init)
         roots = tuple(self.table.intern(target) for target in self.targets)
-        self.push([(init, None, None, v0, 0, *self.table.advance(roots, v0))])
+        root = (init, None, None, v0, 0, *self.table.advance(roots, v0))
+        if cfg.strategy == "breadth-first":
+            self.visited[(init, *root[5:])] = 0
+        self.push([root])
 
     def positions(self, targets: Sequence[LtlFormula]) -> Optional[list]:
         """Where each of targets sits among this sweep's, matched in order,
@@ -322,9 +344,16 @@ class _Sweep:
     def walk(self, sim, transitions: dict, first: Optional[int], stats: SearchStats):
         """Expand nodes until targets[first] has a witness, the tree ends or
         this call's node budget runs out. A node is handled in full, its
-        children pushed, before the walk pauses after it."""
+        children pushed, before the walk pauses after it.
+
+        Breadth-first drops a child whose dedup key is already in visited:
+        a FIFO pops the first node pushed with a key first, at its shallowest
+        depth, so a pop-time check would expand the same nodes in the same
+        order. A stack can meet a key deeper first, so depth-first checks
+        at pop time."""
         depth_cap = getattr(sim, "budget", None)
         cfg, witnesses, visited, table = self.cfg, self.witnesses, self.visited, self.table
+        early = cfg.strategy == "breadth-first"
         while self.frontier and (first is None or witnesses[first] is None):
             if stats.expanded >= cfg.node_budget:
                 stats.budget_exhausted = True
@@ -342,20 +371,28 @@ class _Sweep:
             if cfg.prune and not any(residuals) and not any(sats):
                 stats.pruned += 1
                 continue
-            seen_key = (state, residuals, sats)
-            seen = visited.get(seen_key)
-            if seen is not None and seen <= depth:
-                stats.deduplicated += 1
-                continue
-            visited[seen_key] = depth
+            if not early:
+                seen_key = (state, residuals, sats)
+                seen = visited.get(seen_key)
+                if seen is not None and seen <= depth:
+                    stats.deduplicated += 1
+                    continue
+                visited[seen_key] = depth
             if depth_cap is not None and depth >= depth_cap:
                 continue
 
-            self.push([
-                (succ, node, action, valuation, depth + 1,
-                 *table.advance(residuals, valuation))
-                for action, succ, valuation in _moves(sim, transitions, state)
-            ])
+            moves = _moves(sim, transitions, state)
+            children = []
+            for action, succ, valuation in moves:
+                after = table.advance(residuals, valuation)
+                if early:
+                    key = (succ, *after)
+                    if key in visited:
+                        continue
+                    visited[key] = depth + 1
+                children.append((succ, node, action, valuation, depth + 1, *after))
+            stats.deduplicated += len(moves) - len(children)
+            self.push(children)
 
 
 def constrained_search(

@@ -30,6 +30,7 @@ from divplan.core import (
     State,
     applicable,
     apply,
+    record_of,
 )
 from divplan.domains.platformer import (
     ACTIONS,
@@ -371,6 +372,95 @@ def per_call_sweep(sim, targets, cfg):
             for action, succ, valuation in _moves(sim, transitions, state)
         ])
     return SearchResult(witness, stats, None if witness is None else live)
+
+
+# -- the behaviour sweep, with duplicates dropped when popped ----------------------
+
+
+class _PopTimeSweep:
+    """`searchplan._Sweep` as it was before breadth-first sweeps dropped a
+    duplicate when it was generated: every child is pushed, and a node whose
+    dedup key was expanded at no greater depth is dropped when it is popped.
+    Every target stays live. It keeps a move table of its own, and `keys`
+    lists the dedup key of every node it has popped, in order."""
+
+    def __init__(self, sim, targets, cfg):
+        self.cfg = cfg
+        self.targets = tuple(targets)
+        self.witnesses: list = [None] * len(self.targets)
+        self.push, self.pop, self.frontier = _make_frontier(cfg)
+        self.table = _Progression(self.targets)
+        self.visited: dict = {}  # dedup key -> shallowest depth seen
+        self.transitions: dict = {}
+        self.keys: list = []
+        init = sim.initial()
+        v0 = sim.propositions(init)
+        roots = tuple(self.table.intern(target) for target in self.targets)
+        self.push([(init, None, None, v0, 0, *self.table.advance(roots, v0))])
+
+    def walk(self, sim, first, stats):
+        depth_cap = getattr(sim, "budget", None)
+        cfg, witnesses, visited, table = self.cfg, self.witnesses, self.visited, self.table
+        while self.frontier and (first is None or witnesses[first] is None):
+            if stats.expanded >= cfg.node_budget:
+                stats.budget_exhausted = True
+                return
+            node = self.pop()
+            state, _, _, _, depth, residuals, sats = node
+            stats.expanded += 1
+            self.keys.append((state, residuals, sats))
+
+            if True in sats and sim.is_goal(state):
+                trace = None
+                for i, sat in enumerate(sats):
+                    if sat and witnesses[i] is None:
+                        witnesses[i] = trace = trace or _trace(node)
+
+            if cfg.prune and not any(residuals) and not any(sats):
+                stats.pruned += 1
+                continue
+            seen_key = (state, residuals, sats)
+            seen = visited.get(seen_key)
+            if seen is not None and seen <= depth:
+                stats.deduplicated += 1
+                continue
+            visited[seen_key] = depth
+            if depth_cap is not None and depth >= depth_cap:
+                continue
+
+            self.push([
+                (succ, node, action, valuation, depth + 1,
+                 *table.advance(residuals, valuation))
+                for action, succ, valuation in _moves(sim, self.transitions, state)
+            ])
+
+
+_pop_time_records: dict = {}  # id(sim) -> [the sweep the last call on sim paused]
+
+
+def pop_time_sweep(sim, targets, cfg):
+    """`searchplan.constrained_search` over `_PopTimeSweep`: a call resumes
+    the sweep the last call on sim paused when cfg is equal and targets is a
+    subsequence of its targets. Returns the SearchResult and the dedup keys
+    of the nodes this call popped."""
+    record = record_of(_pop_time_records, sim, lambda: [None])
+    sweep, record[0] = record[0], None
+    positions = None
+    if sweep is not None and sweep.cfg == cfg:
+        rest = iter(range(len(sweep.targets)))
+        positions = [next((i for i in rest if sweep.targets[i] == t), None) for t in targets]
+        positions = None if None in positions else positions
+    if positions is None:
+        sweep = _PopTimeSweep(sim, targets, cfg)
+        positions = range(len(sweep.targets))
+    stats, start = SearchStats(), len(sweep.keys)
+    sweep.walk(sim, positions[0] if positions else None, stats)
+    record[0] = sweep
+    keys = sweep.keys[start:]
+    for index, position in enumerate(positions):
+        if sweep.witnesses[position] is not None:
+            return SearchResult(sweep.witnesses[position], stats, index), keys
+    return SearchResult(None, stats, None), keys
 
 
 # -- temporal formulas: samplers, text form and per-position truth -----------------

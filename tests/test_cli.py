@@ -162,7 +162,7 @@ def test_plan_horizon_flags_bound_the_search(capsys):
         (
             ("plan", "--domain", "urban", "--backend", "search",
              "--node-budget", "0"),
-            "node_budget",
+            "--node-budget",
         ),
         (
             ("plan", "--domain", "story", "--backend", "sat",
@@ -890,6 +890,23 @@ def test_bundled_reports_match_the_golden_bytes(tmp_path, name):
     assert run(*argv, "--out", str(out)) == EXIT_OK
     with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+# golden run -> (domain, node budget): each budget is below the first sweep's
+# node count with its duplicates but covers its distinct dedup keys; a
+# breadth-first sweep drops duplicates unexpanded, so the run reaches k
+BUDGETED_RUNS = {"platformer-k2": ("platformer", "500"), "urban-k2": ("urban", "15000")}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED_RUNS))
+def test_a_budget_over_the_distinct_nodes_plans_the_golden_report(tmp_path, name):
+    domain, budget = BUDGETED_RUNS[name]
+    out = tmp_path / "report.json"
+    argv = ("plan", "--domain", domain, "--k", "2", "--node-budget", budget)
+    assert run(*argv, "--out", str(out)) == EXIT_OK
+    doc, golden = json.loads(out.read_text()), _golden_doc(name)
+    assert doc["result"]["termination"] == "reached-k"
+    assert (doc["result"], doc["stats"]) == (golden["result"], golden["stats"])
 
 
 # tests/golden/<name>.txt -> (report, render flags) of the render that wrote it

@@ -61,6 +61,7 @@ from oracles import (
     corridor_space,
     per_call_plan_generator,
     per_call_sweep,
+    pop_time_sweep,
     random_formula,
     toggle_problem,
 )
@@ -384,14 +385,15 @@ def test_exhausting_sweep_finds_every_realisable_cell(seed):
 
 
 def test_spent_node_budget_still_returns_a_realised_cell():
-    # breadth-first meets the keyless goal (depth 3) before the keyed one (depth 4)
+    # breadth-first meets the keyless goal (depth 3) before the keyed one
+    # (depth 4); the budget counts distinct dedup keys expanded
     sim, space = CorridorSimulator(), corridor_space()
     with pytest.raises(GeneratorTimeout):
-        behaviour_generator_ltl(sim, space, set(), cfg(node_budget=5))
-    later = behaviour_generator_ltl(sim, space, set(), cfg(node_budget=6))
+        behaviour_generator_ltl(sim, space, set(), cfg(node_budget=3))
+    later = behaviour_generator_ltl(sim, space, set(), cfg(node_budget=4))
     assert replays(sim, space, later, pbehaviour(space, later))
     assert pbehaviour(space, later).values == ("without-key",)
-    first = behaviour_generator_ltl(sim, space, set(), cfg(node_budget=10))
+    first = behaviour_generator_ltl(sim, space, set(), cfg(node_budget=7))
     assert pbehaviour(space, first).values == ("with-key",)
 
 
@@ -601,6 +603,117 @@ def test_resumed_sweep_matches_for_any_found_cell_order(case, strategy):
             ), (priority, found_order, n)
 
 
+# -- the sweep against one that drops duplicates when they are popped ---------------
+
+
+def dedup_case(name):
+    """(simulator maker, space, k) of a WALK_CASES case, named walk-<case>,
+    run to exhaustion, or of a SWEEP_CASES case."""
+    if name.startswith("walk-"):
+        space = SWEEP_SPACES[name[len("walk-"):]]()
+        return WALK_CASES[name[len("walk-"):]], space, space.size
+    _, space, k = SWEEP_CASES[name]()
+    return (lambda: SWEEP_CASES[name]()[0]), space, k
+
+
+DEDUP_CASES = sorted([f"walk-{name}" for name in WALK_CASES] + list(SWEEP_CASES))
+
+
+def popped_keys(monkeypatch):
+    """Make every sweep record the dedup key of each node it pops; returns
+    the list they fill."""
+    keys = []
+    real = searchplan._Sweep.__init__
+
+    def recording(self, *args):
+        real(self, *args)
+        pop = self.pop
+
+        def popped():
+            node = pop()
+            keys.append((node[0], *node[5:]))
+            return node
+
+        self.pop = popped
+
+    monkeypatch.setattr(searchplan._Sweep, "__init__", recording)
+    return keys
+
+
+def assert_expands_as_pop_time(strategy, result, keys, oracle, popped, met):
+    """result and keys, of one call, against the pop-time sweep's answer and
+    popped keys for the same call; met holds the keys it popped before.
+    Returns how many of the keys it popped it had popped before."""
+    assert answer(result) == answer(oracle)
+    first = [key for key in popped if key not in met and not met.add(key)]
+    again = len(popped) - len(first)
+    if strategy == "depth-first":
+        assert keys == popped and result.stats == oracle.stats
+        return again
+    # the pop-time sweep pops a key again to drop it as a duplicate or to prune it
+    pruned_again = again - oracle.stats.deduplicated
+    assert keys == first
+    assert result.stats.expanded == (
+        oracle.stats.expanded - oracle.stats.deduplicated - pruned_again
+    )
+    assert result.stats.pruned == oracle.stats.pruned - pruned_again
+    return again
+
+
+def exhausted(result):
+    return result.trace is None and result.definitive
+
+
+@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
+@pytest.mark.parametrize("case", DEDUP_CASES)
+def test_sweep_expands_what_a_pop_time_sweep_expands_first(monkeypatch, case, strategy):
+    # through fbi's resumed calls: breadth-first expands each dedup key once,
+    # in the order and with the witnesses of the pop-time sweep; depth-first
+    # is the pop-time sweep. Once the tree is exhausted, breadth-first has
+    # dropped, as generated, each node the pop-time sweep popped again
+    make, space, k = dedup_case(case)
+    config, reference = cfg(strategy=strategy), make()
+    keys, met, calls = popped_keys(monkeypatch), set(), []
+
+    def both(sim, targets, own_config):
+        del keys[:]
+        result = real(sim, targets, own_config)
+        oracle, popped = pop_time_sweep(reference, targets, own_config)
+        again = assert_expands_as_pop_time(strategy, result, keys, oracle, popped, met)
+        calls.append((result, oracle, again))
+        return result
+
+    real = searchplan.constrained_search
+    monkeypatch.setattr(searchplan, "constrained_search", both)
+    run_fbi(behaviour_generator_ltl, make(), space, k, config)
+    assert len(calls) > 1
+    if strategy == "breadth-first":  # every case meets a duplicate
+        assert calls[0][0].stats.expanded < calls[0][1].stats.expanded
+        if exhausted(calls[-1][0]):
+            assert sum(result.stats.deduplicated for result, _, _ in calls) == sum(
+                again for _, _, again in calls
+            )
+
+
+@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
+@pytest.mark.parametrize("case", DEDUP_CASES)
+def test_a_pruning_sweep_expands_what_a_pop_time_sweep_expands_first(
+    monkeypatch, case, strategy
+):
+    # one cell's target per fresh sweep, so branches that cannot realise it
+    # are pruned, and the pop-time sweep prunes a key each time it pops it
+    make, space, _ = dedup_case(case)
+    config, keys = cfg(strategy=strategy), popped_keys(monkeypatch)
+    for cell in enumerate_cells(space):
+        targets = (cell_target(space, cell),)
+        del keys[:]
+        result = constrained_search(make(), targets, config)
+        oracle, popped = pop_time_sweep(make(), targets, config)
+        again = assert_expands_as_pop_time(strategy, result, keys, oracle, popped, set())
+        if strategy == "breadth-first" and exhausted(result):
+            assert result.stats.deduplicated == again
+
+
 def test_step_runs_once_per_transition_over_an_fbi_run():
     sim, space, _ = urban_case(seeded_grid(3, side=4), 3)
     counted = Counting(sim)
@@ -787,11 +900,14 @@ def test_progression_memo_matches_direct_progression():
 
 # SearchStats (expanded, pruned, deduplicated) of every sweep of the bundled
 # urban k=12 and platformer k=8 runs, in call order: each later call of a run
-# reads its witness from the sweep the first call paused
+# reads its witness from the sweep the first call paused. Breadth-first drops
+# a duplicate when it is generated, so it expands each dedup key once and
+# also counts the duplicates among the children of the node it paused after;
+# depth-first pops its duplicates and counts them then
 SWEEP_STATS = {
-    ("urban", "breadth-first"): ((27866, 0, 18335),) + ((0, 0, 0),) * 11,
+    ("urban", "breadth-first"): ((9531, 0, 18335),) + ((0, 0, 0),) * 11,
     ("urban", "depth-first"): ((27866, 0, 18335),) + ((0, 0, 0),) * 11,
-    ("platformer", "breadth-first"): ((1065, 0, 771), (0, 0, 0)),
+    ("platformer", "breadth-first"): ((294, 0, 869), (0, 0, 0)),
     ("platformer", "depth-first"): ((1516, 0, 1039), (0, 0, 0)),
 }
 
