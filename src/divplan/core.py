@@ -1,9 +1,9 @@
 """Grounded STRIPS planning model.
 
 States are closed-world sets of fluents. Actions carry positive/negative
-preconditions, add/delete effects, and a non-negative cost. Goals are stored
-in DNF (a disjunction of literal conjunctions), which keeps goal checks and
-SAT goal clauses uniform.
+preconditions and add/delete effects. Goals are stored in DNF (a disjunction
+of literal conjunctions), which keeps goal checks and SAT goal clauses
+uniform.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class GeneratorTimeout(PlanningError):
     """A plan/behaviour generator hit its resource budget before an answer."""
 
 
-_FLUENT_RE = re.compile(r"^\s*([a-zA-Z_][\w-]*)\s*(?:\(\s*([^()]*?)\s*\))?\s*$")
+# an ASCII name, as a non-ASCII letter can lowercase to a mark it cannot hold
+_FLUENT_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_-]*)\s*(?:\(\s*([^()]*?)\s*\))?\s*$")
 
 
 @dataclass(frozen=True, order=True)
@@ -70,7 +71,10 @@ class Fluent:
         name, args = m.groups()
         if args is None or args == "":
             return cls(name)
-        return cls(name, tuple(a.strip() for a in args.split(",")))
+        args = args.split(",")
+        if any(len(a.split()) != 1 for a in args):
+            raise ValueError(f"not a fluent: {text!r} has an empty or spaced argument")
+        return cls(name, tuple(a.strip() for a in args))
 
 
 State = frozenset  # frozenset[Fluent]; everything absent is false
@@ -83,13 +87,10 @@ class GroundAction:
     pre_neg: frozenset = frozenset()
     add: frozenset = frozenset()
     delete: frozenset = frozenset()
-    cost: float = 1.0
 
     def __post_init__(self):
         if self.add & self.delete:
             raise ValueError(f"action {self.name}: add and delete effects overlap")
-        if self.cost < 0:
-            raise ValueError(f"action {self.name}: negative cost {self.cost}")
 
     def fluents(self) -> frozenset:
         return self.pre_pos | self.pre_neg | self.add | self.delete
@@ -263,7 +264,7 @@ def record_of(records: dict, obj, make):
 #
 # {"fluents": ["p(a,b)", ...],          optional; derived when absent
 #  "actions": [{"name": ..., "pre": ["p(a)", "!q(b)"],
-#               "add": [...], "del": [...], "cost": 1}, ...],
+#               "add": [...], "del": [...]}, ...],
 #  "init": ["p(a)", ...],
 #  "goal": [["p(a)", "!q(b)"], ...],    DNF, one inner list per disjunct
 #  "budget": 10}                        optional
@@ -284,22 +285,13 @@ def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
 # the JSON type each key must hold, keyed by its wording in error messages
 _SHAPES = {
     "a string": _is_str,
     "a list of strings": _list_of(_is_str),
     "a list of lists of strings": _list_of(_list_of(_is_str)),
     "a list of objects": _list_of(lambda v: isinstance(v, dict)),
-    "a number": _is_number,
-    "an integer or null": lambda v: v is None or _is_int(v),
+    "an integer or null": lambda v: v is None or type(v) is int,  # not bool
 }
 _REQUIRED = object()
 
@@ -332,7 +324,6 @@ def problem_from_json(doc: dict) -> GroundProblem:
                 delete=frozenset(
                     Fluent.parse(s) for s in _field(entry, "del", strings, [], where)
                 ),
-                cost=_field(entry, "cost", "a number", 1.0, where),
             )
         )
     init = frozenset(Fluent.parse(s) for s in _field(doc, "init", strings))

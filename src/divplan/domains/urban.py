@@ -10,7 +10,6 @@ plan runs the full budget and is judged by where the scores settle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -270,9 +269,9 @@ def urban_space() -> BehaviourSpace:
 
 
 def bundled_grid() -> UrbanGrid:
-    """The town map shipped with the package."""
-    text = (files("divplan.domains") / "data" / "urban-grid.json").read_text()
-    return grid_from_json(json.loads(text))
+    """The town map shipped with the package, one row of cell codes per line."""
+    rows = (files("divplan.domains") / "data" / "urban-grid.txt").read_text().split()
+    return UrbanGrid(len(rows[0]), len(rows), tuple("".join(rows)))
 
 
 def urban_pack() -> tuple:
@@ -280,20 +279,7 @@ def urban_pack() -> tuple:
     return urban_simulator(bundled_grid()), urban_space()
 
 
-# -- JSON and rendering ----------------------------------------------------------
-
-
-def grid_from_json(doc: dict) -> UrbanGrid:
-    rows = doc["rows"]
-    width, height = doc["width"], doc["height"]
-    if len(rows) != height or any(len(row) != width for row in rows):
-        raise ValueError("rows do not match the declared dimensions")
-    return UrbanGrid(
-        width=width,
-        height=height,
-        cells=tuple("".join(rows)),
-        counter=doc.get("counter", 0),
-    )
+# -- rendering -----------------------------------------------------------------
 
 
 _ANSI = {

@@ -78,9 +78,10 @@ class CnfTask:
 
     `horizon` steps are encoded, and so is the goal at `horizon`, guarded by
     `guard(horizon)`. `clauses` holds the clauses emitted and not yet handed
-    to a solver: all of them, for a one-shot task. The task keeps the
-    problem's actions but not the problem itself, so a record that keeps a
-    task does not keep its problem alive.
+    to a solver: all of them, for a one-shot task. The steps, forbid_behaviour
+    and forbid_plan append to it, with variable numbers (never 0) as literals.
+    The task keeps the problem's actions but not the problem itself, so a
+    record that keeps a task does not keep its problem alive.
 
     After `keep_one_order()`, every step t >= 1 also carries the ordering
     clauses of the module docstring, which forbid an action right after a
@@ -110,7 +111,6 @@ class CnfTask:
                 self._deleters[f].append(i)
         self._order: Optional[list] = None  # per action, its blocks' fixed bits
 
-        # every literal below is a variable number, so none is zero
         self.clauses: list = [
             [self.fluent_var(f, 0) if f in problem.init else -self.fluent_var(f, 0)]
             for f in self.fluent_order
@@ -126,13 +126,6 @@ class CnfTask:
 
     def action_var(self, action_index: int, t: int) -> int:
         return 1 + t * self.stride + self.layer_size + action_index
-
-    def add_clause(self, clause: Sequence[int]) -> list:
-        clause = list(clause)
-        if any(lit == 0 for lit in clause):
-            raise ValueError("zero literal in clause")
-        self.clauses.append(clause)
-        return clause
 
     def advance(self, horizon: int) -> None:
         """Grow to `horizon`: retire each layer below it (units set its guard
@@ -285,7 +278,8 @@ def forbid_behaviour(task: CnfTask, feature_assignments: Mapping[Fluent, bool]) 
         clause.append(-var if feature_assignments[fluent] else var)
     if not clause:
         raise ValueError("empty behaviour assignment")
-    return task.add_clause(clause + [-task.guard(task.horizon)])
+    task.clauses.append(clause + [-task.guard(task.horizon)])
+    return task.clauses[-1]
 
 
 def forbid_plan(task: CnfTask, plan: Plan) -> list:
@@ -306,7 +300,8 @@ def forbid_plan(task: CnfTask, plan: Plan) -> list:
         # a zero-length plan at horizon 0 cannot be excluded by a clause over
         # action vars; the caller must stop offering horizon 0 instead
         raise HorizonMismatch("cannot forbid the empty plan at horizon 0")
-    return task.add_clause(clause + [-task.guard(task.horizon)])
+    task.clauses.append(clause + [-task.guard(task.horizon)])
+    return task.clauses[-1]
 
 
 def solve_task(

@@ -31,10 +31,12 @@ items' clauses at h guarded by it; moving on past h retires g_h with a unit.
 Within one generator the first open horizon only rises, so the solver
 holds exactly steps 0..h-1 when it answers at h. A call that needs a horizon
 below the task's, or that drops an item loaded at the task's horizon, starts
-a fresh solver. A budget run-out drops the solver and records nothing. The
-record is kept by `core.record_of`: keyed by object identity, it dies with
-its problem (neither task nor solver holds it), so a fresh problem object
-plans as a first call does.
+a fresh task and an empty solver. Fresh or live, a solver is loaded one way:
+add_vars for the task's new variables, add_clause for each new clause. A
+budget run-out drops the solver and records nothing. The record is kept by
+`core.record_of`: keyed by object identity, it dies with its problem
+(neither task nor solver holds it), so a fresh problem object plans as a
+first call does.
 """
 
 from __future__ import annotations
@@ -111,11 +113,10 @@ def _solve_horizon(
         task = CnfTask(problem, horizon)
         if ordered:
             task.keep_one_order()
-        solver = Solver(task.num_vars, task.clauses, phases=task.decision_phases())
-        task.clauses.clear()
-        loaded = set()
+        solver = Solver(0)
     elif task.horizon < horizon:
         task.advance(horizon)
+    if solver.num_vars < task.num_vars:
         solver.add_vars(task.decision_phases()[solver.num_vars + 1 :])
         loaded = set()
     for item in forbidden:

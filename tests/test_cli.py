@@ -314,13 +314,18 @@ OVERLAPPING = dict(
             None,
             "problem.json: key 'actions[0].add' must be a list of strings",
         ),
+        (
+            json.dumps(dict(SOLVABLE, init=["q(a, b c)"])),
+            None,
+            "problem.json: not a fluent: 'q(a, b c)'",
+        ),
         (None, "(:domain)", "(:domain NAME)"),
         (None, "(:domain aladdin)", "'aladdin'"),
     ],
     ids=[
         "not-json", "no-actions", "no-init", "no-goal", "add-del-overlap",
         "actions-not-a-list", "action-not-an-object", "add-not-a-list",
-        "empty-domain", "other-domain",
+        "spaced-argument", "empty-domain", "other-domain",
     ],
 )
 def test_plan_bad_problem_is_one_error_line(

@@ -1,6 +1,5 @@
 """Tests for the bundled domains: urban grid, platformer, story, tiny."""
 
-import json
 import math
 import random
 from collections import deque
@@ -37,7 +36,6 @@ from divplan.domains.urban import (
     UrbanSimulator,
     bundled_grid,
     diversity_score,
-    grid_from_json,
     render_grid,
     sustainability_score,
     urban_space,
@@ -181,11 +179,6 @@ def test_grid_validation():
     for (width, height, cells), counter, message in INVALID_GRIDS:
         with pytest.raises(ValueError, match=message):
             UrbanGrid(width, height, cells, counter)
-        if width > 0 and height > 0 and len(cells) == width * height:
-            rows = ["".join(cells[r * width:(r + 1) * width]) for r in range(height)]
-            doc = {"width": width, "height": height, "rows": rows, "counter": counter}
-            with pytest.raises(ValueError, match=message):
-                grid_from_json(doc)
 
 
 def test_stepped_grids_equal_checked_grids():
@@ -198,23 +191,12 @@ def test_stepped_grids_equal_checked_grids():
             assert repr(succ) == repr(checked)
 
 
-def test_grid_json_roundtrip():
-    # the JSON form is plain data with one string per row
-    doc = json.loads('{"width": 3, "height": 2, "rows": ["GRO", "CFE"], "counter": 4}')
-    g = grid_from_json(doc)
-    assert g == UrbanGrid(width=3, height=2, cells=tuple("GROCFE"), counter=4)
-    assert render_grid(g).splitlines() == doc["rows"]
-    assert grid_from_json({"width": 1, "height": 1, "rows": ["G"]}).counter == 0
-
-
-def test_grid_json_rejects_mismatched_rows():
-    with pytest.raises(ValueError):
-        grid_from_json({"width": 3, "height": 2, "rows": ["GG", "GG"], "counter": 0})
-
-
 def test_bundled_grid_composition():
     g = bundled_grid()
-    assert (g.width, g.height) == (6, 6)
+    assert (g.width, g.height, g.counter) == (6, 6, 0)
+    assert render_grid(g).splitlines() == [
+        "GGGGGG", "GGGGRR", "RRRRRR", "ROOOOC", "CCCFFF", "EEEEEE",
+    ]
     counts = {c: g.count(c) for c in "GROCFE"}
     assert counts == {"G": 10, "R": 9, "O": 4, "C": 4, "F": 3, "E": 6}
     assert bin_label(DEFAULT_BINS, sustainability_score(g)) == "H"

@@ -256,7 +256,7 @@ def test_at_most_one_action_per_step(n):
     def forced(*indices):
         task = encode(problem, 1)
         for i in indices:
-            task.add_clause([task.action_var(i, 0)])
+            task.clauses.append([task.action_var(i, 0)])
         return solve_task(task)
 
     if n == 0:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from divplan.domains import get_domain
 from divplan.pddl import ground, load_domain, load_problem_file
 from divplan.satplan import (
+    CnfTask,
     ResourceLimit,
     Solver,
     decode,
@@ -403,6 +404,45 @@ def test_live_solver_answers_on_story_tiny(horizon):
 def test_live_solver_answers_on_aladdin(horizon):
     outcomes = incremental_fbi_rounds(aladdin(), horizon, rounds=4)
     assert (outcomes[0] is None) == (horizon < 3)
+
+
+def assert_same_state(a, b):
+    assert a.num_vars == b.num_vars and a.ok == b.ok
+    assert a.val == b.val and a.trail == b.trail
+    assert a.phase == b.phase and a.activity == b.activity
+    assert a.watches == b.watches
+
+
+@pytest.mark.parametrize("ordered", [False, True], ids=["all-orders", "one-order"])
+@pytest.mark.parametrize("horizon", range(0, 7))
+@pytest.mark.parametrize("pack", ["story", "story-tiny"])
+def test_a_solver_grown_from_empty_is_the_one_built_with_its_clauses(
+    pack, horizon, ordered
+):
+    # the generators load every solver as `grown` is loaded here; the
+    # one-shot solve_task builds it in one call, as `built` is
+    task = CnfTask(aladdin() if pack == "story" else tiny_story(), horizon)
+    if ordered:
+        task.keep_one_order()
+    phases = task.decision_phases()
+    grown = Solver(0)
+    grown.add_vars(phases[1:])
+    for clause in task.clauses:
+        grown.add_clause(clause)
+    built = Solver(task.num_vars, task.clauses, phases=phases)
+    assert_same_state(grown, built)
+    goal_fluents = sorted(task.goal_fluents)
+    for _ in range(3):  # solve, forbid the ending found, solve again
+        model = grown.solve(assumptions=(task.guard(horizon),))
+        assert model == built.solve(assumptions=(task.guard(horizon),))
+        assert grown.conflicts == built.conflicts
+        assert_same_state(grown, built)
+        if model is None:
+            break
+        final = decode(model, task).final_state
+        clause = forbid_behaviour(task, {f: f in final for f in goal_fluents})
+        grown.add_clause(clause)
+        built.add_clause(clause)
 
 
 def test_budget_runs_out_at_the_same_conflict_on_an_encoded_task():
