@@ -10,9 +10,10 @@ same state and the same obligations have the same future, so a sweep
 expands one of them: breadth-first drops a duplicate when it is generated
 (immediate duplicate detection), depth-first when it is popped.
 
-Formulas are interned to small ids, and one memo maps a residual-id tuple
-and a valuation to the next tuple, so the sweep builds the product of the
-targets' finite-trace automata lazily (De Giacomo & Vardi, IJCAI 2013) and
+Formulas are interned to small ids, and so is a node's monitor (its residual
+ids and prefix truth bits), so the dedup key is (state, monitor id) and one
+memo maps a monitor id and a valuation to the next: the sweep builds the
+targets' product automaton lazily (De Giacomo & Vardi, IJCAI 2013) and
 prunes with it as in formula-progression planning (Bacchus & Kabanza, 2000).
 
 Each simulator object has one record (`core.record_of`) that outlives the
@@ -127,8 +128,8 @@ class SearchStats:
 
     expanded: nodes popped, each handled in full (checked for a witness,
     then pruned, dropped or given its children). Breadth-first never pops
-    a duplicate, so it expands each dedup key (state, residuals, prefix
-    truths) once; depth-first pops duplicates and counts them here too.
+    a duplicate, so it expands each dedup key (state, monitor id) once;
+    depth-first pops duplicates and counts them here too.
     pruned: expanded nodes cut because every obligation had collapsed.
     deduplicated: breadth-first, children not pushed because their key was
     already pushed, so the count includes duplicates among the children of
@@ -162,22 +163,29 @@ class SearchResult:
 
 
 class _Progression:
-    """Interned residual formulas and their memoised one-step progression.
+    """The targets' product automaton, built lazily over monitor ids.
 
-    A residual is an id into `_formulas`; FALSE is always id 0, so a tuple
-    of residual ids is all-false exactly when it has no truthy entry. A
-    valuation is keyed by the truth of the targets' atoms, which are the only
-    atoms progression reads. The one memo, residual tuple x valuation key,
-    is the targets' product automaton built lazily: a child costs one lookup
-    however many targets are live.
+    A residual is an id into `_formulas`; FALSE is always id 0. `monitors[m]`
+    is monitor m's (residual ids, prefix-sat bits) pair, `met[m]` the targets
+    its prefix satisfies, `dead[m]` whether every residual is FALSE and none
+    is met; `start` is the monitor before the first valuation. A valuation is
+    keyed by the truth of the targets' atoms, the only atoms progression
+    reads, and `step` maps (monitor id, valuation key) to the next monitor
+    id: a child costs one lookup however many targets are live.
     """
 
     def __init__(self, targets: Sequence[LtlFormula]):
         names = sorted(set().union(*map(atoms, targets)))
-        self._project = itemgetter(*names) if names else (lambda valuation: ())
+        self.project = itemgetter(*names) if names else (lambda valuation: ())
         self._formulas: list = [FALSE]
         self._ids: dict = {FALSE: 0}
-        self._tuples: dict = {}  # (residual ids, valuation key) -> (ids, bits)
+        self.monitors: list = []
+        self._monitor_ids: dict = {}  # (residual ids, sat bits) -> monitor id
+        self._sources: dict = {}  # residual ids -> the first monitor with them
+        self.met: list = []
+        self.dead: list = []
+        self.step: dict = {}
+        self.start = self._monitor(tuple(map(self.intern, targets)), ())
 
     def intern(self, formula: LtlFormula) -> int:
         rid = self._ids.get(formula)
@@ -186,25 +194,38 @@ class _Progression:
             self._formulas.append(formula)
         return rid
 
-    def advance(self, residuals: tuple, valuation) -> tuple:
-        """(residual ids after valuation, truth of each if the trace ends there)."""
+    def _monitor(self, residuals: tuple, sats: tuple) -> int:
+        mid = self._monitor_ids.get((residuals, sats))
+        if mid is None:
+            mid = self._monitor_ids[residuals, sats] = len(self.monitors)
+            self.monitors.append((residuals, sats))
+            self._sources.setdefault(residuals, mid)
+            self.met.append(tuple(i for i, sat in enumerate(sats) if sat))
+            self.dead.append(not any(residuals) and not any(sats))
+        return mid
+
+    def after(self, monitor: int, valuation) -> int:
+        """The monitor after valuation, on a `step` miss. Monitors that share
+        residuals share their next monitors, so they progress once."""
         try:
-            key = (residuals, self._project(valuation))
+            key = self.project(valuation)
         except KeyError as exc:
             raise UnknownAtom(f"atom {exc.args[0]!r} not assigned by valuation") from None
-        hit = self._tuples.get(key)
-        if hit is None:
-            formulas = [self._formulas[rid] for rid in residuals]
-            hit = self._tuples[key] = (
+        source = self._sources[self.monitors[monitor][0]]
+        nxt = self.step.get((source, key))
+        if nxt is None:
+            formulas = [self._formulas[rid] for rid in self.monitors[source][0]]
+            nxt = self.step[source, key] = self._monitor(
                 tuple(self.intern(progress(f, valuation)) for f in formulas),
                 tuple(final_eval(f, valuation) for f in formulas),
             )
-        return hit
+        self.step[monitor, key] = nxt
+        return nxt
 
 
 # A search node is a tuple (state, parent node, action, valuation, depth,
-# residual ids, prefix_sat bits): the prefix is read back through the parent
-# pointers only when a trace is wanted.
+# monitor id): the prefix is read back through the parent pointers only when
+# a trace is wanted.
 def _trace(node: tuple) -> PlanTrace:
     actions, states, valuations = [], [], []
     while node is not None:
@@ -313,10 +334,10 @@ class _PlanWalk:
 class _Sweep:
     """One sweep over targets that pauses between calls.
 
-    Every target stays live, so the dedup key holds every residual and a
-    target's first witness is the same node whichever call reaches it.
-    witnesses[i] is the first goal trace in walk order that satisfies
-    targets[i], or None while the sweep has met none.
+    Every target stays live, so the dedup key (state, monitor id) holds
+    every residual and a target's first witness is the same node whichever
+    call reaches it. witnesses[i] is the first goal trace in walk order
+    that satisfies targets[i], or None while the sweep has met none.
     """
 
     def __init__(self, sim, targets: Sequence[LtlFormula], cfg: SearchConfig):
@@ -328,11 +349,10 @@ class _Sweep:
         self.visited: dict = {}  # dedup key -> shallowest depth seen
         init = sim.initial()
         v0 = sim.propositions(init)
-        roots = tuple(self.table.intern(target) for target in self.targets)
-        root = (init, None, None, v0, 0, *self.table.advance(roots, v0))
+        monitor = self.table.after(self.table.start, v0)
         if cfg.strategy == "breadth-first":
-            self.visited[(init, *root[5:])] = 0
-        self.push([root])
+            self.visited[init, monitor] = 0
+        self.push([(init, None, None, v0, 0, monitor)])
 
     def positions(self, targets: Sequence[LtlFormula]) -> Optional[list]:
         """Where each of targets sits among this sweep's, matched in order,
@@ -341,7 +361,7 @@ class _Sweep:
         positions = [next((i for i in rest if self.targets[i] == t), None) for t in targets]
         return None if None in positions else positions
 
-    def walk(self, sim, transitions: dict, first: Optional[int], stats: SearchStats):
+    def walk(self, sim, transitions: dict, first: int, stats: SearchStats):
         """Expand nodes until targets[first] has a witness, the tree ends or
         this call's node budget runs out. A node is handled in full, its
         children pushed, before the walk pauses after it.
@@ -353,46 +373,55 @@ class _Sweep:
         at pop time."""
         depth_cap = getattr(sim, "budget", None)
         cfg, witnesses, visited, table = self.cfg, self.witnesses, self.visited, self.table
+        frontier, pop, push, prune = self.frontier, self.pop, self.push, cfg.prune
+        memo, miss, project = table.step, table.after, table.project
+        met, dead = table.met, table.dead
         early = cfg.strategy == "breadth-first"
-        while self.frontier and (first is None or witnesses[first] is None):
-            if stats.expanded >= cfg.node_budget:
+        expanded, deduplicated = stats.expanded, stats.deduplicated
+        while frontier and witnesses[first] is None:
+            if expanded >= cfg.node_budget:
                 stats.budget_exhausted = True
-                return
-            node = self.pop()
-            state, _, _, _, depth, residuals, sats = node
-            stats.expanded += 1
+                break
+            node = pop()
+            state, _, _, _, depth, monitor = node
+            expanded += 1
 
-            if True in sats and sim.is_goal(state):
+            if met[monitor] and sim.is_goal(state):
                 trace = None
-                for i, sat in enumerate(sats):
-                    if sat and witnesses[i] is None:
+                for i in met[monitor]:
+                    if witnesses[i] is None:
                         witnesses[i] = trace = trace or _trace(node)
 
-            if cfg.prune and not any(residuals) and not any(sats):
+            if prune and dead[monitor]:
                 stats.pruned += 1
                 continue
             if not early:
-                seen_key = (state, residuals, sats)
-                seen = visited.get(seen_key)
+                key = (state, monitor)
+                seen = visited.get(key)
                 if seen is not None and seen <= depth:
-                    stats.deduplicated += 1
+                    deduplicated += 1
                     continue
-                visited[seen_key] = depth
+                visited[key] = depth
             if depth_cap is not None and depth >= depth_cap:
                 continue
 
             moves = _moves(sim, transitions, state)
             children = []
+            depth += 1
             for action, succ, valuation in moves:
-                after = table.advance(residuals, valuation)
+                try:
+                    after = memo[monitor, project(valuation)]
+                except KeyError:  # a memo miss, or an atom valuation lacks
+                    after = miss(monitor, valuation)
                 if early:
-                    key = (succ, *after)
+                    key = (succ, after)
                     if key in visited:
                         continue
-                    visited[key] = depth + 1
-                children.append((succ, node, action, valuation, depth + 1, *after))
-            stats.deduplicated += len(moves) - len(children)
-            self.push(children)
+                    visited[key] = depth
+                children.append((succ, node, action, valuation, depth, after))
+            deduplicated += len(moves) - len(children)
+            push(children)
+        stats.expanded, stats.deduplicated = expanded, deduplicated
 
 
 def constrained_search(
@@ -409,13 +438,16 @@ def constrained_search(
     back without expanding a node. Any other call, and any call after one
     that raised, starts a sweep from the root over its own targets. Under
     breadth-first search both give the same answer. The stats count only
-    the nodes this call expanded.
+    the nodes this call expanded; a call with no targets expands none and
+    keeps the paused sweep.
 
     Nodes whose progressed obligations are all unsatisfiable — for the prefix
     as well as for every extension — are cut (cfg.prune=False keeps them,
-    which never changes the answer, only the node count). A target atom the
-    initial state's valuation does not assign raises UnknownAtom.
+    which never changes the answer, only the node count). A target atom
+    that a valuation the sweep reads does not assign raises UnknownAtom.
     """
+    if not targets:
+        return SearchResult(None, SearchStats(), None)
     stats = SearchStats()
     record = record_of(_records, sim, _Record)
     sweep, record.sweep = record.sweep, None  # an exception drops the sweep
@@ -425,7 +457,7 @@ def constrained_search(
     if positions is None:
         sweep = _Sweep(sim, targets, cfg)
         positions = range(len(sweep.targets))
-    sweep.walk(sim, record.moves, positions[0] if positions else None, stats)
+    sweep.walk(sim, record.moves, positions[0], stats)
     record.sweep = sweep
     for index, position in enumerate(positions):
         if sweep.witnesses[position] is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from divplan.bspace import (
     Behaviour,
@@ -41,6 +42,7 @@ from divplan.domains.platformer import (
     PlatformerState,
 )
 from divplan.ltl import (
+    FALSE,
     Always,
     And,
     Atom,
@@ -51,13 +53,16 @@ from divplan.ltl import (
     Or,
     PropTrace,
     TrueFormula,
+    UnknownAtom,
+    atoms,
+    final_eval,
+    progress,
 )
 from divplan.searchplan import (
     SearchResult,
     SearchStats,
     _make_frontier,
     _moves,
-    _Progression,
     _trace,
 )
 
@@ -317,6 +322,42 @@ def per_call_plan_generator(sim, existing_plans, cfg):
 
 
 # -- the behaviour sweep, one fresh sweep per call ---------------------------------
+
+
+class _Progression:
+    """`searchplan._Progression` as it was before nodes carried monitor ids:
+    interned residual formulas and one memo, residual tuple x valuation key,
+    that maps to the next residual tuple and the prefix's truth bits."""
+
+    def __init__(self, targets):
+        names = sorted(set().union(*map(atoms, targets)))
+        self._project = itemgetter(*names) if names else (lambda valuation: ())
+        self._formulas: list = [FALSE]
+        self._ids: dict = {FALSE: 0}
+        self._tuples: dict = {}  # (residual ids, valuation key) -> (ids, bits)
+
+    def intern(self, formula: LtlFormula) -> int:
+        rid = self._ids.get(formula)
+        if rid is None:
+            rid = self._ids[formula] = len(self._formulas)
+            self._formulas.append(formula)
+        return rid
+
+    def advance(self, residuals: tuple, valuation) -> tuple:
+        """(residual ids after valuation, truth of each if the trace ends there)."""
+        try:
+            key = (residuals, self._project(valuation))
+        except KeyError as exc:
+            raise UnknownAtom(f"atom {exc.args[0]!r} not assigned by valuation") from None
+        hit = self._tuples.get(key)
+        if hit is None:
+            formulas = [self._formulas[rid] for rid in residuals]
+            hit = self._tuples[key] = (
+                tuple(self.intern(progress(f, valuation)) for f in formulas),
+                tuple(final_eval(f, valuation) for f in formulas),
+            )
+        return hit
+
 
 
 def per_call_sweep(sim, targets, cfg):

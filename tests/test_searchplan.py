@@ -51,6 +51,7 @@ from divplan.ltl import (
 from divplan.searchplan import (
     SearchConfig,
     SearchResult,
+    SearchStats,
     behaviour_generator_ltl,
     constrained_search,
     plan_generator_ltl,
@@ -175,6 +176,36 @@ def test_missing_proposition_is_an_unknown_atom():
 
     with pytest.raises(UnknownAtom):
         behaviour_generator_ltl(Mute(), corridor_space(), set(), cfg())
+
+
+@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
+def test_proposition_missing_below_the_root_is_an_unknown_atom(strategy):
+    # the root's valuation assigns every atom, so the memo is read for the
+    # first time at a child, whose missing atom must not leak as a KeyError
+    class MuteAfterStart(CorridorSimulator):
+        def propositions(self, state):
+            if state == self.initial():
+                return super().propositions(state)
+            return {"at-end": state[0] == 3}
+
+    with pytest.raises(UnknownAtom):
+        constrained_search(MuteAfterStart(), (KEY,), cfg(strategy=strategy))
+    with pytest.raises(UnknownAtom):
+        behaviour_generator_ltl(MuteAfterStart(), corridor_space(), set(), cfg(strategy=strategy))
+
+
+def test_a_search_with_no_targets_expands_nothing():
+    # a depth-first call pauses its sweep deep in the tree; a call with no
+    # targets must neither walk it on nor drop it
+    sim, space = get_domain("platformer")()
+    config = cfg(strategy="depth-first")
+    behaviour_generator_ltl(sim, space, set(), config)
+    sweep = searchplan._records[id(sim)].sweep
+    paused = list(sweep.frontier)
+    for simulator in (sim, get_domain("platformer")()[0]):
+        assert constrained_search(simulator, (), config) == SearchResult(None, SearchStats(), None)
+    assert searchplan._records[id(sim)].sweep is sweep
+    assert sweep.frontier == paused
 
 
 def test_search_is_deterministic():
@@ -620,8 +651,9 @@ DEDUP_CASES = sorted([f"walk-{name}" for name in WALK_CASES] + list(SWEEP_CASES)
 
 
 def popped_keys(monkeypatch):
-    """Make every sweep record the dedup key of each node it pops; returns
-    the list they fill."""
+    """Make every sweep record the dedup key of each node it pops, with its
+    monitor id read back as (state, residuals, sats); returns the list they
+    fill."""
     keys = []
     real = searchplan._Sweep.__init__
 
@@ -631,7 +663,7 @@ def popped_keys(monkeypatch):
 
         def popped():
             node = pop()
-            keys.append((node[0], *node[5:]))
+            keys.append((node[0], *self.table.monitors[node[5]]))
             return node
 
         self.pop = popped
@@ -864,10 +896,21 @@ def test_an_exception_mid_sweep_drops_the_sweep(strategy):
 # -- what simplifying the sweep must not change ---------------------------------
 
 
-def test_progression_memo_matches_direct_progression():
+def next_monitor(table, monitor, valuation):
+    """The monitor after valuation, read from the memo as the sweep reads it."""
+    try:
+        return table.step[monitor, table.project(valuation)]
+    except KeyError:
+        return table.after(monitor, valuation)
+
+
+def test_progression_memo_matches_direct_progression(monkeypatch):
     # formula tuples from the samplers of criteria 6 and 7, advanced along
     # random valuation walks; each walk runs twice, so the second pass and
-    # the four distinct valuations exercise the memo
+    # the four distinct valuations exercise the memo, which progresses each
+    # (residual tuple, valuation key) once whichever monitor carries it
+    calls = []
+    monkeypatch.setattr(searchplan, "progress", lambda f, v: calls.append(f) or progress(f, v))
     rng = random.Random(14)
     leaves = [Atom("a"), Atom("b"), TRUE, FALSE]
     for _ in range(60):
@@ -877,7 +920,10 @@ def test_progression_memo_matches_direct_progression():
             for _ in range(rng.randint(1, 4))
         )
         table = searchplan._Progression(targets)
-        roots = tuple(table.intern(target) for target in targets)
+        del calls[:]
+        progressed = set()
+        start = table.monitors[table.start][0]
+        assert [table._formulas[rid] for rid in start] == list(targets)
         walks = [
             [
                 {atom: rng.random() < 0.5 for atom in ("a", "b", "unread")}
@@ -886,16 +932,32 @@ def test_progression_memo_matches_direct_progression():
             for _ in range(4)
         ]
         for walk in walks + walks:
-            residuals = roots
+            monitor = table.start
             for valuation in walk:
-                formulas = [table._formulas[rid] for rid in residuals]
-                residuals, sats = table.advance(residuals, valuation)
+                formulas = [table._formulas[rid] for rid in table.monitors[monitor][0]]
+                progressed.add((table.monitors[monitor][0], table.project(valuation)))
+                monitor = next_monitor(table, monitor, valuation)
+                residuals, sats = table.monitors[monitor]
                 assert [table._formulas[rid] for rid in residuals] == [
                     progress(f, valuation) for f in formulas
                 ]
                 assert sats == tuple(final_eval(f, valuation) for f in formulas)
-        # interning: one id per distinct formula
+        assert len(calls) == sum(len(residuals) for residuals, _ in progressed)
+        # interning: one id per distinct formula and per distinct monitor pair
         assert len(set(table._formulas)) == len(table._formulas)
+        assert len(set(table.monitors)) == len(table.monitors)
+        assert table._monitor_ids == {pair: m for m, pair in enumerate(table.monitors)}
+        assert table._sources == {
+            residuals: min(m for m, pair in enumerate(table.monitors) if pair[0] == residuals)
+            for residuals, _ in table.monitors
+        }
+        # a monitor's stored facts are those of its pair
+        for monitor, (residuals, sats) in enumerate(table.monitors):
+            formulas = [table._formulas[rid] for rid in residuals]
+            assert table.met[monitor] == tuple(i for i, sat in enumerate(sats) if sat)
+            assert table.dead[monitor] == (
+                all(f == FALSE for f in formulas) and True not in sats
+            )
 
 
 # SearchStats (expanded, pruned, deduplicated) of every sweep of the bundled

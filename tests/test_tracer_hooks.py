@@ -4,8 +4,10 @@ catches it without running one."""
 
 import importlib
 import os
+from collections import Counter
 
 from divplan import bspace, pddl, searchplan
+from divplan.cli import EXIT_OK, main
 from divplan.satplan import generators
 from divplan.satplan.solver import Solver
 
@@ -36,3 +38,25 @@ def test_tracer_install_finds_every_hook_and_undo_restores_it(monkeypatch):
         assert now.keys() == old.keys(), owner.__name__
         for name, value in old.items():
             assert now[name] is value, (owner.__name__, name)
+
+
+def test_the_sweep_calls_the_ltl_hooks_by_attribute(monkeypatch, tmp_path):
+    # the tracer counts ltl.progress and ltl.final_eval by replacing
+    # searchplan.progress and searchplan.final_eval; a sweep that bound them
+    # elsewhere would read 0 calls in every traced run. Each distinct
+    # (residuals, valuation key) pair of the bundled platformer k=2 run is
+    # progressed once
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("progress", "final_eval"):
+        monkeypatch.setattr(searchplan, name, counted(name, getattr(searchplan, name)))
+    argv = ["plan", "--domain", "platformer", "--backend", "search", "--k", "2"]
+    assert main([*argv, "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert calls == {"progress": 6, "final_eval": 6}
