@@ -17,6 +17,7 @@ from importlib.resources import files
 
 from ..bspace import (
     DEFAULT_BINS,
+    HORIZON_VALUE,
     BehaviourSpace,
     bin_label,
     categorical_score_feature,
@@ -114,7 +115,7 @@ _RULE_FOR_ACTION = {rule.action: rule for rule in RULES}
 DEFAULT_BUDGET = 10
 
 # a valuation's atoms: the sustainability bins, the diversity bins, the budget marker
-ATOMS = tuple(f"{b.label}_{f}" for f in "SD" for b in DEFAULT_BINS) + ("l-reached",)
+ATOMS = tuple(f"{b.label}_{f}" for f in "SD" for b in DEFAULT_BINS) + (HORIZON_VALUE,)
 
 
 # -- scores --------------------------------------------------------------------
@@ -190,7 +191,7 @@ def _valuation(s_bin: str, d_bin: str, reached: bool) -> dict:
     valuation = dict.fromkeys(ATOMS, False)
     valuation[f"{s_bin}_S"] = True
     valuation[f"{d_bin}_D"] = True
-    valuation["l-reached"] = reached
+    valuation[HORIZON_VALUE] = reached
     return valuation
 
 

@@ -3,8 +3,8 @@
 One action per step. One encoding serves every horizon: it grows a step at
 a time and nothing in a step mentions the horizon. Variables are numbered by
 formula, with no lookup table. With F fluents, A actions, B = ceil(log2 A)
-code bits, G = 1 plus the goal's disjunct count when it has two or more,
-and the stride S = F + G + A + B:
+code bits, G = 1 + the goal's disjunct count (a trivial goal is its one
+empty disjunct), and the stride S = F + G + A + B:
 
 * layer t starts at 1 + t*S. Fluent f is 1 + t*S + index(f), where
   index(f) is f's position in sorted order. The horizon guard g_t is
@@ -17,9 +17,13 @@ So layer 0 holds the fluents, and step block t holds step t's actions, its
 code bits and layer t+1. A task at horizon h has h*S + F + G variables.
 Clauses: init units; for each step, exactly one action, action implications
 for preconditions and effects, and positive/negative explanatory frame
-axioms. The goal at h, and every clause that forbids a behaviour or a plan
+axioms. At h, each goal disjunct's selector implies its literals. The goal
+clause (some selector), and every clause that forbids a behaviour or a plan
 at h, also holds the literal ¬g_h, so it binds only where g_h is assumed;
-the one-shot `encode` asserts g_h with a unit. Every layer below the
+the one-shot `encode` asserts g_h with a unit. So no item needs a case of
+its own: an empty one (no goal-fluent pairs, or the empty plan at horizon 0)
+is [¬g_h], which closes the horizon, and a behaviour holding a fluent both
+true and false is a tautology, which the solver drops. Every layer below the
 horizon is retired: units set its guard and goal selectors False, which
 switches off a goal encoded there before the task grew. Plans shorter than
 the horizon are the business of lower horizons — there is no no-op padding.
@@ -47,7 +51,7 @@ index above j whose action does not commute with j, or 2^B when none does
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..core import (
     Fluent,
@@ -94,13 +98,11 @@ class CnfTask:
         self.action_index = {a.name: i for i, a in enumerate(self.actions)}
         self.fluent_order = tuple(sorted(problem.fluents))
         self.fluent_index = {f: i for i, f in enumerate(self.fluent_order)}
-        goal = problem.goal
-        self.goal_fluents = goal.fluents()
-        self._disjuncts = () if goal.is_trivial() else goal.disjuncts
+        self.goal_fluents = problem.goal.fluents()
+        self._disjuncts = problem.goal.disjuncts
         n_a, n_f = len(self.actions), len(self.fluent_order)
-        n_selectors = len(self._disjuncts) if len(self._disjuncts) > 1 else 0
         self.n_bits = max(n_a - 1, 0).bit_length()  # 0 when |A| <= 1
-        self.layer_size = n_f + 1 + n_selectors  # F + G
+        self.layer_size = n_f + 1 + len(self._disjuncts)  # F + G
         self.stride = self.layer_size + n_a + self.n_bits
         self._adders: dict = {f: [] for f in self.fluent_order}
         self._deleters: dict = {f: [] for f in self.fluent_order}
@@ -141,18 +143,12 @@ class CnfTask:
         self.horizon = horizon
         self.num_vars = horizon * self.stride + self.layer_size
         g = self.guard(horizon)
-        disjuncts = self._disjuncts
-        if len(disjuncts) == 1:
-            for f, positive in disjuncts[0]:
+        selectors = range(g + 1, g + 1 + len(self._disjuncts))
+        for s, disjunct in zip(selectors, self._disjuncts):
+            for f, positive in disjunct:
                 var = self.fluent_var(f, horizon)
-                add([var if positive else -var, -g])
-        elif disjuncts:
-            selectors = range(g + 1, g + 1 + len(disjuncts))
-            for s, disjunct in zip(selectors, disjuncts):
-                for f, positive in disjunct:
-                    var = self.fluent_var(f, horizon)
-                    add([-s, var if positive else -var])
-            add([*selectors, -g])
+                add([-s, var if positive else -var])
+        add([*selectors, -g])
 
     def _add_step(self, t: int) -> None:
         fv = self.fluent_var
@@ -266,40 +262,34 @@ def decode(model: Sequence, task: CnfTask) -> PlanTrace:
     return PlanTrace(plan=Plan(tuple(plan)), states=tuple(states))
 
 
-def forbid_behaviour(task: CnfTask, feature_assignments: Mapping[Fluent, bool]) -> list:
-    """Exclude every model that reproduces this goal-fluent assignment at the
-    task's horizon: the clause is the disjunction of the flipped literals,
-    guarded by the horizon's g."""
+def forbid_behaviour(task: CnfTask, literals: Iterable[tuple[Fluent, bool]]) -> list:
+    """Exclude every model that reproduces these (goal fluent, truth) pairs at
+    the task's horizon: the clause is the disjunction of the flipped literals,
+    guarded by the horizon's g. No pairs give [¬g_h], which closes the
+    horizon; a fluent paired with both truths gives a tautology, which
+    excludes nothing."""
     clause = []
-    for fluent in sorted(feature_assignments):
+    for fluent, truth in sorted(literals):
         if fluent not in task.goal_fluents:
             raise ValueError(f"{fluent} is not a goal fluent")
         var = task.fluent_var(fluent, task.horizon)
-        clause.append(-var if feature_assignments[fluent] else var)
-    if not clause:
-        raise ValueError("empty behaviour assignment")
+        clause.append(-var if truth else var)
     task.clauses.append(clause + [-task.guard(task.horizon)])
     return task.clauses[-1]
 
 
-def forbid_plan(task: CnfTask, plan: Plan) -> list:
-    """Exclude this exact action sequence at the task's horizon, guarded by
-    the horizon's g."""
-    if len(plan) != task.horizon:
-        raise HorizonMismatch(
-            f"plan length {len(plan)} != task horizon {task.horizon}"
-        )
+def forbid_plan(task: CnfTask, labels: Sequence[str]) -> list:
+    """Exclude the action sequence with these labels at the task's horizon,
+    guarded by the horizon's g. The empty plan at horizon 0 gives [¬g_0],
+    which closes that horizon."""
+    if len(labels) != task.horizon:
+        raise HorizonMismatch(f"plan length {len(labels)} != task horizon {task.horizon}")
     index_of = task.action_index
     clause = []
-    for t, action in enumerate(plan):
-        name = action.name if isinstance(action, GroundAction) else str(action)
+    for t, name in enumerate(labels):
         if name not in index_of:
             raise ValueError(f"plan step {t}: unknown action {name!r}")
         clause.append(-task.action_var(index_of[name], t))
-    if not clause:
-        # a zero-length plan at horizon 0 cannot be excluded by a clause over
-        # action vars; the caller must stop offering horizon 0 instead
-        raise HorizonMismatch("cannot forbid the empty plan at horizon 0")
     task.clauses.append(clause + [-task.guard(task.horizon)])
     return task.clauses[-1]
 

@@ -2,18 +2,20 @@
 
 Both generators run one loop over an ascending horizon range, and a plan of
 length h is found at horizon h, never as a padded longer model. At each
-horizon a caller forbids a list of items: merged goal-fluent assignments
-for the behaviour generator, and the label tuples of its plans of length h
-for the plan generator. At a fixed horizon the items map one-to-one to the
-forbidding clauses.
+horizon a caller forbids a list of items: for the behaviour generator, each
+found behaviour's sorted (goal fluent, truth) pairs, and for the plan
+generator, the label tuples of its plans of length h. At a fixed horizon the
+items map one-to-one to the forbidding clauses, which `encoding.forbid_*`
+build the same way for every item.
 
 Forbidding clauses only remove models, so a horizon proved UNSAT under a set
 of items stays UNSAT under any superset. Each ground problem object keeps a
 record of its closed horizons: for each horizon, the item sets it was proved
 UNSAT under. A call skips a horizon whose record holds a subset of its own
-items, without building a clause or solving. The two generators' items never
-coincide, so a set recorded by one generator closes a horizon for the other
-only when it is empty, i.e. when the steps alone are UNSAT.
+items, without building a clause or solving. The two generators' items
+coincide only in the empty item (), whose clause is [¬g_h] for both, so a
+set recorded by one generator closes a horizon for the other only when it
+holds nothing else: when the steps alone, or the empty item, are UNSAT.
 
 The behaviour generator's first UNSAT under a non-empty set turns on its
 commutation reduction (`CnfTask.keep_one_order`) in the record: for the live
@@ -69,20 +71,6 @@ DEFAULT_HORIZONS = range(0, 21)
 _records: dict = {}
 
 
-def _merged_assignment(space: BehaviourSpace, behaviour: Behaviour) -> Optional[dict]:
-    """Combine per-feature goal-fluent assignments into one map.
-
-    Returns None when two features contradict each other: such a cell can
-    never be realised, so there is nothing to forbid.
-    """
-    merged: dict = {}
-    for feature, value in zip(space.features, behaviour):
-        for fluent, positive in feature.expression.assignment_for(value).items():
-            if merged.setdefault(fluent, positive) != positive:
-                return None
-    return merged
-
-
 def _check_goal_assignment_space(space: BehaviourSpace) -> None:
     for feature in space.features:
         if not isinstance(feature.expression, GoalAssignment):
@@ -98,7 +86,7 @@ def _solve_horizon(
     problem: GroundProblem,
     horizon: int,
     forbidden: Sequence[Hashable],
-    forbid: Callable[[CnfTask, Hashable], None],
+    forbid: Callable[[CnfTask, Hashable], list],
     max_conflicts: Optional[int],
     ordered: bool,
 ) -> tuple:
@@ -136,7 +124,7 @@ def _first_trace(
     generator: str,
     horizon_range: Iterable[int],
     forbidden_at: Callable[[int], Sequence[Hashable]],
-    forbid: Callable[[CnfTask, Hashable], None],
+    forbid: Callable[[CnfTask, Hashable], list],
     check: Callable[[PlanTrace], None],
     max_conflicts: Optional[int],
 ) -> Optional[PlanTrace]:
@@ -192,25 +180,22 @@ def behaviour_generator_sat(
     """A valid trace whose behaviour is none of found_behaviours, or None.
 
     Horizons are tried in the given (ascending) order; at each one, every
-    already-found behaviour's merged goal-fluent assignment is forbidden.
-    seed is ignored (the solver is deterministic); ROADMAP item 1 step 3
-    removes it.
+    already-found behaviour's (goal fluent, truth) pairs are forbidden. A
+    cell with no pairs covers every trace and closes every horizon; a cell
+    whose features contradict each other holds both truths of a fluent and
+    forbids nothing. seed is ignored (the solver is deterministic); ROADMAP
+    item 1 step 3 removes it.
     """
     _check_goal_assignment_space(space)
     found = tuple(found_behaviours)
-    assignments = set()
-    for behaviour in found:
-        merged = _merged_assignment(space, behaviour)
-        if merged is None:
-            continue
-        if not merged:
-            # a cell with no constraining fluents covers every trace
-            return None
-        assignments.add(tuple(sorted(merged.items())))
-    forbidden = sorted(assignments)
-
-    def forbid(task: CnfTask, assignment: tuple) -> None:
-        forbid_behaviour(task, dict(assignment))
+    forbidden = sorted({
+        tuple(sorted({
+            pair
+            for feature, value in zip(space.features, behaviour)
+            for pair in feature.expression.assignment_for(value).items()
+        }))
+        for behaviour in found
+    })
 
     def check(trace: PlanTrace) -> None:
         behaviour = pbehaviour(space, trace)
@@ -221,8 +206,8 @@ def behaviour_generator_sat(
             )
 
     return _first_trace(
-        problem, "behaviour", horizon_range, lambda h: forbidden, forbid, check,
-        max_conflicts,
+        problem, "behaviour", horizon_range, lambda h: forbidden, forbid_behaviour,
+        check, max_conflicts,
     )
 
 
@@ -237,19 +222,13 @@ def plan_generator_sat(
     """A valid trace whose plan is not in existing_plans, or None.
 
     Only plans whose length equals the current horizon are forbidden at that
-    horizon — others cannot be models there anyway. seed is ignored, as in
-    behaviour_generator_sat.
+    horizon — others cannot be models there anyway — so the empty plan
+    closes horizon 0. seed is ignored, as in behaviour_generator_sat.
     """
     seen_labels = {plan.labels() for plan in existing_plans}
-    if () in seen_labels:
-        # the empty plan is the only horizon-0 model and no clause excludes it
-        horizon_range = (h for h in horizon_range if h != 0)
     of_length: dict = {}
     for labels in sorted(seen_labels):
         of_length.setdefault(len(labels), []).append(labels)
-
-    def forbid(task: CnfTask, labels: tuple) -> None:
-        forbid_plan(task, Plan(labels))
 
     def check(trace: PlanTrace) -> None:
         if trace.plan.labels() in seen_labels:
@@ -259,6 +238,6 @@ def plan_generator_sat(
             )
 
     return _first_trace(
-        problem, "plan", horizon_range, lambda h: of_length.get(h, ()), forbid,
+        problem, "plan", horizon_range, lambda h: of_length.get(h, ()), forbid_plan,
         check, max_conflicts,
     )

@@ -11,7 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from divplan import cli, ltl
+from divplan.bspace import BehaviourSpace, goal_endings_feature, pbehaviour, value_to_json
 from divplan.cli import EXIT_EMPTY, EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, main
+from divplan.core import Plan, validate_plan
+from divplan.domains import get_domain
 from divplan.satplan import EXTERNAL_SOLVER_ENV
 
 UNSOLVABLE = {
@@ -895,6 +898,31 @@ def test_bundled_reports_match_the_golden_bytes(tmp_path, name):
     assert run(*argv, "--out", str(out)) == EXIT_OK
     with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_contradictory_cells_leave_the_diagonal_and_the_golden_bytes(tmp_path):
+    # two goal-endings features over story-tiny's goal: every off-diagonal
+    # cell holds some goal fluent both true and false, so no plan realises it
+    # and a clause forbidding it would be a tautology
+    features = [{"kind": "goal-endings", "name": name} for name in ("a", "b")]
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps({"features": features}))
+    out = tmp_path / "report.json"
+    argv = ("plan", "--domain", "story-tiny", "--backend", "sat", "--k", "6")
+    assert run(*argv, "--space", str(space_path), "--out", str(out)) == EXIT_OK
+    with open(os.path.join(GOLDEN, "story-tiny-sat-k6-two-endings.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+    result = json.loads(out.read_text())["result"]
+    cells = result["behaviours"][: result["bdc"]]
+    assert len(cells) == 3 and all(a == b for a, b in cells)
+    assert len({tuple(a) for a, _b in cells}) == 3
+    problem = get_domain("story-tiny")()[0]
+    space = BehaviourSpace(
+        tuple(goal_endings_feature(problem, name) for name in ("a", "b"))
+    )
+    for labels, behaviour in zip(result["plans"], result["behaviours"]):
+        trace = validate_plan(problem, Plan(tuple(map(problem.action, labels))))
+        assert [value_to_json(v) for v in pbehaviour(space, trace)] == behaviour
 
 
 # golden run -> (domain, node budget): each budget is below the first sweep's

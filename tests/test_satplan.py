@@ -4,6 +4,7 @@ import hashlib
 import os
 import textwrap
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from divplan.bspace import (
     Feature,
     SpaceConfigError,
     TemporalFormula,
+    enumerate_cells,
     goal_endings_feature,
     pbehaviour,
 )
@@ -116,9 +118,10 @@ def tiny_story():
     return _fresh_tiny_story()
 
 
-def exhaust_models(problem, horizon):
-    """All decodable plans at exactly this horizon, via iterated forbidding."""
-    task = encode(problem, horizon)
+def exhaust_models(problem, horizon, task=None):
+    """All decodable plans at exactly this horizon, via iterated forbidding
+    on task (by default, the one-shot encode at the horizon)."""
+    task = encode(problem, horizon) if task is None else task
     plans = []
     while True:
         model = solve_task(task)
@@ -128,9 +131,7 @@ def exhaust_models(problem, horizon):
         validate_plan(problem, trace.plan)  # soundness on every model
         assert trace.states == validate_plan(problem, trace.plan).states
         plans.append(trace.plan)
-        if horizon == 0:
-            return plans  # the empty plan is the only possible model
-        forbid_plan(task, trace.plan)
+        forbid_plan(task, trace.plan.labels())
 
 
 # -- encode/decode ------------------------------------------------------------
@@ -250,8 +251,9 @@ def test_tiny_story_models_match_oracle(tiny_story, horizon):
 def test_at_most_one_action_per_step(n):
     problem = parallel_actions_problem(n)
     base = encode(problem, 1)
-    # two layers of n fluents and a guard, n actions and the code bits
-    assert base.num_vars == 2 * (n + 1) + n + max(n - 1, 0).bit_length()
+    # two layers of n fluents, a guard and the trivial goal's one selector,
+    # n actions and the code bits
+    assert base.num_vars == 2 * (n + 2) + n + max(n - 1, 0).bit_length()
 
     def forced(*indices):
         task = encode(problem, 1)
@@ -314,14 +316,14 @@ def test_goal_disjunction_reaches_either_branch(tiny_story):
 def test_forbid_behaviour_single_fluent():
     problem = toggle_problem()
     task = encode(problem, 1)
-    forbid_behaviour(task, {ON: True})
+    forbid_behaviour(task, {ON: True}.items())
     assert solve_task(task) is None  # the goal forces on=true
 
 
 def test_forbid_behaviour_other_polarity_keeps_models():
     problem = toggle_problem()
     task = encode(problem, 1)
-    forbid_behaviour(task, {ON: False})
+    forbid_behaviour(task, {ON: False}.items())
     model = solve_task(task)
     assert model is not None
     assert decode(model, task).plan.labels() == ("turn-on",)
@@ -341,7 +343,7 @@ def test_forbid_all_assignments_exhausts_two_fluent_goal():
     task = encode(problem, 2)
     for va in (False, True):
         for vb in (False, True):
-            forbid_behaviour(task, {a: va, b: vb})
+            forbid_behaviour(task, {a: va, b: vb}.items())
     assert solve_task(task) is None
 
 
@@ -349,13 +351,27 @@ def test_forbid_behaviour_rejects_non_goal_fluent():
     problem = toggle_problem()
     task = encode(problem, 1)
     with pytest.raises(ValueError):
-        forbid_behaviour(task, {Fluent("elsewhere"): True})
+        forbid_behaviour(task, {Fluent("elsewhere"): True}.items())
 
 
-def test_forbid_behaviour_rejects_empty_assignment():
+def test_forbid_behaviour_with_no_pairs_closes_the_horizon():
     task = encode(toggle_problem(), 1)
-    with pytest.raises(ValueError):
-        forbid_behaviour(task, {})
+    assert solve_task(task) is not None
+    assert forbid_behaviour(task, {}.items()) == [-task.guard(1)]
+    assert solve_task(task) is None
+
+
+def test_forbid_behaviour_contradictory_pairs_keep_every_model(tiny_story):
+    # a fluent paired with both truths makes a tautology: the horizon's plans
+    # stay exactly those of the task without it
+    fluent = min(tiny_story.goal.fluents())
+    task = encode(tiny_story, 3)
+    clause = forbid_behaviour(task, ((fluent, True), (fluent, False)))
+    var = task.fluent_var(fluent, 3)
+    assert var in clause and -var in clause
+    assert {p.labels() for p in exhaust_models(tiny_story, 3, task)} == {
+        p.labels() for p in exhaust_models(tiny_story, 3)
+    }
 
 
 # -- forbid_plan ---------------------------------------------------------------
@@ -364,22 +380,21 @@ def test_forbid_behaviour_rejects_empty_assignment():
 def test_forbid_plan_requires_matching_horizon():
     problem = toggle_problem()
     task = encode(problem, 2)
-    plan = Plan((problem.actions[0],))
     with pytest.raises(HorizonMismatch):
-        forbid_plan(task, plan)
+        forbid_plan(task, ("turn-on",))
 
 
-def test_forbid_plan_empty_plan_rejected():
-    problem = toggle_problem(goal_on=False)
-    task = encode(problem, 0)
-    with pytest.raises(HorizonMismatch):
-        forbid_plan(task, Plan(()))
+def test_forbid_plan_empty_plan_closes_horizon_zero():
+    task = encode(toggle_problem(goal_on=False), 0)
+    assert solve_task(task) is not None
+    assert forbid_plan(task, ()) == [-task.guard(0)]
+    assert solve_task(task) is None
 
 
 def test_forbid_unique_plan_makes_unsat():
     problem = toggle_problem()
     task = encode(problem, 1)
-    forbid_plan(task, Plan((problem.actions[0],)))
+    forbid_plan(task, ("turn-on",))
     assert solve_task(task) is None
 
 
@@ -387,10 +402,10 @@ def test_forbid_one_symmetric_plan_yields_the_other():
     problem = two_switch_problem()
     task = encode(problem, 2)
     first = decode(solve_task(task), task).plan
-    forbid_plan(task, first)
+    forbid_plan(task, first.labels())
     second = decode(solve_task(task), task).plan
     assert {first.labels(), second.labels()} == {("set-a", "set-b"), ("set-b", "set-a")}
-    forbid_plan(task, second)
+    forbid_plan(task, second.labels())
     assert solve_task(task) is None
 
 
@@ -427,7 +442,7 @@ def test_behaviour_novelty_check_survives_one_shot_iterator(tiny_story, monkeypa
     # the novelty check must still see it when given a one-shot iterator
     space = BehaviourSpace((goal_endings_feature(tiny_story),))
     first = behaviour_generator_sat(tiny_story, space, (), range(0, 6))
-    monkeypatch.setattr(generators, "forbid_behaviour", lambda task, assignment: None)
+    monkeypatch.setattr(generators, "forbid_behaviour", lambda task, literals: None)
     with pytest.raises(AssertionError, match="already-found behaviour"):
         behaviour_generator_sat(
             tiny_story, space, iter([pbehaviour(space, first)]), range(0, 6)
@@ -494,6 +509,44 @@ def test_plan_generator_skips_forbidden_empty_plan():
     second = plan_generator_sat(problem, [first.plan], range(0, 3))
     assert second is not None
     assert second.plan.labels() == ("turn-on", "turn-off")
+
+
+def _init_is_goal_problem():
+    """choice's disjunctive goal, met at init: the empty plan is a plan."""
+    a, b = Fluent("a"), Fluent("b")
+    return GroundProblem(
+        fluents=frozenset([a, b]),
+        actions=(
+            GroundAction("set-a", pre_neg=frozenset([a]), add=frozenset([a])),
+            GroundAction("set-b", pre_neg=frozenset([b]), add=frozenset([b])),
+            GroundAction("clear-a", pre_pos=frozenset([a]), delete=frozenset([a])),
+        ),
+        init=frozenset([a]),
+        goal=GoalFormula(disjuncts=(((a, True),), ((b, True),))),
+    )
+
+
+# every goal shape gets one selector per disjunct: a trivial goal is its one
+# empty disjunct, a conjunction is a single disjunct
+GOAL_SHAPES = {
+    "trivial-with-budget": lambda: replace(parallel_actions_problem(2), budget=3),
+    "single-literal": toggle_problem,
+    "single-disjunct": two_switch_problem,
+    "init-is-goal": _init_is_goal_problem,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOAL_SHAPES))
+def test_plan_generator_returns_the_oracle_plans_of_every_goal_shape(name):
+    problem = GOAL_SHAPES[name]()
+    cap = 5
+    plans = []
+    while (trace := plan_generator_sat(problem, plans, range(0, cap + 1))) is not None:
+        plans.append(trace.plan)
+    labels = [plan.labels() for plan in plans]
+    assert sorted(labels) == sorted(p.labels() for p in enumerate_plans(problem, cap))
+    assert len(set(labels)) == len(labels) >= 2
+    assert (labels[0] == ()) == problem.goal.satisfied_by(problem.init)
 
 
 def test_generators_are_deterministic(tiny_story):
@@ -569,13 +622,13 @@ def _length(trace):
 
 def _one_shot_horizon(problem, horizons, forbid):
     """The first horizon with a model of a one-shot encode plus forbid's
-    clauses, each solved by a fresh Solver; None when there is none. forbid
-    returns False for a horizon it rules out without a clause."""
+    clauses, each solved by a fresh Solver; None when there is none."""
     for h in horizons:
         if problem.budget is not None and h > problem.budget:
             continue
         task = encode(problem, h)
-        if forbid(task) is not False and solve_task(task) is not None:
+        forbid(task)
+        if solve_task(task) is not None:
             return h
     return None
 
@@ -583,7 +636,11 @@ def _one_shot_horizon(problem, horizons, forbid):
 def _forbid_behaviours(space, found):
     def forbid(task):
         for behaviour in found:
-            forbid_behaviour(task, generators._merged_assignment(space, behaviour))
+            forbid_behaviour(task, [
+                pair
+                for feature, value in zip(space.features, behaviour)
+                for pair in feature.expression.assignment_for(value).items()
+            ])
 
     return forbid
 
@@ -592,9 +649,7 @@ def _forbid_plans(existing):
     def forbid(task):
         for plan in existing:
             if len(plan) == task.horizon:
-                if not plan:
-                    return False  # only the empty plan is a horizon-0 model
-                forbid_plan(task, plan)
+                forbid_plan(task, plan.labels())
 
     return forbid
 
@@ -694,6 +749,20 @@ def test_closed_horizons_answer_non_extending_calls_freshly():
         assert got.plan not in later
         want = _one_shot_horizon(problem, range(0, 4), _forbid_plans(later))
         assert _length(got) == want is not None
+
+
+def test_contradictory_cells_forbid_nothing():
+    # with two goal-endings features, an off-diagonal cell holds some goal
+    # fluent both true and false: its clause is a tautology, so forbidding
+    # every such cell leaves the first answer at the unconstrained horizon
+    problem = _fresh_tiny_story()
+    space = BehaviourSpace(tuple(goal_endings_feature(problem, n) for n in "ab"))
+    off_diagonal = [c for c in enumerate_cells(space) if c.values[0] != c.values[1]]
+    assert len(off_diagonal) == 12
+    got = behaviour_generator_sat(problem, space, off_diagonal, range(0, 6))
+    assert pbehaviour(space, got) not in off_diagonal
+    want = _one_shot_horizon(problem, range(0, 6), _forbid_behaviours(space, off_diagonal))
+    assert _length(got) == want == _one_shot_horizon(problem, range(0, 6), lambda task: None)
 
 
 def test_a_descending_horizon_range_starts_a_fresh_solver():

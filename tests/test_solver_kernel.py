@@ -346,10 +346,10 @@ def fbi_rounds(problem, horizon, rounds):
         if outcome is None:
             break
         trace = decode(outcome, task)
-        if step % 3 == 2 or horizon == 0:
-            forbid_behaviour(task, {f: f in trace.final_state for f in goal_fluents})
+        if step % 3 == 2:
+            forbid_behaviour(task, {f: f in trace.final_state for f in goal_fluents}.items())
         else:
-            forbid_plan(task, trace.plan)
+            forbid_plan(task, trace.plan.labels())
     return outcomes
 
 
@@ -384,12 +384,12 @@ def incremental_fbi_rounds(problem, horizon, rounds):
         for clause in task.clauses:
             assert any(model[abs(lit)] == (lit > 0) for lit in clause)
         trace = decode(model, task)
-        if step % 3 == 2 or horizon == 0:
+        if step % 3 == 2:
             clause = forbid_behaviour(
-                task, {f: f in trace.final_state for f in goal_fluents}
+                task, {f: f in trace.final_state for f in goal_fluents}.items()
             )
         else:
-            clause = forbid_plan(task, trace.plan)
+            clause = forbid_plan(task, trace.plan.labels())
         live.add_clause(clause)
     return outcomes
 
@@ -440,7 +440,7 @@ def test_a_solver_grown_from_empty_is_the_one_built_with_its_clauses(
         if model is None:
             break
         final = decode(model, task).final_state
-        clause = forbid_behaviour(task, {f: f in final for f in goal_fluents})
+        clause = forbid_behaviour(task, {f: f in final for f in goal_fluents}.items())
         grown.add_clause(clause)
         built.add_clause(clause)
 
