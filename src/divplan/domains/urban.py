@@ -6,6 +6,10 @@ other uses. Two 0-100 scores summarise a grid: sustainability (share of
 green/commercial/facility land) and diversity (normalised Shannon entropy of
 the five use proportions). Planning is over a fixed action budget; every
 plan runs the full budget and is judged by where the scores settle.
+
+A grid is a `NamedTuple`, so the search hashes and compares it in C. A step
+counts the source cells and finds only the few it rewrites; both scores read
+only the land-use mix (five counts), and the simulator keys valuations by it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
+from typing import NamedTuple
 
 from ..bspace import (
     DEFAULT_BINS,
@@ -45,40 +50,40 @@ LAND_USE_NAMES = {
 }
 
 
-class UrbanError(Exception):
-    pass
-
-
-class EmptyGrid(UrbanError):
+class EmptyGrid(Exception):
     """A score was requested for a grid with no used cells."""
 
 
-@dataclass(frozen=True)
-class UrbanGrid:
+class _GridFields(NamedTuple):
     width: int
     height: int
     cells: tuple  # row-major, one CELL_CODES letter per cell
-    counter: int = 0
+    counter: int
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
+
+class UrbanGrid(_GridFields):
+    """A grid from input: `UrbanGrid(width, height, cells[, counter])`
+    checks its shape, cell codes and counter."""
+
+    __slots__ = ()
+
+    def __new__(cls, width: int, height: int, cells: tuple, counter: int = 0):
+        if width < 1 or height < 1:
             raise ValueError("grid dimensions must be positive")
-        if len(self.cells) != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} cells, got {len(self.cells)}"
-            )
-        bad = sorted({c for c in self.cells if c not in CELL_CODES})
+        if len(cells) != width * height:
+            raise ValueError(f"expected {width * height} cells, got {len(cells)}")
+        bad = sorted({c for c in cells if c not in CELL_CODES})
         if bad:
             raise ValueError(f"unknown cell codes: {bad}")
-        if self.counter < 0:
+        if counter < 0:
             raise ValueError("step counter cannot be negative")
+        return _new_grid(cls, (width, height, cells, counter))
 
     def count(self, code: str) -> int:
         return self.cells.count(code)
 
-    @property
-    def used(self) -> int:
-        return len(self.cells) - self.count(EMPTY)
+
+_new_grid = tuple.__new__  # a grid without the checks of UrbanGrid.__new__
 
 
 CONVERSION_FRACTION = 0.05
@@ -121,31 +126,38 @@ ATOMS = tuple(f"{b.label}_{f}" for f in "SD" for b in DEFAULT_BINS) + (HORIZON_V
 # -- scores --------------------------------------------------------------------
 
 
-def sustainability_score(grid: UrbanGrid) -> float:
-    """Share of used land that is green, commercial, or facility, 0-100."""
-    used = grid.used
-    if used == 0:
-        raise EmptyGrid("sustainability is undefined on an all-empty grid")
-    good = sum(grid.count(code) for code in sorted(SUSTAINABLE))
-    return 100.0 * good / used
+def land_use_mix(grid: UrbanGrid) -> tuple:
+    """The grid's count of each land use, in LAND_USES order: all that
+    either score reads."""
+    return tuple(map(grid.cells.count, LAND_USES))
 
 
-def diversity_score(grid: UrbanGrid) -> float:
-    """Normalised Shannon entropy of the land-use mix, 0-100.
+def mix_scores(mix: tuple) -> tuple:
+    """(sustainability, diversity) of a land-use mix, each 0-100.
 
-    Proportions are taken over used cells only; the maximum (100) is the
-    even split across all five land uses.
+    Sustainability is the share of used land that is green, commercial or
+    facility. Diversity is the normalised Shannon entropy of the use
+    proportions over used cells, 100 at the even split across all five.
     """
-    used = grid.used
+    used = sum(mix)
     if used == 0:
-        raise EmptyGrid("diversity is undefined on an all-empty grid")
+        raise EmptyGrid("scores are undefined on an all-empty grid")
+    good = sum(n for code, n in zip(LAND_USES, mix) if code in SUSTAINABLE)
     entropy = 0.0
-    for code in LAND_USES:
-        p = grid.count(code) / used
+    for count in mix:
+        p = count / used
         if p > 0:
             entropy -= p * math.log(p)
     # an exact even split can round to 100.00000000000001, past the top bin
-    return min(100.0, 100.0 * entropy / math.log(len(LAND_USES)))
+    return 100.0 * good / used, min(100.0, 100.0 * entropy / math.log(len(LAND_USES)))
+
+
+def sustainability_score(grid: UrbanGrid) -> float:
+    return mix_scores(land_use_mix(grid))[0]
+
+
+def diversity_score(grid: UrbanGrid) -> float:
+    return mix_scores(land_use_mix(grid))[1]
 
 
 # -- dynamics ------------------------------------------------------------------
@@ -159,50 +171,37 @@ def urban_step(grid: UrbanGrid, action: str) -> UrbanGrid:
         raise ValueError(
             f"unknown action {action!r}; expected one of {sorted(_RULE_FOR_ACTION)}"
         )
-    indices = [i for i, c in enumerate(grid.cells) if c == rule.source]
-    if not indices:
-        return _successor(grid, grid.cells)
-    affected = indices[: math.ceil(CONVERSION_FRACTION * len(indices))]
-    share, remainder = divmod(len(affected), len(rule.targets))
-    quotas = [share] * len(rule.targets)
-    quotas[0] += remainder
-    cells = list(grid.cells)
-    cursor = 0
-    for target, quota in zip(rule.targets, quotas):
-        for i in affected[cursor : cursor + quota]:
-            cells[i] = target
-        cursor += quota
-    return _successor(grid, tuple(cells))
+    cells, source = grid.cells, rule.source
+    found = cells.count(source)
+    if found:
+        affected = math.ceil(CONVERSION_FRACTION * found)
+        share, remainder = divmod(affected, len(rule.targets))
+        quotas = [share] * len(rule.targets)
+        quotas[0] += remainder
+        rewritten = list(cells)
+        i = -1
+        for target, quota in zip(rule.targets, quotas):
+            for _ in range(quota):
+                i = cells.index(source, i + 1)
+                rewritten[i] = target
+        cells = tuple(rewritten)
+    return _successor(grid, cells)
 
 
 def _successor(grid: UrbanGrid, cells: tuple) -> UrbanGrid:
     """The grid after one step, holding cells. A rule keeps the shape and
-    writes only land-use codes, so the successor skips the check
-    `UrbanGrid.__post_init__` makes of grids that come from input."""
-    succ = object.__new__(UrbanGrid)
-    succ.__dict__.update(
-        width=grid.width, height=grid.height, cells=cells, counter=grid.counter + 1
-    )
-    return succ
+    writes only land-use codes, so the successor skips the checks
+    `UrbanGrid.__new__` makes of grids that come from input."""
+    return _new_grid(UrbanGrid, (grid.width, grid.height, cells, grid.counter + 1))
 
 
-@lru_cache(maxsize=None)
-def _valuation(s_bin: str, d_bin: str, reached: bool) -> dict:
+def _mix_valuation(mix: tuple, reached: bool) -> dict:
+    sustainability, diversity = mix_scores(mix)
     valuation = dict.fromkeys(ATOMS, False)
-    valuation[f"{s_bin}_S"] = True
-    valuation[f"{d_bin}_D"] = True
+    valuation[f"{bin_label(DEFAULT_BINS, sustainability)}_S"] = True
+    valuation[f"{bin_label(DEFAULT_BINS, diversity)}_D"] = True
     valuation[HORIZON_VALUE] = reached
     return valuation
-
-
-def _grid_valuation(grid: UrbanGrid, budget: int) -> dict:
-    # grids in the same two bins on the same side of the budget share one
-    # valuation dict, which keeps the memo small
-    return _valuation(
-        bin_label(DEFAULT_BINS, sustainability_score(grid)),
-        bin_label(DEFAULT_BINS, diversity_score(grid)),
-        grid.counter >= budget,
-    )
 
 
 def _final_grid_feature(score, atom_suffix: str):
@@ -237,8 +236,9 @@ class UrbanSimulator:
         self.grid0 = grid0
         self.rules = RULES
         self.budget = budget
-        # over a module function, so the simulator is not in a reference cycle
-        self._propositions = lru_cache(maxsize=None)(_grid_valuation)
+        # over a module function, so the simulator is not in a reference
+        # cycle; per simulator, so each request starts from a cold memo
+        self._valuation = lru_cache(maxsize=None)(_mix_valuation)
 
     def initial(self) -> UrbanGrid:
         return self.grid0
@@ -253,8 +253,8 @@ class UrbanSimulator:
 
     def propositions(self, grid: UrbanGrid) -> dict:
         """The grid's valuation, a dict shared with every caller and with
-        grids in the same bins: read it, never mutate it."""
-        return self._propositions(grid, self.budget)
+        grids of the same land-use mix: read it, never mutate it."""
+        return self._valuation(land_use_mix(grid), grid.counter >= self.budget)
 
     def is_goal(self, grid: UrbanGrid) -> bool:
         return grid.counter == self.budget

@@ -75,8 +75,8 @@ class Simulator(Protocol):
     answered for a state for as long as the simulator object lives, so
     those answers must not change while it does. A behaviour sweep hashes
     and compares a state on every child it generates (breadth-first) or
-    every node it pops (depth-first), so a tuple (or a tuple subclass such
-    as a `NamedTuple`) is the cheap choice of state.
+    every node it pops (depth-first), so a tuple is the cheap choice of
+    state: both bundled simulators' states are `NamedTuple` subclasses.
     """
 
     budget: Optional[int]

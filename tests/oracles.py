@@ -9,6 +9,7 @@ checked against.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
@@ -40,6 +41,15 @@ from divplan.domains.platformer import (
     AvatarDied,
     Level,
     PlatformerState,
+)
+from divplan.domains.urban import (
+    CONVERSION_FRACTION,
+    EMPTY,
+    LAND_USES,
+    RULES,
+    SUSTAINABLE,
+    EmptyGrid,
+    UrbanGrid,
 )
 from divplan.ltl import (
     FALSE,
@@ -226,6 +236,47 @@ def reference_platformer_step(
         vy = max(vy - 1, TERMINAL_VELOCITY)
 
     return PlatformerState(col=col, row=row, vy=vy, enemy_alive=enemy_alive)
+
+
+# -- the urban step and scores, cell by cell --------------------------------------
+
+
+def reference_urban_step(grid: UrbanGrid, action: str) -> UrbanGrid:
+    """One conversion through a checked grid: list every source cell, take
+    the first ceil(CONVERSION_FRACTION * n) of them row-major, and split
+    them over the targets with the remainder going to the first."""
+    rule = next((r for r in RULES if r.action == action), None)
+    if rule is None:
+        raise ValueError(f"unknown action {action!r}")
+    indices = [i for i, c in enumerate(grid.cells) if c == rule.source]
+    affected = indices[: math.ceil(CONVERSION_FRACTION * len(indices))]
+    share, remainder = divmod(len(affected), len(rule.targets))
+    quotas = [share] * len(rule.targets)
+    quotas[0] += remainder
+    cells = list(grid.cells)
+    cursor = 0
+    for target, quota in zip(rule.targets, quotas):
+        for i in affected[cursor : cursor + quota]:
+            cells[i] = target
+        cursor += quota
+    return UrbanGrid(grid.width, grid.height, tuple(cells), grid.counter + 1)
+
+
+def reference_scores(grid: UrbanGrid) -> tuple:
+    """(sustainability, diversity), each 0-100, counted cell by cell:
+    the sustainable share of used land, and the Shannon entropy of the
+    land-use proportions over used cells normalised by log 5."""
+    used = len(grid.cells) - grid.cells.count(EMPTY)
+    if used == 0:
+        raise EmptyGrid("scores are undefined on an all-empty grid")
+    good = sum(grid.cells.count(code) for code in sorted(SUSTAINABLE))
+    entropy = 0.0
+    for code in LAND_USES:
+        p = grid.cells.count(code) / used
+        if p > 0:
+            entropy -= p * math.log(p)
+    diversity = min(100.0, 100.0 * entropy / math.log(len(LAND_USES)))
+    return 100.0 * good / used, diversity
 
 
 # -- brute-force plan enumeration --------------------------------------------------

@@ -976,6 +976,28 @@ def test_two_runs_in_one_process_write_the_same_report(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("name", ["platformer-k2", "urban-k2"])
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, name):
+    # criterion 9 across processes: a state hashes its strings, which
+    # PYTHONHASHSEED salts, so a report that followed hash order would
+    # differ between seeds
+    domain, _backend, k = GOLDEN_RUNS[name]
+    reports = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"report-{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "divplan.cli", "plan", "--domain", domain,
+             "--k", k, "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                 "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        reports.append(out.read_bytes())
+    with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
+        assert reports == [fh.read()] * 2
+
+
 SRC_ALONE = """\
 import os, pkgutil, sys
 sys.path.insert(0, {src!r})

@@ -1,11 +1,12 @@
 """Tests for the bundled domains: urban grid, platformer, story, tiny."""
 
+import itertools
 import math
 import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divplan.bspace import bin_label, DEFAULT_BINS
@@ -29,6 +30,7 @@ from divplan.domains.platformer import (
 from divplan.domains.story import story_pack, tiny_story_pack
 from divplan.domains.urban import (
     ATOMS,
+    CELL_CODES,
     DEFAULT_BUDGET as URBAN_BUDGET,
     RULES,
     EmptyGrid,
@@ -47,6 +49,8 @@ from oracles import (
     endings_space,
     enumerate_plans,
     reference_platformer_step,
+    reference_scores,
+    reference_urban_step,
     toggle_problem,
 )
 
@@ -215,6 +219,52 @@ def test_render_grid_plain_and_colored():
     import re
 
     assert re.sub(r"\x1b\[\d+m", "", colored) == plain
+
+
+@st.composite
+def urban_grids(draw):
+    """Grids with sides 1-12 and any counter, drawn from a palette of at
+    most six codes, repeats allowed: a one-code palette fills a grid with
+    one land use, past the 40 source cells over which three convert."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    palette = draw(st.lists(st.sampled_from(CELL_CODES), min_size=1, max_size=6))
+    cells = draw(
+        st.lists(st.sampled_from(palette), min_size=width * height, max_size=width * height)
+    )
+    return UrbanGrid(width, height, tuple(cells), draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(urban_grids(), st.sampled_from([rule.action for rule in RULES]))
+@example(UrbanGrid(9, 5, ("G",) * 45, 3), "convert-green")  # 3 convert: 2 + 1
+@example(UrbanGrid(12, 12, ("R",) * 143 + ("E",), 0), "convert-residential")
+def test_urban_step_matches_the_reference(grid0, action):
+    succ, checked = urban_step(grid0, action), reference_urban_step(grid0, action)
+    assert type(succ) is UrbanGrid
+    assert (succ.cells, succ.counter) == (checked.cells, checked.counter)
+    assert succ == checked and hash(succ) == hash(checked)
+    assert repr(succ) == repr(checked)
+
+
+def test_propositions_bin_every_4x4_mix_as_the_reference_scores():
+    sim = UrbanSimulator(bundled_grid(), budget=1)
+    mixes = 0
+    # one sorted grid per multiset of 16 codes: every mix, all-empty included
+    for cells in itertools.combinations_with_replacement(CELL_CODES, 16):
+        mixes += 1
+        g = UrbanGrid(4, 4, cells)
+        if cells.count("E") == 16:
+            with pytest.raises(EmptyGrid):
+                sim.propositions(g)
+            with pytest.raises(EmptyGrid):
+                reference_scores(g)
+            continue
+        scores = reference_scores(g)
+        assert (sustainability_score(g), diversity_score(g)) == scores
+        s_bin, d_bin = (bin_label(DEFAULT_BINS, score) for score in scores)
+        props = sim.propositions(g)
+        assert {atom for atom, held in props.items() if held} == {f"{s_bin}_S", f"{d_bin}_D"}
+    assert mixes == 20349
 
 
 # ---------------------------------------------------------------------------
