@@ -1,9 +1,9 @@
 """Grounded STRIPS planning model.
 
-States are closed-world sets of fluents. Actions carry positive/negative
-preconditions and add/delete effects. Goals are stored in DNF (a disjunction
-of literal conjunctions), which keeps goal checks and SAT goal clauses
-uniform.
+States are closed-world sets of fluents, each a ground atom held as the
+tuple ``(name, args)``. Actions carry positive/negative preconditions and
+add/delete effects. Goals are stored in DNF (a disjunction of literal
+conjunctions), which keeps goal checks and SAT goal clauses uniform.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class PlanningError(Exception):
@@ -47,16 +47,22 @@ class GeneratorTimeout(PlanningError):
 _FLUENT_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_-]*)\s*(?:\(\s*([^()]*?)\s*\))?\s*$")
 
 
-@dataclass(frozen=True, order=True)
-class Fluent:
-    """A ground atom in canonical form: lowercased name and argument tuple."""
-
+class _FluentFields(NamedTuple):
     name: str
     args: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", self.name.lower())
-        object.__setattr__(self, "args", tuple(a.lower() for a in self.args))
+
+class Fluent(_FluentFields):
+    """A ground atom in canonical form: lowercased name and argument tuple.
+
+    A Fluent is the plain tuple ``(name, args)``: it equals that tuple, and
+    hashes and sorts as it does, so sets of fluents hash and compare in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, args: Iterable[str] = ()):
+        return tuple.__new__(cls, (name.lower(), tuple(a.lower() for a in args)))
 
     def __str__(self) -> str:
         if not self.args:

@@ -21,17 +21,19 @@ Each rule is checked in one place:
   when given the domain, and `ground` always does, so grounding never meets
   an unchecked atom.
 
-Grounding instantiates action schemas over type-respecting object tuples,
-expands existential goals into a disjunction over groundings (DNF), decides
-equality literals statically, and drops actions whose static preconditions
-can never hold.
+Grounding compiles each action schema once and instantiates it over
+type-respecting object tuples, expands existential goals into a disjunction
+over groundings (DNF), decides equality literals statically, and drops
+actions whose static preconditions can never hold.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Union
 
 from .core import Fluent, GoalFormula, GroundAction, GroundProblem
@@ -92,34 +94,23 @@ class _SList(list):
 
 _Sexp = Union[_SAtom, _SList]
 
-_ATOM_RE = re.compile(r"[^\s();]+")
+# a parenthesis, a comment or an atom; every other character is whitespace
+_TOKEN_RE = re.compile(r"[()]|;[^\n]*|[^\s();]+")
 
 
 def _tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, line, col
-            col += 1
-            i += 1
-        else:
-            m = _ATOM_RE.match(text, i)
-            yield m.group(0), line, col
-            col += len(m.group(0))
-            i = m.end()
+    """(token, line, col) per parenthesis and atom. Lines are counted at
+    ``\\n`` and columns in characters, so a tab is one column."""
+    line, line_start, seen = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        tok, start = m.group(), m.start()
+        newlines = text.count("\n", seen, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", seen, start) + 1
+        seen = start
+        if tok[0] != ";":
+            yield tok, line, start - line_start + 1
 
 
 def _read_sexps(text: str) -> list:
@@ -586,138 +577,129 @@ def _objects_by_type(domain: DomainAst, problem: ProblemAst) -> dict:
     return out
 
 
-def _substitute(lit: LiteralAst, binding: dict) -> LiteralAst:
-    return LiteralAst(
-        lit.pred, tuple(binding.get(a, a) for a in lit.args), lit.positive
+def _getter(slots: list):
+    """combo -> the tuple of its entries at these slots."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return lambda combo: tuple([combo[i] for i in slots])
+
+
+def _compile(schema: ActionSchema, dynamic: set) -> tuple:
+    """The schema's literals over its parameter slots: (equalities, static
+    preconditions, [positive and negative fluent preconditions, adds,
+    deletes]). An equality is (slot, slot, positive) and any other literal
+    (pred, getter, positive), where the getter reads the literal's
+    arguments off an object combination."""
+    slot = {p.name: i for i, p in enumerate(schema.params)}
+
+    def compiled(literals):
+        return [(l.pred, _getter([slot[a] for a in l.args]), l.positive) for l in literals]
+
+    equal = [l for l in schema.pre if l.pred == "="]
+    pre = [l for l in schema.pre if l.pred != "="]
+    dynamic_pre = [l for l in pre if l.pred in dynamic]
+    return (
+        [(slot[l.args[0]], slot[l.args[1]], l.positive) for l in equal],
+        compiled(l for l in pre if l.pred not in dynamic),
+        [
+            compiled(l for l in dynamic_pre if l.positive),
+            compiled(l for l in dynamic_pre if not l.positive),
+            compiled(schema.add),
+            compiled(schema.delete),
+        ],
     )
-
-
-def _ground_fluent(lit: LiteralAst) -> Fluent:
-    return Fluent(lit.pred, lit.args)
 
 
 def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
     """Instantiate the problem into the grounded closed-world model.
 
-    Equality preconditions are decided here and removed. Static fluents
-    (never added or deleted by any schema) prune instantiations whose
-    preconditions cannot hold in any reachable state. Raises
-    GroundingExplosion when the instantiation count would exceed
+    Each action schema is compiled once per call (`_compile`), so an
+    instantiation reads its atoms' arguments straight off the object
+    combination. Equality preconditions are decided from the combination
+    before any atom is built, and removed. Static fluents (never added or
+    deleted by any schema) prune instantiations whose preconditions cannot
+    hold in any reachable state. One atom table per call gives init, every
+    action and the goal one Fluent per atom; nothing outlives the call.
+    Raises GroundingExplosion when the instantiation count would exceed
     GROUND_ACTION_CAP.
     """
     _validate_problem(domain, problem)
     by_type = _objects_by_type(domain, problem)
+    pools = {s.name: [by_type.get(p.type, []) for p in s.params] for s in domain.actions}
+    if sum(math.prod(map(len, pool)) for pool in pools.values()) > GROUND_ACTION_CAP:
+        raise GroundingExplosion(
+            f"the problem grounds to more than {GROUND_ACTION_CAP} actions"
+        )
 
-    dynamic = {
-        l.pred for schema in domain.actions for l in (schema.add + schema.delete)
-    }
-    init = frozenset(_ground_fluent(l) for l in problem.init)
+    dynamic = {l.pred for schema in domain.actions for l in schema.add + schema.delete}
+    atoms: dict = {}  # (pred, args) -> its Fluent
 
-    total = 0
-    for schema in domain.actions:
-        count = 1
-        for p in schema.params:
-            count *= len(by_type.get(p.type, []))
-        total += count
-        if total > GROUND_ACTION_CAP:
-            raise GroundingExplosion(
-                f"the problem grounds to more than {GROUND_ACTION_CAP} actions"
-            )
+    def atom(pred: str, args: tuple) -> Fluent:
+        fluent = atoms.get((pred, args))
+        if fluent is None:
+            fluent = atoms[pred, args] = Fluent(pred, args)
+        return fluent
 
+    init = frozenset(atom(l.pred, l.args) for l in problem.init)
     actions: list[GroundAction] = []
     for schema in domain.actions:
-        pools = [by_type.get(p.type, []) for p in schema.params]
-        for combo in itertools.product(*pools):
-            binding = {p.name: obj for p, obj in zip(schema.params, combo)}
-            ground_action = _instantiate(schema, binding, dynamic, init)
-            if ground_action is not None:
-                actions.append(ground_action)
+        equal, static, parts = _compile(schema, dynamic)
+        for combo in itertools.product(*pools[schema.name]):
+            if any((combo[i] == combo[j]) != positive for i, j, positive in equal):
+                continue
+            # static: truth is fixed by init for the whole run; a Fluent
+            # equals its (pred, args) tuple, so no atom is built to look it up
+            if any(((p, args(combo)) in init) != positive for p, args, positive in static):
+                continue
+            pre_pos, pre_neg, add, delete = [
+                frozenset([atom(p, args(combo)) for p, args, _ in part]) for part in parts
+            ]
+            label = f"{schema.name}({','.join(combo)})" if combo else schema.name
+            # standard delete-then-add semantics: add wins on overlap
+            actions.append(GroundAction(label, pre_pos, pre_neg, add, delete - add))
 
-    goal = _ground_goal(problem.goal, {}, by_type, dynamic, init)
-
-    universe = init | goal.fluents()
-    for a in actions:
-        universe |= a.fluents()
-    return GroundProblem(
-        fluents=frozenset(universe),
-        actions=tuple(actions),
-        init=init,
-        goal=goal,
-    )
-
-
-def _instantiate(schema, binding, dynamic, init) -> Optional[GroundAction]:
-    pre_pos: set = set()
-    pre_neg: set = set()
-    for lit in schema.pre:
-        glit = _substitute(lit, binding)
-        if glit.pred == "=":
-            if (glit.args[0] == glit.args[1]) != glit.positive:
-                return None
-            continue
-        fluent = _ground_fluent(glit)
-        if glit.pred not in dynamic:
-            # static: truth is fixed by init for the whole run
-            if (fluent in init) != glit.positive:
-                return None
-            continue
-        (pre_pos if glit.positive else pre_neg).add(fluent)
-
-    add = {_ground_fluent(_substitute(l, binding)) for l in schema.add}
-    delete = {_ground_fluent(_substitute(l, binding)) for l in schema.delete}
-    # standard delete-then-add semantics: add wins on overlap
-    delete -= add
-
-    if schema.params:
-        label = f"{schema.name}({','.join(binding[p.name] for p in schema.params)})"
-    else:
-        label = schema.name
-    return GroundAction(
-        name=label,
-        pre_pos=frozenset(pre_pos),
-        pre_neg=frozenset(pre_neg),
-        add=frozenset(add),
-        delete=frozenset(delete),
-    )
+    # init and the kept actions' atoms; taken before the goal, which can
+    # build atoms of disjuncts it then drops
+    universe = frozenset(atoms.values())
+    goal = _ground_goal(problem.goal, by_type, dynamic, init, atom)
+    return GroundProblem(universe | goal.fluents(), tuple(actions), init, goal)
 
 
 _TRUE = "true"
 
 
-def _ground_goal(goal, binding, by_type, dynamic, init) -> GoalFormula:
-    disjuncts = _goal_dnf(goal, binding, by_type, dynamic, init)
+def _ground_goal(goal, by_type, dynamic, init, atom) -> GoalFormula:
+    disjuncts = _goal_dnf(goal, {}, by_type, dynamic, init, atom)
     if disjuncts is _TRUE:
         return GoalFormula.trivial()
     if not disjuncts:
         raise PddlError("goal is unsatisfiable after grounding")
-    canonical = sorted(
-        {tuple(sorted(d)) for d in disjuncts},
-        key=lambda d: (len(d), d),
-    )
+    canonical = sorted({tuple(sorted(d)) for d in disjuncts}, key=lambda d: (len(d), d))
     return GoalFormula(tuple(canonical))
 
 
-def _goal_dnf(goal, binding, by_type, dynamic, init):
+def _goal_dnf(goal, binding, by_type, dynamic, init, atom):
     """DNF as a list of frozensets of (Fluent, polarity), or the _TRUE marker."""
     if isinstance(goal, GoalAtom):
-        lit = _substitute(goal.literal, binding)
+        lit = goal.literal
+        args = tuple([binding.get(a, a) for a in lit.args])
         if lit.pred == "=":
-            holds = (lit.args[0] == lit.args[1]) == lit.positive
+            holds = (args[0] == args[1]) == lit.positive
             return _TRUE if holds else []
-        fluent = _ground_fluent(lit)
         if lit.pred not in dynamic:
-            holds = (fluent in init) == lit.positive
+            holds = ((lit.pred, args) in init) == lit.positive
             return _TRUE if holds else []
-        return [frozenset({(fluent, lit.positive)})]
+        return [frozenset({(atom(lit.pred, args), lit.positive)})]
     if isinstance(goal, GoalAnd):
         result = _TRUE
         for child in goal.children:
-            result = _dnf_and(result, _goal_dnf(child, binding, by_type, dynamic, init))
+            child_dnf = _goal_dnf(child, binding, by_type, dynamic, init, atom)
+            result = _dnf_and(result, child_dnf)
         return result
     if isinstance(goal, GoalOr):
         out: list = []
         for child in goal.children:
-            child_dnf = _goal_dnf(child, binding, by_type, dynamic, init)
+            child_dnf = _goal_dnf(child, binding, by_type, dynamic, init, atom)
             if child_dnf is _TRUE:
                 return _TRUE
             out.extend(child_dnf)
@@ -728,7 +710,7 @@ def _goal_dnf(goal, binding, by_type, dynamic, init):
         for combo in itertools.product(*pools):
             extended = dict(binding)
             extended.update({p.name: obj for p, obj in zip(goal.params, combo)})
-            child_dnf = _goal_dnf(goal.body, extended, by_type, dynamic, init)
+            child_dnf = _goal_dnf(goal.body, extended, by_type, dynamic, init, atom)
             if child_dnf is _TRUE:
                 return _TRUE
             out.extend(child_dnf)

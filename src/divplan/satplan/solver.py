@@ -28,6 +28,12 @@ class ResourceLimit(SatError):
 EXTERNAL_SOLVER_ENV = "DIVPLAN_EXTERNAL_SAT"
 
 
+def _check_literals(lits: Sequence[int], n: int) -> None:
+    for lit in lits:
+        if lit == 0 or not -n <= lit <= n:
+            raise ValueError(f"bad literal {lit}")
+
+
 class Solver:
     """Incremental CDCL solver: construct with a clause set, call solve(),
     then add clauses and solve again as often as needed.
@@ -82,11 +88,13 @@ class Solver:
     # -- clause loading (at decision level 0, before or between solves) --
 
     def add_clause(self, lits: Sequence[int]) -> None:
+        """Add a clause; a literal outside +-num_vars, or 0, is a ValueError
+        even where the clause itself would be dropped."""
+        n = self.num_vars
         if not self.ok:
-            return
+            return _check_literals(lits, n)
         if self.trail_lim:
             self._backtrack(0)
-        n = self.num_vars
         val = self.val
         seen = set()
         out = []
@@ -94,13 +102,13 @@ class Solver:
             if lit == 0 or not -n <= lit <= n:
                 raise ValueError(f"bad literal {lit}")
             if -lit in seen:
-                return  # tautology
+                return _check_literals(lits, n)  # tautology
             if lit in seen:
                 continue
             seen.add(lit)
             v = val[lit]
             if v:
-                return  # already satisfied at level 0
+                return _check_literals(lits, n)  # already satisfied at level 0
             if v is False:
                 continue  # falsified at level 0: drop the literal
             out.append(lit)

@@ -9,11 +9,13 @@ checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
+from divplan import pddl
 from divplan.bspace import (
     Behaviour,
     BehaviourSpace,
@@ -67,6 +69,19 @@ from divplan.ltl import (
     atoms,
     final_eval,
     progress,
+)
+from divplan.pddl import (
+    _TRUE,
+    GoalAnd,
+    GoalAtom,
+    GoalExists,
+    GoalOr,
+    GroundingExplosion,
+    LiteralAst,
+    PddlError,
+    _dnf_and,
+    _objects_by_type,
+    _validate_problem,
 )
 from divplan.searchplan import (
     SearchResult,
@@ -334,6 +349,137 @@ def goal_ending_cells(problem: GroundProblem, horizons) -> set:
             if applicable(state, action)
         }
     return cells
+
+
+# -- the grounder, one LiteralAst and one Fluent per literal ------------------------
+
+
+def reference_ground(domain, problem) -> GroundProblem:
+    """`pddl.ground` as it was before it compiled schemas: every literal of
+    every instantiation is substituted into a fresh LiteralAst and built
+    into a fresh Fluent, and the goal is grounded the same way."""
+    _validate_problem(domain, problem)
+    by_type = _objects_by_type(domain, problem)
+    dynamic = {
+        l.pred for schema in domain.actions for l in (schema.add + schema.delete)
+    }
+    init = frozenset(_ground_fluent(l) for l in problem.init)
+
+    total = 0
+    for schema in domain.actions:
+        count = 1
+        for p in schema.params:
+            count *= len(by_type.get(p.type, []))
+        total += count
+        if total > pddl.GROUND_ACTION_CAP:
+            raise GroundingExplosion(
+                f"the problem grounds to more than {pddl.GROUND_ACTION_CAP} actions"
+            )
+
+    actions = []
+    for schema in domain.actions:
+        pools = [by_type.get(p.type, []) for p in schema.params]
+        for combo in itertools.product(*pools):
+            binding = {p.name: obj for p, obj in zip(schema.params, combo)}
+            ground_action = _instantiate(schema, binding, dynamic, init)
+            if ground_action is not None:
+                actions.append(ground_action)
+
+    disjuncts = _goal_dnf(problem.goal, {}, by_type, dynamic, init)
+    if disjuncts is _TRUE:
+        goal = GoalFormula.trivial()
+    elif not disjuncts:
+        raise PddlError("goal is unsatisfiable after grounding")
+    else:
+        canonical = sorted({tuple(sorted(d)) for d in disjuncts}, key=lambda d: (len(d), d))
+        goal = GoalFormula(tuple(canonical))
+
+    universe = init | goal.fluents()
+    for a in actions:
+        universe |= a.fluents()
+    return GroundProblem(
+        fluents=frozenset(universe), actions=tuple(actions), init=init, goal=goal
+    )
+
+
+def _substitute(lit: LiteralAst, binding: dict) -> LiteralAst:
+    return LiteralAst(lit.pred, tuple(binding.get(a, a) for a in lit.args), lit.positive)
+
+
+def _ground_fluent(lit: LiteralAst) -> Fluent:
+    return Fluent(lit.pred, lit.args)
+
+
+def _instantiate(schema, binding, dynamic, init):
+    pre_pos: set = set()
+    pre_neg: set = set()
+    for lit in schema.pre:
+        glit = _substitute(lit, binding)
+        if glit.pred == "=":
+            if (glit.args[0] == glit.args[1]) != glit.positive:
+                return None
+            continue
+        fluent = _ground_fluent(glit)
+        if glit.pred not in dynamic:
+            if (fluent in init) != glit.positive:
+                return None
+            continue
+        (pre_pos if glit.positive else pre_neg).add(fluent)
+
+    add = {_ground_fluent(_substitute(l, binding)) for l in schema.add}
+    delete = {_ground_fluent(_substitute(l, binding)) for l in schema.delete}
+    delete -= add  # add wins on overlap
+
+    if schema.params:
+        label = f"{schema.name}({','.join(binding[p.name] for p in schema.params)})"
+    else:
+        label = schema.name
+    return GroundAction(
+        name=label,
+        pre_pos=frozenset(pre_pos),
+        pre_neg=frozenset(pre_neg),
+        add=frozenset(add),
+        delete=frozenset(delete),
+    )
+
+
+def _goal_dnf(goal, binding, by_type, dynamic, init):
+    """DNF as a list of frozensets of (Fluent, polarity), or the _TRUE marker."""
+    if isinstance(goal, GoalAtom):
+        lit = _substitute(goal.literal, binding)
+        if lit.pred == "=":
+            holds = (lit.args[0] == lit.args[1]) == lit.positive
+            return _TRUE if holds else []
+        fluent = _ground_fluent(lit)
+        if lit.pred not in dynamic:
+            holds = (fluent in init) == lit.positive
+            return _TRUE if holds else []
+        return [frozenset({(fluent, lit.positive)})]
+    if isinstance(goal, GoalAnd):
+        result = _TRUE
+        for child in goal.children:
+            result = _dnf_and(result, _goal_dnf(child, binding, by_type, dynamic, init))
+        return result
+    if isinstance(goal, GoalOr):
+        out: list = []
+        for child in goal.children:
+            child_dnf = _goal_dnf(child, binding, by_type, dynamic, init)
+            if child_dnf is _TRUE:
+                return _TRUE
+            out.extend(child_dnf)
+        return out
+    if isinstance(goal, GoalExists):
+        pools = [by_type.get(p.type, []) for p in goal.params]
+        out = []
+        for combo in itertools.product(*pools):
+            extended = dict(binding)
+            extended.update({p.name: obj for p, obj in zip(goal.params, combo)})
+            child_dnf = _goal_dnf(goal.body, extended, by_type, dynamic, init)
+            if child_dnf is _TRUE:
+                return _TRUE
+            out.extend(child_dnf)
+        return out
+    raise TypeError(goal)
 
 
 # -- the plan walk, one fresh walk per call ----------------------------------------

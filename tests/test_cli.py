@@ -575,6 +575,22 @@ def test_validate_accepts_a_report_from_the_same_pddl_source(tmp_path, capsys):
     assert capsys.readouterr().out.count(": valid,") == 3
 
 
+
+def test_form_feeds_and_vertical_tabs_in_a_pddl_file_are_whitespace(tmp_path, capsys):
+    data = files("divplan.domains") / "data"
+    domain = tmp_path / "domain.pddl"
+    text = (data / "story-tiny-domain.pddl").read_text().replace("\n  (:", "\n\f(:")
+    domain.write_text(text.replace(" ", "\v"))
+    problem = str(data / "story-tiny-problem.pddl")
+    argv = ("plan", "--pddl-domain", str(domain), "--pddl-problem", problem)
+    assert run(*argv, "--k", "3") == EXIT_OK
+    capsys.readouterr()
+    domain.write_text(text + "\f)")
+    assert run(*argv, "--k", "3") == EXIT_USAGE
+    err = capsys.readouterr().err
+    lines = text.count("\n")
+    assert err == f"error: line {lines + 1}, col 2: unbalanced ')'\n"
+
 # platformer-k2 plan 0 is 24 moves and plan 1 is 23, against BUDGET 40
 BROKEN_PLATFORMER_PLANS = {
     "illegal-step": (lambda plans: ["right"] * 11, "step 10: 'right' is not a legal action"),
@@ -976,18 +992,19 @@ def test_two_runs_in_one_process_write_the_same_report(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-@pytest.mark.parametrize("name", ["platformer-k2", "urban-k2"])
+@pytest.mark.parametrize("name", ["platformer-k2", "urban-k2", "story-sat-k3"])
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path, name):
     # criterion 9 across processes: a state hashes its strings, which
     # PYTHONHASHSEED salts, so a report that followed hash order would
-    # differ between seeds
-    domain, _backend, k = GOLDEN_RUNS[name]
+    # differ between seeds; a story state is a set of fluents, each hashed
+    # as its (name, args) tuple
+    domain, backend, k = GOLDEN_RUNS[name]
     reports = []
     for seed in ("0", "1"):
         out = tmp_path / f"report-{seed}.json"
         proc = subprocess.run(
             [sys.executable, "-B", "-m", "divplan.cli", "plan", "--domain", domain,
-             "--k", k, "--out", str(out)],
+             "--backend", backend, "--k", k, "--out", str(out)],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
                  "PYTHONHASHSEED": seed},

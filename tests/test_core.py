@@ -89,6 +89,33 @@ def test_fluent_ordering_is_total():
     assert sorted(fs) == [fl("a"), fl("a(w,z)"), fl("a(x)"), fl("b")]
 
 
+_NAMES = st.text("abAB_-", min_size=1, max_size=3).filter(lambda t: t[0] not in "-")
+_ARGS = st.lists(st.text("xyXY0", min_size=1, max_size=3), max_size=3)
+
+
+@given(name=_NAMES, args=_ARGS)
+def test_a_fluent_is_its_lowercased_name_and_args_tuple(name, args):
+    # a Fluent equals the plain (name, args) tuple and hashes as it does,
+    # which is also how the frozen dataclass it replaced hashed: sets of
+    # fluents iterate, and reports list them, as before
+    f = Fluent(name, args)
+    key = (name.lower(), tuple(a.lower() for a in args))
+    assert f == key and tuple(f) == key and type(f.args) is tuple
+    assert (f.name, f.args) == key
+    assert hash(f) == hash(key)
+    assert Fluent.parse(str(f)) == f
+
+
+@given(fluents=st.lists(st.builds(Fluent, _NAMES, _ARGS), max_size=6))
+def test_fluents_sort_by_name_then_args(fluents):
+    assert sorted(fluents) == sorted(fluents, key=lambda f: (f.name, f.args))
+
+
+def test_fluent_repr_names_its_fields():
+    assert repr(Fluent("At", ["Genie", "Cave"])) == "Fluent(name='at', args=('genie', 'cave'))"
+    assert repr(Fluent("p")) == "Fluent(name='p', args=())"
+
+
 # -- actions and goals ---------------------------------------------------------
 
 def test_action_add_delete_overlap_rejected():

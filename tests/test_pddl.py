@@ -1,4 +1,5 @@
 import os
+import random
 import re
 
 import pytest
@@ -24,7 +25,7 @@ from divplan.pddl import (
     parse_domain,
     parse_problem,
 )
-from oracles import enumerate_plans
+from oracles import enumerate_plans, reference_ground
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "divplan", "domains", "data")
 
@@ -106,6 +107,31 @@ def test_unbalanced_parens_positioned():
         assert False, "expected a syntax error"
     except PddlSyntaxError as e:
         assert e.line == 2 and e.col == 3  # the innermost unclosed paren
+
+
+# whitespace other than space, tab, CR and LF: form feed, vertical tab and a
+# non-breaking space
+RARE_SPACES = {"form-feed": "\f", "vertical-tab": "\v", "nbsp": "\u00a0"}
+
+
+@pytest.mark.parametrize("space", RARE_SPACES.values(), ids=RARE_SPACES.keys())
+def test_any_whitespace_separates_tokens_like_a_space(space):
+    d = parse_domain(TINY_DOMAIN.replace(" ", space))
+    assert d == parse_domain(TINY_DOMAIN)
+    assert parse_problem(TINY_PROBLEM.replace(" ", space), d) == parse_problem(TINY_PROBLEM, d)
+    assert parse_domain(f"{space}(define{space}(domain x));{space}\n") == parse_domain(
+        "(define (domain x))"
+    )
+
+
+@pytest.mark.parametrize("space", RARE_SPACES.values(), ids=RARE_SPACES.keys())
+def test_an_error_after_rare_whitespace_keeps_its_line_and_column(space):
+    # each whitespace character is one column, as a tab is; only \n starts a line
+    with pytest.raises(PddlSyntaxError, match="unbalanced '\\)'") as info:
+        parse_domain(f"(define (domain x)\n{space}\t(:predicates{space}(p)))\r\n {space})")
+    assert (info.value.line, info.value.col) == (3, 3)
+    with pytest.raises(PddlSyntaxError, match=r"line 2, col 21: unbalanced '\)'"):
+        parse_domain(f"(define (domain x)\n{space}\t(:predicates (p))))")
 
 
 def test_nesting_deeper_than_the_cap_is_a_positioned_syntax_error():
@@ -245,16 +271,17 @@ def test_ground_tiny():
     assert polish.pre_neg == frozenset({Fluent.parse("shiny(a)")})
 
 
+ZERO_DOMAIN = """
+(define (domain z)
+  (:predicates (done))
+  (:action finish :parameters () :precondition (and) :effect (done)))
+"""
+ZERO_PROBLEM = "(define (problem z1) (:domain z) (:objects) (:init) (:goal (done)))"
+
+
 def test_ground_zero_parameter_schema():
-    d = parse_domain(
-        """
-        (define (domain z)
-          (:predicates (done))
-          (:action finish :parameters () :precondition (and) :effect (done)))
-        """
-    )
-    p = parse_problem("(define (problem z1) (:domain z) (:objects) (:init) (:goal (done)))", d)
-    g = ground(d, p)
+    d = parse_domain(ZERO_DOMAIN)
+    g = ground(d, parse_problem(ZERO_PROBLEM, d))
     assert [a.name for a in g.actions] == ["finish"]
     assert len(enumerate_plans(g, 1)) == 1
 
@@ -308,11 +335,12 @@ def test_ground_story_tiny_static_pruning():
     assert all(len(pl) == 3 for pl in plans)
 
 
+NO_INEQUALITY = ("(and (married-to ?c2 ?c1) (not (= ?c1 ?c2)))", "(married-to ?c2 ?c1)")
+
+
 def test_exists_without_inequality_includes_identical_pairs():
     d = load_domain(data_file("story-tiny-domain.pddl"))
-    text = open(data_file("story-tiny-problem.pddl")).read().replace(
-        "(and (married-to ?c2 ?c1) (not (= ?c1 ?c2)))", "(married-to ?c2 ?c1)"
-    )
+    text = open(data_file("story-tiny-problem.pddl")).read().replace(*NO_INEQUALITY)
     p = parse_problem(text, d)
     g = ground(d, p)
     assert len(g.goal.disjuncts) == 4  # ordered pairs incl. (ala,ala), (jas,jas)
@@ -326,9 +354,12 @@ def test_grounding_explosion_cap(monkeypatch):
         ground(d, p)
 
 
+FALSE_GOAL = ("(and (shiny a) (shiny b))", "(= a b)")
+
+
 def test_statically_false_goal_rejected():
     d = parse_domain(TINY_DOMAIN)
-    text = TINY_PROBLEM.replace("(and (shiny a) (shiny b))", "(= a b)")
+    text = TINY_PROBLEM.replace(*FALSE_GOAL)
     with pytest.raises(PddlError, match="unsatisfiable"):
         ground(d, parse_problem(text, d))
 
@@ -341,6 +372,95 @@ def test_ground_fluent_universe_closed():
         assert a.fluents() <= g.fluents
     assert g.init <= g.fluents
     assert g.goal.fluents() <= g.fluents
+
+
+# -- the grounder against the reference grounder -------------------------------------
+
+
+def _bundled(name):
+    """The (domain, problem) texts of a bundled PDDL pair."""
+    texts = []
+    for part in ("domain", "problem"):
+        with open(data_file(f"{name}-{part}.pddl")) as fh:
+            texts.append(fh.read())
+    return tuple(texts)
+
+
+CAST = ("aladdin", "jasmine", "genie", "jafar", "dragon")
+PLACES = ("castle", "market", "cave")
+MOVE_IN_PLACE = ("(and (at ?c ?from) (not (= ?from ?to)))", "(at ?c ?from)")
+WEDDING = "(exists (?c1 - char ?c2 - char) (and (married-to ?c2 ?c1) (not (= ?c1 ?c2))))"
+
+
+def full_cast_variant(seed, n_chars, n_places):
+    """An aladdin problem over a seeded cast, start places and lamp holder."""
+    rng = random.Random(seed)
+    cast, places = rng.sample(CAST, n_chars), rng.sample(PLACES, n_places)
+    init = [f"(at {c} {rng.choice(places)})" for c in cast]
+    init.append(f"(has-lamp {rng.choice(cast)})")
+    return (
+        f"(define (problem variant-{seed}) (:domain aladdin)\n"
+        f"  (:objects {' '.join(cast)} - char {' '.join(places)} - loc)\n"
+        f"  (:init {' '.join(init)})\n  (:goal {WEDDING}))"
+    )
+
+
+def _ground_cases():
+    cases = {
+        "aladdin": _bundled("aladdin"),
+        "story-tiny": _bundled("story-tiny"),
+        "story-tiny-no-inequality": (
+            _bundled("story-tiny")[0], _bundled("story-tiny")[1].replace(*NO_INEQUALITY)
+        ),
+        # move(c,l,l) adds and deletes at(c,l): the add wins
+        "aladdin-move-in-place": (
+            _bundled("aladdin")[0].replace(*MOVE_IN_PLACE), _bundled("aladdin")[1]
+        ),
+        "zero-parameters": (ZERO_DOMAIN, ZERO_PROBLEM),
+        "static-pruning": (TINY_DOMAIN, TINY_PROBLEM),
+        "false-goal": (TINY_DOMAIN, TINY_PROBLEM.replace(*FALSE_GOAL)),
+    }
+    for n_chars in (4, 5):
+        for n_places in (2, 3):
+            for seed in range(3):
+                cases[f"variant-{n_chars}x{n_places}-{seed}"] = (
+                    _bundled("aladdin")[0], full_cast_variant(seed, n_chars, n_places)
+                )
+    return cases
+
+
+GROUND_CASES = _ground_cases()
+
+
+def assert_grounds_as_the_reference(domain, problem):
+    """ground and reference_ground agree: the same problem, actions in the
+    same order, or the same PddlError class and message."""
+    try:
+        expected = reference_ground(domain, problem)
+    except PddlError as exc:
+        with pytest.raises(PddlError) as info:
+            ground(domain, problem)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    got = ground(domain, problem)
+    assert [a.name for a in got.actions] == [a.name for a in expected.actions]
+    assert got == expected  # each action's pre/add/delete, init, goal and fluents
+
+
+@pytest.mark.parametrize("case", GROUND_CASES)
+def test_ground_matches_the_reference_grounder(case):
+    domain_text, problem_text = GROUND_CASES[case]
+    d = parse_domain(domain_text)
+    assert_grounds_as_the_reference(d, parse_problem(problem_text, d))
+
+
+def test_ground_matches_the_reference_at_the_action_cap(monkeypatch):
+    domain_text, problem_text = _bundled("aladdin")
+    d = parse_domain(domain_text)
+    p = parse_problem(problem_text, d)
+    for cap in (269, 270):  # 270 instantiations, 210 of them kept
+        monkeypatch.setattr(pddl, "GROUND_ACTION_CAP", cap)
+        assert_grounds_as_the_reference(d, p)
 
 
 # -- type hierarchies and malformed input ------------------------------------------
@@ -400,16 +520,27 @@ _EDITS = st.lists(
 )
 
 
+_SPACES = st.lists(
+    st.sampled_from((" ", "\t", "\n", "\r\n", "\f", "\v", "\u00a0")), min_size=1, max_size=8
+)
+
+
+def _joined(tokens, spaces):
+    """The tokens, the i-th gap filled with spaces[i % len(spaces)]."""
+    return "".join(tok + spaces[i % len(spaces)] for i, tok in enumerate(tokens))
+
+
 @settings(max_examples=300, deadline=None)
-@given(edits=_EDITS, in_domain=st.booleans())
-def test_token_mutations_parse_or_raise_a_pddl_error(edits, in_domain):
+@given(edits=_EDITS, in_domain=st.booleans(), spaces=_SPACES)
+def test_token_mutations_parse_or_raise_a_pddl_error(edits, in_domain, spaces):
     domain, problem = _tokens("story-tiny-domain.pddl"), _tokens("story-tiny-problem.pddl")
     if in_domain:
         domain = _mutated(domain, edits)
     else:
         problem = _mutated(problem, edits)
     try:
-        d = parse_domain(" ".join(domain))
-        ground(d, parse_problem(" ".join(problem), d))
+        d = parse_domain(_joined(domain, spaces))
+        p = parse_problem(_joined(problem, spaces), d)
     except PddlError:
-        pass
+        return
+    assert_grounds_as_the_reference(d, p)

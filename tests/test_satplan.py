@@ -1055,6 +1055,20 @@ def test_contradictory_units_unsat():
     assert Solver(1, [[1], [-1]]).solve() is None
 
 
+@pytest.mark.parametrize(
+    "clause",
+    [[1, 5], [2, -2, 0], [1, 0]],
+    ids=["true-then-out-of-range", "tautology-then-zero", "true-then-zero"],
+)
+def test_a_clause_the_solver_drops_still_has_its_literals_checked(clause):
+    # 1 is true at level 0 and 2 | -2 is a tautology: either drops the
+    # clause before its later literals are read; an UNSAT solver drops every
+    # clause
+    for solver in (Solver(2, [[1]]), Solver(2, [[1], [-1]])):
+        with pytest.raises(ValueError, match="bad literal"):
+            solver.add_clause(clause)
+
+
 def pigeonhole(pigeons, holes):
     def var(p, h):
         return 1 + p * holes + h

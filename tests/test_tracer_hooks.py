@@ -32,6 +32,10 @@ def test_tracer_install_finds_every_hook_and_undo_restores_it(monkeypatch):
         undo()
     sat = "divplan.satplan.generators"
     assert {(sat, "encode"), (sat, "solve_task"), (sat, "decode")} <= patched
+    # pddl.parse and pddl.ground time these three by name; the grounder's
+    # helpers are not hooks
+    hooks = {("divplan.pddl", name) for name in ("parse_domain", "parse_problem", "ground")}
+    assert hooks <= patched
     assert ("Solver", "solve") in patched
     for owner, old in zip(owners, before):
         now = dict(vars(owner))
