@@ -8,16 +8,20 @@ prefix satisfies the formula; Undetermined is always a sound answer.
 
 Text grammar: ``G``, ``F``, ``FG``, ``!``, ``&``, ``|``, parentheses, and
 atom identifiers (``G``, ``F``, ``FG``, ``true``, ``false`` are reserved).
-Progression, evaluation and even hashing recurse on a formula's depth, so
-the parser refuses more than MAX_FORMULA_DEPTH operators on one path, or
-prefix operators and parentheses around one position.
+
+A formula node is a tuple whose item 0 is a tag for its kind, followed by
+its fields, so hashing and equality run in C and the functions below
+dispatch on the tag. Hashing and equality still recurse on a formula's
+depth, as progression and evaluation do, so the parser refuses more than
+MAX_FORMULA_DEPTH operators on one path, or prefix operators and
+parentheses around one position.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 
@@ -33,46 +37,95 @@ class LtlSyntaxError(LtlError):
     pass
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+# item 0 of every formula node, one per kind
+_ATOM, _NOT, _AND, _OR, _ALWAYS, _EVENTUALLY, _TRUE, _FALSE = range(8)
+
+_new = tuple.__new__  # a node from its finished tuple, without __new__'s call
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "LtlFormula"
+class _Formula(tuple):
+    """A formula node: the plain tuple (tag, *fields), so formulas hash and
+    compare in C, and nodes of two kinds, whose tags differ, are never equal."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]  # copy and pickle call __new__ with the fields only
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self[1:]))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class And:
-    left: "LtlFormula"
-    right: "LtlFormula"
+class Atom(_Formula):
+    __slots__ = ()
+    _fields = ("name",)
+    name = property(itemgetter(1))
+
+    def __new__(cls, name: str):
+        return _new(cls, (_ATOM, name))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "LtlFormula"
-    right: "LtlFormula"
+class Not(_Formula):
+    __slots__ = ()
+    _fields = ("arg",)
+    arg = property(itemgetter(1))
+
+    def __new__(cls, arg: "LtlFormula"):
+        return _new(cls, (_NOT, arg))
 
 
-@dataclass(frozen=True)
-class Always:
-    arg: "LtlFormula"
+class And(_Formula):
+    __slots__ = ()
+    _fields = ("left", "right")
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __new__(cls, left: "LtlFormula", right: "LtlFormula"):
+        return _new(cls, (_AND, left, right))
 
 
-@dataclass(frozen=True)
-class Eventually:
-    arg: "LtlFormula"
+class Or(_Formula):
+    __slots__ = ()
+    _fields = ("left", "right")
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __new__(cls, left: "LtlFormula", right: "LtlFormula"):
+        return _new(cls, (_OR, left, right))
 
 
-@dataclass(frozen=True)
-class TrueFormula:
-    pass
+class Always(_Formula):
+    __slots__ = ()
+    _fields = ("arg",)
+    arg = property(itemgetter(1))
+
+    def __new__(cls, arg: "LtlFormula"):
+        return _new(cls, (_ALWAYS, arg))
 
 
-@dataclass(frozen=True)
-class FalseFormula:
-    pass
+class Eventually(_Formula):
+    __slots__ = ()
+    _fields = ("arg",)
+    arg = property(itemgetter(1))
+
+    def __new__(cls, arg: "LtlFormula"):
+        return _new(cls, (_EVENTUALLY, arg))
+
+
+class TrueFormula(_Formula):
+    __slots__ = ()
+
+    def __new__(cls):
+        return _new(cls, (_TRUE,))
+
+
+class FalseFormula(_Formula):
+    __slots__ = ()
+
+    def __new__(cls):
+        return _new(cls, (_FALSE,))
 
 
 TRUE = TrueFormula()
@@ -84,14 +137,19 @@ Valuation = Mapping[str, bool]
 PropTrace = Sequence[Valuation]  # non-empty; one valuation per trace state
 
 
+def _tag(formula: LtlFormula) -> int:
+    """The formula's tag. The public functions below check their argument
+    here, so the recursion into its fields can index a tag without a type
+    check; a field that is not a formula ends in their own TypeError."""
+    if isinstance(formula, _Formula):
+        return formula[0]
+    raise TypeError(f"not a formula: {formula!r}")
+
+
 def atoms(formula: LtlFormula) -> frozenset:
-    if isinstance(formula, Atom):
-        return frozenset({formula.name})
-    if isinstance(formula, (Not, Always, Eventually)):
-        return atoms(formula.arg)
-    if isinstance(formula, (And, Or)):
-        return atoms(formula.left) | atoms(formula.right)
-    return frozenset()
+    if _tag(formula) == _ATOM:
+        return frozenset((formula[1],))
+    return frozenset().union(*map(atoms, formula[1:]))
 
 
 def _lookup(valuation: Valuation, name: str) -> bool:
@@ -108,83 +166,89 @@ def eval_finite(formula: LtlFormula, trace: PropTrace) -> bool:
     an int whose bit i is its truth at position i, so G and F cost a
     constant number of integer operations instead of a sweep.
     """
+    _tag(formula)
     if len(trace) == 0:
         raise ValueError("trace must be non-empty")
     return bool(_mask(formula, trace, (1 << len(trace)) - 1) & 1)
 
 
 def _mask(formula: LtlFormula, trace: PropTrace, full: int) -> int:
-    if isinstance(formula, Atom):
+    tag = formula[0]
+    if tag == _ATOM:
         mask = 0
         for i, valuation in enumerate(trace):
-            if _lookup(valuation, formula.name):
+            if _lookup(valuation, formula[1]):
                 mask |= 1 << i
         return mask
-    if isinstance(formula, TrueFormula):
+    if tag == _TRUE:
         return full
-    if isinstance(formula, FalseFormula):
+    if tag == _FALSE:
         return 0
-    if isinstance(formula, Not):
-        return full ^ _mask(formula.arg, trace, full)
-    if isinstance(formula, And):
-        return _mask(formula.left, trace, full) & _mask(formula.right, trace, full)
-    if isinstance(formula, Or):
-        return _mask(formula.left, trace, full) | _mask(formula.right, trace, full)
-    if isinstance(formula, Always):
+    if tag == _NOT:
+        return full ^ _mask(formula[1], trace, full)
+    if tag == _AND:
+        return _mask(formula[1], trace, full) & _mask(formula[2], trace, full)
+    if tag == _OR:
+        return _mask(formula[1], trace, full) | _mask(formula[2], trace, full)
+    if tag == _ALWAYS:
         # holds above the last position where the argument fails
-        cut = (full ^ _mask(formula.arg, trace, full)).bit_length()
+        cut = (full ^ _mask(formula[1], trace, full)).bit_length()
         return full >> cut << cut
-    if isinstance(formula, Eventually):
+    if tag == _EVENTUALLY:
         # holds up to the last position where the argument holds
-        return (1 << _mask(formula.arg, trace, full).bit_length()) - 1
+        return (1 << _mask(formula[1], trace, full).bit_length()) - 1
     raise TypeError(f"not a formula: {formula!r}")
 
 
 # -- simplifying constructors (used by progression only, never the parser) ---
+# Their callers pass formulas only, so they read tags unchecked.
 
 
 def mk_not(f: LtlFormula) -> LtlFormula:
-    if f is TRUE or isinstance(f, TrueFormula):
+    tag = f[0]
+    if tag == _TRUE:
         return FALSE
-    if f is FALSE or isinstance(f, FalseFormula):
+    if tag == _FALSE:
         return TRUE
-    if isinstance(f, Not):
-        return f.arg
-    return Not(f)
+    if tag == _NOT:
+        return f[1]
+    return _new(Not, (_NOT, f))
 
 
 def mk_and(left: LtlFormula, right: LtlFormula) -> LtlFormula:
-    if isinstance(left, FalseFormula) or isinstance(right, FalseFormula):
+    ltag, rtag = left[0], right[0]
+    if ltag == _FALSE or rtag == _FALSE:
         return FALSE
-    if isinstance(left, TrueFormula):
+    if ltag == _TRUE:
         return right
-    if isinstance(right, TrueFormula):
+    if rtag == _TRUE:
         return left
     if left == right:
         return left
     # x & Gx == Gx over non-empty traces
-    if isinstance(right, Always) and right.arg == left:
+    if rtag == _ALWAYS and right[1] == left:
         return right
-    if isinstance(left, Always) and left.arg == right:
+    if ltag == _ALWAYS and left[1] == right:
         return left
-    return And(left, right)
+    return _new(And, (_AND, left, right))
 
 
 def mk_or(left: LtlFormula, right: LtlFormula) -> LtlFormula:
-    if isinstance(left, TrueFormula) or isinstance(right, TrueFormula):
+    ltag, rtag = left[0], right[0]
+    if ltag == _TRUE or rtag == _TRUE:
         return TRUE
-    if isinstance(left, FalseFormula):
+    if ltag == _FALSE:
         return right
-    if isinstance(right, FalseFormula):
+    if rtag == _FALSE:
         return left
     if left == right:
         return left
     # x | Fx == Fx over non-empty traces
-    if isinstance(right, Eventually) and right.arg == left:
+    if rtag == _EVENTUALLY and right[1] == left:
         return right
-    if isinstance(left, Eventually) and left.arg == right:
+    if ltag == _EVENTUALLY and left[1] == right:
         return left
-    return Or(left, right)
+    return _new(Or, (_OR, left, right))
 
 
 def progress(formula: LtlFormula, valuation: Valuation) -> LtlFormula:
@@ -193,47 +257,49 @@ def progress(formula: LtlFormula, valuation: Valuation) -> LtlFormula:
     For any non-empty continuation w, eval(f, v.w) == eval(progress(f, v), w).
     Says nothing about the trace ending at v; see final_eval for that.
     """
-    if isinstance(formula, Atom):
-        return TRUE if _lookup(valuation, formula.name) else FALSE
-    if isinstance(formula, (TrueFormula, FalseFormula)):
+    _tag(formula)
+    return _progress(formula, valuation)
+
+
+def _progress(formula: LtlFormula, valuation: Valuation) -> LtlFormula:
+    tag = formula[0]
+    if tag == _ATOM:
+        return TRUE if _lookup(valuation, formula[1]) else FALSE
+    if tag == _AND:
+        return mk_and(_progress(formula[1], valuation), _progress(formula[2], valuation))
+    if tag == _ALWAYS:
+        return mk_and(_progress(formula[1], valuation), formula)
+    if tag == _EVENTUALLY:
+        return mk_or(_progress(formula[1], valuation), formula)
+    if tag == _NOT:
+        return mk_not(_progress(formula[1], valuation))
+    if tag == _OR:
+        return mk_or(_progress(formula[1], valuation), _progress(formula[2], valuation))
+    if tag == _TRUE or tag == _FALSE:
         return formula
-    if isinstance(formula, Not):
-        return mk_not(progress(formula.arg, valuation))
-    if isinstance(formula, And):
-        return mk_and(
-            progress(formula.left, valuation), progress(formula.right, valuation)
-        )
-    if isinstance(formula, Or):
-        return mk_or(
-            progress(formula.left, valuation), progress(formula.right, valuation)
-        )
-    if isinstance(formula, Always):
-        return mk_and(progress(formula.arg, valuation), formula)
-    if isinstance(formula, Eventually):
-        return mk_or(progress(formula.arg, valuation), formula)
     raise TypeError(f"not a formula: {formula!r}")
 
 
 def final_eval(formula: LtlFormula, valuation: Valuation) -> bool:
     """Truth of the formula on the one-state trace [valuation]."""
-    if isinstance(formula, Atom):
-        return _lookup(valuation, formula.name)
-    if isinstance(formula, TrueFormula):
-        return True
-    if isinstance(formula, FalseFormula):
-        return False
-    if isinstance(formula, Not):
-        return not final_eval(formula.arg, valuation)
-    if isinstance(formula, And):
-        return final_eval(formula.left, valuation) and final_eval(
-            formula.right, valuation
-        )
-    if isinstance(formula, Or):
-        return final_eval(formula.left, valuation) or final_eval(
-            formula.right, valuation
-        )
-    if isinstance(formula, (Always, Eventually)):
-        return final_eval(formula.arg, valuation)
+    _tag(formula)
+    return _final_eval(formula, valuation)
+
+
+def _final_eval(formula: LtlFormula, valuation: Valuation) -> bool:
+    tag = formula[0]
+    if tag == _ATOM:
+        return _lookup(valuation, formula[1])
+    if tag == _AND:
+        return _final_eval(formula[1], valuation) and _final_eval(formula[2], valuation)
+    if tag == _OR:
+        return _final_eval(formula[1], valuation) or _final_eval(formula[2], valuation)
+    if tag == _NOT:
+        return not _final_eval(formula[1], valuation)
+    if tag == _ALWAYS or tag == _EVENTUALLY:
+        return _final_eval(formula[1], valuation)
+    if tag == _TRUE or tag == _FALSE:
+        return tag == _TRUE
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -257,9 +323,9 @@ def monitor(formula: LtlFormula, prefix: PropTrace) -> Verdict:
     for valuation in prefix:
         residual = progress(residual, valuation)
     prefix_value = eval_finite(formula, prefix)
-    if isinstance(residual, TrueFormula) and prefix_value:
+    if residual[0] == _TRUE and prefix_value:
         return Verdict.SATISFIED_ALL_EXTENSIONS
-    if isinstance(residual, FalseFormula) and not prefix_value:
+    if residual[0] == _FALSE and not prefix_value:
         return Verdict.VIOLATED_ALL_EXTENSIONS
     return Verdict.UNDETERMINED
 
@@ -295,7 +361,8 @@ def _depth(formula: LtlFormula) -> int:
     while stack:
         f, depth = stack.pop()
         deepest = max(deepest, depth)
-        stack.extend((g, depth + 1) for g in vars(f).values() if not isinstance(g, str))
+        if f[0] != _ATOM:
+            stack.extend((g, depth + 1) for g in f[1:])
     return deepest
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 
 from divplan import pddl
@@ -66,6 +66,7 @@ from divplan.ltl import (
     PropTrace,
     TrueFormula,
     UnknownAtom,
+    _lookup,
     atoms,
     final_eval,
     progress,
@@ -799,4 +800,208 @@ def truth_vector(formula: LtlFormula, trace: PropTrace) -> list[bool]:
             acc = av[i] or acc
             out[i] = acc
         return out
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+# -- the dataclass formula AST that ltl's tagged tuples replaced -----------------
+# Nodes compare by class and fields, as Python-level dataclass methods; the
+# functions below are ltl's progression, evaluation and simplifying
+# constructors as they were written over them, kept as the differential
+# reference for the tuple form.
+
+
+@dataclass(frozen=True)
+class RefAtom:
+    name: str
+
+
+@dataclass(frozen=True)
+class RefNot:
+    arg: object
+
+
+@dataclass(frozen=True)
+class RefAnd:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class RefOr:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class RefAlways:
+    arg: object
+
+
+@dataclass(frozen=True)
+class RefEventually:
+    arg: object
+
+
+@dataclass(frozen=True)
+class RefTrueFormula:
+    pass
+
+
+@dataclass(frozen=True)
+class RefFalseFormula:
+    pass
+
+
+REF_TRUE = RefTrueFormula()
+REF_FALSE = RefFalseFormula()
+
+_TO_REF = {
+    Atom: RefAtom,
+    Not: RefNot,
+    And: RefAnd,
+    Or: RefOr,
+    Always: RefAlways,
+    Eventually: RefEventually,
+    TrueFormula: RefTrueFormula,
+    FalseFormula: RefFalseFormula,
+}
+_FROM_REF = {ref: kind for kind, ref in _TO_REF.items()}
+
+
+def to_reference(formula: LtlFormula):
+    """The reference node for a formula, read by its class and field names
+    (never its tag)."""
+    ref = _TO_REF[type(formula)]
+    if ref is RefAtom:
+        return RefAtom(formula.name)
+    return ref(*(to_reference(getattr(formula, f.name)) for f in fields(ref)))
+
+
+def from_reference(node) -> LtlFormula:
+    kind = _FROM_REF[type(node)]
+    if kind is Atom:
+        return Atom(node.name)
+    return kind(*(from_reference(getattr(node, f.name)) for f in fields(node)))
+
+
+def reference_eval_finite(formula, trace: PropTrace) -> bool:
+    if len(trace) == 0:
+        raise ValueError("trace must be non-empty")
+    return bool(_reference_mask(formula, trace, (1 << len(trace)) - 1) & 1)
+
+
+def _reference_mask(formula, trace: PropTrace, full: int) -> int:
+    if isinstance(formula, RefAtom):
+        mask = 0
+        for i, valuation in enumerate(trace):
+            if _lookup(valuation, formula.name):
+                mask |= 1 << i
+        return mask
+    if isinstance(formula, RefTrueFormula):
+        return full
+    if isinstance(formula, RefFalseFormula):
+        return 0
+    if isinstance(formula, RefNot):
+        return full ^ _reference_mask(formula.arg, trace, full)
+    if isinstance(formula, RefAnd):
+        return _reference_mask(formula.left, trace, full) & _reference_mask(
+            formula.right, trace, full
+        )
+    if isinstance(formula, RefOr):
+        return _reference_mask(formula.left, trace, full) | _reference_mask(
+            formula.right, trace, full
+        )
+    if isinstance(formula, RefAlways):
+        cut = (full ^ _reference_mask(formula.arg, trace, full)).bit_length()
+        return full >> cut << cut
+    if isinstance(formula, RefEventually):
+        return (1 << _reference_mask(formula.arg, trace, full).bit_length()) - 1
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def reference_mk_not(f):
+    if isinstance(f, RefTrueFormula):
+        return REF_FALSE
+    if isinstance(f, RefFalseFormula):
+        return REF_TRUE
+    if isinstance(f, RefNot):
+        return f.arg
+    return RefNot(f)
+
+
+def reference_mk_and(left, right):
+    if isinstance(left, RefFalseFormula) or isinstance(right, RefFalseFormula):
+        return REF_FALSE
+    if isinstance(left, RefTrueFormula):
+        return right
+    if isinstance(right, RefTrueFormula):
+        return left
+    if left == right:
+        return left
+    if isinstance(right, RefAlways) and right.arg == left:
+        return right
+    if isinstance(left, RefAlways) and left.arg == right:
+        return left
+    return RefAnd(left, right)
+
+
+def reference_mk_or(left, right):
+    if isinstance(left, RefTrueFormula) or isinstance(right, RefTrueFormula):
+        return REF_TRUE
+    if isinstance(left, RefFalseFormula):
+        return right
+    if isinstance(right, RefFalseFormula):
+        return left
+    if left == right:
+        return left
+    if isinstance(right, RefEventually) and right.arg == left:
+        return right
+    if isinstance(left, RefEventually) and left.arg == right:
+        return left
+    return RefOr(left, right)
+
+
+def reference_progress(formula, valuation):
+    if isinstance(formula, RefAtom):
+        return REF_TRUE if _lookup(valuation, formula.name) else REF_FALSE
+    if isinstance(formula, (RefTrueFormula, RefFalseFormula)):
+        return formula
+    if isinstance(formula, RefNot):
+        return reference_mk_not(reference_progress(formula.arg, valuation))
+    if isinstance(formula, RefAnd):
+        return reference_mk_and(
+            reference_progress(formula.left, valuation),
+            reference_progress(formula.right, valuation),
+        )
+    if isinstance(formula, RefOr):
+        return reference_mk_or(
+            reference_progress(formula.left, valuation),
+            reference_progress(formula.right, valuation),
+        )
+    if isinstance(formula, RefAlways):
+        return reference_mk_and(reference_progress(formula.arg, valuation), formula)
+    if isinstance(formula, RefEventually):
+        return reference_mk_or(reference_progress(formula.arg, valuation), formula)
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def reference_final_eval(formula, valuation) -> bool:
+    if isinstance(formula, RefAtom):
+        return _lookup(valuation, formula.name)
+    if isinstance(formula, RefTrueFormula):
+        return True
+    if isinstance(formula, RefFalseFormula):
+        return False
+    if isinstance(formula, RefNot):
+        return not reference_final_eval(formula.arg, valuation)
+    if isinstance(formula, RefAnd):
+        return reference_final_eval(formula.left, valuation) and reference_final_eval(
+            formula.right, valuation
+        )
+    if isinstance(formula, RefOr):
+        return reference_final_eval(formula.left, valuation) or reference_final_eval(
+            formula.right, valuation
+        )
+    if isinstance(formula, (RefAlways, RefEventually)):
+        return reference_final_eval(formula.arg, valuation)
     raise TypeError(f"not a formula: {formula!r}")

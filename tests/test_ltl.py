@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +12,12 @@ from divplan.ltl import (
     And,
     Atom,
     Eventually,
+    FalseFormula,
     MAX_FORMULA_DEPTH,
     LtlSyntaxError,
     Not,
     Or,
+    TrueFormula,
     UnknownAtom,
     Verdict,
     atoms,
@@ -26,7 +30,19 @@ from divplan.ltl import (
     parse_formula,
     progress,
 )
-from oracles import format_formula, truth_vector
+from oracles import (
+    format_formula,
+    from_reference,
+    random_formula,
+    reference_eval_finite,
+    reference_final_eval,
+    reference_mk_and,
+    reference_mk_not,
+    reference_mk_or,
+    reference_progress,
+    to_reference,
+    truth_vector,
+)
 
 A, B = Atom("a"), Atom("b")
 
@@ -156,6 +172,91 @@ _traces = st.lists(st.sampled_from(VALS), min_size=1, max_size=5).map(tuple)
 @given(_formulas)
 def test_roundtrip_property(f):
     assert parse_formula(format_formula(f)) == f
+
+
+# -- formulas as values ----------------------------------------------------------
+
+KINDS = [
+    (lambda: Atom("a"), "Atom(name='a')"),
+    (lambda: Not(Atom("a")), "Not(arg=Atom(name='a'))"),
+    (lambda: And(Atom("a"), TrueFormula()), "And(left=Atom(name='a'), right=TrueFormula())"),
+    (lambda: Or(Atom("a"), FalseFormula()), "Or(left=Atom(name='a'), right=FalseFormula())"),
+    (lambda: Always(Atom("a")), "Always(arg=Atom(name='a'))"),
+    (lambda: Eventually(Atom("a")), "Eventually(arg=Atom(name='a'))"),
+    (TrueFormula, "TrueFormula()"),
+    (FalseFormula, "FalseFormula()"),
+]
+# each kind's fields, given to every other kind of the same arity
+SAME_ARITY = [(Not, Always, Eventually), (And, Or), (TrueFormula, FalseFormula)]
+
+
+@pytest.mark.parametrize("build,text", KINDS, ids=[text.split("(")[0] for _, text in KINDS])
+def test_formulas_are_values(build, text):
+    f = build()
+    assert repr(f) == text
+    twin = build()
+    assert twin == f and hash(twin) == hash(f)
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert type(copied) is type(f)
+        assert copied == f and hash(copied) == hash(f)
+    for other in next((kinds for kinds in SAME_ARITY if type(f) in kinds), ()):
+        if other is not type(f):
+            assert other(*(getattr(f, n) for n in f._fields)) != f
+
+
+def test_a_non_formula_is_a_type_error():
+    valuation = {"a": True, "b": True}
+    for call in (
+        lambda: progress(None, valuation),
+        lambda: final_eval("a", valuation),
+        lambda: eval_finite(3, (valuation,)),
+        lambda: atoms(object()),
+        # a field that is not a formula
+        lambda: progress(Not("a"), valuation),
+        lambda: final_eval(And(A, "b"), valuation),
+        lambda: eval_finite(Eventually("a"), (valuation,)),
+        lambda: atoms(Or(A, "b")),
+    ):
+        with pytest.raises(TypeError, match="not a formula"):
+            call()
+
+
+# every node kind, to depth 6; depth 0 draws a leaf
+_random_formulas = st.builds(
+    random_formula, st.randoms(use_true_random=False), st.integers(0, 6), st.just((A, B, TRUE, FALSE))
+)
+
+
+@given(
+    _random_formulas,
+    _random_formulas,
+    st.sampled_from(["free", "same", "always", "eventually", "not"]),
+    st.booleans(),
+    st.sampled_from(VALS),
+    _traces,
+)
+@settings(max_examples=300, deadline=None)
+def test_tagged_formulas_match_the_dataclass_reference(f, free, pairing, swap, v, trace):
+    # results are compared as dataclasses, which are equal only within a class
+    ref = to_reference(f)
+    assert from_reference(ref) == f
+    assert repr(f) == repr(ref).replace("Ref", "")
+    assert to_reference(progress(f, v)) == reference_progress(ref, v)
+    assert final_eval(f, v) == reference_final_eval(ref, v)
+    assert eval_finite(f, trace) == reference_eval_finite(ref, trace)
+    assert to_reference(mk_not(f)) == reference_mk_not(ref)
+    # a second operand that each of the mk_* rewrites can fire on
+    g = {
+        "free": free,
+        "same": f,
+        "always": Always(f),
+        "eventually": Eventually(f),
+        "not": Not(f),
+    }[pairing]
+    left, right = (g, f) if swap else (f, g)
+    refs = to_reference(left), to_reference(right)
+    assert to_reference(mk_and(left, right)) == reference_mk_and(*refs)
+    assert to_reference(mk_or(left, right)) == reference_mk_or(*refs)
 
 
 # -- finite-trace evaluation -----------------------------------------------------
