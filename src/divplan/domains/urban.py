@@ -7,9 +7,10 @@ green/commercial/facility land) and diversity (normalised Shannon entropy of
 the five use proportions). Planning is over a fixed action budget; every
 plan runs the full budget and is judged by where the scores settle.
 
-A grid is a `NamedTuple`, so the search hashes and compares it in C. A step
-counts the source cells and finds only the few it rewrites; both scores read
-only the land-use mix (five counts), and the simulator keys valuations by it.
+A grid is a `NamedTuple`, so the search hashes and compares it in C. Both
+scores read only the land-use mix (five counts), which the grid carries: a
+step reads the source count from it, finds only the few cells it rewrites
+and moves those counts, and the simulator keys valuations by the mix.
 """
 
 from __future__ import annotations
@@ -59,25 +60,51 @@ class _GridFields(NamedTuple):
     height: int
     cells: tuple  # row-major, one CELL_CODES letter per cell
     counter: int
+    mix: tuple  # the count of each land use, in LAND_USES order
 
 
 class UrbanGrid(_GridFields):
     """A grid from input: `UrbanGrid(width, height, cells[, counter])`
-    checks its shape, cell codes and counter."""
+    stores the cells as a tuple, checks its shape, cell codes and counter,
+    and counts its land-use `mix`, so `len(grid)` is 5 and the repr shows
+    the mix. `mix` is a function of `cells`, so equality stays exact."""
 
     __slots__ = ()
 
-    def __new__(cls, width: int, height: int, cells: tuple, counter: int = 0):
+    def __new__(cls, width: int, height: int, cells, counter: int = 0):
         if width < 1 or height < 1:
             raise ValueError("grid dimensions must be positive")
+        cells = tuple(cells)
         if len(cells) != width * height:
             raise ValueError(f"expected {width * height} cells, got {len(cells)}")
-        bad = sorted({c for c in cells if c not in CELL_CODES})
-        if bad:
+        mix = tuple(map(cells.count, LAND_USES))
+        if sum(mix) + cells.count(EMPTY) != len(cells):
+            bad = sorted({c for c in cells if c not in CELL_CODES})
             raise ValueError(f"unknown cell codes: {bad}")
         if counter < 0:
             raise ValueError("step counter cannot be negative")
-        return _new_grid(cls, (width, height, cells, counter))
+        return _new_grid(cls, (width, height, cells, counter, mix))
+
+    @classmethod
+    def _make(cls, fields) -> UrbanGrid:
+        """A checked grid from all five fields; a `mix` that is not the
+        count of `cells` raises ValueError."""
+        width, height, cells, counter, mix = fields
+        grid = cls(width, height, cells, counter)
+        if tuple(mix) != grid.mix:
+            raise ValueError(f"mix {tuple(mix)} does not count the cells {grid.mix}")
+        return grid
+
+    def _replace(self, **changes) -> UrbanGrid:
+        """A checked grid with these fields changed; the mix follows the
+        cells, so changing `mix` itself is a TypeError."""
+        width, height, cells, counter, _ = self
+        fields = dict(width=width, height=height, cells=cells, counter=counter)
+        return type(self)(**{**fields, **changes})
+
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild a grid through the checked constructor
+        return self[:4]
 
     def count(self, code: str) -> int:
         return self.cells.count(code)
@@ -115,7 +142,15 @@ RULES = (
     ConversionRule(COMMERCIAL, (RESIDENTIAL, OFFICE)),
     ConversionRule(FACILITY, (OFFICE, GREEN)),
 )
-_RULE_FOR_ACTION = {rule.action: rule for rule in RULES}
+# action -> (source, its mix slot, ((target, its mix slot), ...))
+_STEPS = {
+    rule.action: (
+        rule.source,
+        LAND_USES.index(rule.source),
+        tuple((target, LAND_USES.index(target)) for target in rule.targets),
+    )
+    for rule in RULES
+}
 
 DEFAULT_BUDGET = 10
 
@@ -124,12 +159,6 @@ ATOMS = tuple(f"{b.label}_{f}" for f in "SD" for b in DEFAULT_BINS) + (HORIZON_V
 
 
 # -- scores --------------------------------------------------------------------
-
-
-def land_use_mix(grid: UrbanGrid) -> tuple:
-    """The grid's count of each land use, in LAND_USES order: all that
-    either score reads."""
-    return tuple(map(grid.cells.count, LAND_USES))
 
 
 def mix_scores(mix: tuple) -> tuple:
@@ -153,11 +182,11 @@ def mix_scores(mix: tuple) -> tuple:
 
 
 def sustainability_score(grid: UrbanGrid) -> float:
-    return mix_scores(land_use_mix(grid))[0]
+    return mix_scores(grid.mix)[0]
 
 
 def diversity_score(grid: UrbanGrid) -> float:
-    return mix_scores(land_use_mix(grid))[1]
+    return mix_scores(grid.mix)[1]
 
 
 # -- dynamics ------------------------------------------------------------------
@@ -166,33 +195,31 @@ def diversity_score(grid: UrbanGrid) -> float:
 def urban_step(grid: UrbanGrid, action: str) -> UrbanGrid:
     """Apply one conversion action; a step is consumed even when no source
     cells exist (the action is legal but vacuous)."""
-    rule = _RULE_FOR_ACTION.get(action)
-    if rule is None:
+    try:
+        source, slot, targets = _STEPS[action]
+    except KeyError:
         raise ValueError(
-            f"unknown action {action!r}; expected one of {sorted(_RULE_FOR_ACTION)}"
-        )
-    cells, source = grid.cells, rule.source
-    found = cells.count(source)
+            f"unknown action {action!r}; expected one of {sorted(_STEPS)}"
+        ) from None
+    cells, mix = grid.cells, grid.mix
+    found = mix[slot]
     if found:
         affected = math.ceil(CONVERSION_FRACTION * found)
-        share, remainder = divmod(affected, len(rule.targets))
-        quotas = [share] * len(rule.targets)
-        quotas[0] += remainder
-        rewritten = list(cells)
-        i = -1
-        for target, quota in zip(rule.targets, quotas):
+        share, remainder = divmod(affected, len(targets))
+        rewritten, counts = list(cells), list(mix)
+        counts[slot] -= affected
+        quota, i = share + remainder, -1  # the remainder goes to the first target
+        for target, target_slot in targets:
+            counts[target_slot] += quota
             for _ in range(quota):
                 i = cells.index(source, i + 1)
                 rewritten[i] = target
-        cells = tuple(rewritten)
-    return _successor(grid, cells)
-
-
-def _successor(grid: UrbanGrid, cells: tuple) -> UrbanGrid:
-    """The grid after one step, holding cells. A rule keeps the shape and
-    writes only land-use codes, so the successor skips the checks
-    `UrbanGrid.__new__` makes of grids that come from input."""
-    return _new_grid(UrbanGrid, (grid.width, grid.height, cells, grid.counter + 1))
+            quota = share
+        cells, mix = tuple(rewritten), tuple(counts)
+    # a rule keeps the shape, writes only land-use codes and moves the
+    # counts it rewrites, so the successor skips the checks (and the
+    # recount) `UrbanGrid.__new__` makes of grids that come from input
+    return _new_grid(UrbanGrid, (grid.width, grid.height, cells, grid.counter + 1, mix))
 
 
 def _mix_valuation(mix: tuple, reached: bool) -> dict:
@@ -254,7 +281,7 @@ class UrbanSimulator:
     def propositions(self, grid: UrbanGrid) -> dict:
         """The grid's valuation, a dict shared with every caller and with
         grids of the same land-use mix: read it, never mutate it."""
-        return self._valuation(land_use_mix(grid), grid.counter >= self.budget)
+        return self._valuation(grid.mix, grid.counter >= self.budget)
 
     def is_goal(self, grid: UrbanGrid) -> bool:
         return grid.counter == self.budget

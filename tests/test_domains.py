@@ -1,7 +1,9 @@
 """Tests for the bundled domains: urban grid, platformer, story, tiny."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from collections import deque
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divplan.bspace import bin_label, DEFAULT_BINS
+from divplan.bspace import bin_label, DEFAULT_BINS, HORIZON_VALUE
 from divplan.core import validate_plan
 from divplan.domains import get_domain, BUNDLED
 from divplan.domains.platformer import (
@@ -32,6 +34,8 @@ from divplan.domains.urban import (
     ATOMS,
     CELL_CODES,
     DEFAULT_BUDGET as URBAN_BUDGET,
+    EMPTY,
+    LAND_USES,
     RULES,
     EmptyGrid,
     UrbanGrid,
@@ -195,6 +199,37 @@ def test_stepped_grids_equal_checked_grids():
             assert repr(succ) == repr(checked)
 
 
+def test_replace_rebuilds_a_checked_grid_and_never_sets_the_mix():
+    g = bundled_grid()
+    assert g._replace(counter=4) == UrbanGrid(6, 6, g.cells, 4)
+    greened = g._replace(cells=["G"] * 36)
+    assert greened == UrbanGrid(6, 6, ("G",) * 36) and greened.mix == (0, 0, 36, 0, 0)
+    with pytest.raises(ValueError, match=r"^unknown cell codes: \['X'\]$"):
+        g._replace(cells=("X",) * 36)
+    with pytest.raises(ValueError, match="^expected 36 cells, got 1$"):
+        g._replace(cells=("G",))
+    with pytest.raises(TypeError):
+        g._replace(mix=(36, 0, 0, 0, 0))
+
+
+def test_make_checks_the_fields_and_refuses_a_mix_of_other_cells():
+    g = bundled_grid()
+    assert UrbanGrid._make(tuple(g)) == g and UrbanGrid._make(list(g)) == g
+    with pytest.raises(ValueError, match="does not count the cells"):
+        UrbanGrid._make(g[:4] + ((36, 0, 0, 0, 0),))
+    with pytest.raises(ValueError, match="^step counter cannot be negative$"):
+        UrbanGrid._make((6, 6, g.cells, -1, g.mix))
+    with pytest.raises(ValueError):
+        UrbanGrid._make(g[:4])
+
+
+def test_grids_copy_and_pickle_through_the_checked_constructor():
+    g = urban_step(bundled_grid(), "convert-green")
+    assert len(g) == 5 and repr(g).endswith(f"mix={g.mix})")
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(twin) is UrbanGrid and twin == g and hash(twin) == hash(g)
+
+
 def test_bundled_grid_composition():
     g = bundled_grid()
     assert (g.width, g.height, g.counter) == (6, 6, 0)
@@ -244,6 +279,50 @@ def test_urban_step_matches_the_reference(grid0, action):
     assert (succ.cells, succ.counter) == (checked.cells, checked.counter)
     assert succ == checked and hash(succ) == hash(checked)
     assert repr(succ) == repr(checked)
+
+
+def reference_valuation(grid, reached):
+    """The valuation `propositions` should give, rebuilt from the
+    cell-by-cell reference scores."""
+    valuation = dict.fromkeys(ATOMS, False)
+    for score, suffix in zip(reference_scores(grid), "SD"):
+        valuation[f"{bin_label(DEFAULT_BINS, score)}_{suffix}"] = True
+    valuation[HORIZON_VALUE] = reached
+    return valuation
+
+
+def assert_propositions_match_the_reference(sim, grid):
+    reached = grid.counter >= sim.budget
+    if set(grid.cells) == {EMPTY}:
+        with pytest.raises(EmptyGrid):
+            sim.propositions(grid)
+        with pytest.raises(EmptyGrid):
+            reference_valuation(grid, reached)
+    else:
+        assert sim.propositions(grid) == reference_valuation(grid, reached)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    urban_grids(),
+    st.lists(
+        st.sampled_from([rule.action for rule in RULES]), min_size=1, max_size=URBAN_BUDGET
+    ),
+)
+@example(UrbanGrid(7, 1, tuple("GGGRRCE"), 0), ["convert-green"] * 3)
+def test_urban_runs_carry_the_mix_the_reference_recounts(grid0, actions):
+    # a run to the budget: every successor's mix is its cells' count, the
+    # grid is the reference's checked grid, and its valuation the reference's
+    sim = UrbanSimulator(grid0, budget=grid0.counter + len(actions))
+    grid = sim.initial()
+    assert_propositions_match_the_reference(sim, grid)
+    for action in actions:
+        checked = reference_urban_step(grid, action)
+        grid = sim.step(grid, action)
+        assert grid.mix == tuple(map(grid.cells.count, LAND_USES))
+        assert grid == checked and hash(grid) == hash(checked)
+        assert_propositions_match_the_reference(sim, grid)
+    assert sim.is_goal(grid)
 
 
 def test_propositions_bin_every_4x4_mix_as_the_reference_scores():

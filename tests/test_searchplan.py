@@ -32,6 +32,7 @@ from divplan.domains.urban import (
     bundled_grid,
     urban_simulator,
     urban_space,
+    urban_step,
 )
 from divplan.cli import EXIT_OK, _space_of, main
 from divplan.domains import get_domain
@@ -413,6 +414,23 @@ def test_exhausting_sweep_finds_every_realisable_cell(seed):
             states.append(sim.step(states[-1], action))
         cells.add(pbehaviour(space, PlanTrace(Plan(sequence), tuple(states))))
     assert set(result.behaviours[: result.bdc]) == cells
+
+
+@pytest.mark.parametrize("kind", [list, str])
+def test_list_and_string_cells_build_the_tuple_grid_and_plan_alike(kind):
+    codes = "".join(seeded_grid(4, side=4).cells)
+    grid, twin = UrbanGrid(4, 4, kind(codes)), UrbanGrid(4, 4, tuple(codes))
+    assert type(grid.cells) is tuple
+    assert grid == twin and hash(grid) == hash(twin) and repr(grid) == repr(twin)
+    # convert-office is vacuous on "RG": its successor keeps the given cells
+    pair = UrbanGrid(2, 1, kind("RG")), UrbanGrid(2, 1, ("R", "G"))
+    assert pair[0] == pair[1] and hash(pair[0]) == hash(pair[1])
+    assert urban_step(pair[0], "convert-office") == urban_step(pair[1], "convert-office")
+    runs = [
+        run_fbi(behaviour_generator_ltl, *urban_case(g, 3)[:2], 12, cfg())
+        for g in (grid, twin)
+    ]
+    assert runs[0] == runs[1] and runs[0].bdc > 1
 
 
 def test_spent_node_budget_still_returns_a_realised_cell():
