@@ -244,10 +244,10 @@ DEFAULT_BINS = (
 )
 
 
-def bin_label(bins: Sequence[Bin], score: float) -> str:
-    if score == bins[0].lower:  # only the first bin is closed on the left
-        return bins[0].label
-    for b in bins:
+def bin_label(score: float) -> str:
+    if score == DEFAULT_BINS[0].lower:  # only the first bin is closed on the left
+        return DEFAULT_BINS[0].label
+    for b in DEFAULT_BINS:
         if b.lower < score <= b.upper:
             return b.label
     raise ExtractorRangeError(f"score {score} outside [0, 100]")
@@ -272,7 +272,7 @@ def categorical_score_feature(
         score = score_fn(trace)
         if score is None:
             return HORIZON_VALUE
-        return bin_label(DEFAULT_BINS, score)
+        return bin_label(score)
 
     def settles(inner: LtlFormula) -> LtlFormula:
         return Eventually(Always(inner))

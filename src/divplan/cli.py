@@ -122,42 +122,41 @@ def _space_of(doc, subject, where: str) -> BehaviourSpace:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _check_backend(backend: Optional[str], declarative: bool) -> None:
-    """A --backend that was given must be the one the source implies."""
-    if backend == "sat" and not declarative:
-        raise ConfigError(
-            "the sat backend needs a declarative problem (PDDL, problem JSON, "
-            "or a declarative bundled domain such as 'story')"
-        )
-    if backend == "search" and declarative:
-        raise ConfigError(
-            "the search backend needs a simulator domain "
-            "('urban' or 'platformer')"
-        )
-
-
 # ---------------------------------------------------------------------------
 # plan
 # ---------------------------------------------------------------------------
 
 
-# the plan options each backend reads; they default to None, so cmd_plan
-# tells a given one from an absent one and fills in the defaults itself
-_BACKEND_OPTIONS = {
-    "sat": ("horizon_min", "horizon_max", "max_conflicts"),
-    "search": ("node_budget", "strategy"),
+# each backend: the source it needs, and the plan options it reads; the
+# options default to None, so cmd_plan tells a given one from an absent one
+# and fills in the defaults itself
+_BACKENDS = {
+    "sat": (
+        "a declarative problem (PDDL, problem JSON, "
+        "or a declarative bundled domain such as 'story')",
+        ("horizon_min", "horizon_max", "max_conflicts"),
+    ),
+    "search": (
+        "a simulator domain ('urban' or 'platformer')",
+        ("node_budget", "strategy"),
+    ),
 }
 
 
-def _check_options(args, backend: str) -> None:
-    """Refuse a given option that `backend` does not read."""
-    other = "search" if backend == "sat" else "sat"
-    for name in _BACKEND_OPTIONS[other]:
+def _check_options(args, declarative: bool) -> str:
+    """The backend the source implies. A --backend naming the other one is
+    refused, and then any given option that only the other one reads."""
+    backend, other = ("sat", "search") if declarative else ("search", "sat")
+    needs, options = _BACKENDS[other]
+    if args.backend == other:
+        raise ConfigError(f"the {other} backend needs {needs}")
+    for name in options:
         if getattr(args, name) is not None:
             flag = "--" + name.replace("_", "-")
             raise ConfigError(
                 f"{flag} is a {other} option; the {backend} backend does not read it"
             )
+    return backend
 
 
 def _counted(fn, counts, key):
@@ -177,9 +176,7 @@ def _check_out(path: str) -> None:
 def cmd_plan(args) -> int:
     subject, space, source = _resolve_source(args)
     declarative = isinstance(subject, GroundProblem)
-    _check_backend(args.backend, declarative)
-    backend = "sat" if declarative else "search"
-    _check_options(args, backend)
+    backend = _check_options(args, declarative)
     if declarative and os.environ.get(EXTERNAL_SOLVER_ENV):
         raise ConfigError(
             f"{EXTERNAL_SOLVER_ENV} is set, but the external SAT solver is gone; "

@@ -151,6 +151,7 @@ _STEPS = {
     )
     for rule in RULES
 }
+ACTIONS = tuple(_STEPS)  # in RULES order
 
 DEFAULT_BUDGET = 10
 
@@ -225,8 +226,8 @@ def urban_step(grid: UrbanGrid, action: str) -> UrbanGrid:
 def _mix_valuation(mix: tuple, reached: bool) -> dict:
     sustainability, diversity = mix_scores(mix)
     valuation = dict.fromkeys(ATOMS, False)
-    valuation[f"{bin_label(DEFAULT_BINS, sustainability)}_S"] = True
-    valuation[f"{bin_label(DEFAULT_BINS, diversity)}_D"] = True
+    valuation[f"{bin_label(sustainability)}_S"] = True
+    valuation[f"{bin_label(diversity)}_D"] = True
     valuation[HORIZON_VALUE] = reached
     return valuation
 
@@ -250,18 +251,19 @@ SCORES = {
 class UrbanSimulator:
     """Search interface over grids: states are grids, actions are rules.
 
-    Goal states are exactly those at the step budget, so every plan runs the
-    full budget. Propositions expose one sustainability-bin atom, one
-    diversity-bin atom, and the budget marker.
+    Actions come from `_STEPS`, the table `urban_step` reads, so `rules`
+    configures nothing. Goal states are exactly those at the step budget, so
+    every plan runs the full budget. Propositions expose one
+    sustainability-bin atom, one diversity-bin atom, and the budget marker.
     """
 
+    rules = RULES
     scores = SCORES
 
     def __init__(self, grid0: UrbanGrid, budget: int = DEFAULT_BUDGET):
         if budget < 1:
             raise ValueError("budget must be positive")
         self.grid0 = grid0
-        self.rules = RULES
         self.budget = budget
         # over a module function, so the simulator is not in a reference
         # cycle; per simulator, so each request starts from a cold memo
@@ -271,9 +273,7 @@ class UrbanSimulator:
         return self.grid0
 
     def legal_actions(self, grid: UrbanGrid):
-        if grid.counter >= self.budget:
-            return []
-        return [rule.action for rule in self.rules]
+        return () if grid.counter >= self.budget else ACTIONS
 
     def step(self, grid: UrbanGrid, action: str) -> UrbanGrid:
         return urban_step(grid, action)

@@ -9,7 +9,9 @@ Each rule is checked in one place:
 
 * the parser (`_read_define`, `_parse_*`) checks the document's shape:
   balanced parentheses, the ``(define (KIND NAME) ...)`` header, known
-  sections and keywords, literal syntax, and the unsupported features;
+  sections and keywords, and literal syntax. It refuses an unsupported
+  requirement or section where it reads one, and `_parse_literal` an
+  unsupported construct (`_UNSUPPORTED_HEADS`) wherever a literal stands;
 * `_validate_domain` checks types, unique action and parameter names, and
   that no action adds and deletes one atom;
 * `_check_atom` checks one atom of an action schema, the init or the goal:
@@ -293,11 +295,24 @@ def _parse_typed_names(nodes: list, what: str) -> tuple[TypedName, ...]:
     return tuple(out)
 
 
+# heads outside the subset, refused wherever a literal is parsed
+_UNSUPPORTED_HEADS = {
+    "when": "conditional effects",
+    "forall": "universal quantification",
+    "increase": "numeric fluents",
+    "decrease": "numeric fluents",
+    "assign": "numeric fluents",
+    "oneof": "nondeterministic effects",
+}
+
+
 def _parse_literal(node: _Sexp, allow_equality: bool) -> LiteralAst:
     lst = _expect_list(node, "a literal")
     if not lst or not isinstance(lst[0], _SAtom):
         raise _err(lst, "empty or malformed literal")
     head = lst[0].text
+    if head in _UNSUPPORTED_HEADS:
+        raise _unsupported(lst, _UNSUPPORTED_HEADS[head])
     if head == "not":
         if len(lst) != 2:
             raise _err(lst, "'not' takes exactly one literal")
@@ -305,7 +320,7 @@ def _parse_literal(node: _Sexp, allow_equality: bool) -> LiteralAst:
         if not inner.positive:
             raise _err(lst, "double negation is not supported")
         return LiteralAst(inner.pred, inner.args, positive=False)
-    if head in ("and", "or", "exists", "forall", "when", "imply"):
+    if head in ("and", "or", "exists", "imply"):
         raise _err(lst, f"expected a literal, got '{head}'")
     if head == "=" and not allow_equality:
         raise _err(lst, "equality is not allowed here")
@@ -322,30 +337,11 @@ def _parse_literal_conjunction(node: _Sexp, allow_equality: bool) -> tuple[Liter
     return (_parse_literal(lst, allow_equality),)
 
 
-_UNSUPPORTED_EFFECT_HEADS = {
-    "when": "conditional effects",
-    "forall": "quantified effects",
-    "increase": "numeric fluents",
-    "decrease": "numeric fluents",
-    "assign": "numeric fluents",
-    "oneof": "nondeterministic effects",
-}
-
-
 def _parse_effect(node: _Sexp) -> tuple[tuple[LiteralAst, ...], tuple[LiteralAst, ...]]:
     literals = _parse_literal_conjunction(node, allow_equality=False)
     add = tuple(l for l in literals if l.positive)
     delete = tuple(LiteralAst(l.pred, l.args) for l in literals if not l.positive)
     return add, delete
-
-
-def _check_effect_tree(node: _Sexp) -> None:
-    if isinstance(node, _SList) and node and isinstance(node[0], _SAtom):
-        head = node[0].text
-        if head in _UNSUPPORTED_EFFECT_HEADS:
-            raise _unsupported(node, _UNSUPPORTED_EFFECT_HEADS[head])
-        for child in node[1:]:
-            _check_effect_tree(child)
 
 
 def parse_domain(text: str) -> DomainAst:
@@ -404,10 +400,8 @@ def _parse_action(lst: _SList) -> ActionSchema:
         if key == ":parameters":
             params = _parse_typed_names(_expect_list(value, "parameter list"), "parameter")
         elif key == ":precondition":
-            _check_effect_tree(value)
             pre = _parse_literal_conjunction(value, allow_equality=True)
         elif key == ":effect":
-            _check_effect_tree(value)
             add, delete = _parse_effect(value)
         else:
             raise _err(lst[i], f"unknown action keyword {key!r}")
@@ -522,8 +516,6 @@ def _parse_goal(node: _Sexp) -> GoalAst:
             if not p.name.startswith("?"):
                 raise _err(lst, f"exists binds variables, got {p.name!r}")
         return GoalExists(params, _parse_goal(lst[2]))
-    if head == "forall":
-        raise _unsupported(lst, "universal quantification in goals")
     return GoalAtom(_parse_literal(node, allow_equality=True))
 
 
@@ -665,12 +657,13 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
     return GroundProblem(universe | goal.fluents(), tuple(actions), init, goal)
 
 
-_TRUE = "true"
+# the DNF of true: one empty conjunction; shared, so never mutated
+_TRUE = [frozenset()]
 
 
 def _ground_goal(goal, by_type, dynamic, init, atom) -> GoalFormula:
     disjuncts = _goal_dnf(goal, {}, by_type, dynamic, init, atom)
-    if disjuncts is _TRUE:
+    if disjuncts == _TRUE:
         return GoalFormula.trivial()
     if not disjuncts:
         raise PddlError("goal is unsatisfiable after grounding")
@@ -679,7 +672,7 @@ def _ground_goal(goal, by_type, dynamic, init, atom) -> GoalFormula:
 
 
 def _goal_dnf(goal, binding, by_type, dynamic, init, atom):
-    """DNF as a list of frozensets of (Fluent, polarity), or the _TRUE marker."""
+    """DNF as a list of frozensets of (Fluent, polarity); _TRUE if it holds."""
     if isinstance(goal, GoalAtom):
         lit = goal.literal
         args = tuple([binding.get(a, a) for a in lit.args])
@@ -700,7 +693,7 @@ def _goal_dnf(goal, binding, by_type, dynamic, init, atom):
         out: list = []
         for child in goal.children:
             child_dnf = _goal_dnf(child, binding, by_type, dynamic, init, atom)
-            if child_dnf is _TRUE:
+            if child_dnf == _TRUE:
                 return _TRUE
             out.extend(child_dnf)
         return out
@@ -711,7 +704,7 @@ def _goal_dnf(goal, binding, by_type, dynamic, init, atom):
             extended = dict(binding)
             extended.update({p.name: obj for p, obj in zip(goal.params, combo)})
             child_dnf = _goal_dnf(goal.body, extended, by_type, dynamic, init, atom)
-            if child_dnf is _TRUE:
+            if child_dnf == _TRUE:
                 return _TRUE
             out.extend(child_dnf)
         return out
@@ -719,10 +712,6 @@ def _goal_dnf(goal, binding, by_type, dynamic, init, atom):
 
 
 def _dnf_and(left, right):
-    if left is _TRUE:
-        return right
-    if right is _TRUE:
-        return left
     out = []
     for dl in left:
         for dr in right:

@@ -125,16 +125,15 @@ def _first_trace(
     horizon_range: Iterable[int],
     forbidden_at: Callable[[int], Sequence[Hashable]],
     forbid: Callable[[CnfTask, Hashable], list],
-    check: Callable[[PlanTrace], None],
     max_conflicts: Optional[int],
 ) -> Optional[PlanTrace]:
-    """The first checked trace over the horizons within the problem's budget.
+    """The first replayed trace over the horizons within the problem's budget.
 
     At each horizon: skip it if the problem's record closes it under a
     subset of the caller's forbidden items, else solve it with forbid
-    building each item's clause, decode, replay the plan, and let check
-    reject a trace the forbidding clauses should have excluded. None when
-    every horizon is UNSAT.
+    building each item's clause, decode, and replay the plan. None when
+    every horizon is UNSAT. The caller checks that the forbidding clauses
+    excluded what it forbade.
     """
     closed, live, ordered = record_of(_records, problem, lambda: ({}, {}, set()))
     for h in horizon_range:
@@ -163,7 +162,6 @@ def _first_trace(
                 "decoded state sequence disagrees with plan execution; "
                 "the encoding's frame axioms are broken"
             )
-        check(trace)
         return trace
     return None
 
@@ -196,19 +194,18 @@ def behaviour_generator_sat(
         }))
         for behaviour in found
     })
-
-    def check(trace: PlanTrace) -> None:
+    trace = _first_trace(
+        problem, "behaviour", horizon_range, lambda h: forbidden, forbid_behaviour,
+        max_conflicts,
+    )
+    if trace is not None:
         behaviour = pbehaviour(space, trace)
         if behaviour in found:
             raise AssertionError(
                 f"solver returned already-found behaviour {behaviour}; "
                 "behaviour-forbidding clauses are broken"
             )
-
-    return _first_trace(
-        problem, "behaviour", horizon_range, lambda h: forbidden, forbid_behaviour,
-        check, max_conflicts,
-    )
+    return trace
 
 
 def plan_generator_sat(
@@ -229,15 +226,13 @@ def plan_generator_sat(
     of_length: dict = {}
     for labels in sorted(seen_labels):
         of_length.setdefault(len(labels), []).append(labels)
-
-    def check(trace: PlanTrace) -> None:
-        if trace.plan.labels() in seen_labels:
-            raise AssertionError(
-                f"solver returned already-known plan {trace.plan.labels()}; "
-                "plan-forbidding clauses are broken"
-            )
-
-    return _first_trace(
+    trace = _first_trace(
         problem, "plan", horizon_range, lambda h: of_length.get(h, ()), forbid_plan,
-        check, max_conflicts,
+        max_conflicts,
     )
+    if trace is not None and trace.plan.labels() in seen_labels:
+        raise AssertionError(
+            f"solver returned already-known plan {trace.plan.labels()}; "
+            "plan-forbidding clauses are broken"
+        )
+    return trace

@@ -72,7 +72,6 @@ from divplan.ltl import (
     progress,
 )
 from divplan.pddl import (
-    _TRUE,
     GoalAnd,
     GoalAtom,
     GoalExists,
@@ -80,7 +79,6 @@ from divplan.pddl import (
     GroundingExplosion,
     LiteralAst,
     PddlError,
-    _dnf_and,
     _objects_by_type,
     _validate_problem,
 )
@@ -358,7 +356,8 @@ def goal_ending_cells(problem: GroundProblem, horizons) -> set:
 def reference_ground(domain, problem) -> GroundProblem:
     """`pddl.ground` as it was before it compiled schemas: every literal of
     every instantiation is substituted into a fresh LiteralAst and built
-    into a fresh Fluent, and the goal is grounded the same way."""
+    into a fresh Fluent, and the goal is grounded the same way, with a
+    marker for a goal that always holds rather than its DNF."""
     _validate_problem(domain, problem)
     by_type = _objects_by_type(domain, problem)
     dynamic = {
@@ -442,6 +441,24 @@ def _instantiate(schema, binding, dynamic, init):
         add=frozenset(add),
         delete=frozenset(delete),
     )
+
+
+# the grounder's old marker for a goal that always holds
+_TRUE = "true"
+
+
+def _dnf_and(left, right):
+    if left is _TRUE:
+        return right
+    if right is _TRUE:
+        return left
+    out = []
+    for dl in left:
+        for dr in right:
+            merged = dl | dr
+            if len({f for f, _ in merged}) == len(merged):  # no p & !p
+                out.append(merged)
+    return out
 
 
 def _goal_dnf(goal, binding, by_type, dynamic, init):

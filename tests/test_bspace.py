@@ -58,23 +58,23 @@ def test_default_bins_cover_0_to_100():
         assert prev.upper == cur.lower
     assert all(b.lower < b.upper for b in DEFAULT_BINS)
     assert len({b.label for b in DEFAULT_BINS}) == len(DEFAULT_BINS)
-    assert bin_label(DEFAULT_BINS, 0) == "VL"
-    assert bin_label(DEFAULT_BINS, 15) == "VL"
-    assert bin_label(DEFAULT_BINS, 20) == "VL"
-    assert bin_label(DEFAULT_BINS, 25) == "L"
-    assert bin_label(DEFAULT_BINS, 30) == "L"
-    assert bin_label(DEFAULT_BINS, 50) == "M"
-    assert bin_label(DEFAULT_BINS, 60) == "H"
-    assert bin_label(DEFAULT_BINS, 90) == "VH"
-    assert bin_label(DEFAULT_BINS, 95) == "ID"
-    assert bin_label(DEFAULT_BINS, 100) == "ID"
+    assert bin_label(0) == "VL"
+    assert bin_label(15) == "VL"
+    assert bin_label(20) == "VL"
+    assert bin_label(25) == "L"
+    assert bin_label(30) == "L"
+    assert bin_label(50) == "M"
+    assert bin_label(60) == "H"
+    assert bin_label(90) == "VH"
+    assert bin_label(95) == "ID"
+    assert bin_label(100) == "ID"
 
 
 def test_score_out_of_range_is_an_error():
     with pytest.raises(ExtractorRangeError):
-        bin_label(DEFAULT_BINS, 101)
+        bin_label(101)
     with pytest.raises(ExtractorRangeError):
-        bin_label(DEFAULT_BINS, -1)
+        bin_label(-1)
 
 
 # -- domains ----------------------------------------------------------------------

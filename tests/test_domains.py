@@ -96,7 +96,7 @@ def test_diversity_even_split_is_exactly_100_and_in_the_top_bin():
     # unclamped, the entropy ratio rounds to 100.00000000000001 here
     g = UrbanGrid(5, 1, tuple("ROGCF"))
     assert diversity_score(g) == 100.0
-    assert bin_label(DEFAULT_BINS, diversity_score(g)) == "ID"
+    assert bin_label(diversity_score(g)) == "ID"
     assert UrbanSimulator(g, budget=1).propositions(g)["ID_D"]
 
 
@@ -238,8 +238,8 @@ def test_bundled_grid_composition():
     ]
     counts = {c: g.count(c) for c in "GROCFE"}
     assert counts == {"G": 10, "R": 9, "O": 4, "C": 4, "F": 3, "E": 6}
-    assert bin_label(DEFAULT_BINS, sustainability_score(g)) == "H"
-    assert bin_label(DEFAULT_BINS, diversity_score(g)) == "ID"
+    assert bin_label(sustainability_score(g)) == "H"
+    assert bin_label(diversity_score(g)) == "ID"
 
 
 def test_render_grid_plain_and_colored():
@@ -286,7 +286,7 @@ def reference_valuation(grid, reached):
     cell-by-cell reference scores."""
     valuation = dict.fromkeys(ATOMS, False)
     for score, suffix in zip(reference_scores(grid), "SD"):
-        valuation[f"{bin_label(DEFAULT_BINS, score)}_{suffix}"] = True
+        valuation[f"{bin_label(score)}_{suffix}"] = True
     valuation[HORIZON_VALUE] = reached
     return valuation
 
@@ -340,7 +340,7 @@ def test_propositions_bin_every_4x4_mix_as_the_reference_scores():
             continue
         scores = reference_scores(g)
         assert (sustainability_score(g), diversity_score(g)) == scores
-        s_bin, d_bin = (bin_label(DEFAULT_BINS, score) for score in scores)
+        s_bin, d_bin = (bin_label(score) for score in scores)
         props = sim.propositions(g)
         assert {atom for atom, held in props.items() if held} == {f"{s_bin}_S", f"{d_bin}_D"}
     assert mixes == 20349
@@ -360,7 +360,7 @@ def test_urban_simulator_goal_and_budget():
         assert sim.legal_actions(state)
         state = sim.step(state, "convert-green")
     assert sim.is_goal(state)
-    assert sim.legal_actions(state) == []
+    assert sim.legal_actions(state) == ()
 
 
 def test_urban_propositions_one_bin_per_family():

@@ -1,10 +1,11 @@
 """The package as shipped: its data files against pyproject.toml, and its
-modules against dead imports.
+modules against dead imports and dead private helpers.
 
 Tests import the package from `src/`, so a data file that no
 `[tool.setuptools.package-data]` glob matches passes every other test and is
 still missing from an installed package. No linter runs on the tree, so an
-import orphaned by a change is caught here, with the standard `ast` module.
+import orphaned by a change, or a private helper that a fold left behind, is
+caught here, with the standard `ast` module.
 """
 
 import ast
@@ -82,3 +83,63 @@ def test_no_module_imports_a_name_it_never_uses():
         for name in _unused_imports(path.read_text())
     }
     assert unused == PATCH_ONLY_IMPORTS
+
+
+def _unreferenced_private_defs(sources: dict) -> set:
+    """(module, name) of each private top-level function or class that no
+    other top-level statement of any module mentions, by a name, an
+    attribute or an import. A helper's calls to itself do not count."""
+    defs, mentions = [], []
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.asname or node.name)
+            mentions.append((statement, names))
+            if isinstance(
+                statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and statement.name.startswith("_") and not statement.name.startswith("__"):
+                defs.append((module, statement))
+    return {
+        (module, d.name)
+        for module, d in defs
+        if not any(d.name in names for statement, names in mentions if statement is not d)
+    }
+
+
+def test_the_unreferenced_private_check_reads_every_reference_form():
+    sources = {
+        "a.py": (
+            "def _walk(node):\n"
+            "    return [_walk(c) for c in node]\n"
+            "def _called():\n"
+            "    pass\n"
+            "class _Imported:\n"
+            "    pass\n"
+            "def _read_as_attribute():\n"
+            "    pass\n"
+            "def __dunder__():\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _called()\n"
+        ),
+        "b.py": (
+            "from .a import _Imported\n"
+            "from . import a\n"
+            "x = a._read_as_attribute\n"
+        ),
+    }
+    assert _unreferenced_private_defs(sources) == {("a.py", "_walk")}
+
+
+def test_every_private_helper_is_referenced():
+    sources = {
+        path.relative_to(SRC).as_posix(): path.read_text()
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert _unreferenced_private_defs(sources) == set()

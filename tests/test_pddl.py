@@ -1,6 +1,7 @@
 import os
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,83 @@ def test_conditional_effect_is_unsupported():
     )
     with pytest.raises(UnsupportedFeature, match="conditional"):
         parse_domain(text)
+
+
+# each construct outside the subset: a form of it, and the message it is refused with
+UNSUPPORTED_FORMS = {
+    "when": ("(when (clear ?b) (shiny ?b))", "conditional effects"),
+    "forall": ("(forall (?c - block) (shiny ?c))", "universal quantification"),
+    "increase": ("(increase (total-cost) 1)", "numeric fluents"),
+    "decrease": ("(decrease (total-cost) 1)", "numeric fluents"),
+    "assign": ("(assign (total-cost) 1)", "numeric fluents"),
+    "oneof": ("(oneof (shiny ?b) (clear ?b))", "nondeterministic effects"),
+}
+# where a construct can stand: (domain, problem) with FORM in its place
+UNSUPPORTED_PLACES = {
+    "precondition": (
+        TINY_DOMAIN.replace(":precondition (shiny ?b)", ":precondition FORM"), None
+    ),
+    "effect": (TINY_DOMAIN.replace(":effect (shiny ?b)", ":effect FORM"), None),
+    "under-and": (
+        TINY_DOMAIN.replace(
+            ":effect (not (shiny ?b))", ":effect (and (not (shiny ?b)) FORM)"
+        ),
+        None,
+    ),
+    "under-not": (
+        TINY_DOMAIN.replace(":precondition (shiny ?b)", ":precondition (not FORM)"),
+        None,
+    ),
+    "init": (TINY_DOMAIN, TINY_PROBLEM.replace("(clear a) (clear b)", "(clear a) FORM")),
+    "goal": (TINY_DOMAIN, TINY_PROBLEM.replace("(and (shiny a) (shiny b))", "FORM")),
+}
+
+
+def test_every_unsupported_head_has_a_case():
+    assert set(UNSUPPORTED_FORMS) == set(pddl._UNSUPPORTED_HEADS)
+
+
+@pytest.mark.parametrize("place", UNSUPPORTED_PLACES)
+@pytest.mark.parametrize("head", UNSUPPORTED_FORMS)
+def test_an_unsupported_construct_is_refused_at_its_list(head, place):
+    # refused at the construct's own list, whichever parser reached it
+    form, message = UNSUPPORTED_FORMS[head]
+    domain_text, problem_text = UNSUPPORTED_PLACES[place]
+    if problem_text is None:
+        text, parse = domain_text.replace("FORM", form), parse_domain
+    else:
+        text = problem_text.replace("FORM", form)
+        parse = partial(parse_problem, domain=parse_domain(domain_text))
+    at = text.index(form)
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    with pytest.raises(UnsupportedFeature) as info:
+        parse(text)
+    assert str(info.value) == f"line {line}, col {col}: {message}"
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (
+            ":precondition (shiny ?b)",
+            ":precondition (or (when (clear ?b) (shiny ?b)))",
+            "expected a literal, got 'or'",
+        ),
+        (
+            ":effect (shiny ?b)",
+            ":effect (shiny (when (clear ?b) (shiny ?b)))",
+            "expected a term, got a list",
+        ),
+    ],
+    ids=["or-over-when", "when-as-a-term"],
+)
+def test_a_construct_where_no_literal_stands_is_a_syntax_error(old, new, message):
+    # the parser stops at the first list that cannot stand where it is,
+    # before it meets the `when` inside
+    with pytest.raises(PddlSyntaxError, match=message) as info:
+        parse_domain(TINY_DOMAIN.replace(old, new))
+    assert not isinstance(info.value, UnsupportedFeature)
 
 
 def test_arity_mismatch_rejected():
@@ -354,7 +432,8 @@ def test_grounding_explosion_cap(monkeypatch):
         ground(d, p)
 
 
-FALSE_GOAL = ("(and (shiny a) (shiny b))", "(= a b)")
+GOAL = "(and (shiny a) (shiny b))"
+FALSE_GOAL = (GOAL, "(= a b)")
 
 
 def test_statically_false_goal_rejected():
@@ -420,6 +499,28 @@ def _ground_cases():
         "static-pruning": (TINY_DOMAIN, TINY_PROBLEM),
         "false-goal": (TINY_DOMAIN, TINY_PROBLEM.replace(*FALSE_GOAL)),
     }
+    # goal shapes whose DNF is true, false or has a branch that always holds
+    # or never does; `clear` is static in the tiny domain and holds for a
+    # and b, and no object has the type `gem`
+    gem_domain = TINY_DOMAIN.replace("(:types block - object)", "(:types block gem - object)")
+    for name, goal in {
+        "and-empty": "(and)",
+        "or-empty": "(or)",
+        "and-always-true": "(and (= a a) (clear b))",
+        "and-with-a-true-branch": "(and (shiny a) (= b b) (clear a))",
+        "or-always-true-equality": "(or (shiny a) (= a a))",
+        "or-always-true-static": "(or (shiny a) (clear b))",
+        "or-always-false-equality": "(or (shiny a) (= a b))",
+        "or-always-false-static": "(or (not (clear a)) (shiny b))",
+        "or-over-an-empty-and": "(or (shiny a) (and))",
+        "exists-always-true": "(exists (?x - block) (or (= ?x b) (shiny ?x)))",
+        "exists-always-true-static": "(exists (?x - block) (and (clear ?x) (= ?x a)))",
+        "exists-always-false": "(exists (?x - block) (and (shiny ?x) (not (= ?x ?x))))",
+        "exists-one-false-branch": "(exists (?x - block) (and (shiny ?x) (not (= ?x a))))",
+        "exists-empty-type": "(exists (?g - gem) (shiny ?g))",
+        "or-over-exists-empty-type": "(or (shiny a) (exists (?g - gem) (= ?g ?g)))",
+    }.items():
+        cases[f"goal-{name}"] = (gem_domain, TINY_PROBLEM.replace(GOAL, goal))
     for n_chars in (4, 5):
         for n_places in (2, 3):
             for seed in range(3):
