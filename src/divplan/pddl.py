@@ -1,7 +1,7 @@
 """Typed STRIPS PDDL subset: parser and grounder.
 
-Supported: ``:strips :typing :negative-preconditions :equality`` and
-``exists`` in problem goals. Anything outside the subset raises
+Supported: ``:strips :typing :negative-preconditions :equality``, and
+``or`` and ``exists`` in problem goals. Anything outside the subset raises
 UnsupportedFeature rather than misparsing silently. Parse errors carry
 line/column positions.
 
@@ -303,6 +303,10 @@ _UNSUPPORTED_HEADS = {
     "decrease": "numeric fluents",
     "assign": "numeric fluents",
     "oneof": "nondeterministic effects",
+    "or": "disjunctive preconditions",
+    "exists": "existential preconditions",
+    "imply": "implication",
+    "and": "nested conjunctions",
 }
 
 
@@ -320,8 +324,6 @@ def _parse_literal(node: _Sexp, allow_equality: bool) -> LiteralAst:
         if not inner.positive:
             raise _err(lst, "double negation is not supported")
         return LiteralAst(inner.pred, inner.args, positive=False)
-    if head in ("and", "or", "exists", "imply"):
-        raise _err(lst, f"expected a literal, got '{head}'")
     if head == "=" and not allow_equality:
         raise _err(lst, "equality is not allowed here")
     args = tuple(_expect_atom(a, "a term").text for a in lst[1:])

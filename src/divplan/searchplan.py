@@ -22,10 +22,12 @@ calls on it. Its move table maps every state the search has expanded to its
 simulator once. Its sweep is the behaviour sweep of the last search, paused
 once the call's first target had a witness, with the first witness of every
 target it has met: a later call over fewer targets reads its answer from
-there or walks on, instead of sweeping the tree again. Its plan walk is the
-plain tree walk of the last plan call, paused after the goal node it
-returned: the next call goes on from there instead of re-walking every plan
-it already passed.
+there or walks on, instead of sweeping the tree again. Its memo says, for
+each (state, steps) pair a plan call has looked below, whether some tree
+node and some goal lie exactly that many steps below the state. A plan call
+walks lengths 0, 1, ... and descends only where a goal may lie that deep,
+so plans come shortest first, then in legal_actions order: top-k planning
+over the state graph, not the tree (Katz, Sohrabi, Udrea & Winterer, 2018).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .ltl import (
     progress,
 )
 
-# frontier orders: a FIFO queue (shortest plans first) or a LIFO stack
+# behaviour sweep orders: a FIFO queue (shortest witnesses first) or a LIFO stack
 STRATEGIES = ("breadth-first", "depth-first")
 
 
@@ -96,13 +98,13 @@ class Simulator(Protocol):
 class SearchConfig:
     """How one search walks the tree.
 
-    strategy is one of STRATEGIES; node_budget caps the new expansions of
-    one search call, so of one behaviour call, as SearchStats.expanded
-    counts them (breadth-first: distinct dedup keys; depth-first: popped
-    nodes, duplicates included): a call that resumes a paused sweep spends
-    its budget from the pause, and one that reads a witness the sweep
-    already met spends none; a plan call counts the expansions of its walk
-    from the root, so those of the earlier calls it resumes count too;
+    strategy is one of STRATEGIES and orders only the behaviour sweep;
+    node_budget caps the work of one search call: for a behaviour call, the
+    new expansions as SearchStats.expanded counts them (breadth-first:
+    distinct dedup keys; depth-first: popped nodes, duplicates included),
+    so a call that resumes a paused sweep spends its budget from the pause,
+    and one that reads a witness the sweep already met spends none; for a
+    plan call, the (state, steps) pairs it adds to the record's memo;
     prune=False keeps monitor-violated branches (same answers, more nodes).
     seed is ignored (both strategies are deterministic); ROADMAP item 1
     step 3 removes it.
@@ -256,20 +258,23 @@ class _Record:
     """What one simulator object has shown the search.
 
     moves: state -> ((action, successor, valuation), ...) in legal_actions
-    order; walk: the plan walk the last plan call paused, or None; sweep:
+    order; below: (state, steps) -> _NODE | _GOAL bits, set when some tree
+    node, or some goal, lies exactly that many steps below state; sweep:
     the behaviour sweep the last search paused, or None.
     """
 
-    __slots__ = ("moves", "walk", "sweep")
+    __slots__ = ("moves", "below", "sweep")
 
     def __init__(self):
         self.moves: dict = {}
-        self.walk: Optional[_PlanWalk] = None
+        self.below: dict = {}
         self.sweep: Optional[_Sweep] = None
 
 
 # id(sim) -> _Record, kept by core.record_of
 _records: dict = {}
+
+_NODE, _GOAL = 1, 2
 
 
 def _moves(sim, table: dict, state) -> tuple:
@@ -282,53 +287,6 @@ def _moves(sim, table: dict, state) -> tuple:
             moves.append((action, succ, sim.propositions(succ)))
         moves = table[state] = tuple(moves)
     return moves
-
-
-class _PlanWalk:
-    """A plain tree walk (distinct action sequences are distinct plans)
-    that pauses after each goal node it hands out.
-
-    A goal node's children are pushed before the node is handed out, so the
-    walk goes on exactly where a fresh walk that rejected the node would.
-    `expanded` counts from the root; `passed` holds the plan of every goal
-    node popped so far.
-    """
-
-    def __init__(self, sim, cfg: SearchConfig):
-        self.cfg = cfg
-        self.push, self.pop, self.frontier = _make_frontier(cfg)
-        self.expanded = 0
-        self.passed: set = set()
-        init = sim.initial()
-        self.push([(init, None, None, sim.propositions(init), 0)])
-
-    def next_fresh(self, sim, transitions: dict, seen: set) -> Optional[PlanTrace]:
-        """The next goal trace whose plan is not in seen, or None."""
-        depth_cap = getattr(sim, "budget", None)
-        while self.frontier:
-            if self.expanded >= self.cfg.node_budget:
-                raise GeneratorTimeout(
-                    "node budget exhausted before a further plan could be "
-                    "found or ruled out"
-                )
-            node = self.pop()
-            self.expanded += 1
-            state, depth = node[0], node[4]
-            fresh = None
-            if sim.is_goal(state):
-                trace = _trace(node)
-                labels = trace.plan.labels()
-                self.passed.add(labels)
-                if labels not in seen:
-                    fresh = trace
-            if depth_cap is None or depth < depth_cap:
-                self.push([
-                    (succ, node, action, valuation, depth + 1)
-                    for action, succ, valuation in _moves(sim, transitions, state)
-                ])
-            if fresh is not None:
-                return fresh
-        return None
 
 
 class _Sweep:
@@ -524,21 +482,60 @@ def plan_generator_ltl(
     existing_plans: Iterable[Plan],
     cfg: SearchConfig,
 ) -> Optional[PlanTrace]:
-    """The first goal-reaching trace, in walk order, whose action sequence
-    is new, or None.
+    """The first goal-reaching trace whose action sequence is new, shortest
+    first and then in legal_actions order, or None once none is left.
 
-    Pure tree search (no duplicate-state merging): distinct action sequences
-    through the same states are distinct plans here. A call resumes the walk
-    the last call on this simulator object paused, when its cfg is equal and
-    existing_plans covers every plan that walk passed, as in `fbi`, whose
-    plan list only grows; any other call, and any call after one that
-    raised, walks from the root. Both give the same answer.
+    Distinct action sequences through the same states are distinct plans.
+    For each length up to sim.budget, the call descends, with a stack of
+    its own, into every child the memo does not show to lack a goal that
+    many steps below, and it stops once no tree node lies that deep. The
+    answer depends only on sim and existing_plans: cfg.strategy plays no
+    part, and cfg.node_budget caps the pairs the call adds to the memo.
     """
     seen = {plan.labels() for plan in existing_plans}
     record = record_of(_records, sim, _Record)
-    walk, record.walk = record.walk, None  # an exception drops the walk
-    if walk is None or walk.cfg != cfg or not walk.passed <= seen:
-        walk = _PlanWalk(sim, cfg)
-    trace = walk.next_fresh(sim, record.moves, seen)
-    record.walk = walk
-    return trace
+    below, table, cap = record.below, record.moves, getattr(sim, "budget", None)
+    root = sim.initial()
+    start = (None, root, sim.propositions(root))
+    budget, length = cfg.node_budget, 0
+    while cap is None or length <= cap:
+        # path[i] is the move into depth i; branches[i] holds the moves out
+        # of depth i - 1 not yet tried, and found[i] what those tried show
+        path, branches, found = [], [iter((start,))], [0]
+        while branches:
+            left = length - len(path)  # steps below the next move's successor
+            move = next(branches[-1], None)
+            if move is None:  # every move out of path[-1] was tried
+                branches.pop()
+                bits = found.pop()
+                if not path:
+                    break
+                pair = (path[-1][1], left + 1)
+                if pair not in below:
+                    if budget == 0:
+                        raise GeneratorTimeout(
+                            "node budget exhausted before a further plan "
+                            "could be found or ruled out"
+                        )
+                    budget -= 1
+                    below[pair] = bits
+                if left < 0 and bits & _GOAL:  # path ends in a goal
+                    actions, states, valuations = zip(*path)
+                    if Plan(actions[1:]).labels() not in seen:
+                        return PlanTrace(Plan(actions[1:]), states, valuations)
+                path.pop()
+                found[-1] |= bits
+                continue
+            bits = below.get((move[1], left))
+            if bits is not None and not bits & _GOAL:
+                found[-1] |= bits  # no goal lies that far below move[1]
+                continue
+            if left == 0 and bits is None:  # a leaf: no move out of it is tried
+                bits = _NODE | (_GOAL if sim.is_goal(move[1]) else 0)
+            path.append(move)
+            branches.append(iter(_moves(sim, table, move[1]) if left else ()))
+            found.append(bits if left == 0 else 0)
+        if not below[root, length] & _NODE:
+            return None
+        length += 1
+    return None

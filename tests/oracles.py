@@ -504,36 +504,55 @@ def _goal_dnf(goal, binding, by_type, dynamic, init):
 
 
 def per_call_plan_generator(sim, existing_plans, cfg):
-    """`searchplan.plan_generator_ltl` as it was before its walk resumed: a
-    plain tree walk from the root on every call that asks the simulator for
-    every transition, returns the first goal trace whose plan is not in
-    existing_plans, and counts its expansions against cfg.node_budget."""
+    """`searchplan.plan_generator_ltl` as a plain breadth-first tree walk from
+    the root on every call that asks the simulator for every transition,
+    returns the first goal trace whose plan is not in existing_plans, and
+    counts its expansions against cfg.node_budget."""
     seen = {plan.labels() for plan in existing_plans}
     depth_cap = getattr(sim, "budget", None)
     init = sim.initial()
     frontier = deque([((), (init,), (sim.propositions(init),))])
-    pop = frontier.popleft if cfg.strategy == "breadth-first" else frontier.pop
     expanded = 0
     while frontier:
         if expanded >= cfg.node_budget:
             raise GeneratorTimeout("node budget exhausted")
-        actions, states, valuations = pop()
+        actions, states, valuations = frontier.popleft()
         expanded += 1
         if sim.is_goal(states[-1]) and Plan(actions).labels() not in seen:
             return PlanTrace(Plan(actions), states, valuations)
         if depth_cap is not None and len(actions) >= depth_cap:
             continue
-        children = []
         for action in sim.legal_actions(states[-1]):
             succ = sim.step(states[-1], action)
-            children.append(
+            frontier.append(
                 (actions + (action,), states + (succ,),
                  valuations + (sim.propositions(succ),))
             )
-        if cfg.strategy == "depth-first":
-            children.reverse()  # so the first legal action is explored first
-        frontier.extend(children)
     return None
+
+
+class GroundSimulator:
+    """A ground problem behind the Simulator protocol: states are fluent
+    frozensets, moves are the applicable actions in problem.actions order,
+    and the propositions are the goal fluents' truths keyed by their names."""
+
+    def __init__(self, problem: GroundProblem, budget=None):
+        self.problem, self.budget = problem, budget
+
+    def initial(self):
+        return self.problem.init
+
+    def legal_actions(self, state):
+        return [a for a in self.problem.actions if applicable(state, a)]
+
+    def step(self, state, action):
+        return apply(state, action)
+
+    def propositions(self, state):
+        return {str(fluent): fluent in state for fluent in self.problem.goal.fluents()}
+
+    def is_goal(self, state):
+        return self.problem.goal.satisfied_by(state)
 
 
 # -- the behaviour sweep, one fresh sweep per call ---------------------------------

@@ -688,6 +688,19 @@ def test_render_refuses_an_illegal_plan(tmp_path, capsys, domain, labels):
     assert str(report) in err and "plan 0 step 10" in err
 
 
+@pytest.mark.parametrize("domain, k", [("urban", 12), ("platformer", 3)])
+def test_a_bundled_simulator_pads_to_k_at_default_options(tmp_path, domain, k):
+    # more plans than behaviours: loop two fills the rest, each plan new
+    report = tmp_path / "report.json"
+    assert run("plan", "--domain", domain, "--k", str(k), "--out", str(report)) == EXIT_OK
+    result = json.loads(report.read_text())["result"]
+    assert result["termination"] == "reached-k"
+    assert len({tuple(plan) for plan in result["plans"]}) == k > result["bdc"]
+    # every plan replays to a goal, and every annotation matches its replay
+    assert run("validate", "--domain", domain, "--plans", str(report)) == EXIT_OK
+    assert run("render", str(report)) == EXIT_OK
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

@@ -177,6 +177,10 @@ UNSUPPORTED_FORMS = {
     "decrease": ("(decrease (total-cost) 1)", "numeric fluents"),
     "assign": ("(assign (total-cost) 1)", "numeric fluents"),
     "oneof": ("(oneof (shiny ?b) (clear ?b))", "nondeterministic effects"),
+    "or": ("(or (shiny ?b) (clear ?b))", "disjunctive preconditions"),
+    "exists": ("(exists (?c - block) (shiny ?c))", "existential preconditions"),
+    "imply": ("(imply (clear ?b) (shiny ?b))", "implication"),
+    "and": ("(and (clear ?b) (shiny ?b))", "nested conjunctions"),
 }
 # where a construct can stand: (domain, problem) with FORM in its place
 UNSUPPORTED_PLACES = {
@@ -203,8 +207,22 @@ def test_every_unsupported_head_has_a_case():
     assert set(UNSUPPORTED_FORMS) == set(pddl._UNSUPPORTED_HEADS)
 
 
-@pytest.mark.parametrize("place", UNSUPPORTED_PLACES)
-@pytest.mark.parametrize("head", UNSUPPORTED_FORMS)
+# where a head is part of the subset: a goal's DNF, and a condition's top level
+SUPPORTED_AT = {
+    ("or", "goal"), ("exists", "goal"),
+    ("and", "goal"), ("and", "precondition"), ("and", "effect"),
+}
+
+
+@pytest.mark.parametrize(
+    "head, place",
+    [
+        pytest.param(head, place, id=f"{head}-{place}")
+        for place in UNSUPPORTED_PLACES
+        for head in UNSUPPORTED_FORMS
+        if (head, place) not in SUPPORTED_AT
+    ],
+)
 def test_an_unsupported_construct_is_refused_at_its_list(head, place):
     # refused at the construct's own list, whichever parser reached it
     form, message = UNSUPPORTED_FORMS[head]
@@ -223,27 +241,29 @@ def test_an_unsupported_construct_is_refused_at_its_list(head, place):
 
 
 @pytest.mark.parametrize(
-    "old, new, message",
+    "old, new, error, message",
     [
         (
             ":precondition (shiny ?b)",
             ":precondition (or (when (clear ?b) (shiny ?b)))",
-            "expected a literal, got 'or'",
+            UnsupportedFeature,
+            "disjunctive preconditions",
         ),
         (
             ":effect (shiny ?b)",
             ":effect (shiny (when (clear ?b) (shiny ?b)))",
+            PddlSyntaxError,
             "expected a term, got a list",
         ),
     ],
     ids=["or-over-when", "when-as-a-term"],
 )
-def test_a_construct_where_no_literal_stands_is_a_syntax_error(old, new, message):
+def test_a_construct_where_no_literal_stands_is_a_syntax_error(old, new, error, message):
     # the parser stops at the first list that cannot stand where it is,
     # before it meets the `when` inside
-    with pytest.raises(PddlSyntaxError, match=message) as info:
+    with pytest.raises(error, match=message) as info:
         parse_domain(TINY_DOMAIN.replace(old, new))
-    assert not isinstance(info.value, UnsupportedFeature)
+    assert type(info.value) is error
 
 
 def test_arity_mismatch_rejected():

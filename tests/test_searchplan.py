@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import sys
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ import pytest
 
 from divplan import searchplan
 from divplan.domains import platformer
+from divplan.domains.story import tiny_story_pack
 from divplan.bspace import (
     BehaviourSpace,
     SpaceConfigError,
@@ -60,12 +62,16 @@ from divplan.searchplan import (
 from oracles import (
     MONITOR_SHAPES,
     CorridorSimulator,
+    GroundSimulator,
+    choice_problem,
     corridor_space,
+    enumerate_plans,
     per_call_plan_generator,
     per_call_sweep,
     pop_time_sweep,
     random_formula,
     toggle_problem,
+    two_switch_problem,
 )
 
 END = parse_formula("F at-end")
@@ -446,7 +452,7 @@ def test_spent_node_budget_still_returns_a_realised_cell():
     assert pbehaviour(space, first).values == ("with-key",)
 
 
-# -- the resumable plan walk against one fresh walk per call ----------------------
+# -- the plan memo against one fresh breadth-first walk per call -----------------
 
 
 def plan_answers(generator, sim, config, calls, existing=()):
@@ -475,46 +481,123 @@ WALK_CASES = {
 
 @pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-def test_resumed_plan_walk_matches_a_fresh_walk_per_call(case, strategy):
+def test_plan_answers_match_a_fresh_breadth_first_walk_per_call(case, strategy):
+    # the strategy orders only the behaviour sweep: plans come shortest first
     config = cfg(strategy=strategy)
-    reference = plan_answers(per_call_plan_generator, WALK_CASES[case](), config, 60)
+    reference = plan_answers(per_call_plan_generator, WALK_CASES[case](), cfg(), 60)
     assert plan_answers(plan_generator_ltl, WALK_CASES[case](), config, 60) == reference
-    # fbi's loop two starts from the plans loop one found, anywhere in the walk
+    # fbi's loop two starts from the plans loop one found, anywhere in the order
     existing = [t.plan for t in reference[1:12:3] if t is not None]
     assert plan_answers(
         plan_generator_ltl, WALK_CASES[case](), config, 20, existing
-    ) == plan_answers(per_call_plan_generator, WALK_CASES[case](), config, 20, existing)
+    ) == plan_answers(per_call_plan_generator, WALK_CASES[case](), cfg(), 20, existing)
 
 
-@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
-@pytest.mark.parametrize("node_budget", [1, 3, 4, 9, 20, 45, 120])
-@pytest.mark.parametrize("case", ["corridor-7", "urban-3x3"])
-def test_plan_walk_times_out_on_the_same_call(case, node_budget, strategy):
-    config = cfg(strategy=strategy, node_budget=node_budget)
-    answers = plan_answers(plan_generator_ltl, WALK_CASES[case](), config, 25)
-    reference = plan_answers(per_call_plan_generator, WALK_CASES[case](), config, 25)
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_a_node_budget_only_ever_delays_the_breadth_first_answer(case):
+    reference, unbudgeted = {}, WALK_CASES[case]()
+    for node_budget in range(1, 121):
+        sim, plans, config = WALK_CASES[case](), [], cfg(node_budget=node_budget)
+        for _ in range(25):
+            key = tuple(p.labels() for p in plans)
+            if key not in reference:
+                reference[key] = per_call_plan_generator(unbudgeted, plans, cfg())
+            try:
+                trace = plan_generator_ltl(sim, plans, config)
+            except GeneratorTimeout:
+                continue
+            assert trace == reference[key]
+            if trace is None:
+                break
+            plans.append(trace.plan)
+
+
+def test_a_budget_spent_on_one_call_carries_over_to_the_next():
+    # the memo a timed-out call filled stays, so calls of budget 1 get there
+    sim, answers = CorridorSimulator(), []
+    while len(answers) < len(CORRIDOR_PLANS) + 1:
+        try:
+            trace = plan_generator_ltl(sim, [t.plan for t in answers], cfg(node_budget=1))
+        except GeneratorTimeout:
+            continue
+        answers.append(trace)
+    reference = plan_answers(per_call_plan_generator, CorridorSimulator(), cfg(), len(answers))
     assert answers == reference
 
 
-def test_plan_walk_restarts_on_a_plan_list_that_does_not_extend():
+def test_plan_answers_depend_only_on_the_plan_list():
     sim = urban_simulator(seeded_grid(1, side=3), budget=3)
     reference = urban_simulator(seeded_grid(1, side=3), budget=3)
     config = cfg()
     first = plan_answers(plan_generator_ltl, sim, config, 6)
-    # a shorter list, then one missing a plan the walk passed in the middle
+    # a shorter list, then one missing a plan from the middle
     for existing in ([], [first[0].plan], [t.plan for t in first if t is not first[2]]):
         assert plan_generator_ltl(sim, existing, config) == per_call_plan_generator(
             reference, existing, config
         )
 
 
-def test_plan_walk_restarts_on_a_changed_config():
-    sim, reference = CorridorSimulator(budget=7), CorridorSimulator(budget=7)
-    plans = [t.plan for t in plan_answers(plan_generator_ltl, sim, cfg(), 4)]
-    for config in (cfg(strategy="depth-first"), cfg(node_budget=50), cfg()):
-        assert plan_generator_ltl(sim, plans, config) == per_call_plan_generator(
-            reference, plans, config
-        )
+@dataclass
+class Chain:
+    """A budget-less simulator over the integers: two moves out of states
+    0-2 and one out of each later state, each to the next integer, except
+    none out of state end; goal_at is the one goal state."""
+
+    goal_at: int = -1
+    end: int = -1
+    budget = None
+
+    def initial(self):
+        return 0
+
+    def legal_actions(self, state):
+        return [] if state == self.end else ["on", "off"][: 1 + (state < 3)]
+
+    def step(self, state, action):
+        return state + 1
+
+    def propositions(self, state):
+        return {}
+
+    def is_goal(self, state):
+        return state == self.goal_at
+
+
+def test_a_budget_less_endless_tree_times_out_without_deep_recursion():
+    # a memo that recursed once per step below would need ~200 frames here
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        with pytest.raises(GeneratorTimeout):
+            plan_generator_ltl(Chain(), [], cfg(node_budget=20_000))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_a_budget_less_finite_tree_is_proved_exhausted():
+    sim = Chain(goal_at=5, end=8)
+    answers = plan_answers(plan_generator_ltl, sim, cfg(), 10)
+    # two moves out of states 0-2 and one from there on: 8 paths to state 5
+    assert [len(t.plan) for t in answers[:8]] == [5] * 8
+    assert answers[8:] == [None, None]
+    assert answers == plan_answers(per_call_plan_generator, Chain(5, 8), cfg(), 10)
+
+
+@pytest.mark.parametrize(
+    "problem, cap",
+    [(toggle_problem, 7), (two_switch_problem, 4), (choice_problem, 4),
+     (lambda: tiny_story_pack()[0], 4), (lambda: tiny_story_pack()[0], 5)],
+    ids=["toggle", "two-switch", "choice", "story-tiny-4", "story-tiny-5"],
+)
+def test_plans_of_a_ground_problem_come_in_enumerate_plans_order(problem, cap):
+    problem = problem()
+    answers = plan_answers(plan_generator_ltl, GroundSimulator(problem, cap), cfg(), 200)
+    plans = [t.plan for t in answers if t is not None]
+    assert plans == enumerate_plans(problem, cap)
+    assert answers[len(plans):] == [None] * (200 - len(plans))
 
 
 class Counting:
@@ -535,14 +618,15 @@ class Counting:
         return getattr(self.sim, name)
 
 
-def test_resumed_walk_visits_each_tree_node_once():
+def test_the_plan_memo_asks_each_transition_once():
     sim = Counting(CorridorSimulator(budget=6))
     answers = plan_answers(plan_generator_ltl, sim, cfg(), 100)
     assert answers[-1] is None
     fresh = Counting(CorridorSimulator(budget=6))
     assert plan_answers(per_call_plan_generator, fresh, cfg(), 100) == answers
-    # the per-call walk goes over the tree again on every call
-    assert sim.goal_tests < fresh.goal_tests / 10
+    # once per state (four cells, key or not), where the per-call walk
+    # goes over the tree again on every call
+    assert sim.goal_tests <= 8 < fresh.goal_tests
     assert max(sim.steps.values()) == 1
 
 
@@ -867,23 +951,19 @@ class FlakySimulator(CorridorSimulator):
         return super().is_goal(state)
 
 
-@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
-def test_an_exception_mid_walk_drops_the_walk(strategy):
-    config = cfg(strategy=strategy)
-    reference = plan_answers(
-        per_call_plan_generator, CorridorSimulator(budget=7), config, 40
-    )
-    sim = FlakySimulator(budget=7)
-    plans = [plan_generator_ltl(sim, [], config).plan]
-    sim.fail_at = sim.calls + 1  # the next transition the walk asks for
+@pytest.mark.parametrize("flaky", ["step", "is_goal"])
+def test_plan_calls_after_a_simulator_raised_mid_call_match_the_reference(flaky):
+    reference = plan_answers(per_call_plan_generator, CorridorSimulator(budget=7), cfg(), 40)
+    sim = FlakySimulator(budget=7, flaky=flaky)
+    plans = [plan_generator_ltl(sim, [], cfg()).plan]
+    sim.fail_at = sim.calls + 1  # the next call the memo makes of it
     with pytest.raises(RuntimeError):
         while True:
-            plans.append(plan_generator_ltl(sim, plans, config).plan)
-    assert searchplan._records[id(sim)].walk is None
+            plans.append(plan_generator_ltl(sim, plans, cfg()).plan)
     assert [p.labels() for p in plans] == [
         t.plan.labels() for t in reference[: len(plans)]
     ]
-    later = plan_answers(plan_generator_ltl, sim, config, 40 - len(plans), plans)
+    later = plan_answers(plan_generator_ltl, sim, cfg(), 40 - len(plans), plans)
     assert later == reference[len(plans):]
 
 
