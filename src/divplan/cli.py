@@ -49,14 +49,9 @@ from .satplan import (
     behaviour_generator_sat,
     plan_generator_sat,
 )
-from .searchplan import (
-    STRATEGIES,
-    SearchConfig,
-    behaviour_generator_ltl,
-    plan_generator_ltl,
-)
+from .searchplan import SearchConfig, behaviour_generator_ltl, plan_generator_ltl
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EMPTY = 2
@@ -138,7 +133,7 @@ _BACKENDS = {
     ),
     "search": (
         "a simulator domain ('urban' or 'platformer')",
-        ("node_budget", "strategy"),
+        ("node_budget",),
     ),
 }
 
@@ -223,11 +218,10 @@ def cmd_plan(args) -> int:
         budget = SearchConfig.node_budget if args.node_budget is None else args.node_budget
         if budget < 1:
             raise ConfigError(f"--node-budget must be at least 1, got {budget}")
-        cfg = SearchConfig(strategy=args.strategy or SearchConfig.strategy, node_budget=budget)
+        cfg = SearchConfig(node_budget=budget)
         bgen = partial(behaviour_generator_ltl, subject, space, cfg=cfg)
         pgen = partial(plan_generator_ltl, subject, cfg=cfg)
         config_doc["node_budget"] = cfg.node_budget
-        config_doc["strategy"] = cfg.strategy
 
     result = fbi(
         args.k,
@@ -399,8 +393,16 @@ def _add_source_flags(sub) -> None:
     sub.add_argument("--problem-json", help="ground problem JSON file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a ConfigError, so it exits with
+    EXIT_USAGE and one line, not argparse's usage text and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="divplan",
         description="Generate behaviourally diverse plan sets.",
     )
@@ -418,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--horizon-max", type=int)
     plan.add_argument("--max-conflicts", type=int)
     plan.add_argument("--node-budget", type=int)
-    plan.add_argument("--strategy", choices=STRATEGIES)
     plan.add_argument("--out", help="report path (stdout when omitted)")
     plan.set_defaults(func=cmd_plan)
 
@@ -438,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (
         ConfigError, PddlError, PlanningError, BspaceError, LtlError, OSError,

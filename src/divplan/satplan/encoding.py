@@ -208,8 +208,8 @@ class CnfTask:
                 add([lit] + [-(bits + k) if one else bits + k for k, one in block])
 
     def decision_phases(self) -> list:
-        """Initial solver phases: try actions True so search walks plans
-        depth-first; everything else defaults to False."""
+        """Initial solver phases: an action variable is tried True first, so
+        a decision on it picks that action; everything else defaults to False."""
         phases = [False] * (self.num_vars + 1)
         n_a = len(self.actions)
         for t in range(self.horizon):

@@ -6,9 +6,9 @@ proposition trace satisfies one of them. Every target is progressed along
 each branch, so a node carries, per target, the obligation that remains for
 its subtree. A branch is cut once every live obligation has collapsed to
 false and no live target is satisfied by the prefix itself. Nodes with the
-same state and the same obligations have the same future, so a sweep
-expands one of them: breadth-first drops a duplicate when it is generated
-(immediate duplicate detection), depth-first when it is popped.
+same state and the same obligations have the same future, so the sweep,
+breadth-first, expands one of them and drops a duplicate when it is
+generated (immediate duplicate detection).
 
 Formulas are interned to small ids, and so is a node's monitor (its residual
 ids and prefix truth bits), so the dedup key is (state, monitor id) and one
@@ -58,10 +58,6 @@ from .ltl import (
     progress,
 )
 
-# behaviour sweep orders: a FIFO queue (shortest witnesses first) or a LIFO stack
-STRATEGIES = ("breadth-first", "depth-first")
-
-
 class Simulator(Protocol):
     """The black-box planning interface the search needs.
 
@@ -76,9 +72,9 @@ class Simulator(Protocol):
     The search remembers what `legal_actions`, `step` and `propositions`
     answered for a state for as long as the simulator object lives, so
     those answers must not change while it does. A behaviour sweep hashes
-    and compares a state on every child it generates (breadth-first) or
-    every node it pops (depth-first), so a tuple is the cheap choice of
-    state: both bundled simulators' states are `NamedTuple` subclasses.
+    and compares a state on every child it generates, so a tuple is the
+    cheap choice of state: both bundled simulators' states are `NamedTuple`
+    subclasses.
     """
 
     budget: Optional[int]
@@ -98,16 +94,15 @@ class Simulator(Protocol):
 class SearchConfig:
     """How one search walks the tree.
 
-    strategy is one of STRATEGIES and orders only the behaviour sweep;
     node_budget caps the work of one search call: for a behaviour call, the
-    new expansions as SearchStats.expanded counts them (breadth-first:
-    distinct dedup keys; depth-first: popped nodes, duplicates included),
-    so a call that resumes a paused sweep spends its budget from the pause,
-    and one that reads a witness the sweep already met spends none; for a
-    plan call, the (state, steps) pairs it adds to the record's memo;
+    new expansions as SearchStats.expanded counts them (distinct dedup
+    keys), so a call that resumes a paused sweep spends its budget from the
+    pause, and one that reads a witness the sweep already met spends none;
+    for a plan call, the (state, steps) pairs it adds to the record's memo;
     prune=False keeps monitor-violated branches (same answers, more nodes).
-    seed is ignored (both strategies are deterministic); ROADMAP item 1
-    step 3 removes it.
+    seed is ignored (the search is deterministic), and strategy must be
+    "breadth-first", the one sweep order; ROADMAP item 1 step 3 removes
+    both.
     """
 
     strategy: str = "breadth-first"
@@ -116,9 +111,9 @@ class SearchConfig:
     prune: bool = True
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
+        if self.strategy != "breadth-first":
             raise ValueError(
-                f"unknown strategy {self.strategy!r}; pick one of {STRATEGIES}"
+                f"unknown strategy {self.strategy!r}; the sweep is breadth-first"
             )
         if self.node_budget < 1:
             raise ValueError("node_budget must be >= 1")
@@ -129,14 +124,12 @@ class SearchStats:
     """What one behaviour call did, counted from where it resumed.
 
     expanded: nodes popped, each handled in full (checked for a witness,
-    then pruned, dropped or given its children). Breadth-first never pops
-    a duplicate, so it expands each dedup key (state, monitor id) once;
-    depth-first pops duplicates and counts them here too.
+    then pruned or given its children). The sweep never pops a duplicate,
+    so it expands each dedup key (state, monitor id) once.
     pruned: expanded nodes cut because every obligation had collapsed.
-    deduplicated: breadth-first, children not pushed because their key was
-    already pushed, so the count includes duplicates among the children of
-    the node the call paused after; depth-first, popped nodes dropped
-    because their key was expanded at no greater depth.
+    deduplicated: children not pushed because their key was already pushed,
+    so the count includes duplicates among the children of the node the
+    call paused after.
     """
 
     expanded: int = 0
@@ -244,16 +237,6 @@ def _trace(node: tuple) -> PlanTrace:
     )
 
 
-def _make_frontier(cfg: SearchConfig):
-    """(push, pop, frontier) for the configured strategy. push takes siblings
-    in legal_actions order; a stack reverses them, so the first is explored first."""
-    if cfg.strategy == "breadth-first":
-        queue: deque = deque()
-        return queue.extend, queue.popleft, queue
-    stack: list = []
-    return lambda nodes: stack.extend(reversed(nodes)), stack.pop, stack
-
-
 class _Record:
     """What one simulator object has shown the search.
 
@@ -302,15 +285,12 @@ class _Sweep:
         self.cfg = cfg
         self.targets = tuple(targets)
         self.witnesses: list = [None] * len(self.targets)
-        self.push, self.pop, self.frontier = _make_frontier(cfg)
         self.table = _Progression(self.targets)
-        self.visited: dict = {}  # dedup key -> shallowest depth seen
         init = sim.initial()
         v0 = sim.propositions(init)
         monitor = self.table.after(self.table.start, v0)
-        if cfg.strategy == "breadth-first":
-            self.visited[init, monitor] = 0
-        self.push([(init, None, None, v0, 0, monitor)])
+        self.visited: dict = {(init, monitor): 0}  # dedup key -> depth pushed at
+        self.frontier = deque([(init, None, None, v0, 0, monitor)])
 
     def positions(self, targets: Sequence[LtlFormula]) -> Optional[list]:
         """Where each of targets sits among this sweep's, matched in order,
@@ -324,17 +304,16 @@ class _Sweep:
         this call's node budget runs out. A node is handled in full, its
         children pushed, before the walk pauses after it.
 
-        Breadth-first drops a child whose dedup key is already in visited:
-        a FIFO pops the first node pushed with a key first, at its shallowest
+        A child whose dedup key is already in visited is dropped: the FIFO
+        pops the first node pushed with a key first, at its shallowest
         depth, so a pop-time check would expand the same nodes in the same
-        order. A stack can meet a key deeper first, so depth-first checks
-        at pop time."""
+        order."""
         depth_cap = getattr(sim, "budget", None)
         cfg, witnesses, visited, table = self.cfg, self.witnesses, self.visited, self.table
-        frontier, pop, push, prune = self.frontier, self.pop, self.push, cfg.prune
+        frontier, prune = self.frontier, cfg.prune
+        pop, push = frontier.popleft, frontier.extend
         memo, miss, project = table.step, table.after, table.project
         met, dead = table.met, table.dead
-        early = cfg.strategy == "breadth-first"
         expanded, deduplicated = stats.expanded, stats.deduplicated
         while frontier and witnesses[first] is None:
             if expanded >= cfg.node_budget:
@@ -353,13 +332,6 @@ class _Sweep:
             if prune and dead[monitor]:
                 stats.pruned += 1
                 continue
-            if not early:
-                key = (state, monitor)
-                seen = visited.get(key)
-                if seen is not None and seen <= depth:
-                    deduplicated += 1
-                    continue
-                visited[key] = depth
             if depth_cap is not None and depth >= depth_cap:
                 continue
 
@@ -371,11 +343,10 @@ class _Sweep:
                     after = memo[monitor, project(valuation)]
                 except KeyError:  # a memo miss, or an atom valuation lacks
                     after = miss(monitor, valuation)
-                if early:
-                    key = (succ, after)
-                    if key in visited:
-                        continue
-                    visited[key] = depth
+                key = (succ, after)
+                if key in visited:
+                    continue
+                visited[key] = depth
                 children.append((succ, node, action, valuation, depth, after))
             deduplicated += len(moves) - len(children)
             push(children)
@@ -394,10 +365,10 @@ def constrained_search(
     subsequence of that sweep's targets, as in `behaviour_generator_ltl`,
     whose open cells only shrink; a witness that sweep already met is read
     back without expanding a node. Any other call, and any call after one
-    that raised, starts a sweep from the root over its own targets. Under
-    breadth-first search both give the same answer. The stats count only
-    the nodes this call expanded; a call with no targets expands none and
-    keeps the paused sweep.
+    that raised, starts a sweep from the root over its own targets. Both
+    give the same answer. The stats count only the nodes this call
+    expanded; a call with no targets expands none and keeps the paused
+    sweep.
 
     Nodes whose progressed obligations are all unsatisfiable — for the prefix
     as well as for every extension — are cut (cfg.prune=False keeps them,
@@ -489,8 +460,8 @@ def plan_generator_ltl(
     For each length up to sim.budget, the call descends, with a stack of
     its own, into every child the memo does not show to lack a goal that
     many steps below, and it stops once no tree node lies that deep. The
-    answer depends only on sim and existing_plans: cfg.strategy plays no
-    part, and cfg.node_budget caps the pairs the call adds to the memo.
+    answer depends only on sim and existing_plans; cfg.node_budget caps the
+    pairs the call adds to the memo.
     """
     seen = {plan.labels() for plan in existing_plans}
     record = record_of(_records, sim, _Record)

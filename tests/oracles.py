@@ -85,7 +85,6 @@ from divplan.pddl import (
 from divplan.searchplan import (
     SearchResult,
     SearchStats,
-    _make_frontier,
     _moves,
     _trace,
 )
@@ -596,13 +595,14 @@ class _Progression:
 
 def per_call_sweep(sim, targets, cfg):
     """`searchplan.constrained_search` as it was before its sweep resumed:
-    one sweep from the root per call, which stops once targets[0] has a
-    witness and stops tracking every target behind the best one found. It
-    keeps a move table of its own, so it asks the simulator for every
-    transition it needs."""
+    one breadth-first sweep from the root per call, which stops once
+    targets[0] has a witness and stops tracking every target behind the
+    best one found. It keeps a move table of its own, so it asks the
+    simulator for every transition it needs."""
     stats = SearchStats()
     depth_cap = getattr(sim, "budget", None)
-    push, pop, frontier = _make_frontier(cfg)
+    frontier: deque = deque()
+    push, pop = frontier.extend, frontier.popleft
     table = _Progression(targets)
     transitions: dict = {}
     # targets[:live] still lack a witness that beats the one already found
@@ -663,7 +663,8 @@ class _PopTimeSweep:
         self.cfg = cfg
         self.targets = tuple(targets)
         self.witnesses: list = [None] * len(self.targets)
-        self.push, self.pop, self.frontier = _make_frontier(cfg)
+        self.frontier: deque = deque()
+        self.push, self.pop = self.frontier.extend, self.frontier.popleft
         self.table = _Progression(self.targets)
         self.visited: dict = {}  # dedup key -> shallowest depth seen
         self.transitions: dict = {}

@@ -86,8 +86,7 @@ def test_plan_search_backend_on_platformer(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["result"]["bdc"] == 2
     assert sorted(b[0] for b in doc["result"]["behaviours"]) == ["avoided", "killed"]
-    assert doc["config"]["strategy"] == "breadth-first"
-    assert not {"seed", "prune"} & set(doc["config"])
+    assert not {"seed", "prune", "strategy"} & set(doc["config"])
 
 
 def test_plan_empty_set_exits_2(tmp_path, capsys):
@@ -198,17 +197,41 @@ def test_plan_horizon_flags_bound_the_search(capsys):
             ("plan", "--domain", "story-tiny", "--node-budget", "10"),
             "--node-budget is a search option; the sat backend does not read it",
         ),
-        (
-            ("plan", "--domain", "story-tiny", "--backend", "sat",
-             "--strategy", "depth-first"),
-            "--strategy is a search option; the sat backend",
-        ),
     ],
 )
 def test_plan_config_errors(capsys, argv, fragment):
     assert run(*argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert fragment in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plan", "--domain", "urban", "--k", "abc"),
+        ("plan", "--domain", "urban", "--bogus"),
+        ("plan", "--domain", "urban", "--backend", "dfs"),
+        ("plan", "--domain", "urban", "--strategy", "depth-first"),
+        ("validate", "--domain", "urban"),
+        ("frobnicate",),
+        (),
+    ],
+    ids=["bad-int", "unknown-option", "bad-choice", "removed-strategy",
+         "missing-required", "unknown-command", "no-command"],
+)
+def test_a_malformed_command_line_is_one_error_line(capsys, argv):
+    # exit 2 means "no plans", so argparse's own usage exit would mislead
+    assert run(*argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("plan", "--help")
+    assert exc.value.code == EXIT_OK
+    assert "--node-budget" in capsys.readouterr().out
 
 
 def test_plan_refuses_the_removed_external_solver(monkeypatch, capsys):
@@ -841,13 +864,14 @@ def test_render_names_a_stored_space_that_describes_none(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["render", "validate"])
-def test_schema_3_reports_are_refused(tmp_path, capsys, command):
+@pytest.mark.parametrize("version", [3, 4])
+def test_older_schema_reports_are_refused(tmp_path, capsys, version, command):
     doc = _golden_doc("platformer-k2")
-    doc["schema_version"] = 3
+    doc["schema_version"] = version
     report = _write_report(tmp_path, doc)
     argv = {"render": (), "validate": ("--domain", "platformer", "--plans")}[command]
     assert run(command, *argv, str(report)) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: unknown report schema version 3\n"
+    assert capsys.readouterr().err == f"error: unknown report schema version {version}\n"
 
 
 def test_render_rejects_unbundled_source(tmp_path, capsys):

@@ -29,8 +29,11 @@ def _parser_options() -> set:
 
 
 def test_every_readme_flag_is_a_cli_option():
+    # both ways: no flag the parser lacks, and no option the README leaves out
     flags = set(re.findall(r"--[a-z][a-z-]*", _command_line_section()))
-    assert flags and flags <= _parser_options(), sorted(flags - _parser_options())
+    options = _parser_options() - {"-h", "--help"}
+    assert flags and flags <= options, sorted(flags - options)
+    assert options <= flags, sorted(options - flags)
 
 
 def test_bundled_readme_examples_run(tmp_path, monkeypatch):

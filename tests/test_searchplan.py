@@ -4,7 +4,7 @@ import json
 import random
 import sys
 import weakref
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -130,19 +130,11 @@ def test_atoms_outside_alphabet_rejected():
 
 
 def test_unknown_strategy_and_bad_budget_rejected():
-    with pytest.raises(ValueError):
-        SearchConfig(strategy="random-walk")
+    for strategy in ("random-walk", "depth-first"):
+        with pytest.raises(ValueError):
+            SearchConfig(strategy=strategy)
     with pytest.raises(ValueError):
         SearchConfig(node_budget=0)
-
-
-def test_depth_first_also_finds_a_valid_plan():
-    result = constrained_search(
-        CorridorSimulator(), (KEY,), cfg(strategy="depth-first")
-    )
-    assert result.trace is not None
-    assert eval_finite(KEY, result.trace.valuations)
-    assert result.trace.states[-1][0] == 3
 
 
 def test_pruning_never_changes_satisfiability():
@@ -185,8 +177,7 @@ def test_missing_proposition_is_an_unknown_atom():
         behaviour_generator_ltl(Mute(), corridor_space(), set(), cfg())
 
 
-@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
-def test_proposition_missing_below_the_root_is_an_unknown_atom(strategy):
+def test_proposition_missing_below_the_root_is_an_unknown_atom():
     # the root's valuation assigns every atom, so the memo is read for the
     # first time at a child, whose missing atom must not leak as a KeyError
     class MuteAfterStart(CorridorSimulator):
@@ -196,23 +187,24 @@ def test_proposition_missing_below_the_root_is_an_unknown_atom(strategy):
             return {"at-end": state[0] == 3}
 
     with pytest.raises(UnknownAtom):
-        constrained_search(MuteAfterStart(), (KEY,), cfg(strategy=strategy))
+        constrained_search(MuteAfterStart(), (KEY,), cfg())
     with pytest.raises(UnknownAtom):
-        behaviour_generator_ltl(MuteAfterStart(), corridor_space(), set(), cfg(strategy=strategy))
+        behaviour_generator_ltl(MuteAfterStart(), corridor_space(), set(), cfg())
 
 
 def test_a_search_with_no_targets_expands_nothing():
-    # a depth-first call pauses its sweep deep in the tree; a call with no
-    # targets must neither walk it on nor drop it
+    # the first platformer call pauses its sweep with nodes on the frontier;
+    # a call with no targets must neither walk it on nor drop it
     sim, space = get_domain("platformer")()
-    config = cfg(strategy="depth-first")
+    config = cfg()
     behaviour_generator_ltl(sim, space, set(), config)
     sweep = searchplan._records[id(sim)].sweep
     paused = list(sweep.frontier)
+    assert len(paused) == 12
     for simulator in (sim, get_domain("platformer")()[0]):
         assert constrained_search(simulator, (), config) == SearchResult(None, SearchStats(), None)
     assert searchplan._records[id(sim)].sweep is sweep
-    assert sweep.frontier == paused
+    assert list(sweep.frontier) == paused
 
 
 def test_search_is_deterministic():
@@ -395,18 +387,6 @@ def test_breadth_first_sweep_matches_per_cell_search(case):
     assert swept == reference
 
 
-@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-def test_depth_first_sweep_finds_the_same_behaviours(case):
-    sim, space, k = SWEEP_CASES[case]()
-    config = cfg(strategy="depth-first")
-    swept = run_fbi(behaviour_generator_ltl, sim, space, k, config)
-    reference = run_fbi(per_cell_generator, sim, space, k, config)
-    assert swept.behaviours[: swept.bdc] == reference.behaviours[: reference.bdc]
-    assert swept.bdc == reference.bdc
-    for trace, behaviour in zip(swept.plans, swept.behaviours):
-        assert replays(sim, space, trace, behaviour)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_exhausting_sweep_finds_every_realisable_cell(seed):
     sim, space, _ = urban_case(seeded_grid(seed), 3)
@@ -479,17 +459,14 @@ WALK_CASES = {
 }
 
 
-@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-def test_plan_answers_match_a_fresh_breadth_first_walk_per_call(case, strategy):
-    # the strategy orders only the behaviour sweep: plans come shortest first
-    config = cfg(strategy=strategy)
+def test_plan_answers_match_a_fresh_breadth_first_walk_per_call(case):
     reference = plan_answers(per_call_plan_generator, WALK_CASES[case](), cfg(), 60)
-    assert plan_answers(plan_generator_ltl, WALK_CASES[case](), config, 60) == reference
+    assert plan_answers(plan_generator_ltl, WALK_CASES[case](), cfg(), 60) == reference
     # fbi's loop two starts from the plans loop one found, anywhere in the order
     existing = [t.plan for t in reference[1:12:3] if t is not None]
     assert plan_answers(
-        plan_generator_ltl, WALK_CASES[case](), config, 20, existing
+        plan_generator_ltl, WALK_CASES[case](), cfg(), 20, existing
     ) == plan_answers(per_call_plan_generator, WALK_CASES[case](), cfg(), 20, existing)
 
 
@@ -635,9 +612,8 @@ def answer(result):
     return result.trace, result.index, result.definitive
 
 
-@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
-def test_sweeps_are_the_same_after_earlier_calls_on_the_simulator(strategy):
-    config = cfg(strategy=strategy)
+def test_sweeps_are_the_same_after_earlier_calls_on_the_simulator():
+    config = cfg()
     space = route_space()
     cells = list(enumerate_cells(space))
     used = Counting(CorridorSimulator(budget=7))
@@ -677,10 +653,9 @@ def checked_against_the_oracle(monkeypatch, reference, config=None):
     return calls
 
 
-@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-def test_resumed_sweep_matches_a_fresh_sweep_per_call(monkeypatch, case, strategy):
-    config = cfg(strategy=strategy)
+def test_resumed_sweep_matches_a_fresh_sweep_per_call(monkeypatch, case):
+    config = cfg()
     space = SWEEP_SPACES[case]()
     calls = checked_against_the_oracle(monkeypatch, WALK_CASES[case]())
     run_fbi(behaviour_generator_ltl, WALK_CASES[case](), space, space.size, config)
@@ -688,40 +663,35 @@ def test_resumed_sweep_matches_a_fresh_sweep_per_call(monkeypatch, case, strateg
     assert [new for new, _ in calls] == [old for _, old in calls]
 
 
-@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
 @pytest.mark.parametrize("node_budget", [1, 3, 4, 9, 20, 45, 120])
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-def test_a_budgeted_resumed_sweep_answers_as_an_unbudgeted_one(
-    monkeypatch, case, node_budget, strategy
-):
+def test_a_budgeted_resumed_sweep_answers_as_an_unbudgeted_one(monkeypatch, case, node_budget):
     # a resumed call spends its budget from where the sweep paused, not from
     # the root, so it may answer where a fresh sweep per call runs out; it
     # never answers otherwise than a sweep with no budget
-    config = cfg(strategy=strategy, node_budget=node_budget)
+    config = cfg(node_budget=node_budget)
     space = SWEEP_SPACES[case]()
     reference = WALK_CASES[case]()
-    calls = checked_against_the_oracle(monkeypatch, reference, cfg(strategy=strategy))
+    calls = checked_against_the_oracle(monkeypatch, reference, cfg())
     resumed = run_fbi(behaviour_generator_ltl, WALK_CASES[case](), space, space.size, config)
     for (trace, index, definitive), unbudgeted in calls:
         if definitive:
             assert (trace, index, definitive) == unbudgeted
         elif trace is not None:
             assert index >= unbudgeted[1]
-            if strategy == "breadth-first":
-                target = (cell_target(space, pbehaviour(space, trace)),)
-                assert trace == per_call_sweep(reference, target, cfg()).trace
+            target = (cell_target(space, pbehaviour(space, trace)),)
+            assert trace == per_call_sweep(reference, target, cfg()).trace
     monkeypatch.setattr(searchplan, "constrained_search", per_call_sweep)
     per_call = run_fbi(behaviour_generator_ltl, reference, space, space.size, config)
     assert resumed.bdc >= per_call.bdc
 
 
-@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-def test_resumed_sweep_matches_for_any_found_cell_order(case, strategy):
+def test_resumed_sweep_matches_for_any_found_cell_order(case):
     # targets in cell order, as behaviour_generator_ltl passes them, and in
     # shuffled priority orders, in which a later call's witness may lie
     # below the goal node the sweep paused at
-    config = cfg(strategy=strategy)
+    config = cfg()
     space = SWEEP_SPACES[case]()
     cells = list(enumerate_cells(space))
     rng = random.Random(case)
@@ -761,29 +731,27 @@ def popped_keys(monkeypatch):
 
     def recording(self, *args):
         real(self, *args)
-        pop = self.pop
+        monitors = self.table.monitors
 
-        def popped():
-            node = pop()
-            keys.append((node[0], *self.table.monitors[node[5]]))
-            return node
+        class Recorded(deque):
+            def popleft(self):
+                node = super().popleft()
+                keys.append((node[0], *monitors[node[5]]))
+                return node
 
-        self.pop = popped
+        self.frontier = Recorded(self.frontier)
 
     monkeypatch.setattr(searchplan._Sweep, "__init__", recording)
     return keys
 
 
-def assert_expands_as_pop_time(strategy, result, keys, oracle, popped, met):
+def assert_expands_as_pop_time(result, keys, oracle, popped, met):
     """result and keys, of one call, against the pop-time sweep's answer and
     popped keys for the same call; met holds the keys it popped before.
     Returns how many of the keys it popped it had popped before."""
     assert answer(result) == answer(oracle)
     first = [key for key in popped if key not in met and not met.add(key)]
     again = len(popped) - len(first)
-    if strategy == "depth-first":
-        assert keys == popped and result.stats == oracle.stats
-        return again
     # the pop-time sweep pops a key again to drop it as a duplicate or to prune it
     pruned_again = again - oracle.stats.deduplicated
     assert keys == first
@@ -798,22 +766,21 @@ def exhausted(result):
     return result.trace is None and result.definitive
 
 
-@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
 @pytest.mark.parametrize("case", DEDUP_CASES)
-def test_sweep_expands_what_a_pop_time_sweep_expands_first(monkeypatch, case, strategy):
-    # through fbi's resumed calls: breadth-first expands each dedup key once,
-    # in the order and with the witnesses of the pop-time sweep; depth-first
-    # is the pop-time sweep. Once the tree is exhausted, breadth-first has
-    # dropped, as generated, each node the pop-time sweep popped again
+def test_sweep_expands_what_a_pop_time_sweep_expands_first(monkeypatch, case):
+    # through fbi's resumed calls: the sweep expands each dedup key once, in
+    # the order and with the witnesses of the pop-time sweep. Once the tree
+    # is exhausted, it has dropped, as generated, each node the pop-time
+    # sweep popped again
     make, space, k = dedup_case(case)
-    config, reference = cfg(strategy=strategy), make()
+    config, reference = cfg(), make()
     keys, met, calls = popped_keys(monkeypatch), set(), []
 
     def both(sim, targets, own_config):
         del keys[:]
         result = real(sim, targets, own_config)
         oracle, popped = pop_time_sweep(reference, targets, own_config)
-        again = assert_expands_as_pop_time(strategy, result, keys, oracle, popped, met)
+        again = assert_expands_as_pop_time(result, keys, oracle, popped, met)
         calls.append((result, oracle, again))
         return result
 
@@ -821,30 +788,27 @@ def test_sweep_expands_what_a_pop_time_sweep_expands_first(monkeypatch, case, st
     monkeypatch.setattr(searchplan, "constrained_search", both)
     run_fbi(behaviour_generator_ltl, make(), space, k, config)
     assert len(calls) > 1
-    if strategy == "breadth-first":  # every case meets a duplicate
-        assert calls[0][0].stats.expanded < calls[0][1].stats.expanded
-        if exhausted(calls[-1][0]):
-            assert sum(result.stats.deduplicated for result, _, _ in calls) == sum(
-                again for _, _, again in calls
-            )
+    # every case meets a duplicate
+    assert calls[0][0].stats.expanded < calls[0][1].stats.expanded
+    if exhausted(calls[-1][0]):
+        assert sum(result.stats.deduplicated for result, _, _ in calls) == sum(
+            again for _, _, again in calls
+        )
 
 
-@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
 @pytest.mark.parametrize("case", DEDUP_CASES)
-def test_a_pruning_sweep_expands_what_a_pop_time_sweep_expands_first(
-    monkeypatch, case, strategy
-):
+def test_a_pruning_sweep_expands_what_a_pop_time_sweep_expands_first(monkeypatch, case):
     # one cell's target per fresh sweep, so branches that cannot realise it
     # are pruned, and the pop-time sweep prunes a key each time it pops it
     make, space, _ = dedup_case(case)
-    config, keys = cfg(strategy=strategy), popped_keys(monkeypatch)
+    config, keys = cfg(), popped_keys(monkeypatch)
     for cell in enumerate_cells(space):
         targets = (cell_target(space, cell),)
         del keys[:]
         result = constrained_search(make(), targets, config)
         oracle, popped = pop_time_sweep(make(), targets, config)
-        again = assert_expands_as_pop_time(strategy, result, keys, oracle, popped, set())
-        if strategy == "breadth-first" and exhausted(result):
+        again = assert_expands_as_pop_time(result, keys, oracle, popped, set())
+        if exhausted(result):
             assert result.stats.deduplicated == again
 
 
@@ -967,12 +931,11 @@ def test_plan_calls_after_a_simulator_raised_mid_call_match_the_reference(flaky)
     assert later == reference[len(plans):]
 
 
-@pytest.mark.parametrize("strategy", ["breadth-first", "depth-first"])
-def test_an_exception_mid_sweep_drops_the_sweep(strategy):
+def test_an_exception_mid_sweep_drops_the_sweep():
     # the first sweep pauses at its shallow first target and leaves every
     # transition in the move table, so the resumed sweep fails in is_goal,
     # which it asks of every node it expands
-    config = cfg(strategy=strategy)
+    config = cfg()
     space = route_space()
     targets = tuple(cell_target(space, cell) for cell in enumerate_cells(space))[::-1]
     sim = FlakySimulator(budget=7, flaky="is_goal")
@@ -1060,20 +1023,17 @@ def test_progression_memo_matches_direct_progression(monkeypatch):
 
 # SearchStats (expanded, pruned, deduplicated) of every sweep of the bundled
 # urban k=12 and platformer k=8 runs, in call order: each later call of a run
-# reads its witness from the sweep the first call paused. Breadth-first drops
-# a duplicate when it is generated, so it expands each dedup key once and
-# also counts the duplicates among the children of the node it paused after;
-# depth-first pops its duplicates and counts them then
+# reads its witness from the sweep the first call paused. The sweep drops a
+# duplicate when it is generated, so it expands each dedup key once and also
+# counts the duplicates among the children of the node it paused after
 SWEEP_STATS = {
-    ("urban", "breadth-first"): ((9531, 0, 18335),) + ((0, 0, 0),) * 11,
-    ("urban", "depth-first"): ((27866, 0, 18335),) + ((0, 0, 0),) * 11,
-    ("platformer", "breadth-first"): ((294, 0, 869), (0, 0, 0)),
-    ("platformer", "depth-first"): ((1516, 0, 1039), (0, 0, 0)),
+    "urban": ((9531, 0, 18335),) + ((0, 0, 0),) * 11,
+    "platformer": ((294, 0, 869), (0, 0, 0)),
 }
 
 
-@pytest.mark.parametrize("domain, strategy", sorted(SWEEP_STATS))
-def test_bundled_sweeps_keep_their_node_counts(tmp_path, monkeypatch, domain, strategy):
+@pytest.mark.parametrize("domain", sorted(SWEEP_STATS))
+def test_bundled_sweeps_keep_their_node_counts(tmp_path, monkeypatch, domain):
     seen = []
 
     def counted(sim, targets, config):
@@ -1085,10 +1045,9 @@ def test_bundled_sweeps_keep_their_node_counts(tmp_path, monkeypatch, domain, st
     real = searchplan.constrained_search
     monkeypatch.setattr(searchplan, "constrained_search", counted)
     k = "12" if domain == "urban" else "8"
-    argv = ["plan", "--domain", domain, "--backend", "search", "--k", k,
-            "--strategy", strategy]
+    argv = ["plan", "--domain", domain, "--backend", "search", "--k", k]
     assert main([*argv, "--out", str(tmp_path / "report.json")]) == EXIT_OK
-    assert tuple(seen) == SWEEP_STATS[domain, strategy]
+    assert tuple(seen) == SWEEP_STATS[domain]
 
 
 # ltl values whose formulas overlap -> the cells loop one can realise: the
