@@ -86,6 +86,11 @@ def cfg(**kwargs):
     return SearchConfig(**kwargs)
 
 
+# prune=False only keeps branches every obligation has left, so each check
+# of the sweep's answers and order holds with pruning off as well as on
+PRUNE = pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+
+
 # -- constrained_search ---------------------------------------------------------
 
 
@@ -177,7 +182,8 @@ def test_missing_proposition_is_an_unknown_atom():
         behaviour_generator_ltl(Mute(), corridor_space(), set(), cfg())
 
 
-def test_proposition_missing_below_the_root_is_an_unknown_atom():
+@PRUNE
+def test_proposition_missing_below_the_root_is_an_unknown_atom(prune):
     # the root's valuation assigns every atom, so the memo is read for the
     # first time at a child, whose missing atom must not leak as a KeyError
     class MuteAfterStart(CorridorSimulator):
@@ -187,9 +193,9 @@ def test_proposition_missing_below_the_root_is_an_unknown_atom():
             return {"at-end": state[0] == 3}
 
     with pytest.raises(UnknownAtom):
-        constrained_search(MuteAfterStart(), (KEY,), cfg())
+        constrained_search(MuteAfterStart(), (KEY,), cfg(prune=prune))
     with pytest.raises(UnknownAtom):
-        behaviour_generator_ltl(MuteAfterStart(), corridor_space(), set(), cfg())
+        behaviour_generator_ltl(MuteAfterStart(), corridor_space(), set(), cfg(prune=prune))
 
 
 def test_a_search_with_no_targets_expands_nothing():
@@ -379,18 +385,20 @@ def replays(sim, space, trace, behaviour):
     return pbehaviour(space, trace) == behaviour
 
 
+@PRUNE
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-def test_breadth_first_sweep_matches_per_cell_search(case):
+def test_breadth_first_sweep_matches_per_cell_search(case, prune):
     sim, space, k = SWEEP_CASES[case]()
-    swept = run_fbi(behaviour_generator_ltl, sim, space, k, cfg())
-    reference = run_fbi(per_cell_generator, sim, space, k, cfg())
+    swept = run_fbi(behaviour_generator_ltl, sim, space, k, cfg(prune=prune))
+    reference = run_fbi(per_cell_generator, sim, space, k, cfg(prune=prune))
     assert swept == reference
 
 
+@PRUNE
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-def test_exhausting_sweep_finds_every_realisable_cell(seed):
+def test_exhausting_sweep_finds_every_realisable_cell(seed, prune):
     sim, space, _ = urban_case(seeded_grid(seed), 3)
-    result = run_fbi(behaviour_generator_ltl, sim, space, space.size, cfg())
+    result = run_fbi(behaviour_generator_ltl, sim, space, space.size, cfg(prune=prune))
     assert result.bdc < space.size
     actions = sim.legal_actions(sim.initial())
     cells = set()
@@ -459,26 +467,30 @@ WALK_CASES = {
 }
 
 
+@PRUNE
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-def test_plan_answers_match_a_fresh_breadth_first_walk_per_call(case):
-    reference = plan_answers(per_call_plan_generator, WALK_CASES[case](), cfg(), 60)
-    assert plan_answers(plan_generator_ltl, WALK_CASES[case](), cfg(), 60) == reference
+def test_plan_answers_match_a_fresh_breadth_first_walk_per_call(case, prune):
+    config = cfg(prune=prune)
+    reference = plan_answers(per_call_plan_generator, WALK_CASES[case](), config, 60)
+    assert plan_answers(plan_generator_ltl, WALK_CASES[case](), config, 60) == reference
     # fbi's loop two starts from the plans loop one found, anywhere in the order
     existing = [t.plan for t in reference[1:12:3] if t is not None]
     assert plan_answers(
-        plan_generator_ltl, WALK_CASES[case](), cfg(), 20, existing
-    ) == plan_answers(per_call_plan_generator, WALK_CASES[case](), cfg(), 20, existing)
+        plan_generator_ltl, WALK_CASES[case](), config, 20, existing
+    ) == plan_answers(per_call_plan_generator, WALK_CASES[case](), config, 20, existing)
 
 
+@PRUNE
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-def test_a_node_budget_only_ever_delays_the_breadth_first_answer(case):
+def test_a_node_budget_only_ever_delays_the_breadth_first_answer(case, prune):
     reference, unbudgeted = {}, WALK_CASES[case]()
     for node_budget in range(1, 121):
-        sim, plans, config = WALK_CASES[case](), [], cfg(node_budget=node_budget)
+        sim, plans = WALK_CASES[case](), []
+        config = cfg(node_budget=node_budget, prune=prune)
         for _ in range(25):
             key = tuple(p.labels() for p in plans)
             if key not in reference:
-                reference[key] = per_call_plan_generator(unbudgeted, plans, cfg())
+                reference[key] = per_call_plan_generator(unbudgeted, plans, cfg(prune=prune))
             try:
                 trace = plan_generator_ltl(sim, plans, config)
             except GeneratorTimeout:
@@ -612,8 +624,9 @@ def answer(result):
     return result.trace, result.index, result.definitive
 
 
-def test_sweeps_are_the_same_after_earlier_calls_on_the_simulator():
-    config = cfg()
+@PRUNE
+def test_sweeps_are_the_same_after_earlier_calls_on_the_simulator(prune):
+    config = cfg(prune=prune)
     space = route_space()
     cells = list(enumerate_cells(space))
     used = Counting(CorridorSimulator(budget=7))
@@ -653,9 +666,10 @@ def checked_against_the_oracle(monkeypatch, reference, config=None):
     return calls
 
 
+@PRUNE
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-def test_resumed_sweep_matches_a_fresh_sweep_per_call(monkeypatch, case):
-    config = cfg()
+def test_resumed_sweep_matches_a_fresh_sweep_per_call(monkeypatch, case, prune):
+    config = cfg(prune=prune)
     space = SWEEP_SPACES[case]()
     calls = checked_against_the_oracle(monkeypatch, WALK_CASES[case]())
     run_fbi(behaviour_generator_ltl, WALK_CASES[case](), space, space.size, config)
@@ -663,16 +677,19 @@ def test_resumed_sweep_matches_a_fresh_sweep_per_call(monkeypatch, case):
     assert [new for new, _ in calls] == [old for _, old in calls]
 
 
+@PRUNE
 @pytest.mark.parametrize("node_budget", [1, 3, 4, 9, 20, 45, 120])
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-def test_a_budgeted_resumed_sweep_answers_as_an_unbudgeted_one(monkeypatch, case, node_budget):
+def test_a_budgeted_resumed_sweep_answers_as_an_unbudgeted_one(
+    monkeypatch, case, node_budget, prune
+):
     # a resumed call spends its budget from where the sweep paused, not from
     # the root, so it may answer where a fresh sweep per call runs out; it
     # never answers otherwise than a sweep with no budget
-    config = cfg(node_budget=node_budget)
+    config = cfg(node_budget=node_budget, prune=prune)
     space = SWEEP_SPACES[case]()
     reference = WALK_CASES[case]()
-    calls = checked_against_the_oracle(monkeypatch, reference, cfg())
+    calls = checked_against_the_oracle(monkeypatch, reference, cfg(prune=prune))
     resumed = run_fbi(behaviour_generator_ltl, WALK_CASES[case](), space, space.size, config)
     for (trace, index, definitive), unbudgeted in calls:
         if definitive:
@@ -680,18 +697,19 @@ def test_a_budgeted_resumed_sweep_answers_as_an_unbudgeted_one(monkeypatch, case
         elif trace is not None:
             assert index >= unbudgeted[1]
             target = (cell_target(space, pbehaviour(space, trace)),)
-            assert trace == per_call_sweep(reference, target, cfg()).trace
+            assert trace == per_call_sweep(reference, target, cfg(prune=prune)).trace
     monkeypatch.setattr(searchplan, "constrained_search", per_call_sweep)
     per_call = run_fbi(behaviour_generator_ltl, reference, space, space.size, config)
     assert resumed.bdc >= per_call.bdc
 
 
+@PRUNE
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-def test_resumed_sweep_matches_for_any_found_cell_order(case):
+def test_resumed_sweep_matches_for_any_found_cell_order(case, prune):
     # targets in cell order, as behaviour_generator_ltl passes them, and in
     # shuffled priority orders, in which a later call's witness may lie
     # below the goal node the sweep paused at
-    config = cfg()
+    config = cfg(prune=prune)
     space = SWEEP_SPACES[case]()
     cells = list(enumerate_cells(space))
     rng = random.Random(case)
@@ -766,14 +784,15 @@ def exhausted(result):
     return result.trace is None and result.definitive
 
 
+@PRUNE
 @pytest.mark.parametrize("case", DEDUP_CASES)
-def test_sweep_expands_what_a_pop_time_sweep_expands_first(monkeypatch, case):
+def test_sweep_expands_what_a_pop_time_sweep_expands_first(monkeypatch, case, prune):
     # through fbi's resumed calls: the sweep expands each dedup key once, in
     # the order and with the witnesses of the pop-time sweep. Once the tree
     # is exhausted, it has dropped, as generated, each node the pop-time
     # sweep popped again
     make, space, k = dedup_case(case)
-    config, reference = cfg(), make()
+    config, reference = cfg(prune=prune), make()
     keys, met, calls = popped_keys(monkeypatch), set(), []
 
     def both(sim, targets, own_config):
@@ -796,12 +815,14 @@ def test_sweep_expands_what_a_pop_time_sweep_expands_first(monkeypatch, case):
         )
 
 
+@PRUNE
 @pytest.mark.parametrize("case", DEDUP_CASES)
-def test_a_pruning_sweep_expands_what_a_pop_time_sweep_expands_first(monkeypatch, case):
-    # one cell's target per fresh sweep, so branches that cannot realise it
-    # are pruned, and the pop-time sweep prunes a key each time it pops it
+def test_a_pruning_sweep_expands_what_a_pop_time_sweep_expands_first(monkeypatch, case, prune):
+    # one cell's target per fresh sweep, so with pruning on the branches that
+    # cannot realise it are cut, and the pop-time sweep prunes a key each
+    # time it pops it; with pruning off both sweeps walk them
     make, space, _ = dedup_case(case)
-    config, keys = cfg(), popped_keys(monkeypatch)
+    config, keys = cfg(prune=prune), popped_keys(monkeypatch)
     for cell in enumerate_cells(space):
         targets = (cell_target(space, cell),)
         del keys[:]
@@ -931,11 +952,12 @@ def test_plan_calls_after_a_simulator_raised_mid_call_match_the_reference(flaky)
     assert later == reference[len(plans):]
 
 
-def test_an_exception_mid_sweep_drops_the_sweep():
+@PRUNE
+def test_an_exception_mid_sweep_drops_the_sweep(prune):
     # the first sweep pauses at its shallow first target and leaves every
     # transition in the move table, so the resumed sweep fails in is_goal,
     # which it asks of every node it expands
-    config = cfg()
+    config = cfg(prune=prune)
     space = route_space()
     targets = tuple(cell_target(space, cell) for cell in enumerate_cells(space))[::-1]
     sim = FlakySimulator(budget=7, flaky="is_goal")
