@@ -20,10 +20,11 @@ for preconditions and effects, and positive/negative explanatory frame
 axioms. At h, each goal disjunct's selector implies its literals. The goal
 clause (some selector), and every clause that forbids a behaviour or a plan
 at h, also holds the literal ¬g_h, so it binds only where g_h is assumed;
-the one-shot `encode` asserts g_h with a unit. So no item needs a case of
-its own: an empty one (no goal-fluent pairs, or the empty plan at horizon 0)
-is [¬g_h], which closes the horizon, and a behaviour holding a fluent both
-true and false is a tautology, which the solver drops. Every layer below the
+the one-shot `encode` asserts g_h with a unit. So an empty item (no
+goal-fluent pairs, or the empty plan at horizon 0) needs no case of its own:
+it is [¬g_h], which closes the horizon. A behaviour holding a fluent both
+true and false forbids nothing and builds no clause, so no clause repeats a
+variable, as the solver's batch loader requires. Every layer below the
 horizon is retired: units set its guard and goal selectors False, which
 switches off a goal encoded there before the task grew. Plans shorter than
 the horizon are the business of lower horizons — there is no no-op padding.
@@ -83,7 +84,8 @@ class CnfTask:
     `horizon` steps are encoded, and so is the goal at `horizon`, guarded by
     `guard(horizon)`. `clauses` holds the clauses emitted and not yet handed
     to a solver: all of them, for a one-shot task. The steps, forbid_behaviour
-    and forbid_plan append to it, with variable numbers (never 0) as literals.
+    and forbid_plan append to it, with variable numbers (never 0) as literals
+    and no variable twice in a clause.
     The task keeps the problem's actions but not the problem itself, so a
     record that keeps a task does not keep its problem alive.
 
@@ -262,18 +264,23 @@ def decode(model: Sequence, task: CnfTask) -> PlanTrace:
     return PlanTrace(plan=Plan(tuple(plan)), states=tuple(states))
 
 
-def forbid_behaviour(task: CnfTask, literals: Iterable[tuple[Fluent, bool]]) -> list:
+def forbid_behaviour(
+    task: CnfTask, literals: Iterable[tuple[Fluent, bool]]
+) -> Optional[list]:
     """Exclude every model that reproduces these (goal fluent, truth) pairs at
     the task's horizon: the clause is the disjunction of the flipped literals,
-    guarded by the horizon's g. No pairs give [¬g_h], which closes the
-    horizon; a fluent paired with both truths gives a tautology, which
-    excludes nothing."""
+    guarded by the horizon's g, with a repeated pair counted once. No pairs
+    give [¬g_h], which closes the horizon; a fluent paired with both truths
+    excludes nothing, so no clause is appended and None is returned."""
+    pairs = sorted(set(literals))
     clause = []
-    for fluent, truth in sorted(literals):
+    for fluent, truth in pairs:
         if fluent not in task.goal_fluents:
             raise ValueError(f"{fluent} is not a goal fluent")
         var = task.fluent_var(fluent, task.horizon)
         clause.append(-var if truth else var)
+    if len({fluent for fluent, _ in pairs}) < len(pairs):
+        return None
     task.clauses.append(clause + [-task.guard(task.horizon)])
     return task.clauses[-1]
 

@@ -34,7 +34,8 @@ Within one generator the first open horizon only rises, so the solver
 holds exactly steps 0..h-1 when it answers at h. A call that needs a horizon
 below the task's, or that drops an item loaded at the task's horizon, starts
 a fresh task and an empty solver. Fresh or live, a solver is loaded one way:
-add_vars for the task's new variables, add_clause for each new clause. A
+add_vars for the task's new variables, then one add_clauses call for the
+new clauses, which the encoder builds with no variable repeated. A
 budget run-out drops the solver and records nothing. The record is kept by
 `core.record_of`: keyed by object identity, it dies with its problem
 (neither task nor solver holds it), so a fresh problem object plans as a
@@ -111,8 +112,7 @@ def _solve_horizon(
         if item not in loaded:
             forbid(task, item)
             loaded.add(item)
-    for clause in task.clauses:
-        solver.add_clause(clause)
+    solver.add_clauses(task.clauses)
     task.clauses.clear()
     model = solver.solve(max_conflicts, assumptions=(task.guard(horizon),))
     live[generator] = (task, solver, loaded)

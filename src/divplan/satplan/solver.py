@@ -8,10 +8,17 @@ budget turns long runs into ResourceLimit instead of open-ended search.
 Literals are non-zero ints (DIMACS convention: v / -v). The search state is
 indexed by literal: a list of length 2n+1 reaches slot `-v` at 2n+1-v through
 Python's negative indexing, so the hot loops never take `abs`.
+
+Clauses load through one batch loader, `add_clauses`, which reads only
+level-0 values; `add_clause` normalises one clause for it. Level-0
+assignments are never undone, so decisions scan only the variables not fixed
+there, and pick as a scan over every variable would.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import neg
 from typing import Iterable, Optional, Sequence
 
 
@@ -40,7 +47,7 @@ class Solver:
 
     Clauses and variables are only ever added, so learned clauses,
     activities and saved phases stay sound and carry over to the next
-    solve(). add_clause() and solve() return the search to decision level 0
+    solve(). Loading and solve() return the search to decision level 0
     themselves when a previous solve() left it above. An UNSAT answer under
     assumptions leaves the solver as usable as before; one without them is
     final (`ok` turns False). `conflicts` counts the latest solve() call, so
@@ -51,7 +58,9 @@ class Solver:
     - `level[lit]` and `reason[lit]` belong to the assignment that made `lit`
       true and are read only while `lit` is on the trail;
     - `watches[lit]` lists, in watch order, the clauses whose first two
-      literals include `lit`; a clause that implied a literal keeps it first.
+      literals include `lit`; a clause that implied a literal keeps it first;
+    - `_free` lists, in index order, the variables not fixed at level 0 when
+      the level-0 trail held `_fixed` literals.
     Activities and saved phases stay indexed by variable.
 
     The search order is that of the per-variable kernel this replaced
@@ -82,43 +91,57 @@ class Solver:
         self.ok = True
         self.var_inc = 1.0
         self.conflicts = 0
+        self._free, self._fixed = [], -1  # listed at the first decision
         for clause in clauses:
             self.add_clause(clause)
 
     # -- clause loading (at decision level 0, before or between solves) --
 
     def add_clause(self, lits: Sequence[int]) -> None:
-        """Add a clause; a literal outside +-num_vars, or 0, is a ValueError
-        even where the clause itself would be dropped."""
+        """Add one clause: a literal outside +-num_vars, or 0, is a
+        ValueError even where the clause itself would be dropped; a repeated
+        literal counts once, and a tautology is dropped."""
+        clause = list(dict.fromkeys(lits))
+        if set(clause).isdisjoint(map(neg, clause)):
+            return self.add_clauses((clause,))
+        _check_literals(clause, self.num_vars)  # a tautology, or a 0
+        self.add_clauses(())  # loads nothing, and returns to level 0 as a load does
+
+    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
+        """Load a batch of clauses, none of which may repeat a variable.
+
+        A bad literal anywhere in the batch is a ValueError before any of it
+        loads. Then, back at level 0 even for an empty batch, a literal true
+        there drops its clause and a false one drops itself; no literal left
+        makes the solver UNSAT, one is enqueued, else the first two are
+        watched. The solver keeps copies, never the caller's lists."""
         n = self.num_vars
+        flat = list(chain.from_iterable(clauses))
+        if flat and (min(flat) < -n or max(flat) > n or 0 in flat):
+            _check_literals(flat, n)
         if not self.ok:
-            return _check_literals(lits, n)
+            return
         if self.trail_lim:
             self._backtrack(0)
         val = self.val
-        seen = set()
-        out = []
-        for lit in lits:
-            if lit == 0 or not -n <= lit <= n:
-                raise ValueError(f"bad literal {lit}")
-            if -lit in seen:
-                return _check_literals(lits, n)  # tautology
-            if lit in seen:
-                continue
-            seen.add(lit)
-            v = val[lit]
-            if v:
-                return _check_literals(lits, n)  # already satisfied at level 0
-            if v is False:
-                continue  # falsified at level 0: drop the literal
-            out.append(lit)
-        if not out:
-            self.ok = False
-            return
-        if len(out) == 1:
-            self._enqueue(out[0], None)
-            return
-        self._watch(out)
+        watches = self.watches
+        for clause in clauses:
+            out = []
+            for lit in clause:
+                v = val[lit]
+                if v:
+                    break  # true at level 0: drop the clause
+                if v is None:
+                    out.append(lit)  # false at level 0: drop the literal
+            else:
+                if len(out) > 1:
+                    watches[out[0]].append(out)
+                    watches[out[1]].append(out)
+                elif out:
+                    self._enqueue(out[0], None)
+                else:
+                    self.ok = False
+                    return
 
     def add_vars(self, phases: Sequence[bool]) -> None:
         """Add len(phases) variables after the existing ones, with these
@@ -133,10 +156,7 @@ class Solver:
         self.activity.extend([0.0] * k)
         self.phase.extend(phases)
         self.num_vars = n + k
-
-    def _watch(self, clause: list) -> None:
-        self.watches[clause[0]].append(clause)
-        self.watches[clause[1]].append(clause)
+        self._fixed = -1  # relisted at the next decision
 
     # -- assignment primitives --
 
@@ -259,11 +279,17 @@ class Solver:
         self.qhead = len(self.trail)
 
     def _decide(self) -> Optional[int]:
+        trail = self.trail
+        fixed = self.trail_lim[0] if self.trail_lim else len(trail)
+        if fixed != self._fixed:  # level 0 grew, or add_vars ran
+            on_level_0 = {abs(lit) for lit in trail[:fixed]}
+            self._free = [v for v in range(1, self.num_vars + 1) if v not in on_level_0]
+            self._fixed = fixed
         best = 0
         best_act = -1.0
         val = self.val
         activity = self.activity
-        for v in range(1, self.num_vars + 1):
+        for v in self._free:
             if val[v] is None and activity[v] > best_act:
                 best = v
                 best_act = activity[v]
@@ -314,7 +340,8 @@ class Solver:
                     for k in range(2, len(learnt)):
                         if level[-learnt[k]] > level[-learnt[1]]:
                             learnt[1], learnt[k] = learnt[k], learnt[1]
-                    self._watch(learnt)
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)
                 self.var_inc /= 0.95
                 continue

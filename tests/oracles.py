@@ -9,16 +9,21 @@ checked against.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import random
+import sys
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import itemgetter
+from pathlib import Path
 
 from divplan import pddl
 from divplan.bspace import (
     Behaviour,
     BehaviourSpace,
+    TemporalFormula,
     goal_endings_feature,
     ltl_feature,
     pbehaviour,
@@ -55,6 +60,7 @@ from divplan.domains.urban import (
 )
 from divplan.ltl import (
     FALSE,
+    TRUE,
     Always,
     And,
     Atom,
@@ -69,6 +75,7 @@ from divplan.ltl import (
     _lookup,
     atoms,
     final_eval,
+    mk_and,
     progress,
 )
 from divplan.pddl import (
@@ -552,6 +559,50 @@ class GroundSimulator:
 
     def is_goal(self, state):
         return self.problem.goal.satisfied_by(state)
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+_DATA = _ROOT / "src" / "divplan" / "domains" / "data"
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded without putting bench/ on sys.path."""
+    path = _ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _bench_workloads()
+
+
+def seeded_tiny_cut(seed: int) -> GroundProblem:
+    """The story-tiny cut the benchmark's `workloads.tiny_problem` draws for
+    random.Random(seed), grounded."""
+    domain = pddl.load_domain(str(_DATA / "story-tiny-domain.pddl"))
+    text = workloads.tiny_problem(random.Random(seed))
+    return pddl.ground(domain, pddl.parse_problem(text, domain))
+
+
+def temporal_endings_space(problem: GroundProblem) -> BehaviourSpace:
+    """`goal_endings_feature(problem)` with a temporal expression, for the
+    search backend: each cell is the conjunction of `FG l` over its goal
+    literals, which on a finite trace says l holds at the end."""
+    feature = goal_endings_feature(problem)
+    base = feature.domain.base
+    formulas = []
+    for value in feature.domain:
+        formula = TRUE
+        for fluent in base:
+            atom = Atom(str(fluent))
+            formula = mk_and(
+                formula, Eventually(Always(atom if fluent in value else Not(atom)))
+            )
+        formulas.append((value, formula))
+    return BehaviourSpace(
+        (replace(feature, expression=TemporalFormula(tuple(formulas))),)
+    )
 
 
 # -- the behaviour sweep, one fresh sweep per call ---------------------------------
@@ -1042,3 +1093,102 @@ def reference_final_eval(formula, valuation) -> bool:
     if isinstance(formula, (RefAlways, RefEventually)):
         return reference_final_eval(formula.arg, valuation)
     raise TypeError(f"not a formula: {formula!r}")
+
+
+# -- checked UNSAT: forward reverse unit propagation -------------------------------
+
+
+class RupChecker:
+    """A clause set that answers whether a clause follows from it by reverse
+    unit propagation: asserting the negation of every literal and
+    propagating reaches a conflict (Goldberg & Novikov, DATE 2003; Van
+    Gelder, ISAIM 2008). It shares no code with the solver: literals true
+    under the assignment live in a set, and each clause of two or more
+    literals is watched by its first two. The assignment at the root, where
+    units and what they propagate stay for good, is kept between checks;
+    each check adds its own literals above it and takes them back after."""
+
+    def __init__(self):
+        self.true: set = set()
+        self.trail: list = []
+        self.watches: dict = {}
+        self.conflict = False  # the clauses propagate to a conflict at the root
+
+    def add(self, clause) -> None:
+        """Add an input clause, or a lemma that has been checked."""
+        clause = list(dict.fromkeys(clause))
+        true = self.true
+        if self.conflict or any(lit in true or -lit in clause for lit in clause):
+            return  # nothing to add: satisfied at the root, or a tautology
+        open_lits = [lit for lit in clause if -lit not in true]
+        if not open_lits:
+            self.conflict = True
+        elif len(open_lits) == 1:
+            self.conflict = self._assign_and_propagate([open_lits[0]], len(self.trail))
+        else:
+            for lit in open_lits[:2]:
+                self.watches.setdefault(lit, []).append(open_lits)
+
+    def implied(self, clause) -> bool:
+        """Whether clause follows from the clauses added so far by RUP."""
+        if self.conflict:
+            return True
+        mark = len(self.trail)
+        if any(lit in self.true for lit in clause):
+            return True
+        negated = [-lit for lit in dict.fromkeys(clause) if -lit not in self.true]
+        conflict = self._assign_and_propagate(negated, mark)
+        for lit in self.trail[mark:]:
+            self.true.discard(lit)
+        del self.trail[mark:]
+        return conflict
+
+    def _assign_and_propagate(self, lits, qhead: int) -> bool:
+        true, trail, watches = self.true, self.trail, self.watches
+        for lit in lits:
+            if -lit in true:
+                return True
+            if lit not in true:
+                true.add(lit)
+                trail.append(lit)
+        while qhead < len(trail):
+            false = -trail[qhead]
+            qhead += 1
+            watching = watches.get(false, [])
+            kept = []
+            for i, clause in enumerate(watching):
+                if clause[0] == false:
+                    clause[0], clause[1] = clause[1], clause[0]
+                if clause[0] in true:
+                    kept.append(clause)
+                    continue
+                for k in range(2, len(clause)):
+                    if -clause[k] not in true:
+                        clause[1], clause[k] = clause[k], clause[1]
+                        watches.setdefault(clause[1], []).append(clause)
+                        break
+                else:
+                    kept.append(clause)
+                    if -clause[0] in true:
+                        watches[false] = kept + watching[i + 1 :]
+                        return True
+                    true.add(clause[0])
+                    trail.append(clause[0])
+            watches[false] = kept
+        return False
+
+
+def rup_failures(log) -> list:
+    """The positions in a solver log whose claim does not follow by RUP
+    from the clauses logged before it. Each entry is (kind, clause): kind
+    "input" adds a clause, "learned" a lemma, and "unsat" an answer (the
+    clause of the negated assumptions, or the empty clause without them).
+    A lemma is added whether or not it checks, so one bad lemma fails
+    once."""
+    checker, failures = RupChecker(), []
+    for position, (kind, clause) in enumerate(log):
+        if kind != "input" and not checker.implied(clause):
+            failures.append(position)
+        if kind != "unsat":
+            checker.add(clause)
+    return failures

@@ -230,6 +230,35 @@ def test_encoding_is_pinned(name):
     assert set(map(tuple, direct.clauses)) <= set(map(tuple, grown.clauses))
 
 
+@pytest.mark.parametrize("ordered", [False, True], ids=["all-orders", "one-order"])
+@pytest.mark.parametrize("name", sorted(ENCODE_PINS))
+def test_no_clause_the_generators_load_repeats_a_variable(name, ordered):
+    # Solver.add_clauses, the generators' one load path, reads each clause
+    # against level-0 values alone: no clause may be empty or hold 0, a
+    # literal beyond +-num_vars or one variable twice
+    problem = _pinned_problem(name)
+    goal = sorted(problem.goal.fluents())
+    names = [a.name for a in problem.actions]
+    task = CnfTask(problem)
+    if ordered:
+        task.keep_one_order()
+    loaded = 0
+    for horizon in range(0, 13):
+        task.advance(horizon)
+        forbid_behaviour(task, [])
+        forbid_behaviour(task, [(f, i % 2 == 0) for i, f in enumerate(goal)] * 2)
+        forbid_behaviour(task, [(goal[0], True), (goal[-1], False), (goal[0], False)])
+        forbid_plan(task, [names[7 * t % len(names)] for t in range(horizon)])
+        for clause in task.clauses:
+            variables = {abs(lit) for lit in clause}
+            assert clause and 0 not in variables, clause
+            assert max(variables) <= task.num_vars, clause
+            assert len(variables) == len(clause), clause
+        loaded += len(task.clauses)
+        task.clauses.clear()
+    assert loaded > 13 * len(names)
+
+
 @pytest.mark.parametrize("horizon", range(0, 6))
 def test_toggle_models_match_oracle(horizon):
     # the one-action and two-switch problems sit at the edges of the
@@ -362,16 +391,28 @@ def test_forbid_behaviour_with_no_pairs_closes_the_horizon():
 
 
 def test_forbid_behaviour_contradictory_pairs_keep_every_model(tiny_story):
-    # a fluent paired with both truths makes a tautology: the horizon's plans
-    # stay exactly those of the task without it
+    # a fluent paired with both truths forbids nothing, so no clause is
+    # appended: the horizon's plans stay exactly those of the task without it
     fluent = min(tiny_story.goal.fluents())
     task = encode(tiny_story, 3)
-    clause = forbid_behaviour(task, ((fluent, True), (fluent, False)))
-    var = task.fluent_var(fluent, 3)
-    assert var in clause and -var in clause
+    before = len(task.clauses)
+    assert forbid_behaviour(task, ((fluent, True), (fluent, False))) is None
+    assert len(task.clauses) == before
     assert {p.labels() for p in exhaust_models(tiny_story, 3, task)} == {
         p.labels() for p in exhaust_models(tiny_story, 3)
     }
+
+
+def test_forbid_behaviour_counts_a_repeated_pair_once(tiny_story):
+    # the solver's batch loader takes clauses that repeat no variable
+    first, second = sorted(tiny_story.goal.fluents())[:2]
+    task = encode(tiny_story, 3)
+    pairs = ((second, False), (first, True), (second, False), (first, True))
+    clause = forbid_behaviour(task, pairs)
+    assert clause == [
+        -task.fluent_var(first, 3), task.fluent_var(second, 3), -task.guard(3)
+    ]
+    assert task.clauses[-1] is clause
 
 
 # -- forbid_plan ---------------------------------------------------------------
@@ -1060,13 +1101,18 @@ def test_contradictory_units_unsat():
     [[1, 5], [2, -2, 0], [1, 0]],
     ids=["true-then-out-of-range", "tautology-then-zero", "true-then-zero"],
 )
-def test_a_clause_the_solver_drops_still_has_its_literals_checked(clause):
+@pytest.mark.parametrize("entry", ["add_clause", "add_clauses"])
+def test_a_clause_the_solver_drops_still_has_its_literals_checked(entry, clause):
     # 1 is true at level 0 and 2 | -2 is a tautology: either drops the
     # clause before its later literals are read; an UNSAT solver drops every
-    # clause
+    # clause. add_clauses gets it after [-1, 2], which would enqueue 2
     for solver in (Solver(2, [[1]]), Solver(2, [[1], [-1]])):
         with pytest.raises(ValueError, match="bad literal"):
-            solver.add_clause(clause)
+            if entry == "add_clause":
+                solver.add_clause(clause)
+            else:
+                solver.add_clauses([[-1, 2], clause])
+        assert solver.trail == [1]
 
 
 def pigeonhole(pigeons, holes):

@@ -10,26 +10,38 @@ a budget runs out are compared for equality, not just satisfiability.
 A live `Solver` that gets clauses between solves keeps its learned clauses
 and phases, so its search differs from a fresh one; there the reference
 gives only the SAT/UNSAT answer on the cumulative clauses.
+
+Two more references guard the level-0 load path of the live solver:
+loading a batch one `add_clause` at a time, which every `add_clauses` load
+must match state for state, and `full_scan_decide`, the decision scan over
+every variable, whose picks the kept list of unfixed variables must match.
 """
 
+import copy
 import os
 import random
+from contextlib import nullcontext
 from typing import Iterable, Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divplan.bspace import BehaviourSpace, goal_endings_feature
 from divplan.domains import get_domain
+from divplan.fbi import fbi
 from divplan.pddl import ground, load_domain, load_problem_file
 from divplan.satplan import (
     CnfTask,
     ResourceLimit,
     Solver,
+    behaviour_generator_sat,
     decode,
     encode,
     forbid_behaviour,
     forbid_plan,
+    generators,
+    plan_generator_sat,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "divplan", "domains", "data")
@@ -463,3 +475,228 @@ def test_same_search_on_random_3sat(seed):
         for _ in range(340)
     ]
     assert_same_search(80, clauses)
+
+
+# -- the batch loader and the decision list ---------------------------------------
+
+
+def full_scan_decide(solver):
+    """`Solver._decide` as it was before it kept a list of the variables not
+    fixed at level 0: a scan over every variable."""
+    best = 0
+    best_act = -1.0
+    val = solver.val
+    activity = solver.activity
+    for v in range(1, solver.num_vars + 1):
+        if val[v] is None and activity[v] > best_act:
+            best = v
+            best_act = activity[v]
+    if best == 0:
+        return None
+    return best if solver.phase[best] else -best
+
+
+class ScanSolver(Solver):
+    """The solver with the full-scan decision."""
+
+    _decide = full_scan_decide
+
+
+def load_one_by_one(solver, clauses):
+    for clause in clauses:
+        solver.add_clause(clause)
+
+
+def assert_same_load(a, b):
+    """The state a load writes: values, levels, trail, queue head, `ok` and
+    the watch lists, compared as literal lists in watch order."""
+    assert a.num_vars == b.num_vars and a.ok == b.ok and a.qhead == b.qhead
+    assert a.val == b.val and a.level == b.level and a.trail == b.trail
+    assert a.watches == b.watches
+
+
+class TwinSolver(Solver):
+    """A solver that runs a shadow beside it: the shadow loads each batch one
+    add_clause at a time and decides by the full scan. After every load the
+    two must hold the same state, and every solve must give the same model
+    and conflict count."""
+
+    def __init__(self, num_vars):
+        super().__init__(num_vars)
+        self.shadow = ScanSolver(num_vars)
+        self.solves = 0
+
+    def add_vars(self, phases):
+        super().add_vars(phases)
+        self.shadow.add_vars(phases)
+
+    def add_clauses(self, clauses):
+        super().add_clauses(clauses)
+        load_one_by_one(self.shadow, clauses)
+        assert_same_load(self, self.shadow)
+
+    def solve(self, max_conflicts=None, assumptions=()):
+        model = super().solve(max_conflicts, assumptions)
+        assert self.shadow.solve(max_conflicts, assumptions) == model
+        assert self.shadow.conflicts == self.conflicts
+        assert_same_load(self, self.shadow)
+        self.solves += 1
+        return model
+
+
+def outcome_of(solver, max_conflicts=None, assumptions=()):
+    try:
+        return solver.solve(max_conflicts, assumptions)
+    except ResourceLimit:
+        return "budget"
+
+
+@st.composite
+def load_rounds(draw):
+    """Batches of clauses that repeat no variable, units, contradictory units
+    and now and then an empty clause among them, each batch followed by a
+    solve under up to two assumptions, which leaves the solver above level 0."""
+    num_vars = draw(st.integers(1, 10))
+
+    def signed(variables):
+        return [v if draw(st.booleans()) else -v for v in variables]
+
+    def clause():
+        return signed(draw(st.lists(st.integers(1, num_vars), min_size=1, max_size=4,
+                                    unique=True)))
+
+    rounds = []
+    for _ in range(draw(st.integers(1, 5))):
+        batch = [clause() for _ in range(draw(st.integers(1, 12)))]
+        if draw(st.integers(0, 19)) == 0:
+            batch.insert(draw(st.integers(0, len(batch))), [])
+        assumptions = signed(draw(st.lists(st.integers(1, num_vars), max_size=2,
+                                           unique=True)))
+        rounds.append((batch, assumptions))
+    return num_vars, rounds
+
+
+@given(load_rounds())
+@settings(max_examples=300, deadline=None)
+def test_a_batch_loads_as_its_clauses_one_by_one(case):
+    num_vars, rounds = case
+    batched, single = Solver(num_vars), Solver(num_vars)
+    for batch, assumptions in rounds:
+        batched.add_clauses(batch)
+        load_one_by_one(single, batch)
+        assert_same_load(batched, single)
+        model = batched.solve(assumptions=assumptions)
+        assert single.solve(assumptions=assumptions) == model
+        assert batched.conflicts == single.conflicts
+
+
+@pytest.mark.parametrize("at", [0, 2, 3], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [0, 4, -4])
+def test_a_bad_literal_anywhere_in_a_batch_loads_none_of_it(at, bad):
+    batch = [[1], [-2, 3], [2, -1, 3]]
+    batch.insert(at, [3, bad])
+    solver = Solver(3)
+    solver.solve()  # leaves the solver above level 0
+    before = copy.deepcopy(solver)
+    with pytest.raises(ValueError, match=f"bad literal {bad}"):
+        solver.add_clauses(batch)
+    assert_same_load(solver, before)
+    assert solver.trail_lim == before.trail_lim
+
+
+@pytest.mark.parametrize("pack, k", [("story", 3), ("story-tiny", 60)])
+def test_the_generators_batches_load_as_their_clauses_one_by_one(monkeypatch, pack, k):
+    # every batch _solve_horizon loads, and every solve after it, on a twin
+    # that checks both against the one-by-one, full-scan shadow
+    problem = get_domain(pack)()[0]
+    twins = []
+
+    def twin(num_vars):
+        twins.append(TwinSolver(num_vars))
+        return twins[-1]
+
+    monkeypatch.setattr(generators, "Solver", twin)
+    space = BehaviourSpace((goal_endings_feature(problem),))
+    fbi(
+        k, space,
+        lambda found: behaviour_generator_sat(problem, space, found),
+        lambda existing: plan_generator_sat(problem, existing),
+    )
+    assert twins and sum(t.solves for t in twins) >= k
+
+
+@given(cnfs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_decision_list_picks_as_the_full_scan(case, data):
+    # a solve, then units added between solves, then variables added after
+    # a solve: every answer and conflict count is the full scan's
+    num_vars, clauses, phases, max_conflicts = case
+    kept = Solver(num_vars, clauses, phases=phases)
+    scan = ScanSolver(num_vars, clauses, phases=phases)
+
+    def solve_both():
+        outcome = outcome_of(kept, max_conflicts)
+        assert outcome_of(scan, max_conflicts) == outcome
+        assert kept.conflicts == scan.conflicts
+
+    solve_both()
+    variable = st.integers(1, num_vars)
+    for unit in data.draw(st.lists(variable.flatmap(lambda v: st.sampled_from([v, -v])),
+                                   max_size=4)):
+        for solver in (kept, scan):
+            solver.add_clause([unit])
+        solve_both()
+    new_phases = data.draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    n = num_vars + len(new_phases)
+    for solver in (kept, scan):
+        solver.add_vars(new_phases)
+        solver.add_clauses([[n, -1], [-n, 1]])
+    solve_both()
+
+
+def assert_lists_the_unfixed(solver):
+    # after a model, the last pick listed exactly the variables level 0 left
+    # free: a stale list picks the same, but scans what it need not
+    fixed = solver.trail_lim[0] if solver.trail_lim else len(solver.trail)
+    on_level_0 = {abs(lit) for lit in solver.trail[:fixed]}
+    free = [v for v in range(1, solver.num_vars + 1) if v not in on_level_0]
+    assert solver._free == free
+
+
+def test_the_decision_list_follows_learned_units_and_added_variables():
+    # this random 3-SAT instance learns a unit clause before its first model;
+    # each later round adds a unit the last model keeps, then two variables,
+    # and every pick of the live solver must be the full scan's
+    picks, learned_units = [0], [0]
+
+    class Checked(Solver):
+        def _decide(self):
+            lit = super()._decide()
+            assert lit == full_scan_decide(self)
+            picks[0] += 1
+            return lit
+
+        def _analyze(self, conflict):
+            learnt, backjump = super()._analyze(conflict)
+            learned_units[0] += len(learnt) == 1
+            return learnt, backjump
+
+    rng = random.Random(4)
+    clauses = [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 61), 3)]
+        for _ in range(250)
+    ]
+    solver = Checked(60, clauses)
+    model = solver.solve()
+    assert learned_units[0] > 0
+    assert_lists_the_unfixed(solver)
+    for _ in range(4):
+        v = rng.randint(1, 60)
+        solver.add_clause([v if model[v] else -v])
+        solver.add_vars([True, False])
+        n = solver.num_vars
+        solver.add_clauses([[n, n - 1, rng.randint(1, 60)], [-n, -(n - 1)]])
+        model = solver.solve()
+        assert model is not None
+        assert_lists_the_unfixed(solver)
+    assert picks[0] > 0
