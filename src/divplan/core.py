@@ -1,9 +1,10 @@
 """Grounded STRIPS planning model.
 
 States are closed-world sets of fluents, each a ground atom held as the
-tuple ``(name, args)``. Actions carry positive/negative preconditions and
-add/delete effects. Goals are stored in DNF (a disjunction of literal
-conjunctions), which keeps goal checks and SAT goal clauses uniform.
+tuple ``(name, args)``. Actions are tuples too: a name, positive and
+negative preconditions, and add and delete effects. Goals are stored in DNF
+(a disjunction of literal conjunctions), which keeps goal checks and SAT
+goal clauses uniform.
 """
 
 from __future__ import annotations
@@ -86,17 +87,27 @@ class Fluent(_FluentFields):
 State = frozenset  # frozenset[Fluent]; everything absent is false
 
 
-@dataclass(frozen=True)
-class GroundAction:
+class _GroundActionFields(NamedTuple):
     name: str
     pre_pos: frozenset = frozenset()
     pre_neg: frozenset = frozenset()
     add: frozenset = frozenset()
     delete: frozenset = frozenset()
 
-    def __post_init__(self):
-        if self.add & self.delete:
-            raise ValueError(f"action {self.name}: add and delete effects overlap")
+
+class GroundAction(_GroundActionFields):
+    """A named action whose add and delete effects never overlap. It is the
+    plain tuple of its five fields: it equals that tuple and hashes as it
+    does, as the frozen dataclass it replaced did, so sets of actions, and
+    the grounder's checks of them, run in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, pre_pos=frozenset(), pre_neg=frozenset(),
+                add=frozenset(), delete=frozenset()):
+        if add & delete:
+            raise ValueError(f"action {name}: add and delete effects overlap")
+        return tuple.__new__(cls, (name, pre_pos, pre_neg, add, delete))
 
     def fluents(self) -> frozenset:
         return self.pre_pos | self.pre_neg | self.add | self.delete
@@ -153,9 +164,10 @@ class GroundProblem:
         if not self.init <= self.fluents:
             missing = sorted(str(f) for f in self.init - self.fluents)
             raise ValueError(f"init fluents outside the universe: {missing}")
-        for a in self.actions:
-            if not a.fluents() <= self.fluents:
-                raise ValueError(f"action {a.name} uses fluents outside the universe")
+        used = frozenset().union(*[part for a in self.actions for part in a[1:]])
+        if not used <= self.fluents:
+            bad = next(a for a in self.actions if not a.fluents() <= self.fluents)
+            raise ValueError(f"action {bad.name} uses fluents outside the universe")
         if not self.goal.fluents() <= self.fluents:
             raise ValueError("goal uses fluents outside the universe")
         names = [a.name for a in self.actions]

@@ -70,6 +70,9 @@ class PlatformerState(NamedTuple):
     enemy_alive: bool
 
 
+_TERRAIN = str.maketrans("", "", "#.")  # str.translate table deleting solid and air
+
+
 def parse_level(text: str) -> Level:
     """Read an ASCII map: '#' solid, '.' air, 'A' avatar start, 'E' enemy."""
     lines = [line for line in text.splitlines() if line.strip()]
@@ -79,23 +82,24 @@ def parse_level(text: str) -> Level:
     if any(len(line) != width for line in lines):
         raise LevelFormatError("all map rows must have equal width")
     height = len(lines)
-    solid = set()
+    solid = []
     avatar: Optional[tuple] = None
     enemy: Optional[tuple] = None
     for top_index, line in enumerate(lines):
         row = height - 1 - top_index
-        for col, ch in enumerate(line):
-            if ch == "#":
-                solid.add((col, row))
-            elif ch == "A":
+        if "#" in line:
+            solid += [(col, row) for col, ch in enumerate(line) if ch == "#"]
+        # the rest, in map order; a second 'A' or 'E' fails before its column
+        for ch in line.translate(_TERRAIN):
+            if ch == "A":
                 if avatar is not None:
                     raise LevelFormatError("more than one avatar start")
-                avatar = (col, row)
+                avatar = (line.index("A"), row)
             elif ch == "E":
                 if enemy is not None:
                     raise LevelFormatError("more than one enemy")
-                enemy = (col, row)
-            elif ch != ".":
+                enemy = (line.index("E"), row)
+            else:
                 raise LevelFormatError(f"unknown map character {ch!r}")
     if avatar is None or enemy is None:
         raise LevelFormatError("level needs one 'A' and one 'E'")

@@ -3,7 +3,8 @@
 Supported: ``:strips :typing :negative-preconditions :equality``, and
 ``or`` and ``exists`` in problem goals. Anything outside the subset raises
 UnsupportedFeature rather than misparsing silently. Parse errors carry
-line/column positions.
+the line and column of the offending node (`_read_sexps` says how they are
+counted).
 
 Each rule is checked in one place:
 
@@ -36,7 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import Fluent, GoalFormula, GroundAction, GroundProblem
 
@@ -78,63 +79,55 @@ class GroundingExplosion(PddlError):
 # -- s-expressions -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SAtom:
+class _SAtom(NamedTuple):
     text: str
     line: int
     col: int
+
+
+_new_atom = tuple.__new__  # an atom without the Python-level NamedTuple.__new__
 
 
 class _SList(list):
     __slots__ = ("line", "col")
 
     def __init__(self, line: int, col: int):
-        super().__init__()
         self.line = line
         self.col = col
 
 
 _Sexp = Union[_SAtom, _SList]
 
-# a parenthesis, a comment or an atom; every other character is whitespace
-_TOKEN_RE = re.compile(r"[()]|;[^\n]*|[^\s();]+")
-
-
-def _tokenize(text: str):
-    """(token, line, col) per parenthesis and atom. Lines are counted at
-    ``\\n`` and columns in characters, so a tab is one column."""
-    line, line_start, seen = 1, 0, 0
-    for m in _TOKEN_RE.finditer(text):
-        tok, start = m.group(), m.start()
-        newlines = text.count("\n", seen, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", seen, start) + 1
-        seen = start
-        if tok[0] != ";":
-            yield tok, line, start - line_start + 1
+# a parenthesis or an atom; a ';' starts a comment, and every other
+# character is whitespace
+_TOKEN_RE = re.compile(r"[()]|[^\s();]+")
 
 
 def _read_sexps(text: str) -> list:
-    stack: list[_SList] = []
+    """The top-level forms of text, read one ``\\n``-line at a time. Each
+    atom and list is positioned at its first character: lines are counted
+    from 1 at ``\\n`` only, and the column is the offset in the line + 1, so
+    a tab or any other whitespace is one column."""
     top: list = []
-    for tok, line, col in _tokenize(text):
-        if tok == "(":
-            if len(stack) == MAX_NESTING:
-                raise PddlSyntaxError(f"lists nested deeper than {MAX_NESTING}", line, col)
-            stack.append(_SList(line, col))
-        elif tok == ")":
-            if not stack:
-                raise PddlSyntaxError("unbalanced ')'", line, col)
-            done = stack.pop()
-            (stack[-1] if stack else top).append(done)
-        else:
-            atom = _SAtom(tok.lower(), line, col)
-            if stack:
-                stack[-1].append(atom)
+    stack = [top]  # the open lists, innermost last, under the top level
+    for line, row in enumerate(text.split("\n"), 1):
+        comment = row.find(";")
+        for m in _TOKEN_RE.finditer(row, 0, comment if comment >= 0 else len(row)):
+            tok, col = m.group(), m.start() + 1
+            if tok == "(":
+                if len(stack) > MAX_NESTING:
+                    message = f"lists nested deeper than {MAX_NESTING}"
+                    raise PddlSyntaxError(message, line, col)
+                lst = _SList(line, col)
+                stack[-1].append(lst)
+                stack.append(lst)
+            elif tok == ")":
+                if len(stack) == 1:
+                    raise PddlSyntaxError("unbalanced ')'", line, col)
+                stack.pop()
             else:
-                top.append(atom)
-    if stack:
+                stack[-1].append(_new_atom(_SAtom, (tok.lower(), line, col)))
+    if len(stack) > 1:
         raise PddlSyntaxError("unbalanced '('", stack[-1].line, stack[-1].col)
     return top
 
@@ -575,7 +568,10 @@ def _getter(slots: list):
     """combo -> the tuple of its entries at these slots."""
     if len(slots) > 1:
         return itemgetter(*slots)
-    return lambda combo: tuple([combo[i] for i in slots])
+    if not slots:
+        return lambda combo: ()
+    (i,) = slots
+    return lambda combo: (combo[i],)
 
 
 def _compile(schema: ActionSchema, dynamic: set) -> tuple:
@@ -614,6 +610,8 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
     deleted by any schema) prune instantiations whose preconditions cannot
     hold in any reachable state. One atom table per call gives init, every
     action and the goal one Fluent per atom; nothing outlives the call.
+    Each kept instantiation is one GroundAction tuple, whose deletes are
+    its deletes minus its adds, so its overlap check always passes.
     Raises GroundingExplosion when the instantiation count would exceed
     GROUND_ACTION_CAP.
     """

@@ -13,6 +13,7 @@ import importlib.util
 import itertools
 import math
 import random
+import re
 import sys
 from collections import deque
 from dataclasses import dataclass, fields, replace
@@ -47,6 +48,7 @@ from divplan.domains.platformer import (
     TERMINAL_VELOCITY,
     AvatarDied,
     Level,
+    LevelFormatError,
     PlatformerState,
 )
 from divplan.domains.urban import (
@@ -86,6 +88,7 @@ from divplan.pddl import (
     GroundingExplosion,
     LiteralAst,
     PddlError,
+    PddlSyntaxError,
     _objects_by_type,
     _validate_problem,
 )
@@ -201,6 +204,48 @@ def corridor_space() -> BehaviourSpace:
                 ),
             ),
         )
+    )
+
+
+# -- the level parser, one character at a time ------------------------------------
+
+
+def reference_parse_level(text: str) -> Level:
+    """`platformer.parse_level` as it was before it scanned only the
+    non-terrain characters: every character of every row is dispatched in
+    map order, top row first."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise LevelFormatError("empty level map")
+    width = len(lines[0])
+    if any(len(line) != width for line in lines):
+        raise LevelFormatError("all map rows must have equal width")
+    height = len(lines)
+    solid = set()
+    avatar = enemy = None
+    for top_index, line in enumerate(lines):
+        row = height - 1 - top_index
+        for col, ch in enumerate(line):
+            if ch == "#":
+                solid.add((col, row))
+            elif ch == "A":
+                if avatar is not None:
+                    raise LevelFormatError("more than one avatar start")
+                avatar = (col, row)
+            elif ch == "E":
+                if enemy is not None:
+                    raise LevelFormatError("more than one enemy")
+                enemy = (col, row)
+            elif ch != ".":
+                raise LevelFormatError(f"unknown map character {ch!r}")
+    if avatar is None or enemy is None:
+        raise LevelFormatError("level needs one 'A' and one 'E'")
+    return Level(
+        width=width,
+        height=height,
+        solid=frozenset(solid),
+        avatar_start=avatar,
+        enemy_pos=enemy,
     )
 
 
@@ -504,6 +549,71 @@ def _goal_dnf(goal, binding, by_type, dynamic, init):
             out.extend(child_dnf)
         return out
     raise TypeError(goal)
+
+
+# -- the PDDL reader, one tokenizer over the whole text ----------------------------
+
+
+@dataclass(frozen=True)
+class RefSAtom:
+    text: str
+    line: int
+    col: int
+
+
+class RefSList(list):
+    def __init__(self, line: int, col: int):
+        super().__init__()
+        self.line = line
+        self.col = col
+
+
+# a parenthesis, a comment or an atom; every other character is whitespace
+_REF_TOKEN_RE = re.compile(r"[()]|;[^\n]*|[^\s();]+")
+
+
+def _reference_tokenize(text: str):
+    """(token, line, col) per parenthesis and atom. Lines are counted at
+    ``\\n`` and columns in characters, so a tab is one column."""
+    line, line_start, seen = 1, 0, 0
+    for m in _REF_TOKEN_RE.finditer(text):
+        tok, start = m.group(), m.start()
+        newlines = text.count("\n", seen, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", seen, start) + 1
+        seen = start
+        if tok[0] != ";":
+            yield tok, line, start - line_start + 1
+
+
+def reference_read_sexps(text: str) -> list:
+    """`pddl._read_sexps` as it was before it read one line at a time: a
+    whole-text tokenizer that counts the newlines before each token, and
+    atoms as frozen dataclasses and lists as list subclasses."""
+    stack: list = []
+    top: list = []
+    for tok, line, col in _reference_tokenize(text):
+        if tok == "(":
+            if len(stack) == pddl.MAX_NESTING:
+                raise PddlSyntaxError(
+                    f"lists nested deeper than {pddl.MAX_NESTING}", line, col
+                )
+            stack.append(RefSList(line, col))
+        elif tok == ")":
+            if not stack:
+                raise PddlSyntaxError("unbalanced ')'", line, col)
+            done = stack.pop()
+            (stack[-1] if stack else top).append(done)
+        else:
+            atom = RefSAtom(tok.lower(), line, col)
+            if stack:
+                stack[-1].append(atom)
+            else:
+                top.append(atom)
+    if stack:
+        raise PddlSyntaxError("unbalanced '('", stack[-1].line, stack[-1].col)
+    return top
 
 
 # -- the plan walk, one fresh walk per call ----------------------------------------

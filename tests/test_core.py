@@ -1,7 +1,9 @@
 import copy
 import gc
 import json
+import pickle
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -119,8 +121,80 @@ def test_fluent_repr_names_its_fields():
 # -- actions and goals ---------------------------------------------------------
 
 def test_action_add_delete_overlap_rejected():
-    with pytest.raises(ValueError):
+    message = "^action bad: add and delete effects overlap$"
+    with pytest.raises(ValueError, match=message):
         GroundAction("bad", add=frozenset({P}), delete=frozenset({P}))
+    with pytest.raises(ValueError, match=message):
+        GroundAction("bad", frozenset(), frozenset(), frozenset({P, G1}), frozenset({P}))
+
+
+_PARTS = st.frozensets(st.sampled_from([P, G1, G2]), max_size=2)
+_ACTIONS = st.builds(
+    lambda name, pre_pos, pre_neg, add, delete: GroundAction(
+        name, pre_pos, pre_neg, add, delete - add
+    ),
+    st.sampled_from(["a", "b"]), _PARTS, _PARTS, _PARTS, _PARTS,
+)
+
+
+def _action_fields(a):
+    return (a.name, a.pre_pos, a.pre_neg, a.add, a.delete)
+
+
+@given(a=_ACTIONS, b=_ACTIONS)
+def test_actions_are_equal_exactly_when_their_fields_are(a, b):
+    # a GroundAction is the plain tuple of its fields, and hashes as the
+    # frozen dataclass it replaced did: as that tuple
+    assert (a == b) == (_action_fields(a) == _action_fields(b))
+    assert a == _action_fields(a) and hash(a) == hash(_action_fields(a))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (Plan((a, b)) == Plan((b, a))) == (a == b)
+    assert hash(Plan((a, b))) == hash(((a, b),))
+
+
+def test_plans_compare_and_hash_by_their_action_sequence():
+    twin = GroundAction("turn-on", pre_neg=frozenset({fl("p")}), add=frozenset({fl("p")}))
+    assert twin == ON and twin is not ON
+    assert Plan((twin, OFF)) == Plan((ON, OFF)) != Plan((OFF, ON))
+    assert hash(Plan((twin, OFF))) == hash(Plan((ON, OFF)))
+    assert len({Plan((ON, OFF)), Plan((twin, OFF)), Plan((OFF, ON))}) == 2
+    assert Plan((ON, OFF)).labels() == ("turn-on", "turn-off")
+
+
+@pytest.mark.parametrize("action", [ON, OFF, GroundAction("noop")], ids=str)
+def test_an_action_copies_and_pickles_to_an_equal_action(action):
+    copies = [copy.copy(action), copy.deepcopy(action)] + [
+        pickle.loads(pickle.dumps(action, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for twin in copies:
+        assert type(twin) is GroundAction
+        assert twin == action and hash(twin) == hash(action)
+        assert _action_fields(twin) == _action_fields(action)
+
+
+def test_an_action_prints_as_its_name():
+    assert str(ON) == "turn-on"
+    assert str(GroundAction("move(aladdin,castle)")) == "move(aladdin,castle)"
+    assert repr(GroundAction("noop")) == (
+        "GroundAction(name='noop', pre_pos=frozenset(), pre_neg=frozenset(), "
+        "add=frozenset(), delete=frozenset())"
+    )
+
+
+def test_the_universe_check_names_the_first_action_outside_it():
+    problem = problem_from_json({
+        "actions": [
+            {"name": "inside", "add": ["g"]},
+            {"name": "second", "pre": ["!x"], "add": ["g"]},
+            {"name": "third", "add": ["y"]},
+        ],
+        "init": [],
+        "goal": [["g"]],
+    })
+    with pytest.raises(ValueError, match="^action second uses fluents outside the universe$"):
+        replace(problem, fluents=frozenset({fl("g")}))
 
 
 def test_goal_dnf_semantics():

@@ -52,6 +52,7 @@ from oracles import (
     choice_problem,
     endings_space,
     enumerate_plans,
+    reference_parse_level,
     reference_platformer_step,
     reference_scores,
     reference_urban_step,
@@ -432,11 +433,18 @@ def test_parse_level_coordinates_are_bottom_up():
         ([".E.", "###"], "needs one"),
         (["A..", "###"], "needs one"),
         (["A?E", "###"], "character"),
+        # the first fault in map order is the one reported
+        (["A.A?E", "#####"], "avatar"),
+        (["A?A.E", "#####"], "character"),
+        (["E.A..", "..A?.", "#####"], "avatar"),
+        (["E..A.", "?.E..", "#####"], "character"),
+        (["#A#E#", "##E##"], "enemy"),
     ],
 )
 def test_parse_level_rejects_malformed_maps(rows, message):
     with pytest.raises(LevelFormatError, match=message):
         lvl(rows)
+    assert_parses_as_the_reference("\n".join(rows))
 
 
 def test_bundled_level_shape():
@@ -698,9 +706,23 @@ def level_grids(draw):
     return "\n".join("".join(cells[r * width:(r + 1) * width]) for r in range(height))
 
 
+def assert_parses_as_the_reference(text):
+    """parse_level and reference_parse_level return equal Levels, or raise
+    the same LevelFormatError message."""
+    try:
+        expected = reference_parse_level(text)
+    except LevelFormatError as exc:
+        with pytest.raises(LevelFormatError) as info:
+            parse_level(text)
+        assert str(info.value) == str(exc)
+        return
+    assert parse_level(text) == expected
+
+
 @given(st.one_of(st.text(alphabet=LEVEL_CHARS, max_size=80), level_grids()))
 @settings(max_examples=200, deadline=None)
 def test_level_text_parses_or_fails_cleanly_and_plays_like_the_reference(text):
+    assert_parses_as_the_reference(text)
     try:
         level = parse_level(text)
     except LevelFormatError:

@@ -26,7 +26,7 @@ from divplan.pddl import (
     parse_domain,
     parse_problem,
 )
-from oracles import enumerate_plans, reference_ground
+from oracles import enumerate_plans, reference_ground, reference_read_sexps
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "divplan", "domains", "data")
 
@@ -133,6 +133,65 @@ def test_an_error_after_rare_whitespace_keeps_its_line_and_column(space):
     assert (info.value.line, info.value.col) == (3, 3)
     with pytest.raises(PddlSyntaxError, match=r"line 2, col 21: unbalanced '\)'"):
         parse_domain(f"(define (domain x)\n{space}\t(:predicates (p))))")
+
+
+def sexp_shape(forms) -> list:
+    """Each node as (kind, line, col, text or children), so trees from the
+    reader and its reference compare by content and position alone."""
+    return [
+        ("list", f.line, f.col, sexp_shape(f)) if isinstance(f, list)
+        else ("atom", f.line, f.col, f.text)
+        for f in forms
+    ]
+
+
+def assert_reads_as_the_reference(text):
+    """_read_sexps and reference_read_sexps give the same tree, or the same
+    PddlSyntaxError message and position."""
+    try:
+        expected = reference_read_sexps(text)
+    except PddlSyntaxError as exc:
+        with pytest.raises(PddlSyntaxError) as info:
+            pddl._read_sexps(text)
+        got = (str(info.value), info.value.line, info.value.col)
+        assert got == (str(exc), exc.line, exc.col)
+        return
+    assert sexp_shape(pddl._read_sexps(text)) == sexp_shape(expected)
+
+
+# atoms (one lowercasing to a longer string), parentheses, comments and
+# every kind of whitespace the reader meets, and runs of '(' deep enough,
+# two or three together, to pass MAX_NESTING
+_SEXP_PIECES = (
+    "(", ")", "define", "Domain", "?X", "-", ":action", "a\u0130b", "x;y",
+    "; a (comment)", ";", " ", "\t", "\r", "\f", "\v", "\u00a0", "\n", "\r\n",
+    "(" * 40, ")" * 40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_SEXP_PIECES), max_size=40).map("".join))
+def test_the_reader_matches_the_whole_text_tokenizer(text):
+    assert_reads_as_the_reference(text)
+
+
+def _nested(depth):
+    """Lists depth deep, all but the outermost opened after tabs on line 2."""
+    return "(a\n" + "\t(" * (depth - 1) + "b" + ")" * depth
+
+
+READER_CASES = {
+    **{name: open(data_file(name)).read() for name in (
+        "aladdin-domain.pddl", "aladdin-problem.pddl",
+        "story-tiny-domain.pddl", "story-tiny-problem.pddl",
+    )},
+    **{f"nested-{d}": _nested(d) for d in range(pddl.MAX_NESTING - 1, pddl.MAX_NESTING + 2)},
+}
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_bundled_and_deep_texts_read_as_the_reference(case):
+    assert_reads_as_the_reference(READER_CASES[case])
 
 
 def test_nesting_deeper_than_the_cap_is_a_positioned_syntax_error():
