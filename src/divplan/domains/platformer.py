@@ -74,8 +74,9 @@ _TERRAIN = str.maketrans("", "", "#.")  # str.translate table deleting solid and
 
 
 def parse_level(text: str) -> Level:
-    """Read an ASCII map: '#' solid, '.' air, 'A' avatar start, 'E' enemy."""
-    lines = [line for line in text.splitlines() if line.strip()]
+    """Read an ASCII map: '#' solid, '.' air, 'A' avatar start, 'E' enemy.
+    Rows end at '\n', less one '\r' before it; blank rows are skipped."""
+    lines = [line.removesuffix("\r") for line in text.split("\n") if line.strip()]
     if not lines:
         raise LevelFormatError("empty level map")
     width = len(lines[0])

@@ -7,8 +7,10 @@ each branch, so a node carries, per target, the obligation that remains for
 its subtree. A branch is cut once every live obligation has collapsed to
 false and no live target is satisfied by the prefix itself. Nodes with the
 same state and the same obligations have the same future, so the sweep,
-breadth-first, expands one of them and drops a duplicate when it is
-generated (immediate duplicate detection).
+breadth-first, expands one of them. It drops a duplicate when it is
+generated (immediate duplicate detection), and it tests a child for a goal
+then too (Russell & Norvig, AIMA 3rd ed., 3.4.1), so a call stops after it
+expands its witness's parent, not after it pops the witness.
 
 Formulas are interned to small ids, and so is a node's monitor (its residual
 ids and prefix truth bits), so the dedup key is (state, monitor id) and one
@@ -74,7 +76,8 @@ class Simulator(Protocol):
     those answers must not change while it does. A behaviour sweep hashes
     and compares a state on every child it generates, so a tuple is the
     cheap choice of state: both bundled simulators' states are `NamedTuple`
-    subclasses.
+    subclasses. It asks `is_goal` of a new child whose prefix meets a
+    target when it generates it, so also of children it never expands.
     """
 
     budget: Optional[int]
@@ -123,9 +126,9 @@ class SearchConfig:
 class SearchStats:
     """What one behaviour call did, counted from where it resumed.
 
-    expanded: nodes popped, each handled in full (checked for a witness,
-    then pruned or given its children). The sweep never pops a duplicate,
-    so it expands each dedup key (state, monitor id) once.
+    expanded: nodes popped, each handled in full (pruned, or given its
+    children, each new one checked for a witness). The sweep never pops a
+    duplicate, so it expands each dedup key (state, monitor id) once.
     pruned: expanded nodes cut because every obligation had collapsed.
     deduplicated: children not pushed because their key was already pushed,
     so the count includes duplicates among the children of the node the
@@ -277,8 +280,8 @@ class _Sweep:
 
     Every target stays live, so the dedup key (state, monitor id) holds
     every residual and a target's first witness is the same node whichever
-    call reaches it. witnesses[i] is the first goal trace in walk order
-    that satisfies targets[i], or None while the sweep has met none.
+    call reaches it. witnesses[i] is the first goal trace in generation
+    order that satisfies targets[i], or None while the sweep has met none.
     """
 
     def __init__(self, sim, targets: Sequence[LtlFormula], cfg: SearchConfig):
@@ -291,6 +294,15 @@ class _Sweep:
         monitor = self.table.after(self.table.start, v0)
         self.visited: dict = {(init, monitor): 0}  # dedup key -> depth pushed at
         self.frontier = deque([(init, None, None, v0, 0, monitor)])
+        if self.table.met[monitor] and sim.is_goal(init):
+            self._meet(self.frontier[0])
+
+    def _meet(self, goal: tuple) -> None:
+        """Make goal the witness of each target its monitor meets that has none."""
+        trace = None
+        for i in self.table.met[goal[5]]:
+            if self.witnesses[i] is None:
+                self.witnesses[i] = trace = trace or _trace(goal)
 
     def positions(self, targets: Sequence[LtlFormula]) -> Optional[list]:
         """Where each of targets sits among this sweep's, matched in order,
@@ -302,12 +314,14 @@ class _Sweep:
     def walk(self, sim, transitions: dict, first: int, stats: SearchStats):
         """Expand nodes until targets[first] has a witness, the tree ends or
         this call's node budget runs out. A node is handled in full, its
-        children pushed, before the walk pauses after it.
+        children pushed and each new one checked for a witness, so a call
+        pauses right after it expands the parent of targets[first]'s witness.
 
         A child whose dedup key is already in visited is dropped: the FIFO
-        pops the first node pushed with a key first, at its shallowest
-        depth, so a pop-time check would expand the same nodes in the same
-        order."""
+        pops nodes in the order they were generated, the first with a key
+        at its shallowest depth, so pop-time checks would meet the same
+        witnesses and expand the same nodes in the same order, only on to
+        the witness itself."""
         depth_cap = getattr(sim, "budget", None)
         cfg, witnesses, visited, table = self.cfg, self.witnesses, self.visited, self.table
         frontier, prune = self.frontier, cfg.prune
@@ -322,13 +336,6 @@ class _Sweep:
             node = pop()
             state, _, _, _, depth, monitor = node
             expanded += 1
-
-            if met[monitor] and sim.is_goal(state):
-                trace = None
-                for i in met[monitor]:
-                    if witnesses[i] is None:
-                        witnesses[i] = trace = trace or _trace(node)
-
             if prune and dead[monitor]:
                 stats.pruned += 1
                 continue
@@ -348,6 +355,8 @@ class _Sweep:
                     continue
                 visited[key] = depth
                 children.append((succ, node, action, valuation, depth, after))
+                if met[after] and sim.is_goal(succ):
+                    self._meet(children[-1])
             deduplicated += len(moves) - len(children)
             push(children)
         stats.expanded, stats.deduplicated = expanded, deduplicated

@@ -213,8 +213,9 @@ def corridor_space() -> BehaviourSpace:
 def reference_parse_level(text: str) -> Level:
     """`platformer.parse_level` as it was before it scanned only the
     non-terrain characters: every character of every row is dispatched in
-    map order, top row first."""
-    lines = [line for line in text.splitlines() if line.strip()]
+    map order, top row first. It is the reference for that scan, not for
+    how rows are split, so it splits them as parse_level does."""
+    lines = [line.removesuffix("\r") for line in text.split("\n") if line.strip()]
     if not lines:
         raise LevelFormatError("empty level map")
     width = len(lines[0])

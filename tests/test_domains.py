@@ -447,6 +447,35 @@ def test_parse_level_rejects_malformed_maps(rows, message):
     assert_parses_as_the_reference("\n".join(rows))
 
 
+# characters str.splitlines ends a line at, besides "\n" and "\r\n"
+LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("ch", LINE_BREAKS)
+def test_parse_level_refuses_a_line_break_inside_a_row(ch):
+    with pytest.raises(LevelFormatError) as info:
+        parse_level(f"A.{ch}E.\n#####")
+    assert str(info.value) == f"unknown map character {ch!r}"
+    with pytest.raises(LevelFormatError):
+        parse_level(f"A.{ch}E.\n##")
+
+
+def test_crlf_maps_parse_as_lf_maps():
+    rows = ["....", "A.E.", "####"]
+    level = lvl(rows)
+    for text in (
+        "\r\n".join(rows),
+        "\r\n".join(rows) + "\r\n",
+        "\r\n \r\n" + "\r\n".join(rows) + "\n\t\r\n",
+    ):
+        assert parse_level(text) == level
+        assert_parses_as_the_reference(text)
+    # only one "\r" before a "\n" ends the row
+    with pytest.raises(LevelFormatError) as info:
+        parse_level("\r\r\n".join(rows) + "\r\r\n")
+    assert str(info.value) == "unknown map character '\\r'"
+
+
 def test_bundled_level_shape():
     level = bundled_level()
     assert (level.width, level.height) == (24, 8)
@@ -688,7 +717,7 @@ def test_platformer_state_is_a_tuple_with_the_dataclass_repr():
     assert sim.propositions(state) is sim.propositions(sim.initial())
 
 
-LEVEL_CHARS = "#.AE? \n"
+LEVEL_CHARS = "#.AE? \n" + LINE_BREAKS
 
 
 @st.composite

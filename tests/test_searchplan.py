@@ -5,7 +5,7 @@ import random
 import sys
 import weakref
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import pytest
@@ -72,6 +72,7 @@ from oracles import (
     random_formula,
     toggle_problem,
     two_switch_problem,
+    workloads,
 )
 
 END = parse_formula("F at-end")
@@ -206,7 +207,7 @@ def test_a_search_with_no_targets_expands_nothing():
     behaviour_generator_ltl(sim, space, set(), config)
     sweep = searchplan._records[id(sim)].sweep
     paused = list(sweep.frontier)
-    assert len(paused) == 12
+    assert len(paused) == 28
     for simulator in (sim, get_domain("platformer")()[0]):
         assert constrained_search(simulator, (), config) == SearchResult(None, SearchStats(), None)
     assert searchplan._records[id(sim)].sweep is sweep
@@ -429,14 +430,16 @@ def test_list_and_string_cells_build_the_tuple_grid_and_plan_alike(kind):
 
 def test_spent_node_budget_still_returns_a_realised_cell():
     # breadth-first meets the keyless goal (depth 3) before the keyed one
-    # (depth 4); the budget counts distinct dedup keys expanded
+    # (depth 4); the budget counts distinct dedup keys expanded, and a goal
+    # is met when it is generated: the keyless one by the 3rd expansion,
+    # its depth-2 parent, and the keyed one by the 5th, the key's cell
     sim, space = CorridorSimulator(), corridor_space()
     with pytest.raises(GeneratorTimeout):
-        behaviour_generator_ltl(sim, space, set(), cfg(node_budget=3))
-    later = behaviour_generator_ltl(sim, space, set(), cfg(node_budget=4))
+        behaviour_generator_ltl(sim, space, set(), cfg(node_budget=2))
+    later = behaviour_generator_ltl(sim, space, set(), cfg(node_budget=3))
     assert replays(sim, space, later, pbehaviour(space, later))
     assert pbehaviour(space, later).values == ("without-key",)
-    first = behaviour_generator_ltl(sim, space, set(), cfg(node_budget=7))
+    first = behaviour_generator_ltl(sim, space, set(), cfg(node_budget=5))
     assert pbehaviour(space, first).values == ("with-key",)
 
 
@@ -590,10 +593,11 @@ def test_plans_of_a_ground_problem_come_in_enumerate_plans_order(problem, cap):
 
 
 class Counting:
-    """A simulator wrapper that counts the step and is_goal calls made."""
+    """A simulator wrapper that counts the step and is_goal calls made,
+    per (state, action) and per state."""
 
     def __init__(self, sim):
-        self.sim, self.steps, self.goal_tests = sim, Counter(), 0
+        self.sim, self.steps, self.asked, self.goal_tests = sim, Counter(), Counter(), 0
 
     def step(self, state, action):
         self.steps[state, action] += 1
@@ -601,6 +605,7 @@ class Counting:
 
     def is_goal(self, state):
         self.goal_tests += 1
+        self.asked[state] += 1
         return self.sim.is_goal(state)
 
     def __getattr__(self, name):
@@ -763,21 +768,68 @@ def popped_keys(monkeypatch):
     return keys
 
 
-def assert_expands_as_pop_time(result, keys, oracle, popped, met):
-    """result and keys, of one call, against the pop-time sweep's answer and
-    popped keys for the same call; met holds the keys it popped before.
-    Returns how many of the keys it popped it had popped before."""
-    assert answer(result) == answer(oracle)
-    first = [key for key in popped if key not in met and not met.add(key)]
-    again = len(popped) - len(first)
-    # the pop-time sweep pops a key again to drop it as a duplicate or to prune it
-    pruned_again = again - oracle.stats.deduplicated
-    assert keys == first
-    assert result.stats.expanded == (
-        oracle.stats.expanded - oracle.stats.deduplicated - pruned_again
-    )
-    assert result.stats.pruned == oracle.stats.pruned - pruned_again
-    return again
+def witness_parent(sim, trace):
+    """The dedup key, as popped_keys records it, of the node whose children
+    held trace's goal node, read back through the monitors of the sweep
+    last paused on sim; None when the goal is the root."""
+    if len(trace.states) == 1:
+        return None
+    table = searchplan._records[id(sim)].sweep.table
+    monitor = table.start
+    for valuation in trace.valuations[:-1]:
+        monitor = next_monitor(table, monitor, valuation)
+    return (trace.states[-2], *table.monitors[monitor])
+
+
+@dataclass
+class PopTimeLedger:
+    """One sweep's calls against the pop-time sweep's, from the root on.
+
+    The sweep tests a child for a witness when it generates it, so a call
+    pauses right after it expands the parent of its first target's witness,
+    where the pop-time sweep walks on until it pops the witness. Over the
+    calls, expanded lists the keys the sweep expanded and first the keys
+    the pop-time sweep popped for the first time, in order; expanded must
+    be first up to cut, the end of the furthest witness parent so far, or
+    all of first once the tree is exhausted."""
+
+    prune: bool
+    expanded: list = field(default_factory=list)
+    first: list = field(default_factory=list)
+    cut: int = 0
+    again: int = 0  # pops of a key the pop-time sweep had popped before
+    pruned_again: int = 0  # of which it pruned again, not dropped as a duplicate
+
+    def check(self, sim, result, keys, oracle, popped):
+        """result and keys, of one call on sim, against the pop-time
+        sweep's answer and popped keys for the same call."""
+        assert answer(result) == answer(oracle)
+        met = set(self.first)
+        fresh = [key for key in popped if key not in met and not met.add(key)]
+        self.first += fresh
+        self.again += len(popped) - len(fresh)
+        self.pruned_again += len(popped) - len(fresh) - oracle.stats.deduplicated
+        self.expanded += keys
+        if result.index == 0:
+            parent = witness_parent(sim, result.trace)
+            if parent is not None:
+                self.cut = max(self.cut, self.first.index(parent) + 1)
+        else:  # targets[0] has no witness, so both sweeps ran the tree out
+            assert result.definitive
+            self.cut = len(self.first)
+        assert self.expanded == self.first[: self.cut]
+        assert result.stats.expanded == len(keys)
+        dead = sum(not any(residuals) and not any(sats) for _, residuals, sats in keys)
+        assert result.stats.pruned == (dead if self.prune else 0)
+
+    def check_exhausted(self, results, oracles):
+        """At exhaustion the sweep has dropped, as generated, each node the
+        pop-time sweep popped again, and pruned each dead key once."""
+        assert self.expanded == self.first
+        assert sum(r.stats.deduplicated for r in results) == self.again
+        assert sum(r.stats.pruned for r in results) == (
+            sum(o.stats.pruned for o in oracles) - self.pruned_again
+        )
 
 
 def exhausted(result):
@@ -788,31 +840,29 @@ def exhausted(result):
 @pytest.mark.parametrize("case", DEDUP_CASES)
 def test_sweep_expands_what_a_pop_time_sweep_expands_first(monkeypatch, case, prune):
     # through fbi's resumed calls: the sweep expands each dedup key once, in
-    # the order and with the witnesses of the pop-time sweep. Once the tree
-    # is exhausted, it has dropped, as generated, each node the pop-time
-    # sweep popped again
+    # the order and with the witnesses of the pop-time sweep, and stops one
+    # parent short of the pop-time sweep's pause
     make, space, k = dedup_case(case)
     config, reference = cfg(prune=prune), make()
-    keys, met, calls = popped_keys(monkeypatch), set(), []
+    keys, ledger, calls = popped_keys(monkeypatch), PopTimeLedger(prune), []
 
     def both(sim, targets, own_config):
         del keys[:]
         result = real(sim, targets, own_config)
         oracle, popped = pop_time_sweep(reference, targets, own_config)
-        again = assert_expands_as_pop_time(result, keys, oracle, popped, met)
-        calls.append((result, oracle, again))
+        ledger.check(sim, result, keys, oracle, popped)
+        calls.append((result, oracle))
         return result
 
     real = searchplan.constrained_search
     monkeypatch.setattr(searchplan, "constrained_search", both)
     run_fbi(behaviour_generator_ltl, make(), space, k, config)
     assert len(calls) > 1
-    # every case meets a duplicate
+    # on its first call every case meets a duplicate or stops short of the
+    # pop-time sweep's pause, so it expands less
     assert calls[0][0].stats.expanded < calls[0][1].stats.expanded
     if exhausted(calls[-1][0]):
-        assert sum(result.stats.deduplicated for result, _, _ in calls) == sum(
-            again for _, _, again in calls
-        )
+        ledger.check_exhausted(*zip(*calls))
 
 
 @PRUNE
@@ -824,13 +874,68 @@ def test_a_pruning_sweep_expands_what_a_pop_time_sweep_expands_first(monkeypatch
     make, space, _ = dedup_case(case)
     config, keys = cfg(prune=prune), popped_keys(monkeypatch)
     for cell in enumerate_cells(space):
-        targets = (cell_target(space, cell),)
+        targets, sim, ledger = (cell_target(space, cell),), make(), PopTimeLedger(prune)
         del keys[:]
-        result = constrained_search(make(), targets, config)
+        result = constrained_search(sim, targets, config)
         oracle, popped = pop_time_sweep(make(), targets, config)
-        again = assert_expands_as_pop_time(result, keys, oracle, popped, set())
+        ledger.check(sim, result, keys, oracle, popped)
         if exhausted(result):
-            assert result.stats.deduplicated == again
+            ledger.check_exhausted([result], [oracle])
+
+
+def bench_request(family, seed):
+    """The benchmark's request for a `workloads.platformer_level` level or a
+    `workloads.urban_rows` grid drawn for random.Random(seed)."""
+    rng = random.Random(seed)
+    if family == "platformer":
+        text, k = workloads.platformer_level(rng), workloads.PLATFORMER_K
+    else:
+        mix = workloads.URBAN_MIXES[seed % len(workloads.URBAN_MIXES)]
+        text, k = workloads.urban_rows(rng, mix), workloads.URBAN_K
+    return workloads.Request(workloads.SEARCH, family, k, text)
+
+
+def bench_fbi(request):
+    sim, space = workloads.build(request)
+    return fbi(request.k, space, *workloads.generators(request, sim, space))
+
+
+@pytest.mark.parametrize(
+    "family, seeds", [("platformer", range(20)), ("urban", range(3))], ids=["platformer", "urban"]
+)
+def test_fbi_on_benchmark_inputs_matches_a_pop_time_sweep(monkeypatch, family, seeds):
+    # the benchmark's own build and generators, run over this sweep and then
+    # over the pop-time sweep
+    requests = [bench_request(family, seed) for seed in seeds]
+    swept = [bench_fbi(request) for request in requests]
+    calls = []
+
+    def popping(sim, targets, config):
+        calls.append(targets)
+        return pop_time_sweep(sim, targets, config)[0]
+
+    monkeypatch.setattr(searchplan, "constrained_search", popping)
+    assert swept == [bench_fbi(request) for request in requests]
+    assert len(calls) >= len(requests)
+    assert all(result.bdc for result in swept)
+
+
+@PRUNE
+@pytest.mark.parametrize("case", DEDUP_CASES)
+def test_a_sweep_asks_is_goal_at_most_once_per_dedup_key(case, prune):
+    # over loop one of an fbi run, on one resumed sweep: a state is asked
+    # once for each of its dedup keys whose monitor meets a target, at most
+    make, space, k = dedup_case(case)
+    sim, found = Counting(make()), set()
+    while len(found) < k:
+        trace = behaviour_generator_ltl(sim, space, found, cfg(prune=prune))
+        if trace is None:
+            break
+        found.add(pbehaviour(space, trace))
+    sweep = searchplan._records[id(sim)].sweep
+    meeting = Counter(state for state, monitor in sweep.visited if sweep.table.met[monitor])
+    assert sim.asked and sim.asked.keys() <= meeting.keys()
+    assert all(sim.asked[state] <= meeting[state] for state in sim.asked)
 
 
 def test_step_runs_once_per_transition_over_an_fbi_run():
@@ -954,9 +1059,9 @@ def test_plan_calls_after_a_simulator_raised_mid_call_match_the_reference(flaky)
 
 @PRUNE
 def test_an_exception_mid_sweep_drops_the_sweep(prune):
-    # the first sweep pauses at its shallow first target and leaves every
-    # transition in the move table, so the resumed sweep fails in is_goal,
-    # which it asks of every node it expands
+    # the first sweep pauses at its shallow first target, and the resumed
+    # sweep fails in is_goal, which it asks of each child it generates whose
+    # monitor meets a target
     config = cfg(prune=prune)
     space = route_space()
     targets = tuple(cell_target(space, cell) for cell in enumerate_cells(space))[::-1]
@@ -1046,11 +1151,12 @@ def test_progression_memo_matches_direct_progression(monkeypatch):
 # SearchStats (expanded, pruned, deduplicated) of every sweep of the bundled
 # urban k=12 and platformer k=8 runs, in call order: each later call of a run
 # reads its witness from the sweep the first call paused. The sweep drops a
-# duplicate when it is generated, so it expands each dedup key once and also
-# counts the duplicates among the children of the node it paused after
+# duplicate and tests a goal when it is generated, so it expands each dedup
+# key once, pauses after the parent of its first target's witness, and also
+# counts the duplicates among that parent's children
 SWEEP_STATS = {
     "urban": ((9531, 0, 18335),) + ((0, 0, 0),) * 11,
-    "platformer": ((294, 0, 869), (0, 0, 0)),
+    "platformer": ((267, 0, 772), (0, 0, 0)),
 }
 
 
